@@ -3,10 +3,8 @@ binary image-privacy prediction, plus annotator-disagreement analyses.
 """
 
 from .features import (
-    DeepFeatureVector,
     FeatureGroup,
     Likelihood,
-    PrivacyFeatureVector,
     PrivacyLabel,
     StandardizationParams,
     apply_standardizer,
@@ -38,13 +36,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfusionCounts",
-    "DeepFeatureVector",
     "FeatureGroup",
     "Likelihood",
     "LogRegModel",
     "MetricsReport",
     "MlpModel",
-    "PrivacyFeatureVector",
     "PrivacyLabel",
     "StandardizationParams",
     "TrainConfig",

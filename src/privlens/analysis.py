@@ -9,14 +9,16 @@ votes count toward the assessor total but toward neither side.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from .data_io import AnnotationRecord, Dataset, FiveClassVote
 from .errors import EmptyControversialSet, EmptyDataset, TooFewVotes
 from .features import (
     Likelihood,
-    PrivacyFeatureVector,
     PrivacyLabel,
     SENSITIVITY_CLASSES,
 )
@@ -28,6 +30,10 @@ CONTROVERSY_MAX_SHARE = 0.65
 # Group-membership thresholds (configurable where used).
 SENSITIVE_MIN_LEVEL = Likelihood.POSSIBLE
 OUTDOOR_MIN_PROB = 0.5
+
+# Columns of the privacy store (see data_io.FeatureStore).
+_PEOPLE_COUNT = 6
+_OUTDOOR_PROB = 7
 
 _PRIVATE_VOTES = {FiveClassVote.CLEARLY_PRIVATE, FiveClassVote.PRIVATE}
 _PUBLIC_VOTES = {FiveClassVote.CLEARLY_PUBLIC, FiveClassVote.PUBLIC}
@@ -76,55 +82,56 @@ def controversial_image_ids(ds: Dataset) -> list[str]:
     return out
 
 
-def controversial_people_breakdown(ds: Dataset) -> dict[str, float]:
-    """Fractions of controversial images with one / two-plus / no people."""
-    ids = controversial_image_ids(ds)
+def controversial_people_breakdown(ds: Dataset, ids: list[str]) -> dict[str, float]:
+    """Fractions of the controversial images `ids` with one / two-plus / no people."""
     if not ids:
         raise EmptyControversialSet("no controversial images in dataset")
-    counts = {"one_person": 0, "two_plus": 0, "none": 0}
-    for image_id in ids:
-        features = ds.privacy_features.get(image_id)
-        if features is None:
-            raise EmptyDataset(f"controversial image {image_id!r} lacks people_count")
-        if features.people_count == 0:
-            counts["none"] += 1
-        elif features.people_count == 1:
-            counts["one_person"] += 1
-        else:
-            counts["two_plus"] += 1
+    rows = ds.privacy_features.rows(ids)
+    if (rows < 0).any():
+        image_id = ids[int(np.argmax(rows < 0))]
+        raise EmptyDataset(f"controversial image {image_id!r} lacks people_count")
+    counts = ds.privacy_features.values[rows, _PEOPLE_COUNT]
     total = len(ids)
-    return {k: v / total for k, v in counts.items()}
+    return {
+        "one_person": int(np.count_nonzero(counts == 1)) / total,
+        "two_plus": int(np.count_nonzero(counts > 1)) / total,
+        "none": int(np.count_nonzero(counts == 0)) / total,
+    }
 
 
-@dataclass(frozen=True)
-class GroupMembership:
-    has_people: bool
-    is_sensitive: bool
-    is_outdoor: bool
+def _levels(values: np.ndarray) -> np.ndarray:
+    """Likelihood level of each sensitivity column, decoded from ``level / 4``."""
+    return np.rint(values[:, :len(SENSITIVITY_CLASSES)] * 4).astype(np.intp)
 
 
 def group_membership(
-    features: PrivacyFeatureVector,
+    values: np.ndarray,
+    missing: np.ndarray,
     sensitive_min_level: Likelihood = SENSITIVE_MIN_LEVEL,
     outdoor_min_prob: float = OUTDOOR_MIN_PROB,
-) -> GroupMembership:
-    sensitive = any(
-        getattr(features, c) is not None and getattr(features, c) >= sensitive_min_level
-        for c in SENSITIVITY_CLASSES
-    )
-    return GroupMembership(
-        has_people=features.people_count >= 1,
-        is_sensitive=sensitive,
-        is_outdoor=features.outdoor_prob >= outdoor_min_prob,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(has_people, is_sensitive, is_outdoor) for each privacy-store row.
+
+    A missing sensitivity cell never makes an image sensitive.
+    """
+    sensitive = ((_levels(values) >= sensitive_min_level) & ~missing).any(axis=1)
+    return (
+        values[:, _PEOPLE_COUNT] >= 1,
+        sensitive,
+        values[:, _OUTDOOR_PROB] >= outdoor_min_prob,
     )
 
 
 def _labeled_with_features(ds: Dataset):
-    for record in ds.records:
-        features = ds.privacy_features.get(record.image_id)
-        if record.binary_label is None or features is None:
-            continue
-        yield record.image_id, record.binary_label, features
+    """(values, missing, private) of the labeled images that have privacy
+    features, in manifest order."""
+    labeled = [r for r in ds.records if r.binary_label is not None]
+    store = ds.privacy_features
+    rows = store.rows([r.image_id for r in labeled])
+    private = np.array([r.binary_label is PrivacyLabel.PRIVATE for r in labeled], dtype=bool)
+    has = rows >= 0
+    rows = rows[has]
+    return store.values[rows], store.missing[rows], private[has]
 
 
 def cumulative_private_by_people(
@@ -137,24 +144,19 @@ def cumulative_private_by_people(
     """
     if location not in (None, "indoor", "outdoor"):
         raise ValueError(f"bad location filter {location!r}")
-    points = []
-    for _, label, features in _labeled_with_features(ds):
-        outdoor = features.outdoor_prob >= OUTDOOR_MIN_PROB
-        if location == "indoor" and outdoor:
-            continue
-        if location == "outdoor" and not outdoor:
-            continue
-        points.append((features.people_count, label is PrivacyLabel.PRIVATE))
-    if not points:
+    values, _, private = _labeled_with_features(ds)
+    outdoor = values[:, _OUTDOOR_PROB] >= OUTDOOR_MIN_PROB
+    keep = {None: np.ones_like(outdoor), "indoor": ~outdoor, "outdoor": outdoor}[location]
+    counts = values[keep, _PEOPLE_COUNT].astype(np.int64)
+    if counts.size == 0:
         raise EmptyDataset("no labeled images with features after filtering")
-    max_count = max(k for k, _ in points)
-    curve = []
-    for k in range(max_count + 1):
-        subset = [private for count, private in points if count <= k]
-        if not subset:
-            continue
-        curve.append((k, sum(subset) / len(subset)))
-    return curve
+    n_upto = np.cumsum(np.bincount(counts))
+    private_upto = np.cumsum(np.bincount(counts[private[keep]], minlength=n_upto.size))
+    return [
+        (k, int(n_private) / int(n))
+        for k, (n_private, n) in enumerate(zip(private_upto, n_upto))
+        if n
+    ]
 
 
 def sensitivity_label_distribution(ds: Dataset) -> dict:
@@ -162,27 +164,20 @@ def sensitivity_label_distribution(ds: Dataset) -> dict:
 
     Missing sensitivity fields are skipped (not counted as any level).
     """
-    counts = {
-        c: {lvl.name: {"private": 0, "public": 0} for lvl in Likelihood}
-        for c in SENSITIVITY_CLASSES
-    }
-    for _, label, features in _labeled_with_features(ds):
-        key = "private" if label is PrivacyLabel.PRIVATE else "public"
-        for c in SENSITIVITY_CLASSES:
-            level = getattr(features, c)
-            if level is None:
-                continue
-            counts[c][level.name][key] += 1
-
-    shares = {}
-    for c in SENSITIVITY_CLASSES:
-        shares[c] = {}
-        for key in ("private", "public"):
-            total = sum(counts[c][lvl.name][key] for lvl in Likelihood)
-            shares[c][key] = {
-                lvl.name: (counts[c][lvl.name][key] / total if total else 0.0)
-                for lvl in Likelihood
-            }
+    values, missing, private = _labeled_with_features(ds)
+    levels = _levels(values)
+    counts, shares = {}, {}
+    for j, c in enumerate(SENSITIVITY_CLASSES):
+        per_label = {
+            key: [int(n) for n in np.bincount(levels[~missing[:, j] & mask, j],
+                                              minlength=len(Likelihood))]
+            for key, mask in (("private", private), ("public", ~private))
+        }
+        counts[c] = {lvl.name: {key: n[lvl] for key, n in per_label.items()} for lvl in Likelihood}
+        shares[c] = {
+            key: {lvl.name: (n[lvl] / sum(n) if sum(n) else 0.0) for lvl in Likelihood}
+            for key, n in per_label.items()
+        }
     return {"counts": counts, "shares": shares}
 
 
@@ -195,47 +190,41 @@ def private_prob_given_sensitivity(
     """
     if sensitivity_class not in SENSITIVITY_CLASSES:
         raise ValueError(f"unknown sensitivity class {sensitivity_class!r}")
-    tally = {lvl: [0, 0] for lvl in Likelihood}  # [n_private, n_total]
-    for _, label, features in _labeled_with_features(ds):
-        level = getattr(features, sensitivity_class)
-        if level is None:
-            continue
-        tally[level][1] += 1
-        if label is PrivacyLabel.PRIVATE:
-            tally[level][0] += 1
+    j = SENSITIVITY_CLASSES.index(sensitivity_class)
+    values, missing, private = _labeled_with_features(ds)
+    present = ~missing[:, j]
+    levels = _levels(values)[:, j]
+    n_total = np.bincount(levels[present], minlength=len(Likelihood))
+    n_private = np.bincount(levels[present & private], minlength=len(Likelihood))
     out = []
     for lvl in Likelihood:
-        n_private, n_total = tally[lvl]
-        prob = n_private / n_total if n_total else None
-        out.append((lvl.name, prob, n_total))
+        n = int(n_total[lvl])
+        prob = int(n_private[lvl]) / n if n else None
+        out.append((lvl.name, prob, n))
     return out
 
 
 def group_privacy_probabilities(ds: Dataset) -> list[dict]:
     """Share of the dataset and P(private) for all 8 people x sensitive x outdoor cells."""
-    cells = {
-        (p, s, o): [0, 0]  # [n_private, n_total]
-        for p in (False, True) for s in (False, True) for o in (False, True)
-    }
-    total = 0
-    for _, label, features in _labeled_with_features(ds):
-        member = group_membership(features)
-        key = (member.has_people, member.is_sensitive, member.is_outdoor)
-        cells[key][1] += 1
-        if label is PrivacyLabel.PRIVATE:
-            cells[key][0] += 1
-        total += 1
+    values, missing, private = _labeled_with_features(ds)
+    total = len(private)
     if total == 0:
         raise EmptyDataset("no labeled images with full privacy features")
+    has_people, sensitive, outdoor = group_membership(values, missing)
+    # cell codes count up in sorted (has_people, is_sensitive, is_outdoor) order
+    cell = 4 * has_people + 2 * sensitive + outdoor
+    n_cell = np.bincount(cell, minlength=8)
+    n_private = np.bincount(cell[private], minlength=8)
     out = []
-    for (p, s, o), (n_private, n_cell) in sorted(cells.items()):
+    for code, (p, s, o) in enumerate(itertools.product((False, True), repeat=3)):
+        n = int(n_cell[code])
         out.append({
             "has_people": p,
             "is_sensitive": s,
             "is_outdoor": o,
-            "share": n_cell / total,
-            "p_private": n_private / n_cell if n_cell else None,
-            "support": n_cell,
+            "share": n / total,
+            "p_private": int(n_private[code]) / n if n else None,
+            "support": n,
         })
     return out
 

@@ -35,7 +35,7 @@ from .errors import (
     MissingGroupData,
     PrivlensError,
 )
-from .features import FeatureGroup, PrivacyLabel
+from .features import GROUP_ORDER, FeatureGroup, PrivacyLabel
 from .metrics import MetricsReport
 
 log = logging.getLogger(__name__)
@@ -132,7 +132,7 @@ def _evaluate_model(model, ds: Dataset, split: Split) -> MetricsReport:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_extract(cfg: ExperimentConfig) -> int:
-    records = load_dataset(cfg).records
+    records = load_dataset(cfg, privacy=False, deep=False, annotations=False).records
     image_refs = {}
     if cfg.data.image_refs is not None:
         with open(cfg.data.image_refs, "r", encoding="utf-8", newline="") as fh:
@@ -157,8 +157,7 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
     if cfg.data.scenes is not None:
         if cfg.data.io_map is None:
             raise ConfigError("scenes configured without io_map")
-        tag, store = load_deep_store(cfg.data.scenes)
-        scenes = {image_id: v.values for image_id, v in store.items()}
+        _, scenes = load_deep_store(cfg.data.scenes)
         io_map = extractors.load_io_map(cfg.data.io_map)
         if cfg.data.categories is not None:
             categories = extractors.load_categories(cfg.data.categories)
@@ -188,7 +187,7 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
-    ds = load_dataset(cfg, require_splits=True)
+    ds = load_dataset(cfg, require_splits=True, annotations=False)
     model, trace, reports = _train_one(cfg, ds, cfg.groups, cfg.source_tag)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, cfg.out_dir / "model.json")
@@ -218,7 +217,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 
 def cmd_evaluate(cfg: ExperimentConfig, model_path) -> int:
-    ds = load_dataset(cfg, require_splits=True)
+    ds = load_dataset(cfg, require_splits=True, annotations=False)
     model = load_model(model_path)
     report = _evaluate_model(model, ds, Split.TEST)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -227,16 +226,10 @@ def cmd_evaluate(cfg: ExperimentConfig, model_path) -> int:
     return EXIT_OK
 
 
-_TABLE_GROUPS = (
-    FeatureGroup.SENS, FeatureGroup.PEOPLE, FeatureGroup.OUT,
-    FeatureGroup.PLACES, FeatureGroup.DEEP,
-)
-
-
 def cmd_ablate(cfg: ExperimentConfig) -> int:
     if not cfg.ablation_rows:
         raise ConfigError("config has no [ablation] rows")
-    ds = load_dataset(cfg, require_splits=True)
+    ds = load_dataset(cfg, require_splits=True, annotations=False)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
@@ -256,7 +249,7 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
     csv_rows = []
     lines = ["  ".join(f"{h:<8s}" for h in header)]
     for row, report, err in results:
-        marks = ["x" if g in row.groups else "" for g in _TABLE_GROUPS]
+        marks = ["x" if g in row.groups else "" for g in GROUP_ORDER]
         if row.source_tag and FeatureGroup.DEEP in row.groups:
             marks[4] = row.source_tag
         if report is not None:
@@ -274,30 +267,33 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
+def _write_report(stem: Path, payload, header: list[str], rows) -> None:
+    """One analysis as `<stem>.json` and as the flat `<stem>.csv`."""
+    analysis.write_json(stem.with_suffix(".json"), payload)
+    analysis.write_csv(stem.with_suffix(".csv"), header, rows)
+
+
 def cmd_analyze(cfg: ExperimentConfig) -> int:
-    ds = load_dataset(cfg)
+    ds = load_dataset(cfg, deep=False)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     skipped = []
 
     have_votes = cfg.data.annotations is not None
-    have_features = bool(ds.privacy_features)
+    have_features = len(ds.privacy_features) > 0
     have_labels = any(r.binary_label is not None for r in ds.records)
 
     if have_votes:
         if not ds.annotations:
             raise EmptyDataset("annotations file contains no votes")
         ids = analysis.controversial_image_ids(ds)
-        analysis.write_json(out / "controversial.json", {"image_ids": ids})
-        analysis.write_csv(out / "controversial.csv", ["image_id"], [[i] for i in ids])
+        _write_report(out / "controversial", {"image_ids": ids}, ["image_id"],
+                      [[i] for i in ids])
         if have_features:
             try:
-                breakdown = analysis.controversial_people_breakdown(ds)
-                analysis.write_json(out / "people_breakdown.json", breakdown)
-                analysis.write_csv(
-                    out / "people_breakdown.csv", ["group", "fraction"],
-                    sorted(breakdown.items()),
-                )
+                breakdown = analysis.controversial_people_breakdown(ds, ids)
+                _write_report(out / "people_breakdown", breakdown, ["group", "fraction"],
+                              sorted(breakdown.items()))
             except analysis.EmptyControversialSet:
                 skipped.append("people_breakdown (no controversial images)")
         else:
@@ -312,42 +308,30 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
                 curves[loc or "all"] = analysis.cumulative_private_by_people(ds, loc)
             except EmptyDataset:
                 pass
-        analysis.write_json(out / "cumulative_private.json", curves)
-        analysis.write_csv(
-            out / "cumulative_private.csv", ["location", "max_people", "p_private"],
-            [(loc, k, p) for loc, curve in sorted(curves.items()) for k, p in curve],
-        )
+        _write_report(
+            out / "cumulative_private", curves, ["location", "max_people", "p_private"],
+            [(loc, k, p) for loc, curve in sorted(curves.items()) for k, p in curve])
 
         dist = analysis.sensitivity_label_distribution(ds)
-        analysis.write_json(out / "sensitivity_distribution.json", dist)
-        analysis.write_csv(
-            out / "sensitivity_distribution.csv",
-            ["class", "level", "label", "count"],
+        _write_report(
+            out / "sensitivity_distribution", dist, ["class", "level", "label", "count"],
             [(c, lvl, lab, n)
              for c, per_level in sorted(dist["counts"].items())
              for lvl, per_label in per_level.items()
-             for lab, n in sorted(per_label.items())],
-        )
+             for lab, n in sorted(per_label.items())])
 
         conditional = {
             c: analysis.private_prob_given_sensitivity(ds, c)
             for c in analysis.SENSITIVITY_CLASSES
         }
-        analysis.write_json(out / "conditional_private.json", conditional)
-        analysis.write_csv(
-            out / "conditional_private.csv",
-            ["class", "level", "p_private", "support"],
-            [(c, lvl, p, n) for c, rows in sorted(conditional.items()) for lvl, p, n in rows],
-        )
+        _write_report(
+            out / "conditional_private", conditional, ["class", "level", "p_private", "support"],
+            [(c, lvl, p, n) for c, rows in sorted(conditional.items()) for lvl, p, n in rows])
 
+        columns = ["has_people", "is_sensitive", "is_outdoor", "share", "p_private", "support"]
         groups = analysis.group_privacy_probabilities(ds)
-        analysis.write_json(out / "group_probabilities.json", groups)
-        analysis.write_csv(
-            out / "group_probabilities.csv",
-            ["has_people", "is_sensitive", "is_outdoor", "share", "p_private", "support"],
-            [[g["has_people"], g["is_sensitive"], g["is_outdoor"],
-              g["share"], g["p_private"], g["support"]] for g in groups],
-        )
+        _write_report(out / "group_probabilities", groups, columns,
+                      [[g[c] for c in columns] for g in groups])
     else:
         skipped.append("feature-based analyses (need privacy features and labels)")
 

@@ -11,7 +11,6 @@ from pathlib import Path
 from .classifiers import TrainConfig
 from .data_io import (
     Dataset,
-    Split,
     assign_splits,
     load_annotations,
     load_deep_store,
@@ -231,8 +230,16 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
     return cfg
 
 
-def load_dataset(cfg: ExperimentConfig, require_splits: bool = False) -> Dataset:
-    """Load all configured stores and join them into a Dataset.
+def load_dataset(
+    cfg: ExperimentConfig,
+    require_splits: bool = False,
+    *,
+    privacy: bool = True,
+    deep: bool = True,
+    annotations: bool = True,
+) -> Dataset:
+    """Join the manifest and the configured stores that `privacy`, `deep` and
+    `annotations` select (the rest stay empty) into a Dataset.
 
     When the manifest lacks splits and require_splits is set, a seeded random
     split is generated and written to out_dir/manifest_with_splits.csv.
@@ -243,24 +250,15 @@ def load_dataset(cfg: ExperimentConfig, require_splits: bool = False) -> Dataset
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         write_manifest(cfg.out_dir / "manifest_with_splits.csv", records)
 
-    privacy = {}
-    if cfg.data.privacy_features is not None:
-        privacy = load_privacy_store(cfg.data.privacy_features)
-    deep: dict[str, dict] = {}
-    for p in cfg.data.deep_features:
+    stores = {}
+    if privacy and cfg.data.privacy_features is not None:
+        stores["privacy_features"] = load_privacy_store(cfg.data.privacy_features)
+    deep_stores = {}
+    for p in cfg.data.deep_features if deep else ():
         tag, store = load_deep_store(p)
-        if tag in deep:
+        if tag in deep_stores:
             raise ConfigError(f"duplicate deep-feature source_tag {tag!r}")
-        deep[tag] = store
-    annotations = {}
-    if cfg.data.annotations is not None:
-        annotations = load_annotations(cfg.data.annotations)
-    return Dataset(
-        records=records,
-        privacy_features=privacy,
-        deep_features=deep,
-        annotations=annotations,
-    )
-
-
-SPLIT_BY_NAME = {s.value: s for s in Split}
+        deep_stores[tag] = store
+    if annotations and cfg.data.annotations is not None:
+        stores["annotations"] = load_annotations(cfg.data.annotations)
+    return Dataset(records=records, deep_features=deep_stores, **stores)

@@ -10,12 +10,17 @@ File formats (all UTF-8 CSV with a mandatory header):
   deep_features.csv     first line "#source_tag=<tag>,dim=<D>", then
                         image_id,v0,...,v{D-1}
   annotations.csv       image_id,assessor_id,vote
+
+Each feature store becomes one float64 matrix (`FeatureStore`), parsed in
+bulk; a file the bulk parser leaves is read by a row scan, which reports
+the failing path:line.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import logging
 import random
 from dataclasses import dataclass, field
@@ -32,12 +37,13 @@ from .errors import (
     UnknownVote,
 )
 from .features import (
-    DeepFeatureVector,
+    PRIVACY_FEATURE_NAMES,
+    SENSITIVITY_CLASSES,
     FeatureGroup,
     Likelihood,
-    PrivacyFeatureVector,
     PrivacyLabel,
     assemble_features,
+    encode_likelihood,
 )
 
 log = logging.getLogger(__name__)
@@ -77,34 +83,58 @@ class AnnotationRecord:
             raise ValueError("assessor_ids must align with votes")
 
 
+@dataclass(frozen=True, eq=False)
+class FeatureStore:
+    """One feature store: a float64 matrix with one row per image, in file order.
+
+    The privacy store holds the eight features in canonical order, each
+    sensitivity level encoded as ``level / 4``, and a ``missing`` mask that is
+    True where a sensitivity cell was empty (its value then reads 0.0).
+    """
+
+    ids: list[str]
+    values: np.ndarray
+    missing: np.ndarray | None = None
+    index: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", {image_id: i for i, image_id in enumerate(self.ids)})
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows(self, image_ids: list[str]) -> np.ndarray:
+        """The row of each id, -1 where the store has none."""
+        get = self.index.get
+        return np.fromiter((get(i, -1) for i in image_ids), dtype=np.intp, count=len(image_ids))
+
+
+def privacy_store(rows: dict[str, tuple]) -> FeatureStore:
+    """A privacy store from per-image cells in canonical order: five
+    ``Likelihood | None``, then people_prob, people_count, outdoor_prob."""
+    cells = list(rows.values())
+    values = np.array([[*map(encode_likelihood, r[:5]), *r[5:]] for r in cells], dtype=np.float64)
+    missing = np.array([[lvl is None for lvl in r[:5]] for r in cells], dtype=bool)
+    return FeatureStore(list(rows), values.reshape(-1, 8), missing.reshape(-1, 5))
+
+
 @dataclass
 class Dataset:
     """Immutable-after-construction join of manifest, features and votes."""
 
     records: list[ImageRecord]
-    privacy_features: dict[str, PrivacyFeatureVector] = field(default_factory=dict)
-    deep_features: dict[str, dict[str, DeepFeatureVector]] = field(default_factory=dict)
+    privacy_features: FeatureStore = field(default_factory=lambda: privacy_store({}))
+    deep_features: dict[str, FeatureStore] = field(default_factory=dict)
     annotations: dict[str, AnnotationRecord] = field(default_factory=dict)
 
     def __post_init__(self):
         known = {r.image_id for r in self.records}
-        for name, store in (
-            ("privacy_features", self.privacy_features),
-            ("annotations", self.annotations),
-        ):
-            for image_id in store:
+        stores = {"privacy_features": self.privacy_features.ids, "annotations": self.annotations,
+                  **{f"deep store {tag!r}": s.ids for tag, s in self.deep_features.items()}}
+        for name, ids in stores.items():
+            for image_id in ids:
                 if image_id not in known:
                     log.warning("%s id %r not in manifest; ignored in matrices", name, image_id)
-        for tag, per_image in self.deep_features.items():
-            dims = {v.dim for v in per_image.values()}
-            if len(dims) > 1:
-                raise DimensionMismatch(f"source_tag {tag!r} mixes dims {sorted(dims)}")
-            for image_id in per_image:
-                if image_id not in known:
-                    log.warning("deep store %r id %r not in manifest; ignored", tag, image_id)
-
-    def record_map(self) -> dict[str, ImageRecord]:
-        return {r.image_id: r for r in self.records}
 
 
 _LABEL_TOKENS = {"private": PrivacyLabel.PRIVATE, "public": PrivacyLabel.PUBLIC}
@@ -118,15 +148,18 @@ def _open_csv(path):
         raise ParseError(str(exc), path=path) from exc
 
 
+def _check_header(fh, expected: list[str], path) -> None:
+    header = next(csv.reader(fh), None)
+    if header is None or [h.strip() for h in header] != expected:
+        raise ParseError("expected header " + ",".join(expected), path=path, line=1)
+
+
 def load_manifest(path) -> list[ImageRecord]:
     records: list[ImageRecord] = []
     seen: set[str] = set()
     with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["image_id", "label", "split"]:
-            raise ParseError("expected header image_id,label,split", path=path, line=1)
-        for lineno, row in enumerate(reader, start=2):
+        _check_header(fh, ["image_id", "label", "split"], path)
+        for lineno, row in enumerate(csv.reader(fh), start=2):
             if not row:
                 continue
             if len(row) != 3:
@@ -151,10 +184,43 @@ def load_manifest(path) -> list[ImageRecord]:
     return records
 
 
-_PRIVACY_HEADER = [
-    "image_id", "adult", "racy", "medical", "spoofed", "violent",
-    "people_prob", "people_count", "outdoor_prob",
-]
+# Lines csv.reader yields as an empty row; every loader skips them.
+_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
+
+
+def _parse_bulk(fh, n_values: int, converters=None):
+    """(ids, values) of the data lines left in `fh`, or None when the row scan must read them.
+
+    Only lines of an id and `n_values` cells with no quote character are
+    taken, so the id is the text before the first comma, as csv.reader splits
+    it. loadtxt's float syntax is a subset of float()'s, with the same values.
+    A cell loadtxt or a converter rejects, or a repeated id, leaves the file
+    to the row scan.
+    """
+    ids: list[str] = []
+
+    def data_lines():
+        for line in fh:
+            if line in _BLANK_LINES:
+                continue
+            if line.count(",") != n_values or '"' in line:
+                raise ValueError("line needs the row scan")
+            ids.append(line.partition(",")[0].strip())
+            yield line
+
+    lines = data_lines()
+    try:
+        first = next(lines, None)
+        values = np.empty((0, n_values)) if first is None else np.loadtxt(
+            itertools.chain([first], lines), dtype=np.float64, delimiter=",",
+            comments=None, usecols=range(1, n_values + 1), converters=converters, ndmin=2,
+        )  # (loadtxt warns on empty input)
+    except ValueError:
+        return None
+    return (ids, values) if len(set(ids)) == len(ids) else None
+
+
+_PRIVACY_HEADER = ["image_id", *PRIVACY_FEATURE_NAMES]
 
 
 def _parse_sensitivity_cell(cell: str, path, lineno) -> Likelihood | None:
@@ -162,7 +228,7 @@ def _parse_sensitivity_cell(cell: str, path, lineno) -> Likelihood | None:
     if not cell:
         return None
     try:
-        return Likelihood.from_token(cell)
+        return Likelihood[cell.upper()]
     except KeyError:
         pass
     try:
@@ -175,56 +241,105 @@ def _parse_sensitivity_cell(cell: str, path, lineno) -> Likelihood | None:
     return Likelihood(int(round(value * 4)))
 
 
-def load_privacy_store(path) -> dict[str, PrivacyFeatureVector]:
-    store: dict[str, PrivacyFeatureVector] = {}
+class _LevelCodes(dict):
+    """Bulk converter table: cell -> encoded level, NaN for an empty cell.
+
+    Exact level tokens are plain lookups; any other cell goes through the
+    row scan's parser, whose ParseError leaves the file to the row scan.
+    """
+
+    def __missing__(self, cell: str) -> float:
+        level = _parse_sensitivity_cell(cell, None, None)
+        return np.nan if level is None else encode_likelihood(level)
+
+
+_LEVEL_CODES = _LevelCodes({lvl.name: encode_likelihood(lvl) for lvl in Likelihood})
+_PRIVACY_CONVERTERS = {**{col: _LEVEL_CODES.__getitem__ for col in range(1, 6)}, 7: int}
+
+
+def _bulk_privacy_store(path) -> FeatureStore | None:
     with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _PRIVACY_HEADER:
-            raise ParseError(
-                "expected header " + ",".join(_PRIVACY_HEADER), path=path, line=1
-            )
-        for lineno, row in enumerate(reader, start=2):
+        _check_header(fh, _PRIVACY_HEADER, path)
+        parsed = _parse_bulk(fh, 8, _PRIVACY_CONVERTERS)
+    if parsed is None:
+        return None
+    ids, values = parsed
+    missing = np.isnan(values[:, :5])
+    values[:, :5][missing] = 0.0
+    probs = values[:, [5, 7]]
+    if not (((probs >= 0.0) & (probs <= 1.0)).all() and (values[:, 6] >= 0).all()):
+        return None
+    return FeatureStore(ids, values, missing)
+
+
+def _scan_privacy_store(path) -> FeatureStore:
+    """Row-at-a-time parse; the reference for the bulk path and its error reporter."""
+    rows: dict[str, tuple] = {}
+    with _open_csv(path) as fh:
+        _check_header(fh, _PRIVACY_HEADER, path)
+        for lineno, row in enumerate(csv.reader(fh), start=2):
             if not row:
                 continue
             if len(row) != 9:
                 raise ParseError(f"expected 9 fields, got {len(row)}", path=path, line=lineno)
             image_id = row[0].strip()
+            levels = [_parse_sensitivity_cell(c, path, lineno) for c in row[1:6]]
             try:
-                vec = PrivacyFeatureVector(
-                    *(_parse_sensitivity_cell(c, path, lineno) for c in row[1:6]),
-                    people_prob=float(row[6]),
-                    people_count=int(row[7]),
-                    outdoor_prob=float(row[8]),
-                )
-            except (ValueError, TypeError) as exc:
+                people_prob, people_count, outdoor_prob = float(row[6]), int(row[7]), float(row[8])
+            except ValueError as exc:
                 raise ParseError(str(exc), path=path, line=lineno) from exc
-            if image_id in store:
+            if not 0.0 <= people_prob <= 1.0:
+                raise ParseError(f"people_prob out of [0,1]: {people_prob}", path=path, line=lineno)
+            if not 0.0 <= outdoor_prob <= 1.0:
+                raise ParseError(f"outdoor_prob out of [0,1]: {outdoor_prob}",
+                                 path=path, line=lineno)
+            if people_count < 0:
+                raise ParseError(f"people_count negative: {people_count}", path=path, line=lineno)
+            if image_id in rows:
                 raise DuplicateId(image_id)
-            store[image_id] = vec
-    return store
+            rows[image_id] = (*levels, people_prob, people_count, outdoor_prob)
+    return privacy_store(rows)
 
 
-def load_deep_store(path) -> tuple[str, dict[str, DeepFeatureVector]]:
-    """Returns (source_tag, map image_id -> vector)."""
+def load_privacy_store(path) -> FeatureStore:
+    store = _bulk_privacy_store(path)
+    return store if store is not None else _scan_privacy_store(path)
+
+
+def _deep_header(fh, path) -> tuple[str, int]:
+    """(source_tag, dim) from the two header lines of a deep store."""
+    first = fh.readline().strip()
+    if not first.startswith("#"):
+        raise ParseError("missing #source_tag=...,dim=... header", path=path, line=1)
+    try:
+        fields = dict(part.split("=", 1) for part in first.lstrip("#").split(","))
+        source_tag = fields["source_tag"].strip()
+        dim = int(fields["dim"])
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"bad deep-store header {first!r}", path=path, line=1) from exc
+    if dim <= 0:
+        raise ParseError("dim must be positive", path=path, line=1)
+    header = next(csv.reader(fh), None)
+    if header is None or header[0].strip() != "image_id":
+        raise ParseError("expected column header starting with image_id", path=path, line=2)
+    return source_tag, dim
+
+
+def _bulk_deep_store(path) -> tuple[str, FeatureStore] | None:
     with _open_csv(path) as fh:
-        first = fh.readline().strip()
-        if not first.startswith("#"):
-            raise ParseError("missing #source_tag=...,dim=... header", path=path, line=1)
-        try:
-            fields = dict(part.split("=", 1) for part in first.lstrip("#").split(","))
-            source_tag = fields["source_tag"].strip()
-            dim = int(fields["dim"])
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"bad deep-store header {first!r}", path=path, line=1) from exc
-        if dim <= 0:
-            raise ParseError("dim must be positive", path=path, line=1)
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0].strip() != "image_id":
-            raise ParseError("expected column header starting with image_id", path=path, line=2)
-        store: dict[str, DeepFeatureVector] = {}
-        for lineno, row in enumerate(reader, start=3):
+        source_tag, dim = _deep_header(fh, path)
+        parsed = _parse_bulk(fh, dim)
+    if parsed is None or not np.isfinite(parsed[1]).all():
+        return None
+    return source_tag, FeatureStore(*parsed)
+
+
+def _scan_deep_store(path) -> tuple[str, FeatureStore]:
+    """Row-at-a-time parse; the reference for the bulk path and its error reporter."""
+    rows: dict[str, list[float]] = {}
+    with _open_csv(path) as fh:
+        source_tag, dim = _deep_header(fh, path)
+        for lineno, row in enumerate(csv.reader(fh), start=3):
             if not row:
                 continue
             image_id = row[0].strip()
@@ -233,33 +348,31 @@ def load_deep_store(path) -> tuple[str, dict[str, DeepFeatureVector]]:
                     f"image {image_id!r} has {len(row) - 1} values, header declares dim={dim}"
                 )
             try:
-                values = np.array([float(c) for c in row[1:]], dtype=np.float64)
+                values = [float(c) for c in row[1:]]
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, line=lineno) from exc
-            if image_id in store:
+            if not np.isfinite(values).all():
+                raise ParseError(f"non-finite value for image {image_id!r}",
+                                 path=path, line=lineno)
+            if image_id in rows:
                 raise DuplicateId(image_id)
-            store[image_id] = DeepFeatureVector(values=values, source_tag=source_tag)
-    return source_tag, store
+            rows[image_id] = values
+    values = np.array(list(rows.values()), dtype=np.float64).reshape(len(rows), dim)
+    return source_tag, FeatureStore(list(rows), values)
 
 
-def load_feature_store(path, kind: str):
-    """Dispatch on store kind: 'privacy' or 'deep'."""
-    if kind == "privacy":
-        return load_privacy_store(path)
-    if kind == "deep":
-        return load_deep_store(path)
-    raise ValueError(f"unknown store kind {kind!r}")
+def load_deep_store(path) -> tuple[str, FeatureStore]:
+    """Returns (source_tag, store)."""
+    loaded = _bulk_deep_store(path)
+    return loaded if loaded is not None else _scan_deep_store(path)
 
 
 def load_annotations(path) -> dict[str, AnnotationRecord]:
     votes: dict[str, list[FiveClassVote]] = {}
     assessors: dict[str, list[str]] = {}
     with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["image_id", "assessor_id", "vote"]:
-            raise ParseError("expected header image_id,assessor_id,vote", path=path, line=1)
-        for lineno, row in enumerate(reader, start=2):
+        _check_header(fh, ["image_id", "assessor_id", "vote"], path)
+        for lineno, row in enumerate(csv.reader(fh), start=2):
             if not row:
                 continue
             if len(row) != 3:
@@ -288,20 +401,14 @@ def assign_splits(
     """
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1")
-    unassigned = [i for i, r in enumerate(records) if r.split is None]
-    order = list(unassigned)
+    order = [i for i, r in enumerate(records) if r.split is None]
     random.Random(seed).shuffle(order)
-    n = len(order)
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
-    new_split = {}
-    for rank, idx in enumerate(order):
-        if rank < n_train:
-            new_split[idx] = Split.TRAIN
-        elif rank < n_train + n_val:
-            new_split[idx] = Split.VAL
-        else:
-            new_split[idx] = Split.TEST
+    n_train = int(round(fractions[0] * len(order)))
+    n_val = int(round(fractions[1] * len(order)))
+    new_split = {
+        idx: Split.TRAIN if rank < n_train else Split.VAL if rank < n_train + n_val else Split.TEST
+        for rank, idx in enumerate(order)
+    }
     return [
         ImageRecord(r.image_id, r.binary_label, new_split.get(i, r.split))
         for i, r in enumerate(records)
@@ -320,6 +427,14 @@ def write_manifest(path, records: list[ImageRecord]) -> None:
             ])
 
 
+# Columns of each privacy group in the privacy store.
+_PRIVACY_COLUMNS = {
+    FeatureGroup.SENS: slice(0, len(SENSITIVITY_CLASSES)),
+    FeatureGroup.PEOPLE: slice(5, 7),
+    FeatureGroup.OUT: slice(7, 8),
+}
+
+
 def build_design_matrix(
     ds: Dataset,
     split: Split | None,
@@ -327,34 +442,31 @@ def build_design_matrix(
     source_tag: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Aligned (X, y, image_ids) in manifest order; Private=1, Public=0."""
-    need_privacy = bool(groups & {FeatureGroup.SENS, FeatureGroup.PEOPLE, FeatureGroup.OUT})
-    need_places = FeatureGroup.PLACES in groups
-    need_deep = FeatureGroup.DEEP in groups
-    if need_deep and source_tag is None:
+    if FeatureGroup.DEEP in groups and source_tag is None:
         raise ValueError("source_tag required when the DEEP group is selected")
-
-    places_store = ds.deep_features.get("places365", {}) if need_places else {}
-    deep_store = ds.deep_features.get(source_tag, {}) if need_deep else {}
-
-    rows, labels, ids = [], [], []
-    for record in ds.records:
-        if split is not None and record.split is not split:
-            continue
-        if record.binary_label is None:
-            raise MissingLabel(record.image_id)
-        privacy = ds.privacy_features.get(record.image_id)
-        if need_privacy and privacy is None:
-            raise MissingFeatures(record.image_id, "privacy")
-        places = places_store.get(record.image_id)
-        if need_places and places is None:
-            raise MissingFeatures(record.image_id, FeatureGroup.PLACES.name)
-        deep = deep_store.get(record.image_id)
-        if need_deep and deep is None:
-            raise MissingFeatures(record.image_id, FeatureGroup.DEEP.name)
-        rows.append(assemble_features(privacy, deep, groups, places=places))
-        labels.append(1.0 if record.binary_label is PrivacyLabel.PRIVATE else 0.0)
-        ids.append(record.image_id)
-
-    if not rows:
+    records = [r for r in ds.records if split is None or r.split is split]
+    if not records:
         return np.empty((0, 0)), np.empty(0), []
-    return np.vstack(rows), np.array(labels, dtype=np.float64), ids
+    ids = [r.image_id for r in records]
+    # each needed store, the name MissingFeatures gives it, and its columns per group
+    sources = [source for source in (
+        (ds.privacy_features, "privacy", _PRIVACY_COLUMNS),
+        (ds.deep_features.get("places365"), "PLACES", {FeatureGroup.PLACES: slice(None)}),
+        (ds.deep_features.get(source_tag), "DEEP", {FeatureGroup.DEEP: slice(None)}),
+    ) if groups & source[2].keys()]
+    rows = [store.rows(ids) if store is not None else np.full(len(ids), -1)
+            for store, _, _ in sources]
+
+    unlabeled = np.array([r.binary_label is None for r in records])
+    bad = np.logical_or.reduce([unlabeled, *(r < 0 for r in rows)])
+    if bad.any():
+        i = int(np.argmax(bad))  # the first failing record, checked as the manifest orders it
+        if unlabeled[i]:
+            raise MissingLabel(ids[i])
+        raise next(MissingFeatures(ids[i], name)
+                   for (_, name, _), r in zip(sources, rows) if r[i] < 0)
+
+    blocks = {group: store.values[r, cols]
+              for (store, _, columns), r in zip(sources, rows) for group, cols in columns.items()}
+    y = np.array([r.binary_label is PrivacyLabel.PRIVATE for r in records], dtype=np.float64)
+    return assemble_features(blocks, groups), y, ids

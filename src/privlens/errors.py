@@ -84,6 +84,10 @@ class MalformedResponse(ExtractionError):
     pass
 
 
+class InvalidScene(ExtractionError):
+    """A scene row that is not a probability distribution."""
+
+
 class UnmappedCategory(PrivlensError):
     def __init__(self, category):
         super().__init__(f"scene category {category!r} missing from indoor/outdoor map")

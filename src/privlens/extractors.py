@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import requests
 
-from .data_io import ImageRecord
+from .data_io import FeatureStore, ImageRecord
 from .errors import (
     AuthError,
     ExtractionError,
+    InvalidScene,
     MalformedResponse,
     ParseError,
     RateLimited,
@@ -71,7 +71,7 @@ class SceneDistribution:
         if probs.size != len(self.category_names):
             raise ValueError("probs and category_names must align")
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-6:
-            raise ValueError("scene probabilities must be non-negative and sum to 1")
+            raise InvalidScene("scene probabilities must be non-negative and sum to 1")
         object.__setattr__(self, "probs", probs)
 
 
@@ -177,6 +177,8 @@ class SafeSearchClient:
         return cls(url=url, api_key=os.environ.get(ENV_KEY, ""), **kwargs)
 
     def _requests_transport(self, url, headers, body):
+        import requests  # imported here: only extract talks HTTP
+
         try:
             resp = requests.post(url, headers=headers, json=body, timeout=30)
         except requests.RequestException as exc:
@@ -226,10 +228,6 @@ def _parse_safe_search(payload) -> SafeSearchResult:
     return SafeSearchResult(**values)
 
 
-def safe_search_extract(image_ref: str, client: SafeSearchClient) -> SafeSearchResult:
-    return client.annotate(image_ref)
-
-
 def load_detections(path) -> dict[str, list[Detection]]:
     out: dict[str, list[Detection]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -277,7 +275,7 @@ class ExtractionSources:
     safe_search: SafeSearchClient | None = None
     image_refs: dict[str, str] = field(default_factory=dict)  # image_id -> URI
     detections: dict[str, list[Detection]] | None = None
-    scenes: dict[str, np.ndarray] | None = None  # image_id -> 365 probs
+    scenes: FeatureStore | None = None  # one row of category probs per image
     categories: tuple[str, ...] | None = None
     io_map: dict[str, str] | None = None
     person_conf_threshold: float = 0.5
@@ -307,14 +305,25 @@ def _cache_path(cache_dir: Path, image_id: str) -> Path:
     return cache_dir / f"{image_id}.json"
 
 
+def _read_cache(path: Path) -> SafeSearchResult | None:
+    """The cached response; None when absent or unreadable, so it is queried again."""
+    try:
+        return SafeSearchResult.from_dict(json.loads(path.read_text("utf-8")))
+    except FileNotFoundError:
+        return None
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        log.warning("ignoring unreadable cache entry %s: %s", path, exc)
+        return None
+
+
 def _sensitivity_for(
     image_id: str, sources: ExtractionSources, cache_dir: Path | None
 ) -> SafeSearchResult | None:
     """Cached SafeSearch lookup; None when no sensitivity source exists."""
     if cache_dir is not None:
-        cached = _cache_path(cache_dir, image_id)
-        if cached.exists():
-            return SafeSearchResult.from_dict(json.loads(cached.read_text("utf-8")))
+        cached = _read_cache(_cache_path(cache_dir, image_id))
+        if cached is not None:
+            return cached
     if sources.safe_search is None:
         return None
     ref = sources.image_refs.get(image_id, image_id)
@@ -358,8 +367,9 @@ def run_extraction(
         else:
             count, prob = 0, 0.0
         outdoor = 0.0
-        if sources.scenes is not None and image_id in sources.scenes:
-            scene = SceneDistribution(sources.scenes[image_id], sources.categories)
+        row = sources.scenes.index.get(image_id) if sources.scenes is not None else None
+        if row is not None:
+            scene = SceneDistribution(sources.scenes.values[row], sources.categories)
             outdoor = outdoor_probability(scene, sources.io_map)
         return sensitivity, count, prob, outdoor
 

@@ -1,4 +1,4 @@
-"""Canonical feature schema: likelihood encoding, vector assembly, standardization.
+"""Canonical feature schema: likelihood encoding, block assembly, standardization.
 
 The eight interpretable per-image features live in a fixed order:
 adult, racy, medical, spoofed, violent, people_prob, people_count, outdoor_prob.
@@ -23,10 +23,6 @@ class Likelihood(enum.IntEnum):
     POSSIBLE = 2
     LIKELY = 3
     VERY_LIKELY = 4
-
-    @classmethod
-    def from_token(cls, token: str) -> "Likelihood":
-        return cls[token.strip().upper()]
 
 
 class PrivacyLabel(enum.Enum):
@@ -58,85 +54,16 @@ SENSITIVITY_CLASSES = ("adult", "racy", "medical", "spoofed", "violent")
 def encode_likelihood(level: Likelihood | None) -> float:
     """Map a likelihood level onto [0,1] linearly (index / 4).
 
-    ``None`` (extractor returned unknown) encodes as 0.0; callers that need
-    to audit imputation should check :attr:`PrivacyFeatureVector.imputed`.
+    ``None`` (extractor returned unknown) encodes as 0.0; the privacy
+    store's ``missing`` mask tells such cells apart from VERY_UNLIKELY.
     """
     if level is None:
         return 0.0
     return int(level) / 4.0
 
 
-@dataclass(frozen=True)
-class PrivacyFeatureVector:
-    """The eight privacy-specific features for one image.
-
-    Sensitivity fields may be None when the extractor could not produce
-    them; they encode as 0.0 and are listed in :attr:`imputed`.
-    """
-
-    adult: Likelihood | None
-    racy: Likelihood | None
-    medical: Likelihood | None
-    spoofed: Likelihood | None
-    violent: Likelihood | None
-    people_prob: float
-    people_count: int
-    outdoor_prob: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.people_prob <= 1.0:
-            raise ValueError(f"people_prob out of [0,1]: {self.people_prob}")
-        if not 0.0 <= self.outdoor_prob <= 1.0:
-            raise ValueError(f"outdoor_prob out of [0,1]: {self.outdoor_prob}")
-        if self.people_count < 0:
-            raise ValueError(f"people_count negative: {self.people_count}")
-
-    @property
-    def imputed(self) -> tuple[str, ...]:
-        """Names of sensitivity fields that were missing and encode as 0.0."""
-        return tuple(c for c in SENSITIVITY_CLASSES if getattr(self, c) is None)
-
-    def sensitivity_block(self) -> np.ndarray:
-        return np.array(
-            [encode_likelihood(getattr(self, c)) for c in SENSITIVITY_CLASSES],
-            dtype=np.float64,
-        )
-
-    def people_block(self) -> np.ndarray:
-        return np.array([self.people_prob, float(self.people_count)], dtype=np.float64)
-
-    def outdoor_block(self) -> np.ndarray:
-        return np.array([self.outdoor_prob], dtype=np.float64)
-
-    def to_array(self) -> np.ndarray:
-        """All eight features in canonical order."""
-        return np.concatenate(
-            [self.sensitivity_block(), self.people_block(), self.outdoor_block()]
-        )
-
-
-@dataclass(frozen=True)
-class DeepFeatureVector:
-    """A fixed-length vector from an external backbone, consumed as-is."""
-
-    values: np.ndarray
-    source_tag: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("deep feature vector must be 1-D and non-empty")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("deep feature vector contains non-finite entries")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
-
-
-# Block order in assembled vectors. Omitted groups contribute zero dims.
-_GROUP_ORDER = (
+#: Block order in design matrices (and columns of the ablation table).
+GROUP_ORDER = (
     FeatureGroup.SENS,
     FeatureGroup.PEOPLE,
     FeatureGroup.OUT,
@@ -146,46 +73,29 @@ _GROUP_ORDER = (
 
 
 def assemble_features(
-    privacy: PrivacyFeatureVector | None,
-    deep: DeepFeatureVector | None,
+    blocks: dict[FeatureGroup, np.ndarray],
     groups: set[FeatureGroup],
-    places: DeepFeatureVector | None = None,
-    expected_deep_dim: int | None = None,
 ) -> np.ndarray:
-    """Concatenate the selected feature blocks in fixed block order.
+    """Stack the selected 2-D column blocks side by side in fixed block order.
 
-    Raises MissingGroupData when a selected group's source is absent and
-    DimensionMismatch when a deep vector disagrees with its declared dim.
+    Raises MissingGroupData when no group is selected or a selected group has
+    no block, and DimensionMismatch when the blocks disagree on their rows.
     """
     if not groups:
         raise MissingGroupData("at least one feature group must be selected")
-    blocks = []
-    for group in _GROUP_ORDER:
+    selected = []
+    for group in GROUP_ORDER:
         if group not in groups:
             continue
-        if group in (FeatureGroup.SENS, FeatureGroup.PEOPLE, FeatureGroup.OUT):
-            if privacy is None:
-                raise MissingGroupData(f"group {group.name} needs privacy features")
-            if group is FeatureGroup.SENS:
-                blocks.append(privacy.sensitivity_block())
-            elif group is FeatureGroup.PEOPLE:
-                blocks.append(privacy.people_block())
-            else:
-                blocks.append(privacy.outdoor_block())
-        elif group is FeatureGroup.PLACES:
-            if places is None:
-                raise MissingGroupData("group PLACES needs a places feature vector")
-            blocks.append(places.values)
-        else:  # DEEP
-            if deep is None:
-                raise MissingGroupData("group DEEP needs a deep feature vector")
-            if expected_deep_dim is not None and deep.dim != expected_deep_dim:
-                raise DimensionMismatch(
-                    f"deep vector dim {deep.dim} != declared {expected_deep_dim} "
-                    f"for source_tag {deep.source_tag!r}"
-                )
-            blocks.append(deep.values)
-    return np.concatenate(blocks)
+        if group not in blocks:
+            raise MissingGroupData(f"group {group.name} has no feature block")
+        selected.append(blocks[group])
+    if len({block.shape[0] for block in selected}) > 1:
+        raise DimensionMismatch(
+            "feature blocks disagree on the number of rows: "
+            + ", ".join(str(block.shape[0]) for block in selected)
+        )
+    return np.hstack(selected)
 
 
 @dataclass(frozen=True)

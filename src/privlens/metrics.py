@@ -5,7 +5,6 @@ PRIVATE is the positive class throughout.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -117,9 +116,6 @@ class MetricsReport:
             },
             "n": self.n,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def table_row(self, name: str = "") -> str:
         ba = f"{self.balanced_accuracy:6.4f}" if self.balanced_accuracy is not None else "   n/a"

@@ -8,8 +8,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from privlens.data_io import AnnotationRecord, Dataset, ImageRecord, Split
-from privlens.features import Likelihood, PrivacyFeatureVector, PrivacyLabel
+from privlens.data_io import AnnotationRecord, Dataset, ImageRecord, Split, privacy_store
+from privlens.features import Likelihood, PrivacyLabel
 
 L = Likelihood
 
@@ -17,8 +17,8 @@ L = Likelihood
 def make_pfv(adult=L.VERY_UNLIKELY, racy=L.VERY_UNLIKELY, medical=L.VERY_UNLIKELY,
              spoofed=L.VERY_UNLIKELY, violent=L.VERY_UNLIKELY,
              people_prob=0.0, people_count=0, outdoor_prob=0.0):
-    return PrivacyFeatureVector(adult, racy, medical, spoofed, violent,
-                                people_prob, people_count, outdoor_prob)
+    """One image's privacy cells, as `privacy_store` takes them."""
+    return (adult, racy, medical, spoofed, violent, people_prob, people_count, outdoor_prob)
 
 
 @pytest.fixture
@@ -36,7 +36,7 @@ def tiny_dataset():
         "c": make_pfv(people_prob=0.6, people_count=1, outdoor_prob=0.7),
         "d": make_pfv(adult=L.VERY_LIKELY, people_prob=0.9, people_count=2, outdoor_prob=0.2),
     }
-    return Dataset(records=records, privacy_features=features)
+    return Dataset(records=records, privacy_features=privacy_store(features))
 
 
 def synth_features(rng: np.random.Generator, n: int):

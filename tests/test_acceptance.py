@@ -34,6 +34,7 @@ from privlens.data_io import (
     build_design_matrix,
     load_manifest,
     load_privacy_store,
+    privacy_store,
 )
 from privlens.analysis import (
     CONTROVERSY_MAX_SHARE,
@@ -198,12 +199,12 @@ def test_criterion_6_analysis_oracles():
     ds1 = Dataset(
         records=[ImageRecord(f"i{k}", lab) for k, lab in
                  enumerate([PUB, P, PUB, P])],
-        privacy_features={
+        privacy_features=privacy_store({
             "i0": make_pfv(people_count=0),
             "i1": make_pfv(people_count=1),
             "i2": make_pfv(people_count=1),
             "i3": make_pfv(people_count=2),
-        },
+        }),
     )
     curve = cumulative_private_by_people(ds1)
     expected = [(0, 0.0), (1, 1 / 3), (2, 0.5)]
@@ -215,12 +216,12 @@ def test_criterion_6_analysis_oracles():
     ds2 = Dataset(
         records=[ImageRecord("a", P), ImageRecord("b", P),
                  ImageRecord("c", PUB), ImageRecord("d", P)],
-        privacy_features={
+        privacy_features=privacy_store({
             "a": make_pfv(adult=L.VERY_LIKELY),
             "b": make_pfv(adult=L.VERY_LIKELY),
             "c": make_pfv(adult=L.VERY_UNLIKELY),
             "d": make_pfv(adult=L.VERY_UNLIKELY),
-        },
+        }),
     )
     rows = {lvl: (prob, n) for lvl, prob, n in private_prob_given_sensitivity(ds2, "adult")}
     assert rows["VERY_LIKELY"][1] == 2 and abs(rows["VERY_LIKELY"][0] - 1.0) <= 1e-9
@@ -239,7 +240,8 @@ def test_criterion_6_analysis_oracles():
             people_count=people,
             outdoor_prob=0.9 if outd else 0.1,
         )
-    cells = group_privacy_probabilities(Dataset(records=records, privacy_features=features))
+    cells = group_privacy_probabilities(
+        Dataset(records=records, privacy_features=privacy_store(features)))
     assert len(cells) == 8
     assert abs(sum(c["share"] for c in cells) - 1.0) <= 1e-9
     for c in cells:

@@ -4,7 +4,6 @@ import pytest
 
 from privlens.analysis import (
     CONTROVERSY_MAX_SHARE,
-    GroupMembership,
     VoteSummary,
     controversial_image_ids,
     controversial_people_breakdown,
@@ -16,7 +15,13 @@ from privlens.analysis import (
     sensitivity_label_distribution,
     summarize_votes,
 )
-from privlens.data_io import AnnotationRecord, Dataset, FiveClassVote, ImageRecord
+from privlens.data_io import (
+    AnnotationRecord,
+    Dataset,
+    FiveClassVote,
+    ImageRecord,
+    privacy_store,
+)
 from privlens.errors import EmptyControversialSet, EmptyDataset, TooFewVotes
 from privlens.features import Likelihood, PrivacyLabel
 
@@ -95,30 +100,35 @@ def controversial_ds(counts):
         records.append(ImageRecord(image_id, PUB))
         features[image_id] = make_pfv(people_count=c)
         annotations[image_id] = ann([V.PRIVATE, V.PUBLIC], image_id)
-    return Dataset(records=records, privacy_features=features, annotations=annotations)
+    return Dataset(records=records, privacy_features=privacy_store(features),
+                   annotations=annotations)
+
+
+def people_breakdown(ds):
+    return controversial_people_breakdown(ds, controversial_image_ids(ds))
 
 
 class TestPeopleBreakdown:
     def test_hand_counted(self):
         ds = controversial_ds([1, 1, 2, 0])
-        assert controversial_people_breakdown(ds) == {
+        assert people_breakdown(ds) == {
             "one_person": 0.5, "two_plus": 0.25, "none": 0.25}
 
     def test_all_no_people(self):
         ds = controversial_ds([0, 0])
-        breakdown = controversial_people_breakdown(ds)
+        breakdown = people_breakdown(ds)
         assert breakdown == {"one_person": 0.0, "two_plus": 0.0, "none": 1.0}
 
     def test_empty_controversial_set(self):
         ds = Dataset(records=[ImageRecord("a", PUB)],
-                     privacy_features={"a": make_pfv()},
+                     privacy_features=privacy_store({"a": make_pfv()}),
                      annotations={"a": ann([V.PUBLIC, V.PUBLIC], "a")})
         with pytest.raises(EmptyControversialSet):
-            controversial_people_breakdown(ds)
+            people_breakdown(ds)
 
     def test_fractions_sum_to_one(self):
         ds = controversial_ds([0, 1, 1, 2, 3, 5])
-        assert sum(controversial_people_breakdown(ds).values()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(people_breakdown(ds).values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def labeled_ds(rows):
@@ -130,7 +140,7 @@ def labeled_ds(rows):
         image_id = f"i{i}"
         records.append(ImageRecord(image_id, label))
         features[image_id] = make_pfv(people_count=count, outdoor_prob=outdoor)
-    return Dataset(records=records, privacy_features=features)
+    return Dataset(records=records, privacy_features=privacy_store(features))
 
 
 class TestCumulativeByPeople:
@@ -166,9 +176,9 @@ class TestCumulativeByPeople:
 class TestSensitivityDistribution:
     def test_single_nonzero_cell(self):
         ds = Dataset(records=[ImageRecord("a", P)],
-                     privacy_features={"a": make_pfv(
+                     privacy_features=privacy_store({"a": make_pfv(
                          adult=None, racy=L.POSSIBLE, medical=None,
-                         spoofed=None, violent=None)})
+                         spoofed=None, violent=None)}))
         dist = sensitivity_label_distribution(ds)
         nonzero = [(c, lvl, lab)
                    for c, per_level in dist["counts"].items()
@@ -187,12 +197,12 @@ class TestSensitivityDistribution:
         ds = Dataset(
             records=[ImageRecord("a", P), ImageRecord("b", P),
                      ImageRecord("c", PUB), ImageRecord("d", PUB)],
-            privacy_features={
+            privacy_features=privacy_store({
                 "a": make_pfv(racy=L.LIKELY),
                 "b": make_pfv(racy=L.LIKELY, adult=L.POSSIBLE),
                 "c": make_pfv(racy=L.VERY_UNLIKELY),
                 "d": make_pfv(),
-            })
+            }))
         counts = sensitivity_label_distribution(ds)["counts"]
         assert counts["racy"]["LIKELY"]["private"] == 2
         assert counts["racy"]["VERY_UNLIKELY"]["public"] == 2
@@ -202,7 +212,7 @@ class TestSensitivityDistribution:
     def test_shares_sum_to_one(self):
         ds = Dataset(
             records=[ImageRecord("a", P), ImageRecord("b", PUB)],
-            privacy_features={"a": make_pfv(violent=L.LIKELY), "b": make_pfv()})
+            privacy_features=privacy_store({"a": make_pfv(violent=L.LIKELY), "b": make_pfv()}))
         shares = sensitivity_label_distribution(ds)["shares"]
         assert sum(shares["violent"]["private"].values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -212,19 +222,19 @@ class TestConditionalPrivate:
         ds = Dataset(
             records=[ImageRecord("a", P), ImageRecord("b", P),
                      ImageRecord("c", PUB), ImageRecord("d", P)],
-            privacy_features={
+            privacy_features=privacy_store({
                 "a": make_pfv(adult=L.VERY_LIKELY),
                 "b": make_pfv(adult=L.VERY_LIKELY),
                 "c": make_pfv(adult=L.VERY_UNLIKELY),
                 "d": make_pfv(adult=L.VERY_UNLIKELY),
-            })
+            }))
         rows = {lvl: (p, n) for lvl, p, n in private_prob_given_sensitivity(ds, "adult")}
         assert rows["VERY_LIKELY"] == (1.0, 2)
         assert rows["VERY_UNLIKELY"] == (0.5, 2)
 
     def test_zero_support_is_null(self):
         ds = Dataset(records=[ImageRecord("a", P)],
-                     privacy_features={"a": make_pfv(adult=L.VERY_LIKELY)})
+                     privacy_features=privacy_store({"a": make_pfv(adult=L.VERY_LIKELY)}))
         rows = {lvl: (p, n) for lvl, p, n in private_prob_given_sensitivity(ds, "adult")}
         assert rows["POSSIBLE"] == (None, 0)
 
@@ -246,7 +256,7 @@ class TestGroupProbabilities:
                 people_count=people,
                 outdoor_prob=0.9 if outd else 0.1,
             )
-        ds = Dataset(records=records, privacy_features=features)
+        ds = Dataset(records=records, privacy_features=privacy_store(features))
         cells = group_privacy_probabilities(ds)
         assert len(cells) == 8
         assert all(c["share"] == pytest.approx(0.125) for c in cells)
@@ -264,17 +274,31 @@ class TestGroupProbabilities:
             group_privacy_probabilities(Dataset(records=[]))
 
 
+def membership(pfv, **thresholds):
+    """(has_people, is_sensitive, is_outdoor) of one image."""
+    store = privacy_store({"x": pfv})
+    return tuple(bool(m[0]) for m in group_membership(store.values, store.missing,
+                                                      **thresholds))
+
+
 class TestGroupMembership:
     def test_thresholds(self):
-        member = group_membership(make_pfv(racy=L.POSSIBLE, people_count=1, outdoor_prob=0.5))
-        assert member == GroupMembership(True, True, True)
-        member = group_membership(make_pfv(racy=L.UNLIKELY, people_count=0, outdoor_prob=0.49))
-        assert member == GroupMembership(False, False, False)
+        member = membership(make_pfv(racy=L.POSSIBLE, people_count=1, outdoor_prob=0.5))
+        assert member == (True, True, True)
+        member = membership(make_pfv(racy=L.UNLIKELY, people_count=0, outdoor_prob=0.49))
+        assert member == (False, False, False)
 
     def test_missing_sensitivity_not_sensitive(self):
-        member = group_membership(make_pfv(adult=None, racy=None, medical=None,
-                                           spoofed=None, violent=None))
-        assert not member.is_sensitive
+        member = membership(make_pfv(adult=None, racy=None, medical=None,
+                                     spoofed=None, violent=None))
+        assert not member[1]
+        # a missing cell encodes as VERY_UNLIKELY's 0.0 but is still not sensitive
+        member = membership(make_pfv(adult=None), sensitive_min_level=L.VERY_UNLIKELY)
+        assert member[1]  # the other four cells are present VERY_UNLIKELY levels
+        member = membership(make_pfv(adult=None, racy=None, medical=None,
+                                     spoofed=None, violent=None),
+                            sensitive_min_level=L.VERY_UNLIKELY)
+        assert not member[1]
 
 
 def test_controversial_ids_manifest_order():

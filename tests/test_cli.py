@@ -125,6 +125,40 @@ privacy_features = privacy_features.csv
         text = (out / "manifest_with_splits.csv").read_text()
         assert ",train" in text and ",test" in text
 
+    def test_non_finite_deep_cell_is_parse_error(self, tmp_path, capsys):
+        (tmp_path / "manifest.csv").write_text(
+            "image_id,label,split\na,private,train\nb,public,train\n")
+        (tmp_path / "deep.csv").write_text(
+            "#source_tag=rn101,dim=2\nimage_id,v0,v1\na,0.5,1.0\nb,nan,0.25\n")
+        cfg = write_config(tmp_path / "c.ini", """
+[data]
+manifest = manifest.csv
+deep_features = deep.csv
+
+[features]
+groups = deep
+source_tag = rn101
+""")
+        rc = main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "train"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ParseError" in err and "deep.csv:4]" in err
+
+    def test_malformed_annotations_do_not_fail_train(self, corpus_config):
+        tmp_path, _ = corpus_config
+        (tmp_path / "annotations.csv").write_text(
+            "image_id,assessor_id,vote\nimg_00000,u1,MAYBE\n")
+        cfg = write_config(tmp_path / "votes.ini", """
+[data]
+manifest = manifest.csv
+privacy_features = privacy_features.csv
+annotations = annotations.csv
+
+[train]
+epochs = 20
+""")
+        assert main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "train"]) == EXIT_OK
+
 
 class TestEvaluate:
     def test_test_split_metrics(self, corpus_config):
@@ -312,7 +346,7 @@ annotations = annotations.csv
 
 
 class TestExtract:
-    def _config(self, tmp_path, n=3, limited=()):
+    def _config(self, tmp_path, n=3, limited=(), data=""):
         ids = [f"img_{i}" for i in range(n)]
         (tmp_path / "manifest.csv").write_text(
             "image_id,label,split\n" + "".join(f"{i},,\n" for i in ids))
@@ -326,7 +360,7 @@ class TestExtract:
 manifest = manifest.csv
 image_refs = refs.csv
 detections = detections.csv
-
+""" + data + """
 [extract]
 safesearch_max_attempts = 3
 safesearch_backoff_base = 0.0
@@ -366,3 +400,46 @@ safesearch_rps = 0
         assert len(lines) == 3  # header + the two surviving rows
         report = json.loads((out / "extraction_report.json").read_text())
         assert list(report["failures"]) == ["img_1"]
+
+    def test_truncated_cache_entry_is_requeried(self, tmp_path, mock_server, monkeypatch):
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        cfg = self._config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
+        first = (out / "privacy_features.csv").read_bytes()
+        entry = out / "safesearch_cache" / "img_1.json"
+        entry.write_bytes(entry.read_bytes()[:10])
+        calls = mock_server.calls
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
+        assert mock_server.calls == calls + 1  # only the truncated entry is asked again
+        assert (out / "privacy_features.csv").read_bytes() == first
+        assert json.loads(entry.read_text())["racy"] == "POSSIBLE"
+
+    def test_scene_row_failing_the_sum_check_fails_alone(self, tmp_path, mock_server,
+                                                          monkeypatch):
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        # 365 Dirichlet(0.2) probabilities per image written at 6 decimals: many
+        # parsed rows miss a sum of 1 by more than the 1e-6 tolerance
+        n, cats = 50, [f"cat_{k:03d}" for k in range(365)]
+        probs = np.random.default_rng(0).dirichlet(np.full(len(cats), 0.2), size=n)
+        cells = [[f"{p:.6f}" for p in row] for row in probs]
+        (tmp_path / "scenes.csv").write_text(
+            f"#source_tag=places365,dim={len(cats)}\nimage_id," + ",".join(cats) + "\n"
+            + "".join(f"img_{i}," + ",".join(row) + "\n" for i, row in enumerate(cells)))
+        (tmp_path / "io_map.txt").write_text(
+            "".join(f"{c},{'outdoor' if k % 2 else 'indoor'}\n" for k, c in enumerate(cats)))
+        off = sorted(f"img_{i}" for i, row in enumerate(cells)
+                     if abs(np.array([float(c) for c in row]).sum() - 1.0) > 1e-6)
+        assert 0 < len(off) < n
+
+        cfg = self._config(tmp_path, n=n, data="scenes = scenes.csv\nio_map = io_map.txt\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_PARTIAL
+        report = json.loads((out / "extraction_report.json").read_text())
+        assert sorted(report["failures"]) == off
+        assert all(err.startswith("InvalidScene: ") for err in report["failures"].values())
+        assert report["n_complete"] == n - len(off)
+        lines = (out / "privacy_features.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + n - len(off)

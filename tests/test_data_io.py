@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from privlens.data_io import (
+    _bulk_deep_store,
+    _bulk_privacy_store,
+    _scan_deep_store,
+    _scan_privacy_store,
     Dataset,
     FiveClassVote,
     ImageRecord,
@@ -10,9 +15,9 @@ from privlens.data_io import (
     build_design_matrix,
     load_annotations,
     load_deep_store,
-    load_feature_store,
     load_manifest,
     load_privacy_store,
+    privacy_store,
     write_manifest,
 )
 from privlens.errors import (
@@ -21,10 +26,11 @@ from privlens.errors import (
     MissingFeatures,
     MissingLabel,
     ParseError,
+    PrivlensError,
     UnknownLabel,
     UnknownVote,
 )
-from privlens.features import FeatureGroup, Likelihood, PrivacyLabel
+from privlens.features import FeatureGroup, Likelihood, PrivacyLabel, encode_likelihood
 
 from conftest import make_pfv
 
@@ -81,32 +87,34 @@ class TestPrivacyStore:
                      "img_001,VERY_UNLIKELY,POSSIBLE,VERY_UNLIKELY,VERY_UNLIKELY,"
                      "UNLIKELY,0.92,2,0.10\n")
         store = load_privacy_store(path)
-        vec = store["img_001"]
-        assert vec.adult is Likelihood.VERY_UNLIKELY
-        assert vec.racy is Likelihood.POSSIBLE
-        assert vec.violent is Likelihood.UNLIKELY
-        assert vec.people_prob == 0.92 and vec.people_count == 2
-        assert vec.outdoor_prob == 0.10
+        vec = store.values[store.index["img_001"]]
+        assert vec[0] == encode_likelihood(Likelihood.VERY_UNLIKELY)
+        assert vec[1] == encode_likelihood(Likelihood.POSSIBLE)
+        assert vec[4] == encode_likelihood(Likelihood.UNLIKELY)
+        assert vec[5] == 0.92 and vec[6] == 2
+        assert vec[7] == 0.10
+        assert not store.missing.any()
 
     def test_numeric_sensitivity_cells(self, tmp_path):
         path = write(tmp_path, "p.csv", PRIVACY_HEADER +
                      "img_001,0.0,0.5,1.0,0.25,0.75,0.1,0,0.2\n")
-        vec = load_privacy_store(path)["img_001"]
-        assert vec.adult is Likelihood.VERY_UNLIKELY
-        assert vec.racy is Likelihood.POSSIBLE
-        assert vec.medical is Likelihood.VERY_LIKELY
+        store = load_privacy_store(path)
+        vec = store.values[store.index["img_001"]]
+        assert vec[0] == encode_likelihood(Likelihood.VERY_UNLIKELY)
+        assert vec[1] == encode_likelihood(Likelihood.POSSIBLE)
+        assert vec[2] == encode_likelihood(Likelihood.VERY_LIKELY)
 
     def test_empty_sensitivity_cell_is_missing(self, tmp_path):
         path = write(tmp_path, "p.csv", PRIVACY_HEADER + "img_001,,,,,,0.1,0,0.2\n")
-        vec = load_privacy_store(path)["img_001"]
-        assert vec.adult is None and vec.imputed == ("adult", "racy", "medical",
-                                                     "spoofed", "violent")
+        store = load_privacy_store(path)
+        row = store.index["img_001"]
+        assert store.values[row, 0] == 0.0 and store.missing[row].all()
 
     def test_kind_dispatch(self, tmp_path):
         path = write(tmp_path, "p.csv", PRIVACY_HEADER)
-        assert load_feature_store(path, "privacy") == {}
-        with pytest.raises(ValueError):
-            load_feature_store(path, "nope")
+        assert len(load_privacy_store(path)) == 0
+        with pytest.raises(ParseError):
+            load_deep_store(path)  # each store kind has its own loader and header
 
 
 class TestDeepStore:
@@ -115,7 +123,7 @@ class TestDeepStore:
                      "#source_tag=rn101,dim=3\nimage_id,v0,v1,v2\nimg_1,0.5,1.5,-2\n")
         tag, store = load_deep_store(path)
         assert tag == "rn101"
-        np.testing.assert_allclose(store["img_1"].values, [0.5, 1.5, -2.0])
+        np.testing.assert_allclose(store.values[store.index["img_1"]], [0.5, 1.5, -2.0])
 
     def test_dim_mismatch(self, tmp_path):
         path = write(tmp_path, "d.csv",
@@ -126,7 +134,7 @@ class TestDeepStore:
     def test_empty_body_valid_header(self, tmp_path):
         path = write(tmp_path, "d.csv", "#source_tag=rn101,dim=3\nimage_id,v0,v1,v2\n")
         tag, store = load_deep_store(path)
-        assert tag == "rn101" and store == {}
+        assert tag == "rn101" and len(store) == 0 and store.values.shape == (0, 3)
 
     def test_missing_header(self, tmp_path):
         path = write(tmp_path, "d.csv", "image_id,v0\nimg_1,0.5\n")
@@ -176,7 +184,7 @@ class TestDesignMatrix:
     def test_missing_label(self):
         ds = Dataset(records=[ImageRecord("x", None, Split.TRAIN),
                               ImageRecord("y", PrivacyLabel.PUBLIC, Split.TRAIN)],
-                     privacy_features={"x": make_pfv(), "y": make_pfv()})
+                     privacy_features=privacy_store({"x": make_pfv(), "y": make_pfv()}))
         with pytest.raises(MissingLabel):
             build_design_matrix(ds, Split.TRAIN, {G.SENS})
 
@@ -222,8 +230,160 @@ class TestSplits:
         with caplog.at_level(logging.WARNING, logger="privlens.data_io"):
             ds = Dataset(
                 records=[ImageRecord("a", PrivacyLabel.PUBLIC)],
-                privacy_features={"a": make_pfv(), "ghost": make_pfv()},
+                privacy_features=privacy_store({"a": make_pfv(), "ghost": make_pfv()}),
             )
         assert "ghost" in caplog.text
         X, y, ids = build_design_matrix(ds, None, {G.SENS})
         assert ids == ["a"]  # the orphan id never reaches the matrix
+
+
+class TestNonFiniteDeepCell:
+    def test_nan_is_parse_error_with_line(self, tmp_path):
+        path = write(tmp_path, "d.csv",
+                     "#source_tag=rn101,dim=2\nimage_id,v0,v1\nimg_1,0.5,1.5\nimg_2,nan,1\n")
+        with pytest.raises(ParseError, match=r"d\.csv:4\]"):
+            load_deep_store(path)
+
+    def test_inf_is_parse_error_with_line(self, tmp_path):
+        path = write(tmp_path, "d.csv",
+                     "#source_tag=rn101,dim=2\nimage_id,v0,v1\nimg_1,-inf,1.5\n")
+        with pytest.raises(ParseError, match=r"d\.csv:3\]"):
+            load_deep_store(path)
+
+
+# --- the bulk loaders against the row scan ------------------------------------
+#
+# Generated stores mix valid cells (level tokens in any case, numeric and
+# empty sensitivity cells, padding) with blank lines, ids holding '#' or
+# quotes, duplicate ids and malformed cells or rows. Wherever the row scan
+# returns a store, the bulk path must return the identical one or leave the
+# file to the row scan; wherever the row scan raises, the bulk path must not
+# return a store, and the public loader must raise the same error.
+
+_PADS = st.sampled_from(["", " ", "  "])
+
+
+def _padded(cells):
+    return st.builds(lambda a, c, b: a + c + b, _PADS, cells, _PADS)
+
+
+def _quoted(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+_IDS = st.text(alphabet="abz09_#-", min_size=1, max_size=4)
+_ID_CELL_FORMS = st.sampled_from([str, str, str, _quoted, lambda i: f" {i} "])
+_SENS_CELLS = st.one_of(
+    _padded(st.sampled_from([lvl.name for lvl in Likelihood])),
+    st.sampled_from(["very_likely", "Possible", "unLikely"]),
+    _padded(st.floats(0, 1).map(repr)),
+    st.sampled_from(["0.125", "0.375", "0.5", "1", "0", "", "  "]),
+)
+_PROB_CELLS = st.one_of(st.floats(0, 1).map(lambda x: f"{x:.6f}"),
+                        _padded(st.floats(0, 1).map(repr)))
+_COUNT_CELLS = _padded(st.integers(0, 6).map(str))
+_BAD_CELLS = st.sampled_from(["MAYBE", "1.5", "-0.25", "nan", "inf", "x", "", "1e400", '"0.5"'])
+# out of range or not finite, where the cells are plain numbers
+_BAD_NUMBERS = st.sampled_from(["1.5", "-0.25", "-1", "nan", "-inf", "1e400"])
+_BLANK = st.sampled_from(["", "", " "])  # a whitespace-only line is a malformed row
+
+
+@st.composite
+def _store_lines(draw, row_cells):
+    """A store body: mostly valid rows, sometimes a blank line, a row with a
+    field too few or too many, a malformed cell, a bad number in one of the
+    last three cells, or a repeated id."""
+    ids = draw(st.lists(_IDS, min_size=6, max_size=8, unique=True))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.integers(0, 15))
+        if kind == 0:
+            lines.append(draw(_BLANK))
+            continue
+        image_id = draw(st.sampled_from(ids)) if kind == 1 else ids[len(lines) % len(ids)]
+        cells = [draw(_ID_CELL_FORMS)(image_id)] + draw(row_cells)
+        if kind == 2:
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["0"]
+        elif kind == 3:
+            cells[draw(st.integers(1, len(cells) - 1))] = draw(_BAD_CELLS)
+        elif kind == 4:
+            cells[draw(st.integers(max(1, len(cells) - 3), len(cells) - 1))] = draw(_BAD_NUMBERS)
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + newline for line in lines)
+
+
+_PRIVACY_ROWS = st.tuples(
+    *[_SENS_CELLS] * 5, _PROB_CELLS, _COUNT_CELLS, _PROB_CELLS,
+).map(list)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except PrivlensError as exc:
+        return type(exc), str(exc)
+
+
+def _same_store(a, b) -> bool:
+    return (
+        a.ids == b.ids
+        and a.values.dtype == b.values.dtype
+        and a.values.shape == b.values.shape
+        and a.values.tobytes() == b.values.tobytes()
+        and (a.missing is None) == (b.missing is None)
+        and (a.missing is None or np.array_equal(a.missing, b.missing))
+    )
+
+
+_PROPERTY = settings(max_examples=200, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestBulkMatchesRowScan:
+    @_PROPERTY
+    @given(_store_lines(_PRIVACY_ROWS))
+    def test_privacy_store(self, tmp_path, body):
+        path = tmp_path / "p.csv"
+        path.write_text(PRIVACY_HEADER + body, encoding="utf-8", newline="")
+        scanned = _outcome(_scan_privacy_store, path)
+        bulk = _bulk_privacy_store(path)
+        if isinstance(scanned, tuple):  # the row scan rejects the file
+            assert bulk is None
+            assert _outcome(load_privacy_store, path) == scanned
+            return
+        if '"' not in body:  # a valid unquoted file never needs the row scan
+            assert bulk is not None
+        if bulk is not None:
+            assert _same_store(bulk, scanned)
+        assert _same_store(load_privacy_store(path), scanned)
+
+    @_PROPERTY
+    @given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
+        st.just(dim),
+        _store_lines(st.lists(
+            st.one_of(
+                _padded(st.floats(-1e6, 1e6).map(repr)),
+                st.floats(-10, 10).map(lambda x: f"{x:.5f}"),
+                st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            ),
+            min_size=dim, max_size=dim,
+        )),
+    )))
+    def test_deep_store(self, tmp_path, dim_body):
+        dim, body = dim_body
+        path = tmp_path / "d.csv"
+        header = f"#source_tag=rn,dim={dim}\nimage_id," + ",".join(
+            f"v{k}" for k in range(dim)) + "\n"
+        path.write_text(header + body, encoding="utf-8", newline="")
+        scanned = _outcome(_scan_deep_store, path)
+        bulk = _bulk_deep_store(path)
+        if isinstance(scanned[1], str):  # the row scan rejects the file
+            assert bulk is None
+            assert _outcome(load_deep_store, path) == scanned
+            return
+        if '"' not in body:
+            assert bulk is not None
+        for tag, store in [t for t in (bulk, load_deep_store(path)) if t is not None]:
+            assert tag == scanned[0] == "rn"
+            assert _same_store(store, scanned[1])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from privlens.data_io import ImageRecord
+from privlens.data_io import FeatureStore, ImageRecord
 from privlens.errors import (
     AuthError,
     MalformedResponse,
@@ -21,7 +21,6 @@ from privlens.extractors import (
     outdoor_probability,
     people_features,
     run_extraction,
-    safe_search_extract,
 )
 from privlens.features import Likelihood
 
@@ -111,7 +110,7 @@ def make_client(transport, **kwargs):
 class TestSafeSearchClient:
     def test_parses_all_five_fields(self):
         client = make_client(CountingTransport())
-        result = safe_search_extract("img.jpg", client)
+        result = client.annotate("img.jpg")
         assert result == SafeSearchResult(
             adult=L.VERY_UNLIKELY, racy=L.POSSIBLE, medical=L.VERY_UNLIKELY,
             spoofed=L.VERY_UNLIKELY, violent=L.UNLIKELY,
@@ -174,7 +173,7 @@ def make_records(n):
 class TestRunExtraction:
     def sources(self, transport=None):
         detections = {"img_0": [Detection("person", 0.9)], "img_1": []}
-        scenes = {"img_0": np.array([0.8, 0.2]), "img_1": np.array([0.5, 0.5])}
+        scenes = FeatureStore(["img_0", "img_1"], np.array([[0.8, 0.2], [0.5, 0.5]]))
         client = make_client(transport) if transport is not None else None
         return ExtractionSources(
             safe_search=client,

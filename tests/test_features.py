@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from privlens.data_io import Dataset, FeatureStore, ImageRecord, build_design_matrix, privacy_store
 from privlens.errors import DimensionMismatch, EmptyMatrix, MissingGroupData
 from privlens.features import (
-    DeepFeatureVector,
+    SENSITIVITY_CLASSES,
     FeatureGroup,
     Likelihood,
+    PrivacyLabel,
     apply_standardizer,
     assemble_features,
     encode_likelihood,
@@ -17,6 +19,24 @@ from conftest import make_pfv
 
 L = Likelihood
 G = FeatureGroup
+
+
+def imputed(pfv):
+    """Names of the sensitivity cells a privacy store marks missing."""
+    store = privacy_store({"x": pfv})
+    return tuple(c for c, m in zip(SENSITIVITY_CLASSES, store.missing[0]) if m)
+
+
+def design_row(pfv, groups, deep=None):
+    """One image's design-matrix row, built from a privacy store and an
+    optional deep store tagged rn101."""
+    deep_features = {}
+    if deep is not None:
+        deep_features["rn101"] = FeatureStore(["x"], np.asarray(deep, dtype=float)[None, :])
+    ds = Dataset([ImageRecord("x", PrivacyLabel.PUBLIC)],
+                 privacy_features=privacy_store({"x": pfv}), deep_features=deep_features)
+    X, _, _ = build_design_matrix(ds, None, groups, "rn101" if deep is not None else None)
+    return X[0]
 
 
 class TestEncodeLikelihood:
@@ -37,49 +57,54 @@ class TestEncodeLikelihood:
 
     def test_imputed_flag_lists_missing_fields(self):
         pfv = make_pfv()
-        assert pfv.imputed == ()
+        assert imputed(pfv) == ()
         pfv2 = make_pfv(racy=None, violent=None)
-        assert pfv2.imputed == ("racy", "violent")
+        assert imputed(pfv2) == ("racy", "violent")
 
 
 class TestAssembleFeatures:
     def test_sens_only_is_five_encoded_likelihoods(self):
         pfv = make_pfv(adult=L.UNLIKELY, racy=L.POSSIBLE)
-        vec = assemble_features(pfv, None, {G.SENS})
+        vec = design_row(pfv, {G.SENS})
         assert vec.shape == (5,)
         np.testing.assert_allclose(vec, [0.25, 0.5, 0.0, 0.0, 0.0])
 
     def test_full_privacy_vector_canonical_order(self):
         pfv = make_pfv(adult=L.LIKELY, people_prob=0.9, people_count=3, outdoor_prob=0.2)
-        vec = assemble_features(pfv, None, {G.SENS, G.PEOPLE, G.OUT})
+        vec = design_row(pfv, {G.SENS, G.PEOPLE, G.OUT})
         assert vec.shape == (8,)
         np.testing.assert_allclose(vec, [0.75, 0, 0, 0, 0, 0.9, 3.0, 0.2])
 
     def test_deep_concatenation_dimension(self):
         pfv = make_pfv()
-        deep = DeepFeatureVector(np.zeros(2048), "rn101")
-        vec = assemble_features(pfv, deep, {G.SENS, G.PEOPLE, G.OUT, G.DEEP})
+        vec = design_row(pfv, {G.SENS, G.PEOPLE, G.OUT, G.DEEP}, deep=np.zeros(2048))
         assert vec.shape == (2056,)  # 8 + 2048
 
     def test_missing_group_source_raises(self):
         with pytest.raises(MissingGroupData):
-            assemble_features(None, None, {G.SENS})
+            assemble_features({}, {G.SENS})
         with pytest.raises(MissingGroupData):
-            assemble_features(make_pfv(), None, {G.SENS, G.DEEP})
+            assemble_features({G.SENS: np.zeros((1, 5))}, {G.SENS, G.DEEP})
 
     def test_empty_group_set_raises(self):
         with pytest.raises(MissingGroupData):
-            assemble_features(make_pfv(), None, set())
+            assemble_features({G.SENS: np.zeros((1, 5))}, set())
 
     def test_deep_dim_disagreement_raises(self):
-        deep = DeepFeatureVector(np.zeros(100), "rn101")
+        blocks = {G.SENS: np.zeros((3, 5)), G.DEEP: np.zeros((2, 100))}
         with pytest.raises(DimensionMismatch):
-            assemble_features(None, deep, {G.DEEP}, expected_deep_dim=2048)
+            assemble_features(blocks, {G.SENS, G.DEEP})
+
+    def test_blocks_stack_in_fixed_order(self):
+        blocks = {G.DEEP: np.full((2, 1), 9.0), G.OUT: np.full((2, 1), 1.0),
+                  G.SENS: np.zeros((2, 5))}
+        X = assemble_features(blocks, {G.DEEP, G.OUT, G.SENS})
+        np.testing.assert_array_equal(X[0], [0, 0, 0, 0, 0, 1.0, 9.0])
 
     def test_deterministic(self):
         pfv = make_pfv(racy=L.LIKELY, people_prob=0.3, people_count=1, outdoor_prob=0.6)
-        a = assemble_features(pfv, None, {G.SENS, G.PEOPLE, G.OUT})
-        b = assemble_features(pfv, None, {G.SENS, G.PEOPLE, G.OUT})
+        a = design_row(pfv, {G.SENS, G.PEOPLE, G.OUT})
+        b = design_row(pfv, {G.SENS, G.PEOPLE, G.OUT})
         assert np.array_equal(a, b)
 
 
