@@ -17,11 +17,7 @@ import numpy as np
 
 from .data_io import AnnotationRecord, Dataset, FiveClassVote
 from .errors import EmptyControversialSet, EmptyDataset, TooFewVotes
-from .features import (
-    Likelihood,
-    PrivacyLabel,
-    SENSITIVITY_CLASSES,
-)
+from .features import Likelihood, SENSITIVITY_CLASSES
 
 #: Neither side may exceed this fraction of assessors for an image to count
 #: as controversial.
@@ -122,18 +118,6 @@ def group_membership(
     )
 
 
-def _labeled_with_features(ds: Dataset):
-    """(values, missing, private) of the labeled images that have privacy
-    features, in manifest order."""
-    labeled = [r for r in ds.records if r.binary_label is not None]
-    store = ds.privacy_features
-    rows = store.rows([r.image_id for r in labeled])
-    private = np.array([r.binary_label is PrivacyLabel.PRIVATE for r in labeled], dtype=bool)
-    has = rows >= 0
-    rows = rows[has]
-    return store.values[rows], store.missing[rows], private[has]
-
-
 def cumulative_private_by_people(
     ds: Dataset, location: str | None = None
 ) -> list[tuple[int, float]]:
@@ -144,7 +128,7 @@ def cumulative_private_by_people(
     """
     if location not in (None, "indoor", "outdoor"):
         raise ValueError(f"bad location filter {location!r}")
-    values, _, private = _labeled_with_features(ds)
+    values, _, private = ds.labeled_privacy_features
     outdoor = values[:, _OUTDOOR_PROB] >= OUTDOOR_MIN_PROB
     keep = {None: np.ones_like(outdoor), "indoor": ~outdoor, "outdoor": outdoor}[location]
     counts = values[keep, _PEOPLE_COUNT].astype(np.int64)
@@ -164,7 +148,7 @@ def sensitivity_label_distribution(ds: Dataset) -> dict:
 
     Missing sensitivity fields are skipped (not counted as any level).
     """
-    values, missing, private = _labeled_with_features(ds)
+    values, missing, private = ds.labeled_privacy_features
     levels = _levels(values)
     counts, shares = {}, {}
     for j, c in enumerate(SENSITIVITY_CLASSES):
@@ -191,7 +175,7 @@ def private_prob_given_sensitivity(
     if sensitivity_class not in SENSITIVITY_CLASSES:
         raise ValueError(f"unknown sensitivity class {sensitivity_class!r}")
     j = SENSITIVITY_CLASSES.index(sensitivity_class)
-    values, missing, private = _labeled_with_features(ds)
+    values, missing, private = ds.labeled_privacy_features
     present = ~missing[:, j]
     levels = _levels(values)[:, j]
     n_total = np.bincount(levels[present], minlength=len(Likelihood))
@@ -206,7 +190,7 @@ def private_prob_given_sensitivity(
 
 def group_privacy_probabilities(ds: Dataset) -> list[dict]:
     """Share of the dataset and P(private) for all 8 people x sensitive x outdoor cells."""
-    values, missing, private = _labeled_with_features(ds)
+    values, missing, private = ds.labeled_privacy_features
     total = len(private)
     if total == 0:
         raise EmptyDataset("no labeled images with full privacy features")

@@ -9,6 +9,7 @@ so training is bit-reproducible given the same config and seed.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ from .features import (
     apply_standardizer,
     fit_standardizer,
 )
+
+log = logging.getLogger(__name__)
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -75,13 +78,9 @@ class FeatureSpec:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    # piecewise form avoids overflow for large |z|
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows, and each branch is the exact piecewise form
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _bce_from_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -225,146 +224,118 @@ def _check_training_inputs(X, y):
     return X, y
 
 
+def early_stopping_blocker(y_val, class_weighting: str) -> str | None:
+    """Why early stopping cannot run on this validation split, or None."""
+    if class_weighting == "balanced" and np.unique(y_val).size < 2:
+        return "validation split has one class"
+    return None
+
+
+def _training_set(X, y, cfg: TrainConfig, standardizer, X_val, y_val):
+    """(standardizer, standardized X, y, row weights, validation set or None);
+    the validation set is kept only when early stopping is on and can run."""
+    X, y = _check_training_inputs(X, y)
+    if standardizer is None:
+        standardizer = fit_standardizer(X)
+    Xs = apply_standardizer(standardizer, X)
+    weights = sample_weights(y, cfg.class_weighting)
+    val = None
+    if X_val is not None and cfg.early_stop_patience is not None:
+        yv = np.asarray(y_val, dtype=np.float64)
+        reason = early_stopping_blocker(yv, cfg.class_weighting)
+        if reason is not None:
+            log.warning("early stopping disabled: %s", reason)
+        else:
+            Xv = apply_standardizer(standardizer, np.asarray(X_val, dtype=np.float64))
+            val = (Xv, yv, sample_weights(yv, cfg.class_weighting))
+    return standardizer, Xs, y, weights, val
+
+
+def _logreg_objective(params, X, y, weights, l2_penalty):
+    loss, grad_w, grad_b = logreg_loss_and_grad(params[0], params[1], X, y, weights, l2_penalty)
+    return loss, [grad_w, grad_b]
+
+
+def _mlp_objective(params, X, y, weights, l2_penalty):
+    layers = MlpLayers(params[:4], params[4:])
+    loss, grads_w, grads_b = mlp_loss_and_grad(layers, X, y, weights, l2_penalty)
+    return loss, grads_w + grads_b
+
+
 def _epoch_batches(n: int, batch_size: int | None, rng: np.random.Generator):
+    """Row indices of each mini-batch of one epoch; a single None for a full batch."""
     if batch_size is None or batch_size >= n:
-        yield np.arange(n)
+        yield None
         return
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
 
 
-def train_logreg(
-    X,
-    y,
-    cfg: TrainConfig,
-    standardizer: StandardizationParams | None = None,
-    X_val=None,
-    y_val=None,
-) -> tuple[LogRegModel, list[float]]:
+def _descend(objective, params: list, X, y, weights, cfg: TrainConfig,
+             rng: np.random.Generator, val=None) -> tuple[list, list[float]]:
+    """Gradient descent on `params`. Returns (final params, loss trace).
+
+    `objective(params, X, y, weights, l2)` gives the loss and its gradients in
+    `params` order. Trace entry i is the full-train loss at the parameters
+    entering epoch i; the last entry is the loss after the final step. A
+    full-batch epoch makes one call, whose loss is the trace entry and whose
+    gradient is the step; a mini-batch epoch makes one full-data call for the
+    trace, then one per batch. With `val`, training stops once the validation
+    loss has failed to improve on more than `cfg.early_stop_patience` epochs in
+    a row, and returns the best parameters seen. Steps build new arrays, so
+    kept parameters never change.
+    """
+    l2, lr = cfg.l2_penalty, cfg.learning_rate
+    best_loss, best, misses = np.inf, params, 0
+    trace: list[float] = []
+    for _ in range(cfg.epochs):
+        loss, grads = objective(params, X, y, weights, l2)
+        if not np.isfinite(loss):
+            raise NonFiniteLoss(f"training diverged (loss={loss}); lower the learning rate")
+        trace.append(loss)
+        for idx in _epoch_batches(y.size, cfg.batch_size, rng):
+            if idx is not None:
+                grads = objective(params, X[idx], y[idx], weights[idx], l2)[1]
+            params = [p - lr * g for p, g in zip(params, grads)]
+        if val is not None:
+            val_loss = objective(params, *val, l2)[0]
+            if val_loss < best_loss:
+                best_loss, best, misses = val_loss, params, 0
+            else:
+                misses += 1
+                if misses > cfg.early_stop_patience:
+                    params = best
+                    break
+    trace.append(objective(params, X, y, weights, l2)[0])
+    return params, trace
+
+
+def train_logreg(X, y, cfg: TrainConfig, standardizer: StandardizationParams | None = None,
+                 X_val=None, y_val=None) -> tuple[LogRegModel, list[float]]:
     """Gradient-descent logistic regression. Returns (model, per-epoch loss trace).
 
     The standardizer is fitted on X unless one is passed in; features are
     standardized internally both here and at prediction time.
     """
-    X, y = _check_training_inputs(X, y)
-    if standardizer is None:
-        standardizer = fit_standardizer(X)
-    Xs = apply_standardizer(standardizer, X)
-    weights_all = sample_weights(y, cfg.class_weighting)
-
-    w = np.zeros(Xs.shape[1])
-    b = 0.0
+    standardizer, Xs, y, weights, val = _training_set(X, y, cfg, standardizer, X_val, y_val)
     rng = np.random.default_rng(cfg.seed)
-    trace: list[float] = []
-    stopper = _EarlyStopper(cfg.early_stop_patience)
-    val = None
-    if X_val is not None:
-        Xv = apply_standardizer(standardizer, np.asarray(X_val, dtype=np.float64))
-        yv = np.asarray(y_val, dtype=np.float64)
-        val = (Xv, yv, sample_weights(yv, cfg.class_weighting))
-
-    for _ in range(cfg.epochs):
-        loss, _, _ = logreg_loss_and_grad(w, b, Xs, y, weights_all, cfg.l2_penalty)
-        if not np.isfinite(loss):
-            raise NonFiniteLoss(f"training diverged (loss={loss}); lower the learning rate")
-        trace.append(loss)
-        for idx in _epoch_batches(y.size, cfg.batch_size, rng):
-            _, gw, gb = logreg_loss_and_grad(
-                w, b, Xs[idx], y[idx], weights_all[idx], cfg.l2_penalty
-            )
-            w = w - cfg.learning_rate * gw
-            b = b - cfg.learning_rate * gb
-        if val is not None and stopper.should_stop(
-            logreg_loss_and_grad(w, b, *val, cfg.l2_penalty)[0], (w.copy(), b)
-        ):
-            w, b = stopper.best_state
-            break
-
-    final_loss, _, _ = logreg_loss_and_grad(w, b, Xs, y, weights_all, cfg.l2_penalty)
-    trace.append(final_loss)
-    model = LogRegModel(
-        weights=w,
-        bias=float(b),
-        standardizer=standardizer,
-        feature_spec=FeatureSpec(groups=()),
-    )
-    return model, trace
+    (w, b), trace = _descend(_logreg_objective, [np.zeros(Xs.shape[1]), 0.0],
+                             Xs, y, weights, cfg, rng, val)
+    return LogRegModel(w, float(b), standardizer, FeatureSpec(groups=())), trace
 
 
-def train_mlp(
-    X,
-    y,
-    cfg: TrainConfig,
-    hidden_dims: list[int],
-    standardizer: StandardizationParams | None = None,
-    X_val=None,
-    y_val=None,
-) -> tuple[MlpModel, list[float]]:
+def train_mlp(X, y, cfg: TrainConfig, hidden_dims: list[int],
+              standardizer: StandardizationParams | None = None,
+              X_val=None, y_val=None) -> tuple[MlpModel, list[float]]:
     """Backprop training of the three-hidden-layer MLP. Returns (model, loss trace)."""
-    X, y = _check_training_inputs(X, y)
-    if standardizer is None:
-        standardizer = fit_standardizer(X)
-    Xs = apply_standardizer(standardizer, X)
-    weights_all = sample_weights(y, cfg.class_weighting)
-
-    layers = init_mlp_layers(Xs.shape[1], hidden_dims, cfg.seed)
+    standardizer, Xs, y, weights, val = _training_set(X, y, cfg, standardizer, X_val, y_val)
+    init = init_mlp_layers(Xs.shape[1], hidden_dims, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
-    trace: list[float] = []
-    stopper = _EarlyStopper(cfg.early_stop_patience)
-    val = None
-    if X_val is not None:
-        Xv = apply_standardizer(standardizer, np.asarray(X_val, dtype=np.float64))
-        yv = np.asarray(y_val, dtype=np.float64)
-        val = (Xv, yv, sample_weights(yv, cfg.class_weighting))
-
-    for _ in range(cfg.epochs):
-        loss, _, _ = mlp_loss_and_grad(layers, Xs, y, weights_all, cfg.l2_penalty)
-        if not np.isfinite(loss):
-            raise NonFiniteLoss(f"training diverged (loss={loss}); lower the learning rate")
-        trace.append(loss)
-        for idx in _epoch_batches(y.size, cfg.batch_size, rng):
-            _, gw, gb = mlp_loss_and_grad(
-                layers, Xs[idx], y[idx], weights_all[idx], cfg.l2_penalty
-            )
-            for i in range(4):
-                layers.weights[i] = layers.weights[i] - cfg.learning_rate * gw[i]
-                layers.biases[i] = layers.biases[i] - cfg.learning_rate * gb[i]
-        if val is not None and stopper.should_stop(
-            mlp_loss_and_grad(layers, *val, cfg.l2_penalty)[0], layers.copy()
-        ):
-            layers = stopper.best_state
-            break
-
-    final_loss, _, _ = mlp_loss_and_grad(layers, Xs, y, weights_all, cfg.l2_penalty)
-    trace.append(final_loss)
-    model = MlpModel(
-        layers=layers,
-        standardizer=standardizer,
-        feature_spec=FeatureSpec(groups=()),
-    )
-    return model, trace
-
-
-class _EarlyStopper:
-    """Patience-based stop on validation loss; remembers the best state."""
-
-    def __init__(self, patience: int | None):
-        self.patience = patience
-        self.best_loss = np.inf
-        self.best_state = None
-        self.misses = 0
-
-    def should_stop(self, val_loss: float, state) -> bool:
-        if self.patience is None:
-            return False
-        if val_loss < self.best_loss:
-            self.best_loss = val_loss
-            self.best_state = state
-            self.misses = 0
-            return False
-        self.misses += 1
-        return self.misses > self.patience
+    params, trace = _descend(_mlp_objective, init.weights + init.biases,
+                             Xs, y, weights, cfg, rng, val)
+    layers = MlpLayers(params[:4], params[4:])
+    return MlpModel(layers, standardizer, FeatureSpec(groups=())), trace
 
 
 def predict_proba(model, X) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from . import analysis, extractors
 from .classifiers import (
     FeatureSpec,
+    early_stopping_blocker,
     load_model,
     predict_label,
     save_model,
@@ -77,7 +78,10 @@ def _labels_from_binary(y: np.ndarray) -> list[PrivacyLabel]:
 
 
 def _train_one(cfg: ExperimentConfig, ds: Dataset, groups, source_tag):
-    """Train on the train split, report metrics on train and val splits."""
+    """Train on the train split, report metrics on train and val splits.
+
+    Returns (model, loss trace, reports, why early stopping was off or None).
+    """
     X_train, y_train, _ = build_design_matrix(ds, Split.TRAIN, groups, source_tag)
     if X_train.size == 0:
         raise ConfigError("train split is empty")
@@ -85,9 +89,11 @@ def _train_one(cfg: ExperimentConfig, ds: Dataset, groups, source_tag):
     has_val = X_val.size > 0
 
     train_cfg = dataclasses.replace(cfg.train, seed=cfg.train_seed)
-    kwargs = {}
+    kwargs, stop_note = {}, None
     if has_val and train_cfg.early_stop_patience is not None:
         kwargs = {"X_val": X_val, "y_val": y_val}
+        reason = early_stopping_blocker(y_val, train_cfg.class_weighting)
+        stop_note = f"disabled: {reason}" if reason else None
     if cfg.classifier_kind == "mlp":
         model, trace = train_mlp(X_train, y_train, train_cfg, list(cfg.hidden_dims), **kwargs)
     else:
@@ -102,7 +108,7 @@ def _train_one(cfg: ExperimentConfig, ds: Dataset, groups, source_tag):
             continue
         pred = predict_label(model, X)
         reports[name] = MetricsReport.from_labels(_labels_from_binary(y), pred)
-    return model, trace, reports
+    return model, trace, reports, stop_note
 
 
 def _write_trace(path, trace):
@@ -163,6 +169,9 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
             categories = extractors.load_categories(cfg.data.categories)
         else:
             categories = tuple(sorted(io_map))
+        if scenes.values.shape[1] != len(categories):
+            raise ConfigError(f"scene store {cfg.data.scenes} has {scenes.values.shape[1]} "
+                              f"categories, the category list has {len(categories)}")
     sources = extractors.ExtractionSources(
         safe_search=client,
         image_refs=image_refs,
@@ -188,7 +197,7 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
 
 def cmd_train(cfg: ExperimentConfig) -> int:
     ds = load_dataset(cfg, require_splits=True, annotations=False)
-    model, trace, reports = _train_one(cfg, ds, cfg.groups, cfg.source_tag)
+    model, trace, reports, stop_note = _train_one(cfg, ds, cfg.groups, cfg.source_tag)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, cfg.out_dir / "model.json")
     _write_trace(cfg.out_dir / "loss_trace.csv", trace)
@@ -209,6 +218,8 @@ def cmd_train(cfg: ExperimentConfig) -> int:
         "hidden_dims": list(cfg.hidden_dims) if cfg.classifier_kind == "mlp" else None,
         "metrics": {name: r.to_dict() for name, r in reports.items()},
     }
+    if stop_note is not None:
+        train_log["early_stopping"] = stop_note
     analysis.write_json(cfg.out_dir / "training_log.json", train_log)
     for name, report in reports.items():
         print(report.table_row(name))
@@ -236,7 +247,7 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
     failures = 0
     for row in cfg.ablation_rows:
         try:
-            model, _, _ = _train_one(cfg, ds, row.groups, row.source_tag)
+            model = _train_one(cfg, ds, row.groups, row.source_tag)[0]
             report = _evaluate_model(model, ds, Split.TEST)
             results.append((row, report, None))
             save_model(model, cfg.out_dir / f"model_{row.row_id}.json")

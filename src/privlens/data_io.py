@@ -24,6 +24,7 @@ import itertools
 import logging
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -135,6 +136,21 @@ class Dataset:
             for image_id in ids:
                 if image_id not in known:
                     log.warning("%s id %r not in manifest; ignored in matrices", name, image_id)
+
+    @cached_property
+    def labeled_privacy_features(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, missing, private) of the labeled images that have privacy
+        features, in manifest order; built once per dataset and read-only."""
+        labeled = [r for r in self.records if r.binary_label is not None]
+        store = self.privacy_features
+        rows = store.rows([r.image_id for r in labeled])
+        private = np.array([r.binary_label is PrivacyLabel.PRIVATE for r in labeled], dtype=bool)
+        has = rows >= 0
+        rows = rows[has]
+        shared = store.values[rows], store.missing[rows], private[has]
+        for a in shared:
+            a.setflags(write=False)  # every analysis of this dataset reads the same arrays
+        return shared
 
 
 _LABEL_TOKENS = {"private": PrivacyLabel.PRIVATE, "public": PrivacyLabel.PUBLIC}

@@ -5,8 +5,9 @@ Three sources feed the eight features:
   - a detections CSV (image_id,class_name,confidence) for people features,
   - a Places365-style scene store + indoor/outdoor map for the outdoor prob.
 
-Batch extraction caches SafeSearch responses as one JSON file per image and
-collects per-image failures into a report instead of aborting.
+Batch extraction caches SafeSearch responses as one JSON file per image,
+named by a hash of the image id, and collects per-image failures into a
+report instead of aborting.
 """
 
 from __future__ import annotations
@@ -127,7 +128,9 @@ def outdoor_probability(scene: SceneDistribution, io_map: dict[str, str]) -> flo
 
 
 class _RateLimiter:
-    """Token-bucket style limiter: at most `rate` acquisitions per second."""
+    """Fixed-interval scheduler: each acquisition gets the next slot `1/rate`
+    seconds after the previous one, waiting until it comes, so at most `rate`
+    acquisitions start per second and none come in bursts."""
 
     def __init__(self, rate: float, clock=time.monotonic, sleep=time.sleep):
         self.interval = 1.0 / rate if rate > 0 else 0.0
@@ -302,7 +305,10 @@ class ExtractionReport:
 
 
 def _cache_path(cache_dir: Path, image_id: str) -> Path:
-    return cache_dir / f"{image_id}.json"
+    """The entry of one image: the id's hash, so any id names a file in `cache_dir`."""
+    import hashlib  # imported here: it loads OpenSSL, and only extract reads the cache
+
+    return cache_dir / f"{hashlib.sha256(image_id.encode('utf-8')).hexdigest()}.json"
 
 
 def _read_cache(path: Path) -> SafeSearchResult | None:

@@ -18,12 +18,13 @@ from privlens.analysis import (
 from privlens.data_io import (
     AnnotationRecord,
     Dataset,
+    FeatureStore,
     FiveClassVote,
     ImageRecord,
     privacy_store,
 )
 from privlens.errors import EmptyControversialSet, EmptyDataset, TooFewVotes
-from privlens.features import Likelihood, PrivacyLabel
+from privlens.features import SENSITIVITY_CLASSES, Likelihood, PrivacyLabel
 
 from conftest import make_pfv
 
@@ -309,3 +310,18 @@ def test_controversial_ids_manifest_order():
 def test_vote_summary_invariant():
     with pytest.raises(ValueError):
         VoteSummary(3, 1, 1, 0)
+
+
+def test_feature_analyses_select_the_labeled_rows_once(monkeypatch):
+    calls = []
+    real = FeatureStore.rows
+    monkeypatch.setattr(FeatureStore, "rows",
+                        lambda self, ids: calls.append(len(ids)) or real(self, ids))
+    ds = labeled_ds([(0, PUB), (1, P), (1, PUB, 0.9), (2, P)])
+    for loc in (None, "indoor", "outdoor"):
+        cumulative_private_by_people(ds, loc)
+    sensitivity_label_distribution(ds)
+    for c in SENSITIVITY_CLASSES:
+        private_prob_given_sensitivity(ds, c)
+    group_privacy_probabilities(ds)
+    assert calls == [4]

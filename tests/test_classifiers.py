@@ -1,12 +1,18 @@
+import dataclasses
 import json
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import two_pass_training
+from privlens import classifiers
 from privlens.classifiers import (
     FeatureSpec,
     MlpLayers,
     TrainConfig,
+    early_stopping_blocker,
     init_mlp_layers,
     load_model,
     logreg_loss_and_grad,
@@ -340,3 +346,110 @@ def test_sigmoid_extremes_finite():
     z = np.array([-1000.0, 0.0, 1000.0])
     s = sigmoid(z)
     assert s[0] == 0.0 and s[1] == 0.5 and s[2] == 1.0
+
+
+# --- the fused training loop -------------------------------------------------
+
+@st.composite
+def training_problems(draw):
+    """A small problem with both classes in train (and in val, with patience)
+    and a config covering full batch, batch >= n, mini-batches, L2 and patience."""
+    n = draw(st.integers(4, 30))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 5, d)
+    y = rng.integers(0, 2, n).astype(float)
+    y[:2] = (0.0, 1.0)
+    batch = draw(st.sampled_from(["none", "ge_n", "lt_n"]))
+    batch_size = {"none": None,
+                  "ge_n": n + draw(st.integers(0, 5)),
+                  "lt_n": draw(st.integers(1, n - 1))}[batch]
+    patience = draw(st.none() | st.integers(0, 3))
+    cfg = TrainConfig(
+        learning_rate=draw(st.floats(0.01, 0.5)),
+        epochs=draw(st.integers(0, 25)),
+        l2_penalty=draw(st.sampled_from([0.0, 0.01, 0.3])),
+        batch_size=batch_size,
+        seed=draw(st.integers(0, 1000)),
+        class_weighting=draw(st.sampled_from(["none", "balanced"])),
+        early_stop_patience=patience,
+    )
+    val = {}
+    if patience is not None:
+        m = draw(st.integers(2, 10))
+        y_val = rng.integers(0, 2, m).astype(float)
+        y_val[:2] = (1.0, 0.0)
+        val = {"X_val": rng.normal(size=(m, d)), "y_val": y_val}
+    return X, y, cfg, val
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=training_problems(), kind=st.sampled_from(["logreg", "mlp"]))
+def test_fused_loop_matches_two_pass_reference(problem, kind):
+    X, y, cfg, val = problem
+    if kind == "logreg":
+        got, got_trace = train_logreg(X, y, cfg, **val)
+        want, want_trace = two_pass_training.train_logreg(X, y, cfg, **val)
+        assert np.array_equal(got.weights, want.weights)
+        assert got.bias == want.bias
+    else:
+        got, got_trace = train_mlp(X, y, cfg, [3, 3, 2], **val)
+        want, want_trace = two_pass_training.train_mlp(X, y, cfg, [3, 3, 2], **val)
+        for a, b in zip(got.layers.weights + got.layers.biases,
+                        want.layers.weights + want.layers.biases):
+            assert np.array_equal(a, b)
+    assert got_trace == want_trace
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@given(hnp.arrays(np.float64, st.integers(0, 200),
+                  elements=st.floats(allow_nan=False, allow_subnormal=True)))
+def test_sigmoid_is_bit_identical_to_piecewise_form(z):
+    assert _same_bits(sigmoid(z), two_pass_training.piecewise_sigmoid(z))
+
+
+def test_sigmoid_bit_identity_at_edges():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    z = np.array([0.0, -0.0, 745.0, -745.0, 1e308, -1e308, tiny, -tiny, 1e-300,
+                  -1e-300, 800.0, -800.0, 709.78, -709.78, 36.7, -36.7, np.inf, -np.inf])
+    z = np.concatenate([z, np.random.default_rng(0).normal(scale=10, size=14_000)])
+    assert _same_bits(sigmoid(z), two_pass_training.piecewise_sigmoid(z))
+
+
+@pytest.mark.parametrize("kind", ["logreg", "mlp"])
+@pytest.mark.parametrize("batch_size", [None, 40, 1000])
+def test_full_batch_training_makes_one_call_per_epoch(monkeypatch, kind, batch_size):
+    calls = []
+    for name in ("logreg_loss_and_grad", "mlp_loss_and_grad"):
+        real = getattr(classifiers, name)
+        monkeypatch.setattr(classifiers, name,
+                            lambda *a, _real=real: calls.append(1) or _real(*a))
+    X, y = separable_2d(n=40)
+    cfg = TrainConfig(epochs=7, batch_size=batch_size)
+    if kind == "logreg":
+        train_logreg(X, y, cfg)
+    else:
+        train_mlp(X, y, cfg, [4, 4, 4])
+    assert len(calls) == cfg.epochs + 1
+
+
+@pytest.mark.parametrize("kind", ["logreg", "mlp"])
+def test_one_class_validation_trains_without_early_stopping(kind, caplog):
+    X, y = separable_2d(n=20)
+    cfg = TrainConfig(epochs=30, early_stop_patience=1, seed=4)
+    no_stop = dataclasses.replace(cfg, early_stop_patience=None)
+    X_val = np.zeros((5, 2))
+    if kind == "logreg":
+        model, trace = train_logreg(X, y, cfg, X_val=X_val, y_val=np.ones(5))
+        plain, plain_trace = train_logreg(X, y, no_stop)
+        assert np.array_equal(model.weights, plain.weights)
+    else:
+        model, trace = train_mlp(X, y, cfg, [3, 3, 3], X_val=X_val, y_val=np.ones(5))
+        plain, plain_trace = train_mlp(X, y, no_stop, [3, 3, 3])
+        assert np.array_equal(model.layers.weights[0], plain.layers.weights[0])
+    assert trace == plain_trace and len(trace) == 31
+    assert "early stopping disabled: validation split has one class" in caplog.text
+    assert early_stopping_blocker(np.ones(5), "none") is None

@@ -7,6 +7,7 @@ from privlens.classifiers import load_model, predict_proba
 from privlens.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from privlens.config import load_config
 from privlens.errors import ConfigError
+from privlens.extractors import _cache_path
 
 from conftest import write_synth_corpus
 
@@ -158,6 +159,35 @@ annotations = annotations.csv
 epochs = 20
 """)
         assert main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "train"]) == EXIT_OK
+
+
+    def test_one_class_validation_split_disables_early_stopping(self, tmp_path, caplog):
+        write_synth_corpus(tmp_path, n=200, seed=7)
+        manifest = tmp_path / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(
+            [lines[0]] + [l.replace(",public,val", ",private,val") for l in lines[1:]]) + "\n")
+        cfg = write_config(tmp_path / "c.ini", """
+[data]
+manifest = manifest.csv
+privacy_features = privacy_features.csv
+
+[train]
+epochs = 40
+early_stop_patience = 2
+""")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "train"]) == EXIT_OK
+        log = json.loads((out / "training_log.json").read_text())
+        assert log["early_stopping"] == "disabled: validation split has one class"
+        assert len((out / "loss_trace.csv").read_text().splitlines()) == 1 + 41
+        assert "early stopping disabled: validation split has one class" in caplog.text
+
+    def test_training_log_has_no_early_stopping_note_by_default(self, corpus_config):
+        tmp_path, cfg = corpus_config
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "train"]) == EXIT_OK
+        assert "early_stopping" not in json.loads((out / "training_log.json").read_text())
 
 
 class TestEvaluate:
@@ -346,8 +376,8 @@ annotations = annotations.csv
 
 
 class TestExtract:
-    def _config(self, tmp_path, n=3, limited=(), data=""):
-        ids = [f"img_{i}" for i in range(n)]
+    def _config(self, tmp_path, n=3, limited=(), data="", ids=None):
+        ids = ids or [f"img_{i}" for i in range(n)]
         (tmp_path / "manifest.csv").write_text(
             "image_id,label,split\n" + "".join(f"{i},,\n" for i in ids))
         (tmp_path / "refs.csv").write_text(
@@ -408,7 +438,7 @@ safesearch_rps = 0
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
         first = (out / "privacy_features.csv").read_bytes()
-        entry = out / "safesearch_cache" / "img_1.json"
+        entry = _cache_path(out / "safesearch_cache", "img_1")
         entry.write_bytes(entry.read_bytes()[:10])
         calls = mock_server.calls
         assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
@@ -443,3 +473,37 @@ safesearch_rps = 0
         assert report["n_complete"] == n - len(off)
         lines = (out / "privacy_features.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + n - len(off)
+
+    def test_ids_with_path_separators_stay_in_the_cache(self, tmp_path, mock_server,
+                                                        monkeypatch):
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        cfg = self._config(tmp_path, ids=["a/b", "../x"])
+        before = {p for p in tmp_path.rglob("*")}
+        out = tmp_path / "out"
+        cache = out / "safesearch_cache"
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
+        written = {p for p in tmp_path.rglob("*") if p.is_file()} - before
+        assert written == {out / "privacy_features.csv", out / "extraction_report.json",
+                           _cache_path(cache, "a/b"), _cache_path(cache, "../x")}
+        rows = (out / "privacy_features.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["a/b", "../x"]
+        calls = mock_server.calls
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
+        assert mock_server.calls == calls
+
+    def test_scene_width_differing_from_categories_is_config_error(
+            self, tmp_path, mock_server, monkeypatch, capsys):
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        (tmp_path / "scenes.csv").write_text(
+            "#source_tag=places365,dim=3\nimage_id,c0,c1,c2\n"
+            "img_0,0.2,0.3,0.5\nimg_1,0.6,0.2,0.2\n")
+        (tmp_path / "io_map.txt").write_text("c0,indoor\nc1,outdoor\n")
+        cfg = self._config(tmp_path, n=2, data="scenes = scenes.csv\nio_map = io_map.txt\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "has 3 categories, the category list has 2" in err
+        assert mock_server.calls == 0
+        assert not (out / "privacy_features.csv").exists()
