@@ -21,8 +21,7 @@ from .metrics import (
     unweighted_accuracy,
 )
 from .classifiers import (
-    LogRegModel,
-    MlpModel,
+    Model,
     TrainConfig,
     load_model,
     predict_label,
@@ -38,9 +37,8 @@ __all__ = [
     "ConfusionCounts",
     "FeatureGroup",
     "Likelihood",
-    "LogRegModel",
     "MetricsReport",
-    "MlpModel",
+    "Model",
     "PrivacyLabel",
     "StandardizationParams",
     "TrainConfig",

@@ -1,5 +1,6 @@
-"""From-scratch gradient-descent classifiers: logistic regression and a
-three-hidden-layer MLP (ReLU, sigmoid output, binary cross-entropy).
+"""From-scratch gradient-descent classifiers: one feed-forward network (ReLU
+hidden layers, sigmoid output, binary cross-entropy), trained as logistic
+regression with no hidden layers or as the three-hidden-layer MLP.
 
 Loss/gradient functions are module-level so tests can check them against
 finite differences. All math is double precision, summed in fixed row order,
@@ -101,39 +102,28 @@ def sample_weights(y: np.ndarray, class_weighting: str) -> np.ndarray:
     return w
 
 
-def logreg_loss_and_grad(w, b, X, y, weights, l2_penalty):
-    """Weighted BCE + (l2/2)·||w||² and its gradient wrt (w, b)."""
-    z = X @ w + b
-    wsum = weights.sum()
-    loss = float(np.dot(weights, _bce_from_logits(z, y)) / wsum)
-    loss += 0.5 * l2_penalty * float(np.dot(w, w))
-    resid = weights * (sigmoid(z) - y) / wsum
-    grad_w = X.T @ resid + l2_penalty * w
-    grad_b = float(resid.sum())
-    return loss, grad_w, grad_b
-
-
 @dataclass
 class MlpLayers:
-    """Weight matrices and bias vectors: three hidden layers + output layer."""
+    """Weight matrices and bias vectors of a feed-forward network, input layer
+    first: ReLU after every layer but the last, whose single output is the
+    logit. One layer is logistic regression; the MLP has three hidden layers."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
     def __post_init__(self):
-        if len(self.weights) != 4 or len(self.biases) != 4:
-            raise ShapeError("expected exactly 3 hidden layers + 1 output layer")
-        for i in range(3):
-            if self.weights[i].shape[1] != self.weights[i + 1].shape[0]:
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise ShapeError("expected one bias vector per weight matrix, at least one layer")
+        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+            if W.ndim != 2 or b.shape != W.shape[1:]:
+                raise ShapeError(f"layer {i} has weights {W.shape} and biases {b.shape}")
+            if i and W.shape[0] != self.weights[i - 1].shape[1]:
                 raise ShapeError(
-                    f"layer {i} output dim {self.weights[i].shape[1]} != "
-                    f"layer {i + 1} input dim {self.weights[i + 1].shape[0]}"
+                    f"layer {i - 1} output dim {self.weights[i - 1].shape[1]} != "
+                    f"layer {i} input dim {W.shape[0]}"
                 )
-        if self.weights[3].shape[1] != 1:
+        if self.weights[-1].shape[1] != 1:
             raise ShapeError("output layer must produce a single logit")
-
-    def copy(self) -> "MlpLayers":
-        return MlpLayers([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 def init_mlp_layers(input_dim: int, hidden_dims: list[int], seed: int) -> MlpLayers:
@@ -151,65 +141,52 @@ def init_mlp_layers(input_dim: int, hidden_dims: list[int], seed: int) -> MlpLay
 
 
 def mlp_forward(layers: MlpLayers, X: np.ndarray):
-    """Returns (logits, per-layer pre-activations) for backprop."""
-    activations = [X]
-    pre = []
-    h = X
-    for i in range(3):
-        z = h @ layers.weights[i] + layers.biases[i]
-        pre.append(z)
-        h = np.maximum(z, 0.0)
-        activations.append(h)
-    logits = (h @ layers.weights[3] + layers.biases[3]).ravel()
-    return logits, activations, pre
+    """Returns (logits, the input of each layer) for backprop."""
+    inputs = [X]
+    for W, b in zip(layers.weights[:-1], layers.biases[:-1]):
+        inputs.append(np.maximum(inputs[-1] @ W + b, 0.0))
+    logits = (inputs[-1] @ layers.weights[-1] + layers.biases[-1]).ravel()
+    return logits, inputs
 
 
 def mlp_loss_and_grad(layers: MlpLayers, X, y, weights, l2_penalty):
     """Weighted BCE + (l2/2)·Σ||W||² and gradients in layer order."""
-    logits, activations, pre = mlp_forward(layers, X)
+    logits, inputs = mlp_forward(layers, X)
     wsum = weights.sum()
     loss = float(np.dot(weights, _bce_from_logits(logits, y)) / wsum)
     loss += 0.5 * l2_penalty * sum(float(np.sum(W * W)) for W in layers.weights)
 
     delta = (weights * (sigmoid(logits) - y) / wsum)[:, None]
-    grads_w = [None] * 4
-    grads_b = [None] * 4
-    grads_w[3] = activations[3].T @ delta + l2_penalty * layers.weights[3]
-    grads_b[3] = delta.sum(axis=0)
-    back = delta @ layers.weights[3].T
-    for i in (2, 1, 0):
-        dz = back * (pre[i] > 0.0)
-        grads_w[i] = activations[i].T @ dz + l2_penalty * layers.weights[i]
-        grads_b[i] = dz.sum(axis=0)
-        back = dz @ layers.weights[i].T
-    return loss, grads_w, grads_b
+    grads_w, grads_b = [], []
+    for i in reversed(range(len(layers.weights))):
+        W = layers.weights[i]
+        grads_w.append(inputs[i].T @ delta + l2_penalty * W)
+        grads_b.append(delta.sum(axis=0))
+        if i:
+            # a ReLU output is positive exactly where its pre-activation is
+            delta = (delta @ W.T) * (inputs[i] > 0.0)
+    return loss, grads_w[::-1], grads_b[::-1]
+
+
+def logreg_loss_and_grad(w, b, X, y, weights, l2_penalty):
+    """`mlp_loss_and_grad` of the one-layer network with weight vector `w` and
+    scalar bias `b`; returns (loss, grad_w, grad_b) in the same shapes."""
+    layers = MlpLayers([np.reshape(w, (-1, 1))], [np.reshape(b, 1)])
+    loss, (grad_w,), (grad_b,) = mlp_loss_and_grad(layers, X, y, weights, l2_penalty)
+    return loss, grad_w.ravel(), float(grad_b[0])
 
 
 @dataclass
-class LogRegModel:
-    weights: np.ndarray
-    bias: float
-    standardizer: StandardizationParams
-    feature_spec: FeatureSpec
+class Model:
+    """A network with the standardizer and feature spec it was trained with."""
 
-    kind = "logreg"
-
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        Xs = apply_standardizer(self.standardizer, X)
-        return Xs @ self.weights + self.bias
-
-
-@dataclass
-class MlpModel:
     layers: MlpLayers
     standardizer: StandardizationParams
     feature_spec: FeatureSpec
 
-    kind = "mlp"
-
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        Xs = apply_standardizer(self.standardizer, X)
-        return mlp_forward(self.layers, Xs)[0]
+    @property
+    def kind(self) -> str:
+        return "logreg" if len(self.layers.weights) == 1 else "mlp"
 
 
 def _check_training_inputs(X, y):
@@ -231,9 +208,65 @@ def early_stopping_blocker(y_val, class_weighting: str) -> str | None:
     return None
 
 
-def _training_set(X, y, cfg: TrainConfig, standardizer, X_val, y_val):
-    """(standardizer, standardized X, y, row weights, validation set or None);
-    the validation set is kept only when early stopping is on and can run."""
+def _objective(params, X, y, weights, l2_penalty):
+    """Loss and gradients of the network whose weights, then biases, are `params`."""
+    n = len(params) // 2
+    loss, grads_w, grads_b = mlp_loss_and_grad(
+        MlpLayers(params[:n], params[n:]), X, y, weights, l2_penalty)
+    return loss, grads_w + grads_b
+
+
+def _epoch_batches(n: int, batch_size: int | None, rng: np.random.Generator):
+    """Row indices of each mini-batch of one epoch; a single None for a full batch."""
+    if batch_size is None or batch_size >= n:
+        yield None
+        return
+    order = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        yield order[start:start + batch_size]
+
+
+def _descend(params: list, X, y, weights, cfg: TrainConfig,
+             rng: np.random.Generator, val=None) -> tuple[list, list[float]]:
+    """Gradient descent on `params`. Returns (final params, loss trace).
+
+    Trace entry i is the full-train loss at the parameters entering epoch i;
+    the last entry is the loss after the final step. A full-batch epoch makes
+    one `_objective` call, whose loss is the trace entry and whose gradient is
+    the step; a mini-batch epoch makes one full-data call for the trace, then
+    one per batch. With `val`, training stops once the validation loss has
+    failed to improve on more than `cfg.early_stop_patience` epochs in a row,
+    and returns the best parameters seen. Steps build new arrays, so kept
+    parameters never change.
+    """
+    l2, lr = cfg.l2_penalty, cfg.learning_rate
+    best_loss, best, misses = np.inf, params, 0
+    trace: list[float] = []
+    for _ in range(cfg.epochs):
+        loss, grads = _objective(params, X, y, weights, l2)
+        if not np.isfinite(loss):
+            raise NonFiniteLoss(f"training diverged (loss={loss}); lower the learning rate")
+        trace.append(loss)
+        for idx in _epoch_batches(y.size, cfg.batch_size, rng):
+            if idx is not None:
+                grads = _objective(params, X[idx], y[idx], weights[idx], l2)[1]
+            params = [p - lr * g for p, g in zip(params, grads)]
+        if val is not None:
+            val_loss = _objective(params, *val, l2)[0]
+            if val_loss < best_loss:
+                best_loss, best, misses = val_loss, params, 0
+            else:
+                misses += 1
+                if misses > cfg.early_stop_patience:
+                    params = best
+                    break
+    trace.append(_objective(params, X, y, weights, l2)[0])
+    return params, trace
+
+
+def _train(init, seed: int, X, y, cfg: TrainConfig, standardizer, X_val, y_val):
+    """Train the network `init(input_dim)`, drawing mini-batches from `seed`.
+    The validation set is used only when early stopping is on and can run."""
     X, y = _check_training_inputs(X, y)
     if standardizer is None:
         standardizer = fit_standardizer(X)
@@ -248,97 +281,34 @@ def _training_set(X, y, cfg: TrainConfig, standardizer, X_val, y_val):
         else:
             Xv = apply_standardizer(standardizer, np.asarray(X_val, dtype=np.float64))
             val = (Xv, yv, sample_weights(yv, cfg.class_weighting))
-    return standardizer, Xs, y, weights, val
-
-
-def _logreg_objective(params, X, y, weights, l2_penalty):
-    loss, grad_w, grad_b = logreg_loss_and_grad(params[0], params[1], X, y, weights, l2_penalty)
-    return loss, [grad_w, grad_b]
-
-
-def _mlp_objective(params, X, y, weights, l2_penalty):
-    layers = MlpLayers(params[:4], params[4:])
-    loss, grads_w, grads_b = mlp_loss_and_grad(layers, X, y, weights, l2_penalty)
-    return loss, grads_w + grads_b
-
-
-def _epoch_batches(n: int, batch_size: int | None, rng: np.random.Generator):
-    """Row indices of each mini-batch of one epoch; a single None for a full batch."""
-    if batch_size is None or batch_size >= n:
-        yield None
-        return
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
-
-
-def _descend(objective, params: list, X, y, weights, cfg: TrainConfig,
-             rng: np.random.Generator, val=None) -> tuple[list, list[float]]:
-    """Gradient descent on `params`. Returns (final params, loss trace).
-
-    `objective(params, X, y, weights, l2)` gives the loss and its gradients in
-    `params` order. Trace entry i is the full-train loss at the parameters
-    entering epoch i; the last entry is the loss after the final step. A
-    full-batch epoch makes one call, whose loss is the trace entry and whose
-    gradient is the step; a mini-batch epoch makes one full-data call for the
-    trace, then one per batch. With `val`, training stops once the validation
-    loss has failed to improve on more than `cfg.early_stop_patience` epochs in
-    a row, and returns the best parameters seen. Steps build new arrays, so
-    kept parameters never change.
-    """
-    l2, lr = cfg.l2_penalty, cfg.learning_rate
-    best_loss, best, misses = np.inf, params, 0
-    trace: list[float] = []
-    for _ in range(cfg.epochs):
-        loss, grads = objective(params, X, y, weights, l2)
-        if not np.isfinite(loss):
-            raise NonFiniteLoss(f"training diverged (loss={loss}); lower the learning rate")
-        trace.append(loss)
-        for idx in _epoch_batches(y.size, cfg.batch_size, rng):
-            if idx is not None:
-                grads = objective(params, X[idx], y[idx], weights[idx], l2)[1]
-            params = [p - lr * g for p, g in zip(params, grads)]
-        if val is not None:
-            val_loss = objective(params, *val, l2)[0]
-            if val_loss < best_loss:
-                best_loss, best, misses = val_loss, params, 0
-            else:
-                misses += 1
-                if misses > cfg.early_stop_patience:
-                    params = best
-                    break
-    trace.append(objective(params, X, y, weights, l2)[0])
-    return params, trace
+    layers = init(Xs.shape[1])
+    params, trace = _descend(layers.weights + layers.biases, Xs, y, weights, cfg,
+                             np.random.default_rng(seed), val)
+    n = len(layers.weights)
+    return Model(MlpLayers(params[:n], params[n:]), standardizer, FeatureSpec(groups=())), trace
 
 
 def train_logreg(X, y, cfg: TrainConfig, standardizer: StandardizationParams | None = None,
-                 X_val=None, y_val=None) -> tuple[LogRegModel, list[float]]:
-    """Gradient-descent logistic regression. Returns (model, per-epoch loss trace).
+                 X_val=None, y_val=None) -> tuple[Model, list[float]]:
+    """Gradient-descent logistic regression, the one-layer network started at
+    zeros. Returns (model, per-epoch loss trace).
 
     The standardizer is fitted on X unless one is passed in; features are
     standardized internally both here and at prediction time.
     """
-    standardizer, Xs, y, weights, val = _training_set(X, y, cfg, standardizer, X_val, y_val)
-    rng = np.random.default_rng(cfg.seed)
-    (w, b), trace = _descend(_logreg_objective, [np.zeros(Xs.shape[1]), 0.0],
-                             Xs, y, weights, cfg, rng, val)
-    return LogRegModel(w, float(b), standardizer, FeatureSpec(groups=())), trace
+    return _train(lambda dim: MlpLayers([np.zeros((dim, 1))], [np.zeros(1)]), cfg.seed,
+                  X, y, cfg, standardizer, X_val, y_val)
 
 
 def train_mlp(X, y, cfg: TrainConfig, hidden_dims: list[int],
               standardizer: StandardizationParams | None = None,
-              X_val=None, y_val=None) -> tuple[MlpModel, list[float]]:
+              X_val=None, y_val=None) -> tuple[Model, list[float]]:
     """Backprop training of the three-hidden-layer MLP. Returns (model, loss trace)."""
-    standardizer, Xs, y, weights, val = _training_set(X, y, cfg, standardizer, X_val, y_val)
-    init = init_mlp_layers(Xs.shape[1], hidden_dims, cfg.seed)
-    rng = np.random.default_rng(cfg.seed + 1)
-    params, trace = _descend(_mlp_objective, init.weights + init.biases,
-                             Xs, y, weights, cfg, rng, val)
-    layers = MlpLayers(params[:4], params[4:])
-    return MlpModel(layers, standardizer, FeatureSpec(groups=())), trace
+    return _train(lambda dim: init_mlp_layers(dim, hidden_dims, cfg.seed), cfg.seed + 1,
+                  X, y, cfg, standardizer, X_val, y_val)
 
 
-def predict_proba(model, X) -> np.ndarray:
+def predict_proba(model: Model, X) -> np.ndarray:
     """Sigmoid of the model logit per row; values in (0,1)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.standardizer.dim:
@@ -346,10 +316,10 @@ def predict_proba(model, X) -> np.ndarray:
             f"X has {X.shape[-1] if X.ndim == 2 else '?'} columns, "
             f"model expects {model.standardizer.dim}"
         )
-    return sigmoid(model.logits(X))
+    return sigmoid(mlp_forward(model.layers, apply_standardizer(model.standardizer, X))[0])
 
 
-def predict_label(model, X, threshold: float = 0.5) -> list[PrivacyLabel]:
+def predict_label(model: Model, X, threshold: float = 0.5) -> list[PrivacyLabel]:
     """Private iff probability >= threshold (ties go to Private)."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0,1)")
@@ -360,8 +330,11 @@ def predict_label(model, X, threshold: float = 0.5) -> list[PrivacyLabel]:
 
 
 # --- serialization -----------------------------------------------------------
+# Schema v1 has a layout per kind: "logreg" stores its one layer as a weight
+# vector and a scalar bias, so files written before the kinds shared one
+# network type keep their bytes.
 
-def model_to_dict(model) -> dict:
+def model_to_dict(model: Model) -> dict:
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": model.kind,
@@ -372,7 +345,8 @@ def model_to_dict(model) -> dict:
         "feature_spec": model.feature_spec.to_dict(),
     }
     if model.kind == "logreg":
-        doc["params"] = {"weights": model.weights.tolist(), "bias": model.bias}
+        doc["params"] = {"weights": model.layers.weights[0].ravel().tolist(),
+                         "bias": float(model.layers.biases[0][0])}
     else:
         doc["params"] = {
             "weights": [w.tolist() for w in model.layers.weights],
@@ -381,18 +355,20 @@ def model_to_dict(model) -> dict:
     return doc
 
 
-def save_model(model, path) -> None:
+def save_model(model: Model, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_model(path):
+def load_model(path) -> Model:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read model file: {exc}", path=path) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("model file must hold a JSON object", path=path)
     version = doc.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise SchemaVersionMismatch(version, MODEL_SCHEMA_VERSION)
@@ -402,20 +378,21 @@ def load_model(path):
             stddev=np.array(doc["standardizer"]["stddev"], dtype=np.float64),
         )
         spec = FeatureSpec.from_dict(doc["feature_spec"])
-        params = doc["params"]
-        if doc["kind"] == "logreg":
-            return LogRegModel(
-                weights=np.array(params["weights"], dtype=np.float64),
-                bias=float(params["bias"]),
-                standardizer=standardizer,
-                feature_spec=spec,
-            )
-        if doc["kind"] == "mlp":
-            layers = MlpLayers(
-                weights=[np.array(w, dtype=np.float64) for w in params["weights"]],
-                biases=[np.array(b, dtype=np.float64) for b in params["biases"]],
-            )
-            return MlpModel(layers=layers, standardizer=standardizer, feature_spec=spec)
-    except (KeyError, TypeError, ValueError) as exc:
+        kind, params = doc["kind"], doc["params"]
+        if kind == "logreg":
+            layers = MlpLayers([np.array(params["weights"], dtype=np.float64)[:, None]],
+                               [np.array([params["bias"]], dtype=np.float64)])
+        elif kind == "mlp":
+            layers = MlpLayers([np.array(w, dtype=np.float64) for w in params["weights"]],
+                               [np.array(b, dtype=np.float64) for b in params["biases"]])
+        else:
+            raise ParseError(f"unknown model kind {kind!r}", path=path)
+    except (KeyError, TypeError, ValueError, IndexError, DimensionMismatch, ShapeError) as exc:
         raise ParseError(f"malformed model document: {exc}", path=path) from exc
-    raise ParseError(f"unknown model kind {doc['kind']!r}", path=path)
+    model = Model(layers, standardizer, spec)
+    if model.kind != kind:
+        raise ParseError("an mlp model needs at least one hidden layer", path=path)
+    if layers.weights[0].shape[0] != standardizer.dim:
+        raise ParseError(f"first layer takes {layers.weights[0].shape[0]} inputs, "
+                         f"the standardizer has {standardizer.dim} columns", path=path)
+    return model

@@ -27,7 +27,7 @@ from .classifiers import (
     train_mlp,
 )
 from .config import ExperimentConfig, load_config, load_dataset
-from .data_io import Dataset, Split, build_design_matrix, load_deep_store
+from .data_io import Dataset, Split, build_design_matrix, load_deep_store, load_image_refs
 from .errors import (
     ConfigError,
     EmptyDataset,
@@ -141,10 +141,7 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
     records = load_dataset(cfg, privacy=False, deep=False, annotations=False).records
     image_refs = {}
     if cfg.data.image_refs is not None:
-        with open(cfg.data.image_refs, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            image_refs = {row[0].strip(): row[1].strip() for row in reader if row}
+        image_refs = load_image_refs(cfg.data.image_refs)
 
     client = None
     try:

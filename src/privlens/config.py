@@ -23,6 +23,9 @@ from .features import FeatureGroup
 
 _GROUP_TOKENS = {g.value: g for g in FeatureGroup}
 
+# Upper bound on `--workers`, the number of threads `extract` starts.
+MAX_WORKERS = 64
+
 
 def parse_groups(token: str) -> set[FeatureGroup]:
     groups = set()
@@ -202,7 +205,10 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
     if "output" in parser and parser["output"].get("dir", "").strip():
         cfg.out_dir = Path(parser["output"]["dir"])
     if "experiment" in parser and parser["experiment"].get("seed", "").strip():
-        cfg.seed = int(parser["experiment"]["seed"])
+        try:
+            cfg.seed = int(parser["experiment"]["seed"])
+        except ValueError as exc:
+            raise ConfigError(f"bad [experiment] value: {exc}") from exc
 
     if "ablation" in parser:
         row_ids = [r.strip() for r in parser["ablation"].get("rows", "").split(",") if r.strip()]
@@ -227,6 +233,10 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
         cfg.out_dir = Path(out_dir)
     if workers is not None:
         cfg.workers = workers
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
+    if not 1 <= cfg.workers <= MAX_WORKERS:
+        raise ConfigError(f"workers must be between 1 and {MAX_WORKERS}, got {cfg.workers}")
     return cfg
 
 

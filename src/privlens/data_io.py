@@ -200,6 +200,20 @@ def load_manifest(path) -> list[ImageRecord]:
     return records
 
 
+def load_image_refs(path) -> dict[str, str]:
+    """image_id → URI, from an `image_id,uri` file."""
+    refs: dict[str, str] = {}
+    with _open_csv(path) as fh:
+        _check_header(fh, ["image_id", "uri"], path)
+        for lineno, row in enumerate(csv.reader(fh), start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ParseError(f"expected 2 fields, got {len(row)}", path=path, line=lineno)
+            refs[row[0].strip()] = row[1].strip()
+    return refs
+
+
 # Lines csv.reader yields as an empty row; every loader skips them.
 _BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
 

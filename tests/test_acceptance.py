@@ -285,8 +285,9 @@ groups = sens, people, out
     assert main(["--config", cfg, "--out-dir", str(out_ab), "ablate"]) == EXIT_OK
     standalone = load_model(out1 / "model.json")
     row = load_model(out_ab / "model_full8.json")
-    assert np.array_equal(standalone.weights, row.weights)
-    assert standalone.bias == row.bias
+    for a, b in zip(standalone.layers.weights + standalone.layers.biases,
+                    row.layers.weights + row.layers.biases):
+        assert np.array_equal(a, b)
 
     assert main(["--config", cfg, "--out-dir", str(out1), "evaluate",
                  str(out1 / "model.json")]) == EXIT_OK

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -11,6 +13,7 @@ from privlens import classifiers
 from privlens.classifiers import (
     FeatureSpec,
     MlpLayers,
+    Model,
     TrainConfig,
     early_stopping_blocker,
     init_mlp_layers,
@@ -33,9 +36,15 @@ from privlens.errors import (
     SchemaVersionMismatch,
     ShapeError,
 )
-from privlens.features import PrivacyLabel, StandardizationParams, fit_standardizer
+from privlens.features import (
+    PrivacyLabel,
+    StandardizationParams,
+    apply_standardizer,
+    fit_standardizer,
+)
 
 P, PUB = PrivacyLabel.PRIVATE, PrivacyLabel.PUBLIC
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def separable_2d(n=40, margin=0.5, seed=3):
@@ -63,15 +72,12 @@ def flatten_mlp(layers: MlpLayers) -> np.ndarray:
 
 
 def unflatten_mlp(theta: np.ndarray, template: MlpLayers) -> MlpLayers:
-    out = template.copy()
-    pos = 0
-    for i, w in enumerate(out.weights):
-        out.weights[i] = theta[pos:pos + w.size].reshape(w.shape)
-        pos += w.size
-    for i, b in enumerate(out.biases):
-        out.biases[i] = theta[pos:pos + b.size].reshape(b.shape)
-        pos += b.size
-    return out
+    parts, pos = [], 0
+    for p in template.weights + template.biases:
+        parts.append(theta[pos:pos + p.size].reshape(p.shape))
+        pos += p.size
+    n = len(template.weights)
+    return MlpLayers(parts[:n], parts[n:])
 
 
 def random_mlp_layers(input_dim, hidden_dims, rng):
@@ -155,8 +161,8 @@ class TestTrainLogreg:
         cfg = TrainConfig(learning_rate=0.05, epochs=100, batch_size=8, seed=42)
         m1, t1 = train_logreg(X, y, cfg)
         m2, t2 = train_logreg(X, y, cfg)
-        assert m1.weights.tobytes() == m2.weights.tobytes()
-        assert m1.bias == m2.bias
+        assert m1.layers.weights[0].tobytes() == m2.layers.weights[0].tobytes()
+        assert m1.layers.biases[0].tobytes() == m2.layers.biases[0].tobytes()
         assert t1 == t2
 
     def test_full_batch_loss_monotone_nonincreasing(self):
@@ -171,7 +177,7 @@ class TestTrainLogreg:
         for l2 in (0.0, 0.1, 1.0):
             cfg = TrainConfig(learning_rate=0.1, epochs=300, l2_penalty=l2, seed=0)
             model, _ = train_logreg(X, y, cfg)
-            norms.append(np.linalg.norm(model.weights))
+            norms.append(np.linalg.norm(model.layers.weights[0]))
         assert norms[0] >= norms[1] >= norms[2]
 
     def test_degenerate_labels_with_balanced_weighting(self):
@@ -249,29 +255,27 @@ class TestTrainMlp:
         assert len(trace) <= 2001
 
 
+def logreg_model(weights) -> Model:
+    """The one-layer network with these weights, zero bias and no scaling."""
+    w = np.asarray(weights, dtype=np.float64)
+    return Model(MlpLayers([w[:, None]], [np.zeros(1)]),
+                 StandardizationParams.identity(w.size), FeatureSpec(groups=()))
+
+
 class TestPredict:
     def _zero_model(self, dim=1):
-        from privlens.classifiers import LogRegModel
-        return LogRegModel(
-            weights=np.zeros(dim), bias=0.0,
-            standardizer=StandardizationParams.identity(dim),
-            feature_spec=FeatureSpec(groups=()),
-        )
+        return logreg_model(np.zeros(dim))
 
     def test_zero_logit_gives_half(self):
         model = self._zero_model(3)
         np.testing.assert_allclose(predict_proba(model, np.ones((4, 3))), 0.5)
 
     def test_unit_weight_zero_input(self):
-        from privlens.classifiers import LogRegModel
-        model = LogRegModel(np.array([1.0]), 0.0,
-                            StandardizationParams.identity(1), FeatureSpec(()))
+        model = logreg_model([1.0])
         np.testing.assert_allclose(predict_proba(model, np.array([[0.0]])), 0.5)
 
     def test_logit_ln3_gives_three_quarters(self):
-        from privlens.classifiers import LogRegModel
-        model = LogRegModel(np.array([1.0]), 0.0,
-                            StandardizationParams.identity(1), FeatureSpec(()))
+        model = logreg_model([1.0])
         probs = predict_proba(model, np.array([[np.log(3.0)]]))
         np.testing.assert_allclose(probs, 0.75, atol=1e-12)
 
@@ -280,9 +284,7 @@ class TestPredict:
         assert predict_label(model, np.zeros((2, 1))) == [P, P]
 
     def test_threshold_rule(self):
-        from privlens.classifiers import LogRegModel
-        model = LogRegModel(np.array([1.0]), 0.0,
-                            StandardizationParams.identity(1), FeatureSpec(()))
+        model = logreg_model([1.0])
         # logit -0.04 -> prob 0.49
         assert predict_label(model, np.array([[np.log(0.49 / 0.51)]])) == [PUB]
 
@@ -331,6 +333,57 @@ class TestSerialization:
         save_model(model, path)
         path.write_text(path.read_text("utf-8")[:40], "utf-8")
         with pytest.raises(ParseError):
+            load_model(path)
+
+    @pytest.mark.parametrize("name, kind, depth", [("model_logreg_v1.json", "logreg", 1),
+                                                   ("model_mlp_v1.json", "mlp", 4)])
+    def test_schema_v1_file_loads_and_saves_byte_for_byte(self, tmp_path, name, kind, depth):
+        # both fixtures were written by the two-class code before the fold
+        model = load_model(FIXTURES / name)
+        assert model.kind == kind and len(model.layers.weights) == depth
+        save_model(model, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
+
+    def test_logreg_file_predicts_with_its_weight_vector(self):
+        doc = json.loads((FIXTURES / "model_logreg_v1.json").read_text("utf-8"))
+        model = load_model(FIXTURES / "model_logreg_v1.json")
+        X = np.random.default_rng(0).normal(size=(50, 3))
+        z = (apply_standardizer(model.standardizer, X) @ np.array(doc["params"]["weights"])
+             + doc["params"]["bias"])
+        assert np.array_equal(predict_proba(model, X), sigmoid(z))
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: [d],
+        lambda d: d["params"].update(weights=d["params"]["weights"][:2]),
+        lambda d: d["params"].update(weights=[d["params"]["weights"]]),
+        lambda d: d["params"].update(bias=[1.0, 2.0]),
+        lambda d: d.update(kind="svm"),
+        lambda d: d.update(kind="mlp", params={"weights": [[[w] for w in d["params"]["weights"]]],
+                                               "biases": [[d["params"]["bias"]]]}),
+    ], ids=["json list", "too few weights", "nested weights", "vector bias", "unknown kind",
+            "mlp without hidden layers"])
+    def test_malformed_logreg_file_is_parse_error(self, tmp_path, edit):
+        doc = json.loads((FIXTURES / "model_logreg_v1.json").read_text("utf-8"))
+        doc = edit(doc) or doc
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc), "utf-8")
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["weights"].pop(1),
+        lambda p: p["biases"].pop(),
+        lambda p: p["biases"][0].append(0.0),
+        lambda p: p.update(weights=p["weights"][:3] + [[[r[0], r[0]] for r in p["weights"][3]]],
+                           biases=p["biases"][:3] + [[0.0, 0.0]]),
+        lambda p: p["weights"].__setitem__(0, p["weights"][0][:2]),
+    ], ids=["broken chain", "missing bias", "bias too long", "two logits", "input width"])
+    def test_malformed_mlp_file_is_parse_error(self, tmp_path, edit):
+        doc = json.loads((FIXTURES / "model_mlp_v1.json").read_text("utf-8"))
+        edit(doc["params"])
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc), "utf-8")
+        with pytest.raises(ParseError, match=re.escape(str(path))):
             load_model(path)
 
     def test_save_is_byte_stable(self, tmp_path):
@@ -383,26 +436,63 @@ def training_problems(draw):
     return X, y, cfg, val
 
 
+def _l2_summed_logreg_trace(X, y, cfg, final, n):
+    """The `n` trace entries `train_logreg` gives when `l2_penalty > 0`: at the
+    parameters entering each epoch, then at `final`'s, the reference's L2-free
+    loss plus 0.5·l2·float(np.sum(w*w)), the form the network sums its penalty
+    in (the reference uses np.dot(w, w))."""
+    Xs = apply_standardizer(fit_standardizer(X), X)
+    weights = sample_weights(y, cfg.class_weighting)
+    no_stop = dataclasses.replace(cfg, early_stop_patience=None)
+    models = [train_logreg(X, y, dataclasses.replace(no_stop, epochs=i))[0]
+              for i in range(n - 1)] + [final]
+    trace = []
+    for model in models:
+        w, b = model.layers.weights[0].ravel(), model.layers.biases[0][0]
+        loss = two_pass_training.logreg_loss_and_grad(w, b, Xs, y, weights, 0.0)[0]
+        trace.append(loss + 0.5 * cfg.l2_penalty * float(np.sum(w * w)))
+    return trace
+
+
 @settings(max_examples=60, deadline=None)
 @given(problem=training_problems(), kind=st.sampled_from(["logreg", "mlp"]))
 def test_fused_loop_matches_two_pass_reference(problem, kind):
     X, y, cfg, val = problem
     if kind == "logreg":
         got, got_trace = train_logreg(X, y, cfg, **val)
-        want, want_trace = two_pass_training.train_logreg(X, y, cfg, **val)
-        assert np.array_equal(got.weights, want.weights)
-        assert got.bias == want.bias
+        want_w, want_b, want_trace = two_pass_training.train_logreg(X, y, cfg, **val)
+        assert np.array_equal(got.layers.weights[0].ravel(), want_w)
+        assert got.layers.biases[0][0] == want_b
+        if cfg.l2_penalty > 0:
+            want_trace = _l2_summed_logreg_trace(X, y, cfg, got, len(got_trace))
     else:
         got, got_trace = train_mlp(X, y, cfg, [3, 3, 2], **val)
-        want, want_trace = two_pass_training.train_mlp(X, y, cfg, [3, 3, 2], **val)
-        for a, b in zip(got.layers.weights + got.layers.biases,
-                        want.layers.weights + want.layers.biases):
+        want_w, want_b, want_trace = two_pass_training.train_mlp(X, y, cfg, [3, 3, 2], **val)
+        for a, b in zip(got.layers.weights + got.layers.biases, want_w + want_b):
             assert np.array_equal(a, b)
     assert got_trace == want_trace
 
 
 def _same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 600), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       l2=st.sampled_from([0.0, 0.01, 0.3]))
+def test_one_layer_network_gradient_is_the_frozen_logreg_gradient(n, d, seed, l2):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 5, d)
+    y = rng.integers(0, 2, n).astype(float)
+    weights = rng.uniform(0.5, 2.0, n)
+    w, b = rng.normal(size=d), rng.normal()
+    _, want_gw, want_gb = two_pass_training.logreg_loss_and_grad(w, b, X, y, weights, l2)
+    layers = MlpLayers([w[:, None]], [np.array([b])])
+    _, (gw,), (gb,) = mlp_loss_and_grad(layers, X, y, weights, l2)
+    assert _same_bits(gw.ravel(), want_gw) and _same_bits(gb, [want_gb])
+    _, adapter_gw, adapter_gb = logreg_loss_and_grad(w, b, X, y, weights, l2)
+    assert _same_bits(adapter_gw, want_gw) and _same_bits(adapter_gb, want_gb)
 
 
 @given(hnp.arrays(np.float64, st.integers(0, 200),
@@ -445,7 +535,7 @@ def test_one_class_validation_trains_without_early_stopping(kind, caplog):
     if kind == "logreg":
         model, trace = train_logreg(X, y, cfg, X_val=X_val, y_val=np.ones(5))
         plain, plain_trace = train_logreg(X, y, no_stop)
-        assert np.array_equal(model.weights, plain.weights)
+        assert np.array_equal(model.layers.weights[0], plain.layers.weights[0])
     else:
         model, trace = train_mlp(X, y, cfg, [3, 3, 3], X_val=X_val, y_val=np.ones(5))
         plain, plain_trace = train_mlp(X, y, no_stop, [3, 3, 3])

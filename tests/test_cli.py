@@ -5,7 +5,7 @@ import pytest
 
 from privlens.classifiers import load_model, predict_proba
 from privlens.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
-from privlens.config import load_config
+from privlens.config import MAX_WORKERS, load_config
 from privlens.errors import ConfigError
 from privlens.extractors import _cache_path
 
@@ -94,6 +94,33 @@ groups = sens
 """)
         with pytest.raises(ConfigError):
             load_config(cfg)
+
+
+    def test_non_integer_seed_is_config_error(self, corpus_config):
+        tmp_path, _ = corpus_config
+        cfg = write_config(tmp_path / "seed.ini",
+                           "[data]\nmanifest = manifest.csv\n[experiment]\nseed = abc\n")
+        with pytest.raises(ConfigError, match="abc"):
+            load_config(cfg)
+        assert main(["--config", cfg, "train"]) == EXIT_CONFIG
+
+    def test_negative_seed_is_config_error(self, corpus_config):
+        _, cfg = corpus_config
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(cfg, seed=-5)
+        assert main(["--config", cfg, "--seed", "-5", "train"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("workers", [0, -3, MAX_WORKERS + 1, 1_000_000])
+    def test_workers_out_of_range_is_config_error(self, corpus_config, workers):
+        # rejected while the config loads: no extraction thread is started
+        _, cfg = corpus_config
+        with pytest.raises(ConfigError, match="workers"):
+            load_config(cfg, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, MAX_WORKERS])
+    def test_workers_within_range_accepted(self, corpus_config, workers):
+        _, cfg = corpus_config
+        assert load_config(cfg, workers=workers).workers == workers
 
 
 class TestTrain:
@@ -235,6 +262,25 @@ class TestEvaluate:
         assert report["f1"] == 0.0
 
 
+    @pytest.mark.parametrize("params", [None, {"weights": [0.0] * 7, "bias": 0.0}],
+                             ids=["json list", "7 weights for 8 columns"])
+    def test_malformed_model_file_is_one_parse_error_line(self, corpus_config, capsys, params):
+        tmp_path, cfg = corpus_config
+        doc = [1, 2] if params is None else {
+            "schema_version": 1, "kind": "logreg", "params": params,
+            "standardizer": {"mean": [0.0] * 8, "stddev": [1.0] * 8},
+            "feature_spec": {"groups": ["out", "people", "sens"], "source_tag": None},
+        }
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "evaluate",
+                   str(model_path)])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ParseError: ") and f"[{model_path}]" in line
+
+
 ABLATION_SECTION = """
 [ablation]
 rows = all8, out_only, sens_only
@@ -295,8 +341,9 @@ seed = 5
         assert main(["--config", cfg_train, "--out-dir", str(out_tr), "train"]) == EXIT_OK
         standalone = load_model(out_tr / "model.json")
         row_model = load_model(out_ab / "model_all8.json")
-        assert np.array_equal(standalone.weights, row_model.weights)
-        assert standalone.bias == row_model.bias
+        for a, b in zip(standalone.layers.weights + standalone.layers.biases,
+                        row_model.layers.weights + row_model.layers.biases):
+            assert np.array_equal(a, b)
         rc = main(["--config", cfg_train, "--out-dir", str(out_tr), "evaluate",
                    str(out_tr / "model.json")])
         assert rc == EXIT_OK
@@ -396,6 +443,14 @@ safesearch_max_attempts = 3
 safesearch_backoff_base = 0.0
 safesearch_rps = 0
 """)
+
+    def test_image_refs_row_with_one_field_is_parse_error(self, tmp_path, capsys):
+        cfg = self._config(tmp_path)
+        (tmp_path / "refs.csv").write_text("image_id,uri\nimg_0,img_0.jpg\nimg_1\n")
+        rc = main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "extract"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: ParseError: expected 2 fields, got 1" in err and "refs.csv:3]" in err
 
     def test_happy_path(self, tmp_path, mock_server, monkeypatch):
         monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
