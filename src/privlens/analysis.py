@@ -69,12 +69,12 @@ def is_controversial(summary: VoteSummary) -> bool:
 def controversial_image_ids(ds: Dataset) -> list[str]:
     """Manifest-ordered ids of controversial images (2+ votes only)."""
     out = []
-    for record in ds.records:
-        ann = ds.annotations.get(record.image_id)
+    for image_id in ds.manifest.ids:
+        ann = ds.annotations.get(image_id)
         if ann is None or len(ann.votes) < 2:
             continue
         if is_controversial(summarize_votes(ann)):
-            out.append(record.image_id)
+            out.append(image_id)
     return out
 
 

@@ -389,6 +389,9 @@ def load_model(path) -> Model:
             raise ParseError(f"unknown model kind {kind!r}", path=path)
     except (KeyError, TypeError, ValueError, IndexError, DimensionMismatch, ShapeError) as exc:
         raise ParseError(f"malformed model document: {exc}", path=path) from exc
+    if not all(np.isfinite(a).all() for a in (standardizer.mean, standardizer.stddev,
+                                              *layers.weights, *layers.biases)):
+        raise ParseError("non-finite number in model file", path=path)
     model = Model(layers, standardizer, spec)
     if model.kind != kind:
         raise ParseError("an mlp model needs at least one hidden layer", path=path)

@@ -27,7 +27,7 @@ from .classifiers import (
     train_mlp,
 )
 from .config import ExperimentConfig, load_config, load_dataset
-from .data_io import Dataset, Split, build_design_matrix, load_deep_store, load_image_refs
+from .data_io import LABEL, Dataset, Split, build_design_matrix, load_deep_store, load_image_refs
 from .errors import (
     ConfigError,
     EmptyDataset,
@@ -138,7 +138,7 @@ def _evaluate_model(model, ds: Dataset, split: Split) -> MetricsReport:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_extract(cfg: ExperimentConfig) -> int:
-    records = load_dataset(cfg, privacy=False, deep=False, annotations=False).records
+    image_ids = load_dataset(cfg, privacy=False, deep=False, annotations=False).manifest.ids
     image_refs = {}
     if cfg.data.image_refs is not None:
         image_refs = load_image_refs(cfg.data.image_refs)
@@ -181,7 +181,7 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / "privacy_features.csv"
     report = extractors.run_extraction(
-        records, sources, cfg.out_dir / "safesearch_cache", out_path, workers=cfg.workers
+        image_ids, sources, cfg.out_dir / "safesearch_cache", out_path, workers=cfg.workers
     )
     analysis.write_json(cfg.out_dir / "extraction_report.json", report.to_dict())
     print(f"wrote {report.n_complete}/{report.n_images} rows to {out_path}")
@@ -204,14 +204,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
         "source_tag": cfg.source_tag,
         "seed": cfg.seed,
         "derived_seeds": {"split": cfg.split_seed, "train": cfg.train_seed},
-        "train_config": {
-            "learning_rate": cfg.train.learning_rate,
-            "epochs": cfg.train.epochs,
-            "l2_penalty": cfg.train.l2_penalty,
-            "batch_size": cfg.train.batch_size,
-            "class_weighting": cfg.train.class_weighting,
-            "early_stop_patience": cfg.train.early_stop_patience,
-        },
+        "train_config": {k: v for k, v in dataclasses.asdict(cfg.train).items() if k != "seed"},
         "hidden_dims": list(cfg.hidden_dims) if cfg.classifier_kind == "mlp" else None,
         "metrics": {name: r.to_dict() for name, r in reports.items()},
     }
@@ -289,7 +282,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
 
     have_votes = cfg.data.annotations is not None
     have_features = len(ds.privacy_features) > 0
-    have_labels = any(r.binary_label is not None for r in ds.records)
+    have_labels = not ds.manifest.missing[:, LABEL].all()
 
     if have_votes:
         if not ds.annotations:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from .classifiers import TrainConfig
 from .data_io import (
+    SPLIT,
     Dataset,
     assign_splits,
     load_annotations,
@@ -191,14 +192,10 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
     if "extract" in parser:
         sec = parser["extract"]
         try:
-            if sec.get("person_conf_threshold", "").strip():
-                cfg.person_conf_threshold = float(sec["person_conf_threshold"])
-            if sec.get("safesearch_max_attempts", "").strip():
-                cfg.safesearch_max_attempts = int(sec["safesearch_max_attempts"])
-            if sec.get("safesearch_backoff_base", "").strip():
-                cfg.safesearch_backoff_base = float(sec["safesearch_backoff_base"])
-            if sec.get("safesearch_rps", "").strip():
-                cfg.safesearch_rps = float(sec["safesearch_rps"])
+            for key, cast in (("person_conf_threshold", float), ("safesearch_max_attempts", int),
+                              ("safesearch_backoff_base", float), ("safesearch_rps", float)):
+                if sec.get(key, "").strip():
+                    setattr(cfg, key, cast(sec[key]))
         except ValueError as exc:
             raise ConfigError(f"bad [extract] value: {exc}") from exc
 
@@ -254,11 +251,11 @@ def load_dataset(
     When the manifest lacks splits and require_splits is set, a seeded random
     split is generated and written to out_dir/manifest_with_splits.csv.
     """
-    records = load_manifest(cfg.data.manifest)
-    if require_splits and any(r.split is None for r in records):
-        records = assign_splits(records, cfg.split_seed, cfg.split_fractions)
+    manifest = load_manifest(cfg.data.manifest)
+    if require_splits and manifest.missing[:, SPLIT].any():
+        manifest = assign_splits(manifest, cfg.split_seed, cfg.split_fractions)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        write_manifest(cfg.out_dir / "manifest_with_splits.csv", records)
+        write_manifest(cfg.out_dir / "manifest_with_splits.csv", manifest)
 
     stores = {}
     if privacy and cfg.data.privacy_features is not None:
@@ -271,4 +268,4 @@ def load_dataset(
         deep_stores[tag] = store
     if annotations and cfg.data.annotations is not None:
         stores["annotations"] = load_annotations(cfg.data.annotations)
-    return Dataset(records=records, deep_features=deep_stores, **stores)
+    return Dataset(manifest, deep_features=deep_stores, **stores)

@@ -11,9 +11,10 @@ File formats (all UTF-8 CSV with a mandatory header):
                         image_id,v0,...,v{D-1}
   annotations.csv       image_id,assessor_id,vote
 
-Each feature store becomes one float64 matrix (`FeatureStore`), parsed in
-bulk; a file the bulk parser leaves is read by a row scan, which reports
-the failing path:line.
+The manifest and each feature store become one id-keyed float64 matrix
+(`FeatureStore`). Feature stores are parsed in bulk; the manifest, and a
+store the bulk parser leaves, are read by a row scan, which reports the
+failing path:line. So do undecodable bytes and malformed CSV in any file.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -65,30 +67,21 @@ class FiveClassVote(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ImageRecord:
-    image_id: str
-    binary_label: PrivacyLabel | None = None
-    split: Split | None = None
-
-
-@dataclass(frozen=True)
 class AnnotationRecord:
     image_id: str
     votes: tuple[FiveClassVote, ...]
-    assessor_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not self.votes:
             raise ValueError("votes must be non-empty")
-        if self.assessor_ids is not None and len(self.assessor_ids) != len(self.votes):
-            raise ValueError("assessor_ids must align with votes")
 
 
 @dataclass(frozen=True, eq=False)
 class FeatureStore:
-    """One feature store: a float64 matrix with one row per image, in file order.
+    """One id-keyed table: a float64 matrix with one row per image, in file order.
 
-    The privacy store holds the eight features in canonical order, each
+    The manifest (see `manifest_store`) and the feature stores are all of this
+    kind. The privacy store holds the eight features in canonical order, each
     sensitivity level encoded as ``level / 4``, and a ``missing`` mask that is
     True where a sensitivity cell was empty (its value then reads 0.0).
     """
@@ -119,17 +112,38 @@ def privacy_store(rows: dict[str, tuple]) -> FeatureStore:
     return FeatureStore(list(rows), values.reshape(-1, 8), missing.reshape(-1, 5))
 
 
+# Columns of the manifest store, and the tokens each column codes by position.
+LABEL, SPLIT = 0, 1
+_LABELS = (PrivacyLabel.PUBLIC.value, PrivacyLabel.PRIVATE.value)
+_SPLITS = tuple(s.value for s in Split)
+# token -> code; an empty cell is NaN until it is marked missing
+_LABEL_CODES = {"": np.nan, **{token: float(i) for i, token in enumerate(_LABELS)}}
+_SPLIT_CODES = {"": np.nan, **{token: float(i) for i, token in enumerate(_SPLITS)}}
+
+
+def manifest_store(rows: dict[str, tuple[str, str]]) -> FeatureStore:
+    """A manifest from per-image ``(label, split)`` tokens as the file spells
+    them in lower case, "" for an empty cell. The columns are the label (1.0
+    private, 0.0 public) and the split's position in `Split`, with
+    ``missing`` True where a cell was empty (its value then reads 0.0)."""
+    cells = list(rows.values())
+    values = np.array([[_LABEL_CODES[c[0]] for c in cells],
+                       [_SPLIT_CODES[c[1]] for c in cells]], dtype=np.float64).T
+    missing = np.isnan(values)
+    return FeatureStore(list(rows), np.where(missing, 0.0, values), missing)
+
+
 @dataclass
 class Dataset:
     """Immutable-after-construction join of manifest, features and votes."""
 
-    records: list[ImageRecord]
+    manifest: FeatureStore
     privacy_features: FeatureStore = field(default_factory=lambda: privacy_store({}))
     deep_features: dict[str, FeatureStore] = field(default_factory=dict)
     annotations: dict[str, AnnotationRecord] = field(default_factory=dict)
 
     def __post_init__(self):
-        known = {r.image_id for r in self.records}
+        known = self.manifest.index
         stores = {"privacy_features": self.privacy_features.ids, "annotations": self.annotations,
                   **{f"deep store {tag!r}": s.ids for tag, s in self.deep_features.items()}}
         for name, ids in stores.items():
@@ -141,20 +155,14 @@ class Dataset:
     def labeled_privacy_features(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(values, missing, private) of the labeled images that have privacy
         features, in manifest order; built once per dataset and read-only."""
-        labeled = [r for r in self.records if r.binary_label is not None]
-        store = self.privacy_features
-        rows = store.rows([r.image_id for r in labeled])
-        private = np.array([r.binary_label is PrivacyLabel.PRIVATE for r in labeled], dtype=bool)
-        has = rows >= 0
-        rows = rows[has]
-        shared = store.values[rows], store.missing[rows], private[has]
+        store, manifest = self.privacy_features, self.manifest
+        rows = store.rows(manifest.ids)
+        keep = (rows >= 0) & ~manifest.missing[:, LABEL]
+        rows = rows[keep]
+        shared = store.values[rows], store.missing[rows], manifest.values[keep, LABEL] == 1.0
         for a in shared:
             a.setflags(write=False)  # every analysis of this dataset reads the same arrays
         return shared
-
-
-_LABEL_TOKENS = {"private": PrivacyLabel.PRIVATE, "public": PrivacyLabel.PUBLIC}
-_SPLIT_TOKENS = {s.value: s for s in Split}
 
 
 def _open_csv(path):
@@ -164,40 +172,58 @@ def _open_csv(path):
         raise ParseError(str(exc), path=path) from exc
 
 
+def _bad_input(exc: UnicodeDecodeError | csv.Error, path, line) -> ParseError:
+    """`exc` as a ParseError at `line`. The text layer decodes ahead of the
+    line it returns, so a decode error is placed by finding the first line
+    of `path` that is not UTF-8."""
+    if isinstance(exc, csv.Error):
+        return ParseError(f"malformed CSV: {exc}", path=path, line=line)
+    data, line = Path(path).read_bytes(), None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as first:
+        line = data.count(b"\n", 0, first.start) + 1
+    return ParseError(f"not UTF-8: {exc.reason}", path=path, line=line)
+
+
+def _csv_rows(fh, path, start: int):
+    """(line number, row) of each non-blank CSV row left in `fh`, the first
+    numbered `start`. Undecodable bytes and malformed CSV raise ParseError."""
+    lineno = start - 1
+    try:
+        for lineno, row in enumerate(csv.reader(fh), start=start):
+            if row:
+                yield lineno, row
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _bad_input(exc, path, lineno + 1) from exc
+
+
 def _check_header(fh, expected: list[str], path) -> None:
-    header = next(csv.reader(fh), None)
-    if header is None or [h.strip() for h in header] != expected:
+    lineno, header = next(_csv_rows(fh, path, 1), (1, None))
+    if lineno != 1 or header is None or [h.strip() for h in header] != expected:
         raise ParseError("expected header " + ",".join(expected), path=path, line=1)
 
 
-def load_manifest(path) -> list[ImageRecord]:
-    records: list[ImageRecord] = []
-    seen: set[str] = set()
+def load_manifest(path) -> FeatureStore:
+    """The manifest as a two-column store (see `manifest_store`)."""
+    rows: dict[str, tuple] = {}
     with _open_csv(path) as fh:
         _check_header(fh, ["image_id", "label", "split"], path)
-        for lineno, row in enumerate(csv.reader(fh), start=2):
-            if not row:
-                continue
+        for lineno, row in _csv_rows(fh, path, 2):
             if len(row) != 3:
                 raise ParseError(f"expected 3 fields, got {len(row)}", path=path, line=lineno)
-            image_id, label_tok, split_tok = (c.strip() for c in row)
+            image_id, label, split = row[0].strip(), row[1].strip(), row[2].strip()
             if not image_id:
                 raise ParseError("empty image_id", path=path, line=lineno)
-            if image_id in seen:
-                raise DuplicateId(image_id)
-            seen.add(image_id)
-            label = None
-            if label_tok:
-                if label_tok.lower() not in _LABEL_TOKENS:
-                    raise UnknownLabel(label_tok)
-                label = _LABEL_TOKENS[label_tok.lower()]
-            split = None
-            if split_tok:
-                if split_tok.lower() not in _SPLIT_TOKENS:
-                    raise ParseError(f"unknown split {split_tok!r}", path=path, line=lineno)
-                split = _SPLIT_TOKENS[split_tok.lower()]
-            records.append(ImageRecord(image_id, label, split))
-    return records
+            if image_id in rows:
+                raise DuplicateId(image_id, path=path, line=lineno)
+            cells = label.lower(), split.lower()
+            if cells[0] not in _LABEL_CODES:
+                raise UnknownLabel(label, path=path, line=lineno)
+            if cells[1] not in _SPLIT_CODES:
+                raise ParseError(f"unknown split {split!r}", path=path, line=lineno)
+            rows[image_id] = cells
+    return manifest_store(rows)
 
 
 def load_image_refs(path) -> dict[str, str]:
@@ -205,9 +231,7 @@ def load_image_refs(path) -> dict[str, str]:
     refs: dict[str, str] = {}
     with _open_csv(path) as fh:
         _check_header(fh, ["image_id", "uri"], path)
-        for lineno, row in enumerate(csv.reader(fh), start=2):
-            if not row:
-                continue
+        for lineno, row in _csv_rows(fh, path, 2):
             if len(row) != 2:
                 raise ParseError(f"expected 2 fields, got {len(row)}", path=path, line=lineno)
             refs[row[0].strip()] = row[1].strip()
@@ -216,16 +240,18 @@ def load_image_refs(path) -> dict[str, str]:
 
 # Lines csv.reader yields as an empty row; every loader skips them.
 _BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
+# Longer lines may hold a field csv.reader rejects.
+_FIELD_LIMIT = csv.field_size_limit()
 
 
 def _parse_bulk(fh, n_values: int, converters=None):
     """(ids, values) of the data lines left in `fh`, or None when the row scan must read them.
 
-    Only lines of an id and `n_values` cells with no quote character are
-    taken, so the id is the text before the first comma, as csv.reader splits
-    it. loadtxt's float syntax is a subset of float()'s, with the same values.
-    A cell loadtxt or a converter rejects, or a repeated id, leaves the file
-    to the row scan.
+    Only lines of an id and `n_values` cells with no quote character, and no
+    longer than csv.reader's field limit, are taken, so the id is the text
+    before the first comma, as csv.reader splits it. loadtxt's float syntax
+    is a subset of float()'s, with the same values. A cell loadtxt or a
+    converter rejects, or a repeated id, leaves the file to the row scan.
     """
     ids: list[str] = []
 
@@ -233,7 +259,7 @@ def _parse_bulk(fh, n_values: int, converters=None):
         for line in fh:
             if line in _BLANK_LINES:
                 continue
-            if line.count(",") != n_values or '"' in line:
+            if line.count(",") != n_values or '"' in line or len(line) > _FIELD_LIMIT:
                 raise ValueError("line needs the row scan")
             ids.append(line.partition(",")[0].strip())
             yield line
@@ -307,9 +333,7 @@ def _scan_privacy_store(path) -> FeatureStore:
     rows: dict[str, tuple] = {}
     with _open_csv(path) as fh:
         _check_header(fh, _PRIVACY_HEADER, path)
-        for lineno, row in enumerate(csv.reader(fh), start=2):
-            if not row:
-                continue
+        for lineno, row in _csv_rows(fh, path, 2):
             if len(row) != 9:
                 raise ParseError(f"expected 9 fields, got {len(row)}", path=path, line=lineno)
             image_id = row[0].strip()
@@ -326,7 +350,7 @@ def _scan_privacy_store(path) -> FeatureStore:
             if people_count < 0:
                 raise ParseError(f"people_count negative: {people_count}", path=path, line=lineno)
             if image_id in rows:
-                raise DuplicateId(image_id)
+                raise DuplicateId(image_id, path=path, line=lineno)
             rows[image_id] = (*levels, people_prob, people_count, outdoor_prob)
     return privacy_store(rows)
 
@@ -338,7 +362,10 @@ def load_privacy_store(path) -> FeatureStore:
 
 def _deep_header(fh, path) -> tuple[str, int]:
     """(source_tag, dim) from the two header lines of a deep store."""
-    first = fh.readline().strip()
+    try:
+        first = fh.readline().strip()
+    except UnicodeDecodeError as exc:
+        raise _bad_input(exc, path, 1) from exc
     if not first.startswith("#"):
         raise ParseError("missing #source_tag=...,dim=... header", path=path, line=1)
     try:
@@ -349,8 +376,8 @@ def _deep_header(fh, path) -> tuple[str, int]:
         raise ParseError(f"bad deep-store header {first!r}", path=path, line=1) from exc
     if dim <= 0:
         raise ParseError("dim must be positive", path=path, line=1)
-    header = next(csv.reader(fh), None)
-    if header is None or header[0].strip() != "image_id":
+    lineno, header = next(_csv_rows(fh, path, 2), (2, None))
+    if lineno != 2 or header is None or header[0].strip() != "image_id":
         raise ParseError("expected column header starting with image_id", path=path, line=2)
     return source_tag, dim
 
@@ -369,14 +396,11 @@ def _scan_deep_store(path) -> tuple[str, FeatureStore]:
     rows: dict[str, list[float]] = {}
     with _open_csv(path) as fh:
         source_tag, dim = _deep_header(fh, path)
-        for lineno, row in enumerate(csv.reader(fh), start=3):
-            if not row:
-                continue
+        for lineno, row in _csv_rows(fh, path, 3):
             image_id = row[0].strip()
             if len(row) - 1 != dim:
-                raise DimensionMismatch(
-                    f"image {image_id!r} has {len(row) - 1} values, header declares dim={dim}"
-                )
+                raise DimensionMismatch(f"image {image_id!r} has {len(row) - 1} values, "
+                                        f"header declares dim={dim}", path=path, line=lineno)
             try:
                 values = [float(c) for c in row[1:]]
             except ValueError as exc:
@@ -385,7 +409,7 @@ def _scan_deep_store(path) -> tuple[str, FeatureStore]:
                 raise ParseError(f"non-finite value for image {image_id!r}",
                                  path=path, line=lineno)
             if image_id in rows:
-                raise DuplicateId(image_id)
+                raise DuplicateId(image_id, path=path, line=lineno)
             rows[image_id] = values
     values = np.array(list(rows.values()), dtype=np.float64).reshape(len(rows), dim)
     return source_tag, FeatureStore(list(rows), values)
@@ -399,62 +423,51 @@ def load_deep_store(path) -> tuple[str, FeatureStore]:
 
 def load_annotations(path) -> dict[str, AnnotationRecord]:
     votes: dict[str, list[FiveClassVote]] = {}
-    assessors: dict[str, list[str]] = {}
     with _open_csv(path) as fh:
         _check_header(fh, ["image_id", "assessor_id", "vote"], path)
-        for lineno, row in enumerate(csv.reader(fh), start=2):
-            if not row:
-                continue
+        for lineno, row in _csv_rows(fh, path, 2):
             if len(row) != 3:
                 raise ParseError(f"expected 3 fields, got {len(row)}", path=path, line=lineno)
-            image_id, assessor_id, vote_tok = (c.strip() for c in row)
+            vote_tok = row[2].strip()
             try:
                 vote = FiveClassVote[vote_tok.upper()]
             except KeyError:
-                raise UnknownVote(vote_tok)
-            votes.setdefault(image_id, []).append(vote)
-            assessors.setdefault(image_id, []).append(assessor_id)
-    return {
-        image_id: AnnotationRecord(image_id, tuple(vs), tuple(assessors[image_id]))
-        for image_id, vs in votes.items()
-    }
+                raise UnknownVote(vote_tok, path=path, line=lineno)
+            votes.setdefault(row[0].strip(), []).append(vote)
+    return {image_id: AnnotationRecord(image_id, tuple(vs)) for image_id, vs in votes.items()}
 
 
 def assign_splits(
-    records: list[ImageRecord],
+    manifest: FeatureStore,
     seed: int,
     fractions: tuple[float, float, float] = (0.7, 0.1, 0.2),
-) -> list[ImageRecord]:
+) -> FeatureStore:
     """Seeded random train/val/test assignment for manifests lacking a split column.
 
-    Only records without a split are assigned; existing assignments are kept.
+    Only rows without a split are assigned; existing assignments are kept.
     """
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1")
-    order = [i for i, r in enumerate(records) if r.split is None]
+    order = np.flatnonzero(manifest.missing[:, SPLIT]).tolist()
     random.Random(seed).shuffle(order)
     n_train = int(round(fractions[0] * len(order)))
     n_val = int(round(fractions[1] * len(order)))
-    new_split = {
-        idx: Split.TRAIN if rank < n_train else Split.VAL if rank < n_train + n_val else Split.TEST
-        for rank, idx in enumerate(order)
-    }
-    return [
-        ImageRecord(r.image_id, r.binary_label, new_split.get(i, r.split))
-        for i, r in enumerate(records)
-    ]
+    values, missing = manifest.values.copy(), manifest.missing.copy()
+    # ranks below n_train go to TRAIN (code 0), the next n_val to VAL (1), the rest to TEST (2)
+    values[order, SPLIT] = np.searchsorted([n_train, n_train + n_val], np.arange(len(order)),
+                                           side="right")
+    missing[order, SPLIT] = False
+    return FeatureStore(manifest.ids, values, missing)
 
 
-def write_manifest(path, records: list[ImageRecord]) -> None:
+def write_manifest(path, manifest: FeatureStore) -> None:
+    labels, splits = ("", *_LABELS), ("", *_SPLITS)  # "" where empty, else the code's token
+    tokens = np.where(manifest.missing, 0, manifest.values.astype(np.intp) + 1).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["image_id", "label", "split"])
-        for r in records:
-            writer.writerow([
-                r.image_id,
-                r.binary_label.value if r.binary_label else "",
-                r.split.value if r.split else "",
-            ])
+        writer.writerows((image_id, labels[label], splits[split])
+                         for image_id, (label, split) in zip(manifest.ids, tokens))
 
 
 # Columns of each privacy group in the privacy store.
@@ -474,10 +487,12 @@ def build_design_matrix(
     """Aligned (X, y, image_ids) in manifest order; Private=1, Public=0."""
     if FeatureGroup.DEEP in groups and source_tag is None:
         raise ValueError("source_tag required when the DEEP group is selected")
-    records = [r for r in ds.records if split is None or r.split is split]
-    if not records:
+    manifest = ds.manifest
+    picked = np.arange(len(manifest)) if split is None else np.flatnonzero(
+        ~manifest.missing[:, SPLIT] & (manifest.values[:, SPLIT] == _SPLIT_CODES[split.value]))
+    if not picked.size:
         return np.empty((0, 0)), np.empty(0), []
-    ids = [r.image_id for r in records]
+    ids = [manifest.ids[i] for i in picked.tolist()]
     # each needed store, the name MissingFeatures gives it, and its columns per group
     sources = [source for source in (
         (ds.privacy_features, "privacy", _PRIVACY_COLUMNS),
@@ -487,10 +502,10 @@ def build_design_matrix(
     rows = [store.rows(ids) if store is not None else np.full(len(ids), -1)
             for store, _, _ in sources]
 
-    unlabeled = np.array([r.binary_label is None for r in records])
+    unlabeled = manifest.missing[picked, LABEL]
     bad = np.logical_or.reduce([unlabeled, *(r < 0 for r in rows)])
     if bad.any():
-        i = int(np.argmax(bad))  # the first failing record, checked as the manifest orders it
+        i = int(np.argmax(bad))  # the first failing image, checked as the manifest orders it
         if unlabeled[i]:
             raise MissingLabel(ids[i])
         raise next(MissingFeatures(ids[i], name)
@@ -498,5 +513,5 @@ def build_design_matrix(
 
     blocks = {group: store.values[r, cols]
               for (store, _, columns), r in zip(sources, rows) for group, cols in columns.items()}
-    y = np.array([r.binary_label is PrivacyLabel.PRIVATE for r in records], dtype=np.float64)
+    y = manifest.values[picked, LABEL]
     return assemble_features(blocks, groups), y, ids

@@ -7,8 +7,8 @@ class PrivlensError(Exception):
 
 # --- data / feature errors -------------------------------------------------
 
-class ParseError(PrivlensError):
-    """A file could not be parsed; carries path and line number when known."""
+class _Located:
+    """Carries the path and line of a bad input and names them in the message."""
 
     def __init__(self, message, path=None, line=None):
         loc = ""
@@ -19,21 +19,25 @@ class ParseError(PrivlensError):
         self.line = line
 
 
-class DuplicateId(PrivlensError):
-    def __init__(self, image_id):
-        super().__init__(f"duplicate image_id: {image_id!r}")
+class ParseError(_Located, PrivlensError):
+    """A file could not be parsed; carries path and line number when known."""
+
+
+class DuplicateId(_Located, PrivlensError):
+    def __init__(self, image_id, path=None, line=None):
+        super().__init__(f"duplicate image_id: {image_id!r}", path, line)
         self.image_id = image_id
 
 
-class UnknownLabel(PrivlensError):
-    def __init__(self, token):
-        super().__init__(f"unknown privacy label: {token!r}")
+class UnknownLabel(_Located, PrivlensError):
+    def __init__(self, token, path=None, line=None):
+        super().__init__(f"unknown privacy label: {token!r}", path, line)
         self.token = token
 
 
-class UnknownVote(PrivlensError):
-    def __init__(self, token):
-        super().__init__(f"unknown vote token: {token!r}")
+class UnknownVote(_Located, PrivlensError):
+    def __init__(self, token, path=None, line=None):
+        super().__init__(f"unknown vote token: {token!r}", path, line)
         self.token = token
 
 
@@ -54,7 +58,7 @@ class MissingLabel(PrivlensError):
         self.image_id = image_id
 
 
-class DimensionMismatch(PrivlensError):
+class DimensionMismatch(_Located, PrivlensError):
     pass
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import FeatureStore, ImageRecord
+from .data_io import FeatureStore, _check_header, _csv_rows, _open_csv
 from .errors import (
     AuthError,
     ExtractionError,
@@ -233,14 +233,9 @@ def _parse_safe_search(payload) -> SafeSearchResult:
 
 def load_detections(path) -> dict[str, list[Detection]]:
     out: dict[str, list[Detection]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["image_id", "class_name", "confidence"]:
-            raise ParseError("expected header image_id,class_name,confidence", path=path, line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    with _open_csv(path) as fh:
+        _check_header(fh, ["image_id", "class_name", "confidence"], path)
+        for lineno, row in _csv_rows(fh, path, 2):
             if len(row) != 3:
                 raise ParseError(f"expected 3 fields, got {len(row)}", path=path, line=lineno)
             try:
@@ -346,13 +341,13 @@ def _format_float(x: float) -> str:
 
 
 def run_extraction(
-    records: list[ImageRecord],
+    image_ids: list[str],
     sources: ExtractionSources,
     cache_dir,
     out_path,
     workers: int = 4,
 ) -> ExtractionReport:
-    """Produce privacy_features.csv for a manifest; idempotent under re-run.
+    """Produce privacy_features.csv for the manifest's `image_ids`; idempotent under re-run.
 
     Per-image failures land in the report; successful rows are still written,
     in manifest order, so re-runs with identical upstream responses produce
@@ -361,10 +356,9 @@ def run_extraction(
     cache = Path(cache_dir) if cache_dir is not None else None
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
-    report = ExtractionReport(n_images=len(records))
+    report = ExtractionReport(n_images=len(image_ids))
 
-    def extract_one(record: ImageRecord):
-        image_id = record.image_id
+    def extract_one(image_id: str):
         sensitivity = _sensitivity_for(image_id, sources, cache)
         if sources.detections is not None:
             count, prob = people_features(
@@ -381,7 +375,7 @@ def run_extraction(
 
     results: dict[str, tuple] = {}
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = {pool.submit(extract_one, r): r.image_id for r in records}
+        futures = {pool.submit(extract_one, image_id): image_id for image_id in image_ids}
         for future, image_id in futures.items():
             try:
                 results[image_id] = future.result()
@@ -394,10 +388,10 @@ def run_extraction(
             "image_id", "adult", "racy", "medical", "spoofed", "violent",
             "people_prob", "people_count", "outdoor_prob",
         ])
-        for record in records:
-            if record.image_id not in results:
+        for image_id in image_ids:
+            if image_id not in results:
                 continue
-            sensitivity, count, prob, outdoor = results[record.image_id]
+            sensitivity, count, prob, outdoor = results[image_id]
             cells = []
             missing = []
             for c in SENSITIVITY_CLASSES:
@@ -408,9 +402,9 @@ def run_extraction(
                 else:
                     cells.append(level.name)
             if missing:
-                report.imputed[record.image_id] = missing
+                report.imputed[image_id] = missing
             writer.writerow(
-                [record.image_id, *cells,
+                [image_id, *cells,
                  _format_float(prob), str(count), _format_float(outdoor)]
             )
             report.n_complete += 1

@@ -6,7 +6,8 @@ PRIVATE is the positive class throughout.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import EmptyInput, LengthMismatch, UndefinedMetric
@@ -38,19 +39,11 @@ def confusion(
         raise LengthMismatch(f"{len(y_true)} true vs {len(y_pred)} predicted")
     if not y_true:
         raise EmptyInput("no samples to evaluate")
-    tp = fp = tn = fn = 0
-    for truth, pred in zip(y_true, y_pred):
-        if truth is PrivacyLabel.PRIVATE:
-            if pred is PrivacyLabel.PRIVATE:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred is PrivacyLabel.PRIVATE:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    # (truth is private, prediction is private) -> count
+    n = Counter((t is PrivacyLabel.PRIVATE, p is PrivacyLabel.PRIVATE)
+                for t, p in zip(y_true, y_pred))
+    return ConfusionCounts(tp=n[True, True], fp=n[False, True], tn=n[False, False],
+                           fn=n[True, False])
 
 
 def balanced_accuracy(c: ConfusionCounts) -> float:
@@ -108,12 +101,7 @@ class MetricsReport:
             "balanced_accuracy": self.balanced_accuracy,
             "f1": self.f1,
             "unweighted_accuracy": self.unweighted_accuracy,
-            "counts": {
-                "tp": self.counts.tp,
-                "fp": self.counts.fp,
-                "tn": self.counts.tn,
-                "fn": self.counts.fn,
-            },
+            "counts": asdict(self.counts),
             "n": self.n,
         }
 

@@ -8,8 +8,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from privlens.data_io import AnnotationRecord, Dataset, ImageRecord, Split, privacy_store
-from privlens.features import Likelihood, PrivacyLabel
+from privlens.data_io import LABEL, SPLIT, Dataset, Split, manifest_store, privacy_store
+from privlens.features import Likelihood
 
 L = Likelihood
 
@@ -21,22 +21,32 @@ def make_pfv(adult=L.VERY_UNLIKELY, racy=L.VERY_UNLIKELY, medical=L.VERY_UNLIKEL
     return (adult, racy, medical, spoofed, violent, people_prob, people_count, outdoor_prob)
 
 
+def manifest_cells(manifest):
+    """A manifest store's cells as `manifest_store` takes them: id -> (label, split)."""
+    labels, splits = ("public", "private"), [s.value for s in Split]
+    return {
+        image_id: ("" if empty[LABEL] else labels[int(code[LABEL])],
+                   "" if empty[SPLIT] else splits[int(code[SPLIT])])
+        for image_id, code, empty in zip(manifest.ids, manifest.values, manifest.missing)
+    }
+
+
 @pytest.fixture
 def tiny_dataset():
     """Four labeled images with privacy features, two annotated."""
-    records = [
-        ImageRecord("a", PrivacyLabel.PUBLIC, Split.TRAIN),
-        ImageRecord("b", PrivacyLabel.PRIVATE, Split.TRAIN),
-        ImageRecord("c", PrivacyLabel.PUBLIC, Split.TRAIN),
-        ImageRecord("d", PrivacyLabel.PRIVATE, Split.TEST),
-    ]
+    manifest = manifest_store({
+        "a": ("public", "train"),
+        "b": ("private", "train"),
+        "c": ("public", "train"),
+        "d": ("private", "test"),
+    })
     features = {
         "a": make_pfv(people_count=0, outdoor_prob=0.9),
         "b": make_pfv(racy=L.POSSIBLE, people_prob=0.8, people_count=1, outdoor_prob=0.1),
         "c": make_pfv(people_prob=0.6, people_count=1, outdoor_prob=0.7),
         "d": make_pfv(adult=L.VERY_LIKELY, people_prob=0.9, people_count=2, outdoor_prob=0.2),
     }
-    return Dataset(records=records, privacy_features=privacy_store(features))
+    return Dataset(manifest, privacy_features=privacy_store(features))
 
 
 def synth_features(rng: np.random.Generator, n: int):

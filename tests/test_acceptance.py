@@ -29,11 +29,11 @@ from privlens.data_io import (
     AnnotationRecord,
     Dataset,
     FiveClassVote,
-    ImageRecord,
     Split,
     build_design_matrix,
     load_manifest,
     load_privacy_store,
+    manifest_store,
     privacy_store,
 )
 from privlens.analysis import (
@@ -147,7 +147,7 @@ def test_criterion_4_synthetic_end_to_end(tmp_path):
     start = time.monotonic()
     write_synth_corpus(tmp_path, n=2000, seed=11, noise=0.10)
     ds = Dataset(
-        records=load_manifest(tmp_path / "manifest.csv"),
+        manifest=load_manifest(tmp_path / "manifest.csv"),
         privacy_features=load_privacy_store(tmp_path / "privacy_features.csv"),
     )
 
@@ -197,8 +197,8 @@ def test_criterion_5_controversial_criterion():
 def test_criterion_6_analysis_oracles():
     # cumulative curve: counts/labels (0,Pub),(1,Priv),(1,Pub),(2,Priv)
     ds1 = Dataset(
-        records=[ImageRecord(f"i{k}", lab) for k, lab in
-                 enumerate([PUB, P, PUB, P])],
+        manifest=manifest_store({f"i{k}": (lab.value, "") for k, lab in
+                                 enumerate([PUB, P, PUB, P])}),
         privacy_features=privacy_store({
             "i0": make_pfv(people_count=0),
             "i1": make_pfv(people_count=1),
@@ -214,8 +214,8 @@ def test_criterion_6_analysis_oracles():
 
     # conditional private probability per adult level
     ds2 = Dataset(
-        records=[ImageRecord("a", P), ImageRecord("b", P),
-                 ImageRecord("c", PUB), ImageRecord("d", P)],
+        manifest=manifest_store({"a": ("private", ""), "b": ("private", ""),
+                                 "c": ("public", ""), "d": ("private", "")}),
         privacy_features=privacy_store({
             "a": make_pfv(adult=L.VERY_LIKELY),
             "b": make_pfv(adult=L.VERY_LIKELY),
@@ -229,19 +229,19 @@ def test_criterion_6_analysis_oracles():
     assert rows["POSSIBLE"] == (None, 0)
 
     # group probabilities: 8 images, one per cell, labels alternating
-    records, features = [], {}
+    manifest, features = {}, {}
     labels = [P, PUB, P, PUB, P, PUB, P, PUB]
     for k, ((people, sens, outd), lab) in enumerate(
             zip(itertools.product([0, 1], repeat=3), labels)):
         image_id = f"g{k}"
-        records.append(ImageRecord(image_id, lab))
+        manifest[image_id] = (lab.value, "")
         features[image_id] = make_pfv(
             racy=L.LIKELY if sens else L.VERY_UNLIKELY,
             people_count=people,
             outdoor_prob=0.9 if outd else 0.1,
         )
     cells = group_privacy_probabilities(
-        Dataset(records=records, privacy_features=privacy_store(features)))
+        Dataset(manifest_store(manifest), privacy_features=privacy_store(features)))
     assert len(cells) == 8
     assert abs(sum(c["share"] for c in cells) - 1.0) <= 1e-9
     for c in cells:

@@ -20,7 +20,7 @@ from privlens.data_io import (
     Dataset,
     FeatureStore,
     FiveClassVote,
-    ImageRecord,
+    manifest_store,
     privacy_store,
 )
 from privlens.errors import EmptyControversialSet, EmptyDataset, TooFewVotes
@@ -95,13 +95,13 @@ class TestIsControversial:
 def controversial_ds(counts):
     """Each image gets one Private + one Public vote (controversial) and the
     given people_count."""
-    records, features, annotations = [], {}, {}
+    manifest, features, annotations = {}, {}, {}
     for i, c in enumerate(counts):
         image_id = f"i{i}"
-        records.append(ImageRecord(image_id, PUB))
+        manifest[image_id] = ("public", "")
         features[image_id] = make_pfv(people_count=c)
         annotations[image_id] = ann([V.PRIVATE, V.PUBLIC], image_id)
-    return Dataset(records=records, privacy_features=privacy_store(features),
+    return Dataset(manifest_store(manifest), privacy_features=privacy_store(features),
                    annotations=annotations)
 
 
@@ -121,7 +121,7 @@ class TestPeopleBreakdown:
         assert breakdown == {"one_person": 0.0, "two_plus": 0.0, "none": 1.0}
 
     def test_empty_controversial_set(self):
-        ds = Dataset(records=[ImageRecord("a", PUB)],
+        ds = Dataset(manifest=manifest_store({"a": ("public", "")}),
                      privacy_features=privacy_store({"a": make_pfv()}),
                      annotations={"a": ann([V.PUBLIC, V.PUBLIC], "a")})
         with pytest.raises(EmptyControversialSet):
@@ -134,14 +134,14 @@ class TestPeopleBreakdown:
 
 def labeled_ds(rows):
     """rows: list of (people_count, label) or (people_count, label, outdoor_prob)."""
-    records, features = [], {}
+    manifest, features = {}, {}
     for i, row in enumerate(rows):
         count, label = row[0], row[1]
         outdoor = row[2] if len(row) > 2 else 0.0
         image_id = f"i{i}"
-        records.append(ImageRecord(image_id, label))
+        manifest[image_id] = (label.value, "")
         features[image_id] = make_pfv(people_count=count, outdoor_prob=outdoor)
-    return Dataset(records=records, privacy_features=privacy_store(features))
+    return Dataset(manifest_store(manifest), privacy_features=privacy_store(features))
 
 
 class TestCumulativeByPeople:
@@ -171,12 +171,12 @@ class TestCumulativeByPeople:
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            cumulative_private_by_people(Dataset(records=[]))
+            cumulative_private_by_people(Dataset(manifest_store({})))
 
 
 class TestSensitivityDistribution:
     def test_single_nonzero_cell(self):
-        ds = Dataset(records=[ImageRecord("a", P)],
+        ds = Dataset(manifest=manifest_store({"a": ("private", "")}),
                      privacy_features=privacy_store({"a": make_pfv(
                          adult=None, racy=L.POSSIBLE, medical=None,
                          spoofed=None, violent=None)}))
@@ -188,7 +188,7 @@ class TestSensitivityDistribution:
         assert nonzero == [("racy", "POSSIBLE", "private")]
 
     def test_empty_dataset_all_zero(self):
-        dist = sensitivity_label_distribution(Dataset(records=[]))
+        dist = sensitivity_label_distribution(Dataset(manifest_store({})))
         assert all(n == 0
                    for per_level in dist["counts"].values()
                    for per_label in per_level.values()
@@ -196,8 +196,8 @@ class TestSensitivityDistribution:
 
     def test_hand_tallied_fixture(self):
         ds = Dataset(
-            records=[ImageRecord("a", P), ImageRecord("b", P),
-                     ImageRecord("c", PUB), ImageRecord("d", PUB)],
+            manifest=manifest_store({"a": ("private", ""), "b": ("private", ""),
+                                    "c": ("public", ""), "d": ("public", "")}),
             privacy_features=privacy_store({
                 "a": make_pfv(racy=L.LIKELY),
                 "b": make_pfv(racy=L.LIKELY, adult=L.POSSIBLE),
@@ -212,7 +212,7 @@ class TestSensitivityDistribution:
 
     def test_shares_sum_to_one(self):
         ds = Dataset(
-            records=[ImageRecord("a", P), ImageRecord("b", PUB)],
+            manifest=manifest_store({"a": ("private", ""), "b": ("public", "")}),
             privacy_features=privacy_store({"a": make_pfv(violent=L.LIKELY), "b": make_pfv()}))
         shares = sensitivity_label_distribution(ds)["shares"]
         assert sum(shares["violent"]["private"].values()) == pytest.approx(1.0, abs=1e-9)
@@ -221,8 +221,8 @@ class TestSensitivityDistribution:
 class TestConditionalPrivate:
     def test_hand_computed(self):
         ds = Dataset(
-            records=[ImageRecord("a", P), ImageRecord("b", P),
-                     ImageRecord("c", PUB), ImageRecord("d", P)],
+            manifest=manifest_store({"a": ("private", ""), "b": ("private", ""),
+                                    "c": ("public", ""), "d": ("private", "")}),
             privacy_features=privacy_store({
                 "a": make_pfv(adult=L.VERY_LIKELY),
                 "b": make_pfv(adult=L.VERY_LIKELY),
@@ -234,30 +234,30 @@ class TestConditionalPrivate:
         assert rows["VERY_UNLIKELY"] == (0.5, 2)
 
     def test_zero_support_is_null(self):
-        ds = Dataset(records=[ImageRecord("a", P)],
+        ds = Dataset(manifest=manifest_store({"a": ("private", "")}),
                      privacy_features=privacy_store({"a": make_pfv(adult=L.VERY_LIKELY)}))
         rows = {lvl: (p, n) for lvl, p, n in private_prob_given_sensitivity(ds, "adult")}
         assert rows["POSSIBLE"] == (None, 0)
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError):
-            private_prob_given_sensitivity(Dataset(records=[]), "funny")
+            private_prob_given_sensitivity(Dataset(manifest_store({})), "funny")
 
 
 class TestGroupProbabilities:
     def test_one_image_per_cell(self):
-        records, features = [], {}
+        manifest, features = {}, {}
         labels = [P, PUB, P, PUB, P, PUB, P, PUB]
         combos = list(itertools.product([0, 1], repeat=3))
         for i, ((people, sens, outd), label) in enumerate(zip(combos, labels)):
             image_id = f"i{i}"
-            records.append(ImageRecord(image_id, label))
+            manifest[image_id] = (label.value, "")
             features[image_id] = make_pfv(
                 racy=L.LIKELY if sens else L.VERY_UNLIKELY,
                 people_count=people,
                 outdoor_prob=0.9 if outd else 0.1,
             )
-        ds = Dataset(records=records, privacy_features=privacy_store(features))
+        ds = Dataset(manifest_store(manifest), privacy_features=privacy_store(features))
         cells = group_privacy_probabilities(ds)
         assert len(cells) == 8
         assert all(c["share"] == pytest.approx(0.125) for c in cells)
@@ -272,7 +272,7 @@ class TestGroupProbabilities:
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            group_privacy_probabilities(Dataset(records=[]))
+            group_privacy_probabilities(Dataset(manifest_store({})))
 
 
 def membership(pfv, **thresholds):

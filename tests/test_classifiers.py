@@ -386,6 +386,24 @@ class TestSerialization:
         with pytest.raises(ParseError, match=re.escape(str(path))):
             load_model(path)
 
+    @pytest.mark.parametrize("name, edit", [
+        ("model_logreg_v1.json", lambda d: d["params"]["weights"].__setitem__(1, float("nan"))),
+        ("model_logreg_v1.json", lambda d: d["params"].update(bias=float("inf"))),
+        ("model_logreg_v1.json", lambda d: d["standardizer"]["mean"].__setitem__(0, float("nan"))),
+        ("model_mlp_v1.json", lambda d: d["params"]["weights"][2][0].__setitem__(0, float("nan"))),
+        ("model_mlp_v1.json", lambda d: d["params"]["biases"][3].__setitem__(0, -float("inf"))),
+        ("model_mlp_v1.json", lambda d: d["standardizer"]["stddev"].__setitem__(2, float("inf"))),
+    ], ids=["logreg nan weight", "logreg inf bias", "logreg nan mean", "mlp nan weight",
+            "mlp -inf bias", "mlp inf stddev"])
+    def test_non_finite_number_is_parse_error(self, tmp_path, name, edit):
+        doc = json.loads((FIXTURES / name).read_text("utf-8"))
+        edit(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc), "utf-8")  # json writes NaN and Infinity tokens
+        message = f"non-finite number in model file [{path}]"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_model(path)
+
     def test_save_is_byte_stable(self, tmp_path):
         X, y = separable_2d()
         model, _ = train_logreg(X, y, TrainConfig(epochs=10))

@@ -281,6 +281,21 @@ class TestEvaluate:
         assert line.startswith("error: ParseError: ") and f"[{model_path}]" in line
 
 
+    def test_nan_weight_is_one_parse_error_line(self, corpus_config, capsys):
+        tmp_path, cfg = corpus_config
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "train"]) == EXIT_OK
+        doc = json.loads((out / "model.json").read_text())
+        doc["params"]["weights"][0] = float("nan")
+        model_path = tmp_path / "nan.json"
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["--config", cfg, "--out-dir", str(out), "evaluate", str(model_path)])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: ParseError: non-finite number in model file [{model_path}]"
+
+
 ABLATION_SECTION = """
 [ablation]
 rows = all8, out_only, sens_only
@@ -420,6 +435,55 @@ annotations = annotations.csv
                            "annotations = annotations.csv\n")
         rc = main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "analyze"])
         assert rc == 1
+
+
+def _replace_line(path, lineno, raw: bytes):
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = raw
+    path.write_bytes(b"\n".join(lines))
+
+
+class TestBadCsvInput:
+    """A bad byte, an over-long field or a bad cell in a CSV input ends the
+    command with exit 1 and one `error:` line naming path:line."""
+
+    @pytest.mark.parametrize("name, lineno, raw, command, message", [
+        ("manifest.csv", 500, b"img_00498,priv\xffate,train", "train",
+         "ParseError: not UTF-8: invalid start byte"),
+        ("annotations.csv", 400, b"img_00198,u2,PUBL\xe9C", "analyze",
+         "ParseError: not UTF-8: invalid continuation byte"),
+        ("manifest.csv", 300, b'"img_' + b"x" * 131_072 + b'",public,train', "train",
+         "ParseError: malformed CSV: field larger than field limit (131072)"),
+        ("manifest.csv", 250, b"img_00007,public,test", "train",
+         "DuplicateId: duplicate image_id: 'img_00007'"),
+        ("manifest.csv", 250, b"img_00248,secret,test", "train",
+         "UnknownLabel: unknown privacy label: 'secret'"),
+        ("annotations.csv", 400, b"img_00198,u2,MAYBE", "analyze",
+         "UnknownVote: unknown vote token: 'MAYBE'"),
+    ], ids=["non-UTF-8 manifest", "non-UTF-8 annotations", "over-long field",
+            "duplicate id", "unknown label", "unknown vote"])
+    def test_one_error_line_with_location(self, tmp_path, capsys, name, lineno, raw, command,
+                                          message):
+        write_synth_corpus(tmp_path, n=600, seed=7)
+        (tmp_path / "annotations.csv").write_text("image_id,assessor_id,vote\n" + "".join(
+            f"img_{i:05d},u{k},{vote}\n"
+            for i in range(300) for k, vote in ((1, "PRIVATE"), (2, "PUBLIC"))))
+        _replace_line(tmp_path / name, lineno, raw)
+        cfg = write_config(tmp_path / "c.ini", """
+[data]
+manifest = manifest.csv
+privacy_features = privacy_features.csv
+annotations = annotations.csv
+
+[train]
+epochs = 5
+""")
+        capsys.readouterr()
+        rc = main(["--config", cfg, "--out-dir", str(tmp_path / "out"), command])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line == f"error: {message} [{tmp_path / name}:{lineno}]"
 
 
 class TestExtract:

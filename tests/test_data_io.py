@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -9,7 +11,6 @@ from privlens.data_io import (
     _scan_privacy_store,
     Dataset,
     FiveClassVote,
-    ImageRecord,
     Split,
     assign_splits,
     build_design_matrix,
@@ -17,9 +18,11 @@ from privlens.data_io import (
     load_deep_store,
     load_manifest,
     load_privacy_store,
+    manifest_store,
     privacy_store,
     write_manifest,
 )
+from privlens.config import DataPaths, ExperimentConfig, load_dataset
 from privlens.errors import (
     DimensionMismatch,
     DuplicateId,
@@ -32,7 +35,8 @@ from privlens.errors import (
 )
 from privlens.features import FeatureGroup, Likelihood, PrivacyLabel, encode_likelihood
 
-from conftest import make_pfv
+import frozen_splits
+from conftest import make_pfv, manifest_cells
 
 G = FeatureGroup
 
@@ -46,13 +50,14 @@ def write(tmp_path, name, text):
 class TestManifest:
     def test_direct_mapping(self, tmp_path):
         path = write(tmp_path, "m.csv", "image_id,label,split\nimg_001,private,train\n")
-        [rec] = load_manifest(path)
-        assert rec == ImageRecord("img_001", PrivacyLabel.PRIVATE, Split.TRAIN)
+        assert manifest_cells(load_manifest(path)) == {
+            "img_001": ("private", "train")}
 
     def test_optional_fields_empty(self, tmp_path):
         path = write(tmp_path, "m.csv", "image_id,label,split\nimg_001,,\n")
-        [rec] = load_manifest(path)
-        assert rec.binary_label is None and rec.split is None
+        manifest = load_manifest(path)
+        assert manifest_cells(manifest) == {"img_001": ("", "")}
+        assert manifest.missing.all()
 
     def test_duplicate_id(self, tmp_path):
         path = write(tmp_path, "m.csv",
@@ -71,10 +76,10 @@ class TestManifest:
             load_manifest(path)
 
     def test_roundtrip_write(self, tmp_path):
-        records = [ImageRecord("a", PrivacyLabel.PUBLIC, Split.VAL), ImageRecord("b")]
+        cells = {"a": ("public", "val"), "b": ("", "")}
         path = tmp_path / "out.csv"
-        write_manifest(path, records)
-        assert load_manifest(path) == records
+        write_manifest(path, manifest_store(cells))
+        assert manifest_cells(load_manifest(path)) == cells
 
 
 PRIVACY_HEADER = ("image_id,adult,racy,medical,spoofed,violent,"
@@ -128,7 +133,12 @@ class TestDeepStore:
     def test_dim_mismatch(self, tmp_path):
         path = write(tmp_path, "d.csv",
                      "#source_tag=rn101,dim=3\nimage_id,v0,v1,v2\nimg_1,0.5,1.5\n")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"[{path}:3]")):
+            load_deep_store(path)
+
+    def test_blank_column_header_line(self, tmp_path):
+        path = write(tmp_path, "d.csv", "#source_tag=rn101,dim=1\n\nimage_id,v0\nimg_1,0.5\n")
+        with pytest.raises(ParseError, match=re.escape(f"[{path}:2]")):
             load_deep_store(path)
 
     def test_empty_body_valid_header(self, tmp_path):
@@ -148,7 +158,6 @@ class TestAnnotations:
                      "image_id,assessor_id,vote\nimg_9,a1,PRIVATE\nimg_9,a2,PUBLIC\n")
         rec = load_annotations(path)["img_9"]
         assert rec.votes == (FiveClassVote.PRIVATE, FiveClassVote.PUBLIC)
-        assert rec.assessor_ids == ("a1", "a2")
 
     def test_third_vote_appends(self, tmp_path):
         path = write(tmp_path, "a.csv",
@@ -182,15 +191,15 @@ class TestDesignMatrix:
             )
 
     def test_missing_label(self):
-        ds = Dataset(records=[ImageRecord("x", None, Split.TRAIN),
-                              ImageRecord("y", PrivacyLabel.PUBLIC, Split.TRAIN)],
+        ds = Dataset(manifest_store({"x": ("", "train"), "y": ("public", "train")}),
                      privacy_features=privacy_store({"x": make_pfv(), "y": make_pfv()}))
         with pytest.raises(MissingLabel):
             build_design_matrix(ds, Split.TRAIN, {G.SENS})
 
     def test_permuting_manifest_permutes_rows(self, tiny_dataset):
         X, y, ids = build_design_matrix(tiny_dataset, Split.TRAIN, {G.SENS, G.PEOPLE, G.OUT})
-        flipped = Dataset(records=list(reversed(tiny_dataset.records)),
+        cells = manifest_cells(tiny_dataset.manifest)
+        flipped = Dataset(manifest_store(dict(reversed(cells.items()))),
                           privacy_features=tiny_dataset.privacy_features)
         X2, y2, ids2 = build_design_matrix(flipped, Split.TRAIN, {G.SENS, G.PEOPLE, G.OUT})
         assert ids2 == list(reversed(ids))
@@ -199,9 +208,9 @@ class TestDesignMatrix:
 
     def test_load_build_deterministic(self, synth_corpus):
         def build():
-            records = load_manifest(synth_corpus / "manifest.csv")
+            manifest = load_manifest(synth_corpus / "manifest.csv")
             store = load_privacy_store(synth_corpus / "privacy_features.csv")
-            ds = Dataset(records=records, privacy_features=store)
+            ds = Dataset(manifest, privacy_features=store)
             return build_design_matrix(ds, Split.TRAIN, {G.SENS, G.PEOPLE, G.OUT})
         X1, y1, ids1 = build()
         X2, y2, ids2 = build()
@@ -212,24 +221,24 @@ class TestDesignMatrix:
 
 class TestSplits:
     def test_assign_splits_reproducible_and_proportioned(self):
-        records = [ImageRecord(f"i{i}", PrivacyLabel.PUBLIC) for i in range(100)]
-        a = assign_splits(records, seed=5)
-        b = assign_splits(records, seed=5)
+        manifest = manifest_store({f"i{i}": ("public", "") for i in range(100)})
+        a = manifest_cells(assign_splits(manifest, seed=5))
+        b = manifest_cells(assign_splits(manifest, seed=5))
         assert a == b
-        counts = {s: sum(1 for r in a if r.split is s) for s in Split}
+        counts = {s: sum(1 for _, split in a.values() if split == s.value) for s in Split}
         assert counts[Split.TRAIN] == 70 and counts[Split.VAL] == 10
         assert counts[Split.TEST] == 20
 
     def test_existing_splits_kept(self):
-        records = [ImageRecord("a", None, Split.TEST), ImageRecord("b")]
-        out = assign_splits(records, seed=1)
-        assert out[0].split is Split.TEST
+        manifest = manifest_store({"a": ("", "test"), "b": ("", "")})
+        out = manifest_cells(assign_splits(manifest, seed=1))
+        assert out["a"] == ("", "test")
 
     def test_unknown_store_id_warns_not_raises(self, caplog):
         import logging
         with caplog.at_level(logging.WARNING, logger="privlens.data_io"):
             ds = Dataset(
-                records=[ImageRecord("a", PrivacyLabel.PUBLIC)],
+                manifest_store({"a": ("public", "")}),
                 privacy_features=privacy_store({"a": make_pfv(), "ghost": make_pfv()}),
             )
         assert "ghost" in caplog.text
@@ -387,3 +396,68 @@ class TestBulkMatchesRowScan:
         for tag, store in [t for t in (bulk, load_deep_store(path)) if t is not None]:
             assert tag == scanned[0] == "rn"
             assert _same_store(store, scanned[1])
+
+
+# Manifests: ids csv.writer may quote, with or without labels, some splits preset.
+_MANIFESTS = st.booleans().flatmap(lambda labeled: st.dictionaries(
+    st.text(alphabet='ab_9,"/ ', min_size=1, max_size=6).filter(lambda s: s == s.strip()),
+    st.tuples(st.sampled_from(["", "private", "public"] if labeled else [""]),
+              st.sampled_from(["", "", "train", "val", "test"])),
+    max_size=40,
+))
+_FRACTIONS = st.one_of(
+    st.just((0.7, 0.1, 0.2)),
+    st.tuples(st.floats(0, 1), st.floats(0, 1)).map(
+        lambda ab: (ab[0], (1 - ab[0]) * ab[1], 1 - ab[0] - (1 - ab[0]) * ab[1])),
+)
+
+
+def _records(cells):
+    return [frozen_splits.Record(image_id, PrivacyLabel(label) if label else None,
+                                 Split(split) if split else None)
+            for image_id, (label, split) in cells.items()]
+
+
+def _tokens(records):
+    return {r.image_id: (r.binary_label.value if r.binary_label else "",
+                         r.split.value if r.split else "") for r in records}
+
+
+class TestManifestMatchesFrozenReference:
+    @_PROPERTY
+    @given(_MANIFESTS, st.integers(0, 2**64), _FRACTIONS)
+    def test_assign_splits(self, cells, seed, fractions):
+        expected = frozen_splits.assign_splits(_records(cells), seed, fractions)
+        got = manifest_cells(assign_splits(manifest_store(cells), seed, fractions))
+        assert got == _tokens(expected)
+
+    @_PROPERTY
+    @given(_MANIFESTS, st.integers(0, 2**64), _FRACTIONS)
+    def test_written_bytes_and_reload(self, tmp_path, cells, seed, fractions):
+        manifest = manifest_store(cells)
+        assigned = assign_splits(manifest, seed, fractions)
+        for store, records in ((manifest, _records(cells)),
+                               (assigned, frozen_splits.assign_splits(_records(cells), seed,
+                                                                      fractions))):
+            write_manifest(tmp_path / "new.csv", store)
+            frozen_splits.write_manifest(tmp_path / "ref.csv", records)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+            assert _same_store(load_manifest(tmp_path / "new.csv"), store)
+
+    @_PROPERTY
+    @given(_MANIFESTS, st.integers(0, 2**32), _FRACTIONS)
+    def test_manifest_with_splits_csv(self, tmp_path, cells, seed, fractions):
+        frozen_splits.write_manifest(tmp_path / "manifest.csv", _records(cells))
+        out = tmp_path / "out"
+        (out / "manifest_with_splits.csv").unlink(missing_ok=True)
+        cfg = ExperimentConfig(DataPaths(tmp_path / "manifest.csv"), seed=seed,
+                               split_fractions=fractions, out_dir=out)
+        ds = load_dataset(cfg, require_splits=True)
+        if all(split for _, split in cells.values()):
+            assert not (out / "manifest_with_splits.csv").exists()
+            assert manifest_cells(ds.manifest) == cells
+            return
+        frozen_splits.write_manifest(tmp_path / "ref.csv", frozen_splits.assign_splits(
+            _records(cells), cfg.split_seed, fractions))
+        assert ((out / "manifest_with_splits.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())

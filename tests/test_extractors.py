@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from privlens.data_io import FeatureStore, ImageRecord
+from privlens.data_io import FeatureStore
 from privlens.errors import (
     AuthError,
     MalformedResponse,
@@ -166,8 +166,8 @@ class TestFileLoaders:
         assert load_io_map(path) == {"beach": "outdoor", "kitchen": "indoor"}
 
 
-def make_records(n):
-    return [ImageRecord(f"img_{i}") for i in range(n)]
+def make_ids(n):
+    return [f"img_{i}" for i in range(n)]
 
 
 class TestRunExtraction:
@@ -185,7 +185,7 @@ class TestRunExtraction:
 
     def test_happy_path_two_rows(self, tmp_path):
         transport = CountingTransport()
-        report = run_extraction(make_records(2), self.sources(transport),
+        report = run_extraction(make_ids(2), self.sources(transport),
                                 tmp_path / "cache", tmp_path / "out.csv", workers=2)
         assert report.n_complete == 2 and report.ok
         lines = (tmp_path / "out.csv").read_text().strip().splitlines()
@@ -195,12 +195,12 @@ class TestRunExtraction:
 
     def test_warm_cache_issues_zero_calls(self, tmp_path):
         transport = CountingTransport()
-        run_extraction(make_records(2), self.sources(transport),
+        run_extraction(make_ids(2), self.sources(transport),
                        tmp_path / "cache", tmp_path / "out.csv")
         first_calls = transport.calls
         assert first_calls == 2
         out1 = (tmp_path / "out.csv").read_bytes()
-        run_extraction(make_records(2), self.sources(transport),
+        run_extraction(make_ids(2), self.sources(transport),
                        tmp_path / "cache", tmp_path / "out.csv")
         assert transport.calls == first_calls  # zero new HTTP calls
         assert (tmp_path / "out.csv").read_bytes() == out1  # byte-identical
@@ -214,7 +214,7 @@ class TestRunExtraction:
                     return 429, {}
                 return 200, OK_RESPONSE
 
-        report = run_extraction(make_records(3), self.sources(FailSecond()),
+        report = run_extraction(make_ids(3), self.sources(FailSecond()),
                                 tmp_path / "cache", tmp_path / "out.csv")
         assert report.n_complete == 2
         assert list(report.failures) == ["img_1"]
@@ -224,7 +224,7 @@ class TestRunExtraction:
 
     def test_missing_sensitivity_flagged(self, tmp_path):
         sources = self.sources(transport=None)  # no safe-search source
-        report = run_extraction(make_records(2), sources,
+        report = run_extraction(make_ids(2), sources,
                                 tmp_path / "cache", tmp_path / "out.csv")
         assert report.n_complete == 2
         assert set(report.imputed["img_0"]) == {

@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from privlens.data_io import Dataset, FeatureStore, ImageRecord, build_design_matrix, privacy_store
+from privlens.data_io import (
+    Dataset,
+    FeatureStore,
+    build_design_matrix,
+    manifest_store,
+    privacy_store,
+)
 from privlens.errors import DimensionMismatch, EmptyMatrix, MissingGroupData
 from privlens.features import (
     SENSITIVITY_CLASSES,
     FeatureGroup,
     Likelihood,
-    PrivacyLabel,
     apply_standardizer,
     assemble_features,
     encode_likelihood,
@@ -33,7 +38,7 @@ def design_row(pfv, groups, deep=None):
     deep_features = {}
     if deep is not None:
         deep_features["rn101"] = FeatureStore(["x"], np.asarray(deep, dtype=float)[None, :])
-    ds = Dataset([ImageRecord("x", PrivacyLabel.PUBLIC)],
+    ds = Dataset(manifest_store({"x": ("public", "")}),
                  privacy_features=privacy_store({"x": pfv}), deep_features=deep_features)
     X, _, _ = build_design_matrix(ds, None, groups, "rn101" if deep is not None else None)
     return X[0]
