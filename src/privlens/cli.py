@@ -169,6 +169,9 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
         if scenes.values.shape[1] != len(categories):
             raise ConfigError(f"scene store {cfg.data.scenes} has {scenes.values.shape[1]} "
                               f"categories, the category list has {len(categories)}")
+        unmapped = next((c for c in categories if c not in io_map), None)
+        if unmapped is not None:
+            raise ConfigError(f"category {unmapped!r} is missing from io map {cfg.data.io_map}")
     sources = extractors.ExtractionSources(
         safe_search=client,
         image_refs=image_refs,

@@ -5,6 +5,7 @@ before any work starts. See README for the full schema.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from .classifiers import TrainConfig
 from .data_io import (
     SPLIT,
     Dataset,
+    _bad_input,
     assign_splits,
     load_annotations,
     load_deep_store,
@@ -118,6 +120,8 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config: {_bad_input(exc, path, None)}") from exc
     if "data" not in parser:
         raise ConfigError("config must have a [data] section")
     base = path.parent
@@ -192,10 +196,17 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
     if "extract" in parser:
         sec = parser["extract"]
         try:
-            for key, cast in (("person_conf_threshold", float), ("safesearch_max_attempts", int),
-                              ("safesearch_backoff_base", float), ("safesearch_rps", float)):
+            for key, cast, valid, expected in (  # NaN fails every comparison
+                    ("person_conf_threshold", float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+                    ("safesearch_max_attempts", int, lambda v: v >= 1, "at least 1"),
+                    ("safesearch_backoff_base", float, lambda v: 0 <= v < math.inf,
+                     "finite and non-negative"),
+                    ("safesearch_rps", float, lambda v: v >= 0, "non-negative (0: no limit)")):
                 if sec.get(key, "").strip():
-                    setattr(cfg, key, cast(sec[key]))
+                    value = cast(sec[key])
+                    if not valid(value):
+                        raise ConfigError(f"[extract] {key} must be {expected}, got {sec[key]}")
+                    setattr(cfg, key, value)
         except ValueError as exc:
             raise ConfigError(f"bad [extract] value: {exc}") from exc
 

@@ -12,7 +12,8 @@ File formats (all UTF-8 CSV with a mandatory header):
   annotations.csv       image_id,assessor_id,vote
 
 The manifest and each feature store become one id-keyed float64 matrix
-(`FeatureStore`). Feature stores are parsed in bulk; the manifest, and a
+(`FeatureStore`); `write_manifest` and `write_privacy_store` write them
+back. Feature stores are parsed in bulk; the manifest, and a
 store the bulk parser leaves, are read by a row scan, which reports the
 failing path:line. So do undecodable bytes and malformed CSV in any file.
 """
@@ -358,6 +359,21 @@ def _scan_privacy_store(path) -> FeatureStore:
 def load_privacy_store(path) -> FeatureStore:
     store = _bulk_privacy_store(path)
     return store if store is not None else _scan_privacy_store(path)
+
+
+def write_privacy_store(path, store: FeatureStore) -> None:
+    """The inverse of `load_privacy_store`: level tokens, an empty cell where
+    a level is missing, the count as an integer and the two probabilities at
+    6 decimals."""
+    tokens = ("", *(lvl.name for lvl in Likelihood))  # "" where missing, else the level's token
+    levels = np.where(store.missing, 0, np.rint(store.values[:, :5] * 4).astype(np.intp) + 1)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_PRIVACY_HEADER)
+        writer.writerows([image_id, *(tokens[c] for c in codes),
+                          "%.6f" % people_prob, "%d" % count, "%.6f" % outdoor]
+                         for image_id, codes, (people_prob, count, outdoor)
+                         in zip(store.ids, levels.tolist(), store.values[:, 5:].tolist()))
 
 
 def _deep_header(fh, path) -> tuple[str, int]:

@@ -12,7 +12,6 @@ report instead of aborting.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import os
@@ -24,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import FeatureStore, _check_header, _csv_rows, _open_csv
+from .data_io import (FeatureStore, _bad_input, _check_header, _csv_rows, _open_csv,
+                      privacy_store, write_privacy_store)
 from .errors import (
     AuthError,
     ExtractionError,
@@ -63,20 +63,6 @@ class Detection:
 
 
 @dataclass(frozen=True)
-class SceneDistribution:
-    probs: np.ndarray
-    category_names: tuple[str, ...]
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.size != len(self.category_names):
-            raise ValueError("probs and category_names must align")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-6:
-            raise InvalidScene("scene probabilities must be non-negative and sum to 1")
-        object.__setattr__(self, "probs", probs)
-
-
-@dataclass(frozen=True)
 class SafeSearchResult:
     """Five likelihoods; None marks an Unknown the service could not rate."""
 
@@ -99,31 +85,34 @@ class SafeSearchResult:
 
 
 def people_features(
-    detections: list[Detection], conf_threshold: float = 0.5
-) -> tuple[int, float]:
-    """(count of person detections at/above threshold, max person confidence).
+    image_ids: list[str], detections: dict[str, list[Detection]], conf_threshold: float = 0.5
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per image: (count of person detections at/above threshold, max person
+    confidence), 0 and 0.0 for an image without person detections.
 
     The probability deliberately ignores the threshold so weak evidence still
     reaches the classifier.
     """
-    if not 0.0 <= conf_threshold <= 1.0:
-        raise ValueError("conf_threshold must lie in [0,1]")
-    person_confs = [d.confidence for d in detections if d.class_name == "person"]
-    count = sum(1 for c in person_confs if c >= conf_threshold)
-    prob = max(person_confs, default=0.0)
+    confs = [[d.confidence for d in detections.get(i, ()) if d.class_name == "person"]
+             for i in image_ids]
+    count = np.array([sum(c >= conf_threshold for c in cs) for cs in confs], dtype=np.float64)
+    prob = np.array([max(cs, default=0.0) for cs in confs], dtype=np.float64)
     return count, prob
 
 
-def outdoor_probability(scene: SceneDistribution, io_map: dict[str, str]) -> float:
-    """Total probability mass on categories mapped to 'outdoor'."""
-    total = 0.0
-    for name, p in zip(scene.category_names, scene.probs):
+def outdoor_probability(
+    scenes: FeatureStore, categories: tuple[str, ...], io_map: dict[str, str]
+) -> np.ndarray:
+    """Each scene row's mass on categories mapped to 'outdoor', added column by
+    column in category order as a loop over one row adds it; the store is not copied."""
+    total = np.zeros(len(scenes))
+    for j, name in enumerate(categories):
         try:
             side = io_map[name]
         except KeyError:
             raise UnmappedCategory(name)
         if side == "outdoor":
-            total += float(p)
+            total += scenes.values[:, j]
     return total
 
 
@@ -246,24 +235,31 @@ def load_detections(path) -> dict[str, list[Detection]]:
     return out
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a text file; a byte that is not UTF-8 is a ParseError at its line."""
+    with _open_csv(path) as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise _bad_input(exc, path, None) from exc
+
+
 def load_io_map(path) -> dict[str, str]:
-    """Lines of `category,indoor|outdoor`."""
+    """Lines of `category,indoor|outdoor`; blank lines and `#` comments are skipped."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2 or parts[1].strip() not in ("indoor", "outdoor"):
-                raise ParseError(f"bad io_map line {line!r}", path=path, line=lineno)
-            out[parts[0].strip()] = parts[1].strip()
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2 or parts[1].strip() not in ("indoor", "outdoor"):
+            raise ParseError(f"bad io_map line {line!r}", path=path, line=lineno)
+        out[parts[0].strip()] = parts[1].strip()
     return out
 
 
 def load_categories(path) -> tuple[str, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return tuple(line.strip() for line in fh if line.strip())
+    return tuple(line.strip() for line in _read_lines(path) if line.strip())
 
 
 @dataclass
@@ -285,10 +281,6 @@ class ExtractionReport:
     n_complete: int = 0
     failures: dict[str, str] = field(default_factory=dict)
     imputed: dict[str, list[str]] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def to_dict(self) -> dict:
         return {
@@ -336,10 +328,6 @@ def _sensitivity_for(
     return result
 
 
-def _format_float(x: float) -> str:
-    return format(float(x), ".6f")
-
-
 def run_extraction(
     image_ids: list[str],
     sources: ExtractionSources,
@@ -349,6 +337,8 @@ def run_extraction(
 ) -> ExtractionReport:
     """Produce privacy_features.csv for the manifest's `image_ids`; idempotent under re-run.
 
+    The people and outdoor columns, and which scene rows are valid, are
+    computed once for the batch; the worker threads only look up SafeSearch.
     Per-image failures land in the report; successful rows are still written,
     in manifest order, so re-runs with identical upstream responses produce
     byte-identical files.
@@ -358,54 +348,37 @@ def run_extraction(
         cache.mkdir(parents=True, exist_ok=True)
     report = ExtractionReport(n_images=len(image_ids))
 
-    def extract_one(image_id: str):
-        sensitivity = _sensitivity_for(image_id, sources, cache)
-        if sources.detections is not None:
-            count, prob = people_features(
-                sources.detections.get(image_id, []), sources.person_conf_threshold
-            )
-        else:
-            count, prob = 0, 0.0
-        outdoor = 0.0
-        row = sources.scenes.index.get(image_id) if sources.scenes is not None else None
-        if row is not None:
-            scene = SceneDistribution(sources.scenes.values[row], sources.categories)
-            outdoor = outdoor_probability(scene, sources.io_map)
-        return sensitivity, count, prob, outdoor
+    count, prob = people_features(image_ids, sources.detections or {},
+                                  sources.person_conf_threshold)
+    outdoor, bad_scene = np.zeros(len(image_ids)), np.zeros(len(image_ids), dtype=bool)
+    if sources.scenes is not None:
+        # C-contiguous, so each row sums as it would alone; a loaded store is not copied
+        values = np.ascontiguousarray(sources.scenes.values)
+        invalid = (values < 0).any(axis=1) | (np.abs(values.sum(axis=1) - 1.0) > 1e-6)
+        rows = sources.scenes.rows(image_ids)
+        has_row = rows >= 0
+        outdoor[has_row] = outdoor_probability(
+            sources.scenes, sources.categories, sources.io_map)[rows[has_row]]
+        bad_scene[has_row] = invalid[rows[has_row]]
 
-    results: dict[str, tuple] = {}
+    cells: dict[str, tuple] = {}
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = {pool.submit(extract_one, image_id): image_id for image_id in image_ids}
-        for future, image_id in futures.items():
+        futures = [pool.submit(_sensitivity_for, i, sources, cache) for i in image_ids]
+        for k, (future, image_id) in enumerate(zip(futures, image_ids)):
             try:
-                results[image_id] = future.result()
-            except (ExtractionError, UnmappedCategory) as exc:
+                sensitivity = future.result()
+                if bad_scene[k]:
+                    raise InvalidScene("scene probabilities must be non-negative and sum to 1")
+            except ExtractionError as exc:
                 report.failures[image_id] = f"{type(exc).__name__}: {exc}"
-
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "image_id", "adult", "racy", "medical", "spoofed", "violent",
-            "people_prob", "people_count", "outdoor_prob",
-        ])
-        for image_id in image_ids:
-            if image_id not in results:
                 continue
-            sensitivity, count, prob, outdoor = results[image_id]
-            cells = []
-            missing = []
-            for c in SENSITIVITY_CLASSES:
-                level = getattr(sensitivity, c) if sensitivity is not None else None
-                if level is None:
-                    cells.append("")
-                    missing.append(c)
-                else:
-                    cells.append(level.name)
-            if missing:
-                report.imputed[image_id] = missing
-            writer.writerow(
-                [image_id, *cells,
-                 _format_float(prob), str(count), _format_float(outdoor)]
-            )
-            report.n_complete += 1
+            levels = [getattr(sensitivity, c, None) for c in SENSITIVITY_CLASSES]
+            cells[image_id] = (*levels, prob[k], count[k], outdoor[k])
+
+    del futures  # the finished futures hold megabytes that building the store can reuse
+    store = privacy_store(cells)
+    write_privacy_store(out_path, store)
+    report.n_complete = len(store)
+    report.imputed = {i: [c for c, m in zip(SENSITIVITY_CLASSES, miss) if m]
+                      for i, miss in zip(store.ids, store.missing.tolist()) if any(miss)}
     return report

@@ -119,10 +119,6 @@ class StandardizationParams:
     def dim(self) -> int:
         return int(self.mean.size)
 
-    @classmethod
-    def identity(cls, dim: int) -> "StandardizationParams":
-        return cls(mean=np.zeros(dim), stddev=np.ones(dim))
-
 
 def fit_standardizer(X: np.ndarray) -> StandardizationParams:
     """Column means and population stddevs; zero-variance columns get stddev 1."""

@@ -193,7 +193,7 @@ class TestTrainLogreg:
         m1, _ = train_logreg(X, y, cfg)
         Xs = (X - params.mean) / params.stddev
         m2, _ = train_logreg(
-            X=Xs, y=y, cfg=cfg, standardizer=StandardizationParams.identity(2)
+            X=Xs, y=y, cfg=cfg, standardizer=StandardizationParams(np.zeros(2), np.ones(2))
         )
         np.testing.assert_allclose(
             predict_proba(m1, X), predict_proba(m2, Xs), atol=1e-10
@@ -259,7 +259,7 @@ def logreg_model(weights) -> Model:
     """The one-layer network with these weights, zero bias and no scaling."""
     w = np.asarray(weights, dtype=np.float64)
     return Model(MlpLayers([w[:, None]], [np.zeros(1)]),
-                 StandardizationParams.identity(w.size), FeatureSpec(groups=()))
+                 StandardizationParams(np.zeros(w.size), np.ones(w.size)), FeatureSpec(groups=()))
 
 
 class TestPredict:

@@ -117,6 +117,17 @@ groups = sens
         with pytest.raises(ConfigError, match="workers"):
             load_config(cfg, workers=workers)
 
+    def test_non_utf8_config_is_config_error(self, corpus_config, capsys):
+        tmp_path, cfg = corpus_config
+        with open(cfg, "ab") as fh:
+            fh.write(b"# caf\xe9\n")
+        last = open(cfg, "rb").read().count(b"\n")
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "train"]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("configuration error: cannot read config: not UTF-8: "
+                        f"invalid continuation byte [{cfg}:{last}]")
+
     @pytest.mark.parametrize("workers", [1, MAX_WORKERS])
     def test_workers_within_range_accepted(self, corpus_config, workers):
         _, cfg = corpus_config
@@ -487,8 +498,10 @@ epochs = 5
 
 
 class TestExtract:
-    def _config(self, tmp_path, n=3, limited=(), data="", ids=None):
+    def _config(self, tmp_path, n=3, limited=(), data="", ids=None, extract=None):
         ids = ids or [f"img_{i}" for i in range(n)]
+        extract = {"safesearch_max_attempts": "3", "safesearch_backoff_base": "0.0",
+                   "safesearch_rps": "0", **(extract or {})}
         (tmp_path / "manifest.csv").write_text(
             "image_id,label,split\n" + "".join(f"{i},,\n" for i in ids))
         (tmp_path / "refs.csv").write_text(
@@ -501,12 +514,7 @@ class TestExtract:
 manifest = manifest.csv
 image_refs = refs.csv
 detections = detections.csv
-""" + data + """
-[extract]
-safesearch_max_attempts = 3
-safesearch_backoff_base = 0.0
-safesearch_rps = 0
-""")
+""" + data + "\n[extract]\n" + "".join(f"{k} = {v}\n" for k, v in extract.items()))
 
     def test_image_refs_row_with_one_field_is_parse_error(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
@@ -626,3 +634,70 @@ safesearch_rps = 0
         assert "has 3 categories, the category list has 2" in err
         assert mock_server.calls == 0
         assert not (out / "privacy_features.csv").exists()
+
+    def test_category_missing_from_io_map_is_config_error(
+            self, tmp_path, mock_server, monkeypatch, capsys):
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        (tmp_path / "scenes.csv").write_text(
+            "#source_tag=places365,dim=3\nimage_id,c0,c1,c2\n"
+            "img_0,0.2,0.3,0.5\nimg_1,0.6,0.2,0.2\n")
+        (tmp_path / "categories.txt").write_text("c0\nmystery\nc1\n")
+        (tmp_path / "io_map.txt").write_text("c0,indoor\nc1,outdoor\n")
+        cfg = self._config(tmp_path, n=2, data="scenes = scenes.csv\nio_map = io_map.txt\n"
+                                                "categories = categories.txt\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"category 'mystery' is missing from io map {tmp_path / 'io_map.txt'}" in err
+        assert mock_server.calls == 0
+        assert not (out / "privacy_features.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("person_conf_threshold", "1.5"),
+        ("person_conf_threshold", "-0.1"),
+        ("person_conf_threshold", "nan"),
+        ("safesearch_max_attempts", "0"),
+        ("safesearch_backoff_base", "-1"),
+        ("safesearch_backoff_base", "nan"),
+        ("safesearch_backoff_base", "inf"),
+        ("safesearch_rps", "-1"),
+        ("safesearch_rps", "nan"),
+    ])
+    def test_out_of_range_extract_value_is_config_error(
+            self, tmp_path, mock_server, monkeypatch, capsys, key, value):
+        # rejected while the config loads: no thread starts and nothing is asked
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        cfg = self._config(tmp_path, extract={key: value})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"configuration error: [extract] {key} must be ")
+        assert line.endswith(f", got {value}")
+        assert mock_server.calls == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, data", [
+        ("io_map.txt", ""),
+        ("categories.txt", "categories = categories.txt\n"),
+    ], ids=["io map", "category list"])
+    def test_non_utf8_category_file_is_parse_error(self, tmp_path, mock_server, monkeypatch,
+                                                   capsys, name, data):
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        (tmp_path / "scenes.csv").write_text(
+            "#source_tag=places365,dim=2\nimage_id,beach,kitchen\nimg_0,0.5,0.5\n")
+        (tmp_path / "io_map.txt").write_text("# comment\n\nbeach,outdoor\nkitchen,indoor\n")
+        (tmp_path / "categories.txt").write_text("beach\n\nkitchen\n")
+        _replace_line(tmp_path / name, 3, b"k\xffitchen" + (b",indoor" if name == "io_map.txt"
+                                                           else b""))
+        cfg = self._config(tmp_path, n=1, data="scenes = scenes.csv\nio_map = io_map.txt\n"
+                                                + data)
+        rc = main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "extract"])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line == ("error: ParseError: not UTF-8: invalid start byte "
+                        f"[{tmp_path / name}:3]")
+        assert mock_server.calls == 0

@@ -21,6 +21,7 @@ from privlens.data_io import (
     manifest_store,
     privacy_store,
     write_manifest,
+    write_privacy_store,
 )
 from privlens.config import DataPaths, ExperimentConfig, load_dataset
 from privlens.errors import (
@@ -410,6 +411,21 @@ _FRACTIONS = st.one_of(
     st.tuples(st.floats(0, 1), st.floats(0, 1)).map(
         lambda ab: (ab[0], (1 - ab[0]) * ab[1], 1 - ab[0] - (1 - ab[0]) * ab[1])),
 )
+
+
+class TestWritePrivacyStore:
+    @_PROPERTY
+    @given(st.lists(st.tuples(
+        st.sampled_from(["img_{}", "a,{}", 'q"{}']),  # the last two are written quoted
+        st.lists(st.sampled_from([None, *Likelihood]), min_size=5, max_size=5),
+        st.floats(0, 1), st.integers(0, 10**6), st.floats(0, 1)), max_size=12))
+    def test_load_reads_back_the_written_store(self, tmp_path, rows):
+        # the probabilities at 6 decimals, the precision the file keeps
+        store = privacy_store({fmt.format(i): (*levels, round(prob, 6), count, round(out, 6))
+                               for i, (fmt, levels, prob, count, out) in enumerate(rows)})
+        path = tmp_path / "privacy_features.csv"
+        write_privacy_store(path, store)
+        assert _same_store(load_privacy_store(path), store)
 
 
 def _records(cells):

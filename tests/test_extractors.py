@@ -1,7 +1,12 @@
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import frozen_extraction
 from privlens.data_io import FeatureStore
 from privlens.errors import (
     AuthError,
@@ -15,7 +20,6 @@ from privlens.extractors import (
     ExtractionSources,
     SafeSearchClient,
     SafeSearchResult,
-    SceneDistribution,
     load_detections,
     load_io_map,
     outdoor_probability,
@@ -32,53 +36,62 @@ OK_RESPONSE = {
 }
 
 
+def people_of(detections, threshold=0.5):
+    """(count, prob) of one image with these detections, from the batch function."""
+    count, prob = people_features(["a"], {"a": detections}, threshold)
+    return int(count[0]), float(prob[0])
+
+
 class TestPeopleFeatures:
     def test_empty(self):
-        assert people_features([]) == (0, 0.0)
+        assert people_of([]) == (0, 0.0)
+        count, prob = people_features(["a", "b"], {})
+        assert count.tolist() == [0, 0] and prob.tolist() == [0.0, 0.0]
 
     def test_threshold_applies_to_count_only(self):
         dets = [Detection("person", 0.9), Detection("person", 0.7), Detection("dog", 0.95)]
-        assert people_features(dets, 0.5) == (2, 0.9)
+        assert people_of(dets, 0.5) == (2, 0.9)
 
     def test_weak_person_counts_zero_but_keeps_prob(self):
-        assert people_features([Detection("person", 0.3)], 0.5) == (0, 0.3)
+        assert people_of([Detection("person", 0.3)], 0.5) == (0, 0.3)
 
     @given(st.lists(st.tuples(st.sampled_from(["person", "dog", "car"]),
                               st.floats(0, 1)), max_size=12),
            st.floats(0, 1))
     def test_permutation_invariant(self, raw, threshold):
         dets = [Detection(c, conf) for c, conf in raw]
-        forward = people_features(dets, threshold)
-        assert people_features(list(reversed(dets)), threshold) == forward
+        forward = people_of(dets, threshold)
+        assert people_of(list(reversed(dets)), threshold) == forward
+
+
+def outdoor_of(probs, names, io_map):
+    """The outdoor mass of one scene row, from the batch function."""
+    return outdoor_probability(FeatureStore(["a"], np.array([probs])), names, io_map)[0]
 
 
 class TestOutdoorProbability:
     def test_all_mass_outdoor(self):
-        scene = SceneDistribution(np.array([1.0, 0.0]), ("beach", "kitchen"))
         io_map = {"beach": "outdoor", "kitchen": "indoor"}
-        assert outdoor_probability(scene, io_map) == 1.0
+        assert outdoor_of([1.0, 0.0], ("beach", "kitchen"), io_map) == 1.0
 
     def test_uniform_split(self):
-        scene = SceneDistribution(np.array([0.5, 0.5]), ("beach", "kitchen"))
         io_map = {"beach": "outdoor", "kitchen": "indoor"}
-        assert outdoor_probability(scene, io_map) == 0.5
+        assert outdoor_of([0.5, 0.5], ("beach", "kitchen"), io_map) == 0.5
 
     def test_hand_summed(self):
-        scene = SceneDistribution(np.array([0.7, 0.2, 0.1]), ("a", "b", "c"))
         io_map = {"a": "indoor", "b": "outdoor", "c": "outdoor"}
-        assert outdoor_probability(scene, io_map) == pytest.approx(0.3)
+        assert outdoor_of([0.7, 0.2, 0.1], ("a", "b", "c"), io_map) == pytest.approx(0.3)
 
     def test_unmapped_category(self):
-        scene = SceneDistribution(np.array([1.0]), ("mystery",))
         with pytest.raises(UnmappedCategory):
-            outdoor_probability(scene, {})
+            outdoor_of([1.0], ("mystery",), {})
 
     def test_complement_of_indoor_mass(self):
         rng = np.random.default_rng(0)
         probs = rng.dirichlet(np.ones(10))
         names = tuple(f"c{i}" for i in range(10))
         io_map = {n: ("outdoor" if i % 3 else "indoor") for i, n in enumerate(names)}
-        out = outdoor_probability(SceneDistribution(probs, names), io_map)
+        out = outdoor_of(probs, names, io_map)
         indoor = sum(p for n, p in zip(names, probs) if io_map[n] == "indoor")
         assert out == pytest.approx(1.0 - indoor)
         assert 0.0 <= out <= 1.0
@@ -187,7 +200,7 @@ class TestRunExtraction:
         transport = CountingTransport()
         report = run_extraction(make_ids(2), self.sources(transport),
                                 tmp_path / "cache", tmp_path / "out.csv", workers=2)
-        assert report.n_complete == 2 and report.ok
+        assert report.n_complete == 2 and not report.failures
         lines = (tmp_path / "out.csv").read_text().strip().splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("img_0,VERY_UNLIKELY,POSSIBLE")
@@ -232,6 +245,103 @@ class TestRunExtraction:
         line = (tmp_path / "out.csv").read_text().splitlines()[1]
         assert line.startswith("img_0,,,,,")
 
+
+
+LEVEL_TOKENS = [lvl.name for lvl in Likelihood] + ["UNKNOWN"]
+
+
+def scene_row(draw, rng, k):
+    """One scene row of `k` categories: a distribution at full precision or
+    at 6 decimals (which may miss the 1e-6 sum check), with -0.0 cells, or
+    with a negative cell whose mass moves to another, so the sum holds."""
+    row = rng.dirichlet(np.full(k, draw(st.sampled_from([0.2, 1.0, 5.0]))))
+    kind = draw(st.sampled_from(["full", "6dp", "-0.0", "negative"]))
+    if kind == "6dp":
+        row = np.array([float(f"{p:.6f}") for p in row])
+    elif kind == "-0.0":
+        zeros = rng.random(k) < 0.3
+        row[zeros] = 0.0
+        if row.sum() > 0:
+            row = row / row.sum()
+        row[zeros] = -0.0
+    elif kind == "negative":
+        j, x = rng.integers(k), draw(st.sampled_from([1e-9, 1e-3, 0.5]))
+        row[(j + 1) % k] += row[j] + x
+        row[j] = -x
+    return row
+
+
+@st.composite
+def extraction_batches(draw):
+    """(image ids, sources, workers) of a small batch drawn to reach every
+    branch of extraction; SafeSearch answers from a scripted transport."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = [f"img_{i}" for i in range(draw(st.integers(0, 8)))]
+    others = ids + ["not_in_manifest"]
+    threshold = draw(st.floats(0, 1))
+    sources = ExtractionSources(person_conf_threshold=threshold)
+
+    if draw(st.booleans()):
+        near = [threshold, float(np.nextafter(threshold, 0.0)),
+                float(np.nextafter(threshold, 1.0)), 0.0, -0.0, 1.0]
+        conf = st.one_of(st.sampled_from(near), st.floats(0, 1))
+        sources.detections = {
+            image_id: [Detection(draw(st.sampled_from(["person", "dog"])), draw(conf))
+                       for _ in range(draw(st.integers(0, 4)))]
+            for image_id in others if draw(st.booleans())}
+
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 400))
+        sources.categories = tuple(f"cat_{j}" for j in range(k))
+        # "indoor" everywhere leaves rows with no outdoor category
+        outdoor_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        sources.io_map = {c: "outdoor" if rng.random() < outdoor_share else "indoor"
+                          for c in sources.categories}
+        scene_ids = [i for i in others if draw(st.booleans())]
+        values = np.array([scene_row(draw, rng, k) for _ in scene_ids]).reshape(-1, k)
+        sources.scenes = FeatureStore(scene_ids, values)
+
+    if draw(st.booleans()):
+        script = {image_id: (draw(st.sampled_from([200, 200, 200, 429, 500])),
+                             {field: draw(st.sampled_from(LEVEL_TOKENS))
+                              for field in OK_RESPONSE})
+                  for image_id in ids}
+        sources.safe_search = make_client(
+            lambda url, headers, body: script[body["image"]["source"]["uri"]],
+            max_attempts=1, requests_per_second=0.0)
+    return ids, sources, draw(st.integers(1, 3))
+
+
+class TestAgainstFrozenReference:
+    """The batch extraction against the earlier per-image code in
+    `frozen_extraction`."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(extraction_batches())
+    def test_same_file_and_report_as_the_per_image_extraction(self, batch):
+        ids, sources, workers = batch
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            want = frozen_extraction.run_extraction(ids, sources, None, tmp / "want.csv", workers)
+            got = run_extraction(ids, sources, None, tmp / "got.csv", workers)
+            assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+        assert got.to_dict() == want.to_dict()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 400), st.sampled_from([0.2, 1.0, 5.0]),
+           st.integers(0, 2**32 - 1))
+    def test_batch_outdoor_mass_is_bitwise_the_per_image_sum(self, m, k, alpha, seed):
+        # `%.6f` would hide a last-bit change, so the sums are compared as bits
+        rng = np.random.default_rng(seed)
+        values = rng.dirichlet(np.full(k, alpha), size=m)
+        values[rng.random((m, k)) < 0.05] = -0.0
+        names = tuple(f"cat_{j}" for j in range(k))
+        io_map = {n: "outdoor" if rng.random() < 0.7 else "indoor" for n in names}
+        got = outdoor_probability(FeatureStore([f"img_{i}" for i in range(m)], values),
+                                  names, io_map)
+        want = np.array([frozen_extraction.outdoor_probability(
+            SimpleNamespace(probs=row, category_names=names), io_map) for row in values])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestAgainstRealHttp:

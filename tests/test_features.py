@@ -137,7 +137,7 @@ class TestStandardizer:
 
     def test_identity_params_leave_input_unchanged(self):
         from privlens.features import StandardizationParams
-        params = StandardizationParams.identity(3)
+        params = StandardizationParams(np.zeros(3), np.ones(3))
         X = np.array([[1.0, 2.0, 3.0]])
         np.testing.assert_array_equal(apply_standardizer(params, X), X)
 
