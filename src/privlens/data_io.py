@@ -176,14 +176,15 @@ def _open_csv(path):
 def _bad_input(exc: UnicodeDecodeError | csv.Error, path, line) -> ParseError:
     """`exc` as a ParseError at `line`. The text layer decodes ahead of the
     line it returns, so a decode error is placed by finding the first line
-    of `path` that is not UTF-8."""
+    of `path` that is not UTF-8. Lines end where that layer ends them, and
+    where `bytes.splitlines` does: at LF, CRLF or a lone CR."""
     if isinstance(exc, csv.Error):
         return ParseError(f"malformed CSV: {exc}", path=path, line=line)
     data, line = Path(path).read_bytes(), None
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as first:
-        line = data.count(b"\n", 0, first.start) + 1
+        line = len((data[:first.start] + b"?").splitlines())  # "?" holds the bad byte's line
     return ParseError(f"not UTF-8: {exc.reason}", path=path, line=line)
 
 

@@ -19,7 +19,9 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .data_io import (FeatureStore, _bad_input, _check_header, _csv_rows, _open_
                       privacy_store, write_privacy_store)
 from .errors import (
     AuthError,
+    ConfigError,
     ExtractionError,
     InvalidScene,
     MalformedResponse,
@@ -139,13 +142,26 @@ class _RateLimiter:
             self._sleep(wait)
 
 
+@cache
+def _opener():
+    """urllib's default opener, except that a 3xx answer is returned as it
+    stands, so the bearer key never follows a redirect to another host."""
+    import urllib.request  # imported here: only extract talks HTTP
+
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None
+
+    return urllib.request.build_opener(NoRedirect)
+
+
 @dataclass
 class SafeSearchClient:
     """HTTP client with client-side rate limiting and exponential backoff.
 
     `transport` is a callable (url, headers, json_body) -> (status, parsed_json)
-    so tests can count calls without a live server; the default posts with
-    requests.
+    so tests can count calls without a live server; the default makes one
+    standard-library POST per attempt.
     """
 
     url: str
@@ -163,23 +179,46 @@ class SafeSearchClient:
 
     @classmethod
     def from_env(cls, **kwargs) -> "SafeSearchClient":
+        """The client of the configured endpoint; ValueError when none is set,
+        ConfigError when it is not an http(s) URL with a host, a valid port and
+        no user info."""
         url = os.environ.get(ENV_URL)
         if not url:
             raise ValueError(f"{ENV_URL} not set")
+        try:
+            parts = urlsplit(url)
+            parts.port  # ValueError unless absent or a number in 0-65535
+        except ValueError:
+            parts = None
+        if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
+                or parts.username is not None):  # urllib cannot send user info as auth
+            raise ConfigError(f"{ENV_URL} must be an http or https URL with a host "
+                              f"and no user info, got {url!r}")
         return cls(url=url, api_key=os.environ.get(ENV_KEY, ""), **kwargs)
 
     def _requests_transport(self, url, headers, body):
-        import requests  # imported here: only extract talks HTTP
+        """One standard-library POST on a connection closed after the answer;
+        a redirect is not followed. The name is the one the traced benchmark
+        wraps."""
+        import http.client  # imported here: only extract talks HTTP
+        import urllib.error
+        import urllib.request
 
         try:
-            resp = requests.post(url, headers=headers, json=body, timeout=30)
-        except requests.RequestException as exc:
+            request = urllib.request.Request(url, json.dumps(body, allow_nan=False).encode(),
+                                             {"Content-Type": "application/json", **headers})
+            try:
+                resp = _opener().open(request, timeout=30)
+            except urllib.error.HTTPError as exc:  # a non-2xx answer, read as a 2xx one is
+                resp = exc
+            with resp:
+                status, raw = resp.status, resp.read()
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(str(exc)) from exc
         try:
-            payload = resp.json()
+            return status, json.loads(raw)
         except ValueError:
-            payload = None
-        return resp.status_code, payload
+            return status, None
 
     def annotate(self, image_ref: str) -> SafeSearchResult:
         """One SafeSearch request with retries; raises on permanent failure."""
@@ -313,18 +352,18 @@ def _sensitivity_for(
     image_id: str, sources: ExtractionSources, cache_dir: Path | None
 ) -> SafeSearchResult | None:
     """Cached SafeSearch lookup; None when no sensitivity source exists."""
-    if cache_dir is not None:
-        cached = _read_cache(_cache_path(cache_dir, image_id))
-        if cached is not None:
-            return cached
+    path = _cache_path(cache_dir, image_id) if cache_dir is not None else None
+    cached = _read_cache(path) if path is not None else None
+    if cached is not None:
+        return cached
     if sources.safe_search is None:
         return None
     ref = sources.image_refs.get(image_id, image_id)
     result = sources.safe_search.annotate(ref)
-    if cache_dir is not None:
-        tmp = _cache_path(cache_dir, image_id).with_suffix(".json.tmp")
+    if path is not None:
+        tmp = path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(result.to_dict(), sort_keys=True), "utf-8")
-        tmp.replace(_cache_path(cache_dir, image_id))
+        tmp.replace(path)
     return result
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: tiny handwritten datasets, a synthetic CSV corpus, and a
 counting mock SafeSearch HTTP server."""
 
+import contextlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -112,33 +113,65 @@ SAFE_SEARCH_OK = {
 
 
 class MockSafeSearchHandler(BaseHTTPRequestHandler):
-    """Counts requests; URIs containing 'limited' are permanently rate-limited."""
+    """Counts requests and keeps the last one's headers and body. URIs
+    containing 'limited' are permanently rate-limited, 'moved' ones get a 302
+    to the server's `redirect_to`, 'broken' ones a 500 with an HTML body and
+    'garbled' ones a 200 whose body is not JSON. A GET (a POST redirected by
+    a client) is counted and answered with a 404."""
 
     def do_POST(self):
         self.server.calls += 1
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length))
-        uri = body["image"]["source"]["uri"]
+        raw = self.rfile.read(length)
+        self.server.last_headers, self.server.last_body = self.headers, raw
+        uri = json.loads(raw)["image"]["source"]["uri"]
         if "limited" in uri:
             self.send_response(429)
             self.end_headers()
             return
-        payload = json.dumps(SAFE_SEARCH_OK).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
+        if "moved" in uri:
+            self.send_response(302)
+            self.send_header("Location", self.server.redirect_to)
+            self.end_headers()
+            return
+        status, kind, payload = 200, "application/json", json.dumps(SAFE_SEARCH_OK).encode()
+        if "broken" in uri:
+            status, kind = 500, "text/html"
+            payload = b"<html><body>Internal Server Error</body></html>"
+        elif "garbled" in uri:
+            payload = b"adult=VERY_UNLIKELY"
+        self.send_response(status)
+        self.send_header("Content-Type", kind)
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
+
+    def do_GET(self):
+        self.server.calls += 1
+        self.server.last_headers, self.server.last_body = self.headers, b""
+        self.send_response(404)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
 
     def log_message(self, *args):
         pass
 
 
-@pytest.fixture
-def mock_server():
+@contextlib.contextmanager
+def serving_mock():
+    """A running mock SafeSearch server on a free localhost port."""
     server = HTTPServer(("127.0.0.1", 0), MockSafeSearchHandler)
-    server.calls = 0
+    server.calls, server.last_headers, server.redirect_to = 0, None, None
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield server
-    server.shutdown()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def mock_server():
+    with serving_mock() as server:
+        yield server

@@ -24,6 +24,7 @@ from privlens.data_io import (
     write_privacy_store,
 )
 from privlens.config import DataPaths, ExperimentConfig, load_dataset
+from privlens.extractors import load_io_map
 from privlens.errors import (
     DimensionMismatch,
     DuplicateId,
@@ -81,6 +82,21 @@ class TestManifest:
         path = tmp_path / "out.csv"
         write_manifest(path, manifest_store(cells))
         assert manifest_cells(load_manifest(path)) == cells
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("load, lines", [
+    (load_manifest, [b"image_id,label,split", b"a,private,train", b"b,pub\xfflic,test"]),
+    (load_io_map, [b"# scenes", b"beach,outdoor", b"k\xffitchen,indoor"]),
+], ids=["manifest", "io map"])
+def test_bad_byte_is_placed_at_its_line(tmp_path, load, lines, newline):
+    # the text layer ends a line at LF, CRLF or a lone CR; the reported line must agree
+    path = tmp_path / "in.txt"
+    path.write_bytes(newline.encode().join(lines) + newline.encode())
+    with pytest.raises(ParseError) as info:
+        load(path)
+    assert info.value.line == 3
+    assert str(info.value) == f"not UTF-8: invalid start byte [{path}:3]"
 
 
 PRIVACY_HEADER = ("image_id,adult,racy,medical,spoofed,violent,"

@@ -1,3 +1,5 @@
+import json
+import socket
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frozen_extraction
+from conftest import serving_mock
 from privlens.data_io import FeatureStore
 from privlens.errors import (
     AuthError,
@@ -344,19 +347,65 @@ class TestAgainstFrozenReference:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def http_client(url, **kwargs):
+    """A client on the default transport that never waits."""
+    return SafeSearchClient(url=url, backoff_base=0.0, sleep=lambda s: None,
+                            requests_per_second=0.0, **kwargs)
+
+
 class TestAgainstRealHttp:
     def test_requests_transport_roundtrip(self, mock_server):
-        url = f"http://127.0.0.1:{mock_server.server_port}/"
-        client = SafeSearchClient(url=url, backoff_base=0.0, sleep=lambda s: None,
-                                  requests_per_second=0.0)
+        client = http_client(f"http://127.0.0.1:{mock_server.server_port}/")
         result = client.annotate("img.jpg")
         assert result.racy is L.POSSIBLE
         assert mock_server.calls == 1
 
     def test_rate_limited_uri_exhausts_attempts(self, mock_server):
-        url = f"http://127.0.0.1:{mock_server.server_port}/"
-        client = SafeSearchClient(url=url, max_attempts=3, backoff_base=0.0,
-                                  sleep=lambda s: None, requests_per_second=0.0)
+        client = http_client(f"http://127.0.0.1:{mock_server.server_port}/", max_attempts=3)
         with pytest.raises(RateLimited):
             client.annotate("limited.jpg")
         assert mock_server.calls == 3
+
+    def test_connection_refused_is_one_transport_error(self):
+        with socket.socket() as bound:  # bound but not listening: a connect is refused
+            bound.bind(("127.0.0.1", 0))
+            client = http_client(f"http://127.0.0.1:{bound.getsockname()[1]}/")
+            attempts = []
+            client.transport = lambda *a: attempts.append(a) or client._requests_transport(*a)
+            with pytest.raises(TransportError):
+                client.annotate("img.jpg")
+        assert len(attempts) == 1
+
+    def test_500_with_html_body_is_transport_error(self, mock_server):
+        client = http_client(f"http://127.0.0.1:{mock_server.server_port}/")
+        with pytest.raises(TransportError, match="HTTP 500"):
+            client.annotate("broken.jpg")
+        assert mock_server.calls == 1
+
+    def test_200_without_json_is_malformed(self, mock_server):
+        client = http_client(f"http://127.0.0.1:{mock_server.server_port}/")
+        with pytest.raises(MalformedResponse):
+            client.annotate("garbled.jpg")
+
+    def test_key_arrives_as_bearer_token(self, mock_server):
+        client = http_client(f"http://127.0.0.1:{mock_server.server_port}/", api_key="s3cret")
+        client.annotate("img.jpg")
+        assert mock_server.last_headers["Authorization"] == "Bearer s3cret"
+
+    def test_redirect_is_not_followed(self, mock_server):
+        # the bearer key must not reach whatever host a 3xx names
+        with serving_mock() as elsewhere:
+            mock_server.redirect_to = f"http://127.0.0.1:{elsewhere.server_port}/"
+            client = http_client(f"http://127.0.0.1:{mock_server.server_port}/", api_key="s3cret")
+            with pytest.raises(TransportError, match="HTTP 302"):
+                client.annotate("moved.jpg")
+        assert mock_server.calls == 1
+        assert elsewhere.calls == 0 and elsewhere.last_headers is None
+
+    def test_posted_body_is_the_json_request(self, mock_server):
+        client = http_client(f"http://127.0.0.1:{mock_server.server_port}/v1/images:annotate")
+        client.annotate("img.jpg")
+        assert mock_server.last_headers["Content-Type"] == "application/json"
+        assert "Authorization" not in mock_server.last_headers
+        assert mock_server.last_body == json.dumps(
+            {"image": {"source": {"uri": "img.jpg"}}}).encode("utf-8")
