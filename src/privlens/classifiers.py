@@ -25,7 +25,6 @@ from .errors import (
 )
 from .features import (
     FeatureGroup,
-    PrivacyLabel,
     StandardizationParams,
     apply_standardizer,
     fit_standardizer,
@@ -46,17 +45,19 @@ class TrainConfig:
     class_weighting: str = "balanced"  # "none" | "balanced"
     early_stop_patience: int | None = None
 
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+    def __post_init__(self):  # NaN fails every comparison
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and positive")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be non-negative")
+        if not 0 <= self.l2_penalty < np.inf:
+            raise ValueError("l2_penalty must be finite and non-negative")
         if self.batch_size is not None and self.batch_size <= 0:
             raise ValueError("batch_size must be positive or None")
         if self.class_weighting not in ("none", "balanced"):
             raise ValueError(f"unknown class_weighting {self.class_weighting!r}")
+        if self.early_stop_patience is not None and self.early_stop_patience < 0:
+            raise ValueError("early_stop_patience must be non-negative or None")
 
 
 @dataclass(frozen=True)
@@ -319,14 +320,9 @@ def predict_proba(model: Model, X) -> np.ndarray:
     return sigmoid(mlp_forward(model.layers, apply_standardizer(model.standardizer, X))[0])
 
 
-def predict_label(model: Model, X, threshold: float = 0.5) -> list[PrivacyLabel]:
-    """Private iff probability >= threshold (ties go to Private)."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0,1)")
-    probs = predict_proba(model, X)
-    return [
-        PrivacyLabel.PRIVATE if p >= threshold else PrivacyLabel.PUBLIC for p in probs
-    ]
+def predict_label(model: Model, X) -> np.ndarray:
+    """True (Private) iff the probability is at least 0.5, so ties go to Private."""
+    return predict_proba(model, X) >= 0.5
 
 
 # --- serialization -----------------------------------------------------------

@@ -14,8 +14,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, extractors
 from .classifiers import (
     FeatureSpec,
@@ -36,7 +34,7 @@ from .errors import (
     MissingGroupData,
     PrivlensError,
 )
-from .features import GROUP_ORDER, FeatureGroup, PrivacyLabel
+from .features import GROUP_ORDER, FeatureGroup
 from .metrics import MetricsReport
 
 log = logging.getLogger(__name__)
@@ -73,14 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 # --- shared helpers ----------------------------------------------------------
 
-def _labels_from_binary(y: np.ndarray) -> list[PrivacyLabel]:
-    return [PrivacyLabel.PRIVATE if v == 1.0 else PrivacyLabel.PUBLIC for v in y]
-
-
 def _train_one(cfg: ExperimentConfig, ds: Dataset, groups, source_tag):
-    """Train on the train split, report metrics on train and val splits.
+    """Train on the train split.
 
-    Returns (model, loss trace, reports, why early stopping was off or None).
+    Returns (model, loss trace, the splits to score as name -> (X, y): train,
+    and val when it is non-empty, why early stopping was off or None).
     """
     X_train, y_train, _ = build_design_matrix(ds, Split.TRAIN, groups, source_tag)
     if X_train.size == 0:
@@ -101,14 +96,10 @@ def _train_one(cfg: ExperimentConfig, ds: Dataset, groups, source_tag):
     model.feature_spec = FeatureSpec(
         groups=tuple(sorted(groups, key=lambda g: g.value)), source_tag=source_tag
     )
-
-    reports = {}
-    for name, X, y in (("train", X_train, y_train), ("val", X_val, y_val)):
-        if X.size == 0:
-            continue
-        pred = predict_label(model, X)
-        reports[name] = MetricsReport.from_labels(_labels_from_binary(y), pred)
-    return model, trace, reports, stop_note
+    splits = {"train": (X_train, y_train)}
+    if has_val:
+        splits["val"] = (X_val, y_val)
+    return model, trace, splits, stop_note
 
 
 def _write_trace(path, trace):
@@ -131,8 +122,7 @@ def _evaluate_model(model, ds: Dataset, split: Split) -> MetricsReport:
         raise FeatureSpecMismatch(
             f"dataset yields {X.shape[1]} features, model expects {model.standardizer.dim}"
         )
-    pred = predict_label(model, X)
-    return MetricsReport.from_labels(_labels_from_binary(y), pred)
+    return MetricsReport.from_labels(y, predict_label(model, X))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -197,7 +187,9 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
 
 def cmd_train(cfg: ExperimentConfig) -> int:
     ds = load_dataset(cfg, require_splits=True, annotations=False)
-    model, trace, reports, stop_note = _train_one(cfg, ds, cfg.groups, cfg.source_tag)
+    model, trace, splits, stop_note = _train_one(cfg, ds, cfg.groups, cfg.source_tag)
+    reports = {name: MetricsReport.from_labels(y, predict_label(model, X))
+               for name, (X, y) in splits.items()}
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, cfg.out_dir / "model.json")
     _write_trace(cfg.out_dir / "loss_trace.csv", trace)

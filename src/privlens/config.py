@@ -176,8 +176,9 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
             dims_raw = sec.get("hidden_dims", "").strip()
             if dims_raw:
                 dims = tuple(int(d) for d in dims_raw.split(","))
-                if len(dims) != 3:
-                    raise ConfigError("hidden_dims must list exactly three widths")
+                if len(dims) != 3 or min(dims) < 1:
+                    raise ConfigError(f"hidden_dims must list exactly three positive widths, "
+                                      f"got {dims_raw}")
                 cfg.hidden_dims = dims
         except ValueError as exc:
             raise ConfigError(f"bad [train] value: {exc}") from exc

@@ -30,7 +30,6 @@ from .data_io import (FeatureStore, _bad_input, _check_header, _csv_rows, _open_
 from .errors import (
     AuthError,
     ConfigError,
-    ExtractionError,
     InvalidScene,
     MalformedResponse,
     ParseError,
@@ -378,9 +377,10 @@ def run_extraction(
 
     The people and outdoor columns, and which scene rows are valid, are
     computed once for the batch; the worker threads only look up SafeSearch.
-    Per-image failures land in the report; successful rows are still written,
-    in manifest order, so re-runs with identical upstream responses produce
-    byte-identical files.
+    Any exception from an image's lookup or scene check fails only that image:
+    it lands in the report as "<Type>: <message>". Successful rows are still
+    written, in manifest order, so re-runs with identical upstream responses
+    produce byte-identical files.
     """
     cache = Path(cache_dir) if cache_dir is not None else None
     if cache is not None:
@@ -408,7 +408,8 @@ def run_extraction(
                 sensitivity = future.result()
                 if bad_scene[k]:
                     raise InvalidScene("scene probabilities must be non-negative and sum to 1")
-            except ExtractionError as exc:
+            except Exception as exc:
+                log.debug("image %s failed", image_id, exc_info=exc)
                 report.failures[image_id] = f"{type(exc).__name__}: {exc}"
                 continue
             levels = [getattr(sensitivity, c, None) for c in SENSITIVITY_CLASSES]

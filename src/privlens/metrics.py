@@ -1,17 +1,16 @@
 """Confusion counts, balanced accuracy, F1, unweighted accuracy.
 
-PRIVATE is the positive class throughout.
+Labels are 0/1 or bool arrays; 1/True is Private, the positive class throughout.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Sequence
+
+import numpy as np
 
 from .errors import EmptyInput, LengthMismatch, UndefinedMetric
-from .features import PrivacyLabel
 
 log = logging.getLogger(__name__)
 
@@ -32,18 +31,22 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def confusion(
-    y_true: Sequence[PrivacyLabel], y_pred: Sequence[PrivacyLabel]
-) -> ConfusionCounts:
-    if len(y_true) != len(y_pred):
-        raise LengthMismatch(f"{len(y_true)} true vs {len(y_pred)} predicted")
-    if not y_true:
+def _is_private(y) -> np.ndarray:
+    """A 0/1 or bool label vector as a bool mask; any other value is a ValueError."""
+    y = np.asarray(y)
+    if y.ndim != 1 or y.dtype.kind not in "biuf" or not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be a vector of 0/1 or bool (1/True is Private)")
+    return y == 1
+
+
+def confusion(y_true, y_pred) -> ConfusionCounts:
+    t, p = _is_private(y_true), _is_private(y_pred)
+    if len(t) != len(p):
+        raise LengthMismatch(f"{len(t)} true vs {len(p)} predicted")
+    if not len(t):
         raise EmptyInput("no samples to evaluate")
-    # (truth is private, prediction is private) -> count
-    n = Counter((t is PrivacyLabel.PRIVATE, p is PrivacyLabel.PRIVATE)
-                for t, p in zip(y_true, y_pred))
-    return ConfusionCounts(tp=n[True, True], fp=n[False, True], tn=n[False, False],
-                           fn=n[True, False])
+    tp, fp, fn = (int(np.count_nonzero(m)) for m in (t & p, ~t & p, t & ~p))
+    return ConfusionCounts(tp=tp, fp=fp, tn=len(t) - tp - fp - fn, fn=fn)
 
 
 def balanced_accuracy(c: ConfusionCounts) -> float:
@@ -81,9 +84,7 @@ class MetricsReport:
         return self.counts.n
 
     @classmethod
-    def from_labels(
-        cls, y_true: Sequence[PrivacyLabel], y_pred: Sequence[PrivacyLabel]
-    ) -> "MetricsReport":
+    def from_labels(cls, y_true, y_pred) -> "MetricsReport":
         c = confusion(y_true, y_pred)
         try:
             ba = balanced_accuracy(c)

@@ -162,7 +162,8 @@ def serving_mock():
     """A running mock SafeSearch server on a free localhost port."""
     server = HTTPServer(("127.0.0.1", 0), MockSafeSearchHandler)
     server.calls, server.last_headers, server.redirect_to = 0, None, None
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so shutdown() does not wait out the default 0.5 s at teardown
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
         yield server

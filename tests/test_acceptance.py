@@ -155,8 +155,7 @@ def test_criterion_4_synthetic_end_to_end(tmp_path):
         X_tr, y_tr, _ = build_design_matrix(ds, Split.TRAIN, groups)
         X_te, y_te, _ = build_design_matrix(ds, Split.TEST, groups)
         model, _ = train_logreg(X_tr, y_tr, TrainConfig(learning_rate=0.2, epochs=600, seed=1))
-        truth = [P if v == 1.0 else PUB for v in y_te]
-        return confusion(truth, predict_label(model, X_te))
+        return confusion(y_te, predict_label(model, X_te))
 
     ba_full = balanced_accuracy(run({G.SENS, G.PEOPLE, G.OUT}))
     ba_out = balanced_accuracy(run({G.OUT}))

@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from privlens import cli
 from privlens.classifiers import load_model, predict_proba
 from privlens.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from privlens.config import MAX_WORKERS, load_config
 from privlens.errors import ConfigError
 from privlens.extractors import SafeSearchClient, _cache_path
+from privlens.metrics import MetricsReport
 
 from conftest import write_synth_corpus
 
@@ -136,6 +138,35 @@ groups = sens
     def test_workers_within_range_accepted(self, corpus_config, workers):
         _, cfg = corpus_config
         assert load_config(cfg, workers=workers).workers == workers
+
+    @pytest.mark.parametrize("key, value", [
+        ("hidden_dims", "16, 0, 8"),
+        ("hidden_dims", "16, -4, 8"),
+        ("learning_rate", "nan"),
+        ("learning_rate", "inf"),
+        ("l2_penalty", "nan"),
+        ("l2_penalty", "inf"),
+        ("early_stop_patience", "-1"),
+    ])
+    def test_out_of_range_train_value_is_config_error(self, corpus_config, capsys, key, value):
+        # rejected while the config loads: no data is read and nothing is written
+        tmp_path, _ = corpus_config
+        cfg = write_config(tmp_path / "bad.ini", f"""
+[data]
+manifest = manifest.csv
+privacy_features = privacy_features.csv
+
+[train]
+kind = mlp
+epochs = 20
+{key} = {value}
+""")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out-dir", str(out), "train"]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("configuration error: ") and key in line
+        assert not out.exists()
 
 
 class TestTrain:
@@ -382,6 +413,28 @@ seed = 5
         all8 = next(l for l in csv_lines if l.startswith("all8,"))
         assert f"{report['balanced_accuracy']:.4f}" in all8
         assert f"{report['f1']:.4f}" in all8
+
+    def test_only_the_reported_test_split_is_scored(self, corpus_config, monkeypatch):
+        # one prediction and one metrics report per row; train and val go unscored
+        tmp_path, _ = corpus_config
+        cfg = write_config(tmp_path / "ab.ini", f"""
+[data]
+manifest = manifest.csv
+privacy_features = privacy_features.csv
+
+[train]
+epochs = 50
+{ABLATION_SECTION}
+""")
+        reports, predictions = [], []
+        from_labels, predict_label = MetricsReport.from_labels, cli.predict_label
+        monkeypatch.setattr(MetricsReport, "from_labels",
+                            lambda *args: reports.append(args) or from_labels(*args))
+        monkeypatch.setattr(cli, "predict_label",
+                            lambda *args: predictions.append(args) or predict_label(*args))
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "ablate"]) == EXIT_OK
+        assert len(reports) == len(predictions) == 3
 
     def test_failing_row_reports_partial(self, corpus_config):
         tmp_path, _ = corpus_config
@@ -650,6 +703,26 @@ detections = detections.csv
         assert report["n_complete"] == n - len(off)
         lines = (out / "privacy_features.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + n - len(off)
+
+    def test_unexpected_error_fails_only_its_image(self, tmp_path, mock_server, monkeypatch,
+                                                   capsys):
+        # a directory where img_1's cache entry is written raises IsADirectoryError,
+        # which is no ExtractionError
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        cfg = self._config(tmp_path, n=2)
+        out = tmp_path / "out"
+        _cache_path(out / "safesearch_cache", "img_1").with_suffix(".json.tmp").mkdir(
+            parents=True)
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "FAILED img_1: IsADirectoryError: " in err
+        report = json.loads((out / "extraction_report.json").read_text())
+        assert list(report["failures"]) == ["img_1"]
+        assert report["failures"]["img_1"].startswith("IsADirectoryError: ")
+        assert report["n_complete"] == 1
+        rows = (out / "privacy_features.csv").read_text().strip().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["img_0"]
 
     def test_ids_with_path_separators_stay_in_the_cache(self, tmp_path, mock_server,
                                                         monkeypatch):

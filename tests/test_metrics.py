@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,27 +15,27 @@ from privlens.metrics import (
     unweighted_accuracy,
 )
 
-P, PUB = PrivacyLabel.PRIVATE, PrivacyLabel.PUBLIC
+P, PUB = 1, 0  # the label code: 1 is Private
 
 
 def labels_from_counts(c: ConfusionCounts):
-    """Expand counts back into per-sample label lists (the brute-force oracle)."""
-    y_true = [P] * (c.tp + c.fn) + [PUB] * (c.tn + c.fp)
-    y_pred = [P] * c.tp + [PUB] * c.fn + [PUB] * c.tn + [P] * c.fp
+    """Expand counts back into per-sample 0/1 label arrays (the brute-force oracle)."""
+    y_true = np.array([P] * (c.tp + c.fn) + [PUB] * (c.tn + c.fp))
+    y_pred = np.array([P] * c.tp + [PUB] * c.fn + [PUB] * c.tn + [P] * c.fp)
     return y_true, y_pred
 
 
 def oracle_metrics(y_true, y_pred):
-    """Metrics straight from label lists, no confusion-matrix shortcut."""
+    """Metrics straight from per-sample labels, no confusion-matrix shortcut."""
     n = len(y_true)
-    correct = sum(1 for t, p in zip(y_true, y_pred) if t is p)
-    pos = [(t, p) for t, p in zip(y_true, y_pred) if t is P]
-    neg = [(t, p) for t, p in zip(y_true, y_pred) if t is PUB]
-    recall_pos = sum(1 for t, p in pos if p is P) / len(pos) if pos else None
-    recall_neg = sum(1 for t, p in neg if p is PUB) / len(neg) if neg else None
+    correct = sum(1 for t, p in zip(y_true, y_pred) if t == p)
+    pos = [(t, p) for t, p in zip(y_true, y_pred) if t == P]
+    neg = [(t, p) for t, p in zip(y_true, y_pred) if t == PUB]
+    recall_pos = sum(1 for t, p in pos if p == P) / len(pos) if pos else None
+    recall_neg = sum(1 for t, p in neg if p == PUB) / len(neg) if neg else None
     ba = (recall_pos + recall_neg) / 2 if pos and neg else None
-    pred_pos = sum(1 for p in y_pred if p is P)
-    true_pos = sum(1 for t, p in zip(y_true, y_pred) if t is P and p is P)
+    pred_pos = sum(1 for p in y_pred if p == P)
+    true_pos = sum(1 for t, p in zip(y_true, y_pred) if t == P and p == P)
     denom = pred_pos + len(pos)
     f1_val = 2 * true_pos / denom if denom else 0.0
     return ba, f1_val, correct / n
@@ -60,6 +61,32 @@ class TestConfusion:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             confusion([], [])
+
+
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=40),
+       st.sampled_from([bool, np.int64, np.uint8, np.float64]))
+def test_confusion_equals_per_sample_count(pairs, dtype):
+    y_true = np.array([t for t, _ in pairs], dtype=dtype)
+    y_pred = np.array([p for _, p in pairs], dtype=dtype)
+    expected = ConfusionCounts(
+        tp=sum(t and p for t, p in pairs), fp=sum(p and not t for t, p in pairs),
+        tn=sum(not (t or p) for t, p in pairs), fn=sum(t and not p for t, p in pairs))
+    assert confusion(y_true, y_pred) == expected
+    assert confusion(list(y_true), list(y_pred)) == expected
+
+
+@given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=20), st.integers(0, 19),
+       st.sampled_from([2, 0.5, np.nan, -1, PrivacyLabel.PRIVATE, PrivacyLabel.PUBLIC]),
+       st.booleans())
+def test_confusion_rejects_a_value_that_is_not_0_or_1(labels, k, bad, in_pred):
+    # an old-style enum list, say, must not be counted silently as all Public
+    bad_side = list(labels)
+    bad_side[k % len(labels)] = bad
+    args = (labels, bad_side) if in_pred else (bad_side, labels)
+    with pytest.raises(ValueError):
+        confusion(*args)
+    with pytest.raises(ValueError):
+        MetricsReport.from_labels(*args)
 
 
 class TestBalancedAccuracy:
