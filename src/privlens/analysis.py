@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import AnnotationRecord, Dataset, FiveClassVote
+from .data_io import AnnotationRecord, Dataset, FiveClassVote, decode_levels
 from .errors import EmptyControversialSet, EmptyDataset, TooFewVotes
 from .features import Likelihood, SENSITIVITY_CLASSES
 
@@ -95,11 +95,6 @@ def controversial_people_breakdown(ds: Dataset, ids: list[str]) -> dict[str, flo
     }
 
 
-def _levels(values: np.ndarray) -> np.ndarray:
-    """Likelihood level of each sensitivity column, decoded from ``level / 4``."""
-    return np.rint(values[:, :len(SENSITIVITY_CLASSES)] * 4).astype(np.intp)
-
-
 def group_membership(
     values: np.ndarray,
     missing: np.ndarray,
@@ -110,7 +105,7 @@ def group_membership(
 
     A missing sensitivity cell never makes an image sensitive.
     """
-    sensitive = ((_levels(values) >= sensitive_min_level) & ~missing).any(axis=1)
+    sensitive = ((decode_levels(values) >= sensitive_min_level) & ~missing).any(axis=1)
     return (
         values[:, _PEOPLE_COUNT] >= 1,
         sensitive,
@@ -149,7 +144,7 @@ def sensitivity_label_distribution(ds: Dataset) -> dict:
     Missing sensitivity fields are skipped (not counted as any level).
     """
     values, missing, private = ds.labeled_privacy_features
-    levels = _levels(values)
+    levels = decode_levels(values)
     counts, shares = {}, {}
     for j, c in enumerate(SENSITIVITY_CLASSES):
         per_label = {
@@ -177,7 +172,7 @@ def private_prob_given_sensitivity(
     j = SENSITIVITY_CLASSES.index(sensitivity_class)
     values, missing, private = ds.labeled_privacy_features
     present = ~missing[:, j]
-    levels = _levels(values)[:, j]
+    levels = decode_levels(values)[:, j]
     n_total = np.bincount(levels[present], minlength=len(Likelihood))
     n_private = np.bincount(levels[present & private], minlength=len(Likelihood))
     out = []

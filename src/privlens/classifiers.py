@@ -24,7 +24,7 @@ from .errors import (
     ShapeError,
 )
 from .features import (
-    FeatureGroup,
+    FeatureSpec,
     StandardizationParams,
     apply_standardizer,
     fit_standardizer,
@@ -58,25 +58,6 @@ class TrainConfig:
             raise ValueError(f"unknown class_weighting {self.class_weighting!r}")
         if self.early_stop_patience is not None and self.early_stop_patience < 0:
             raise ValueError("early_stop_patience must be non-negative or None")
-
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    """Which feature blocks a model consumes, for compatibility checks."""
-
-    groups: tuple[FeatureGroup, ...]
-    source_tag: str | None = None
-
-    def to_dict(self) -> dict:
-        return {"groups": sorted(g.value for g in self.groups),
-                "source_tag": self.source_tag}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureSpec":
-        return cls(
-            groups=tuple(FeatureGroup(g) for g in d["groups"]),
-            source_tag=d.get("source_tag"),
-        )
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -286,7 +267,7 @@ def _train(init, seed: int, X, y, cfg: TrainConfig, standardizer, X_val, y_val):
     params, trace = _descend(layers.weights + layers.biases, Xs, y, weights, cfg,
                              np.random.default_rng(seed), val)
     n = len(layers.weights)
-    return Model(MlpLayers(params[:n], params[n:]), standardizer, FeatureSpec(groups=())), trace
+    return Model(MlpLayers(params[:n], params[n:]), standardizer, FeatureSpec(frozenset())), trace
 
 
 def train_logreg(X, y, cfg: TrainConfig, standardizer: StandardizationParams | None = None,

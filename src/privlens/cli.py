@@ -12,11 +12,11 @@ import dataclasses
 import json
 import logging
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from . import analysis, extractors
 from .classifiers import (
-    FeatureSpec,
     early_stopping_blocker,
     load_model,
     predict_label,
@@ -34,7 +34,7 @@ from .errors import (
     MissingGroupData,
     PrivlensError,
 )
-from .features import GROUP_ORDER, FeatureGroup
+from .features import GROUP_ORDER, FeatureGroup, FeatureSpec
 from .metrics import MetricsReport
 
 log = logging.getLogger(__name__)
@@ -71,16 +71,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 # --- shared helpers ----------------------------------------------------------
 
-def _train_one(cfg: ExperimentConfig, ds: Dataset, groups, source_tag):
+def _train_one(cfg: ExperimentConfig, ds: Dataset, spec: FeatureSpec):
     """Train on the train split.
 
     Returns (model, loss trace, the splits to score as name -> (X, y): train,
     and val when it is non-empty, why early stopping was off or None).
     """
-    X_train, y_train, _ = build_design_matrix(ds, Split.TRAIN, groups, source_tag)
+    X_train, y_train, _ = build_design_matrix(ds, Split.TRAIN, spec)
     if X_train.size == 0:
         raise ConfigError("train split is empty")
-    X_val, y_val, _ = build_design_matrix(ds, Split.VAL, groups, source_tag)
+    X_val, y_val, _ = build_design_matrix(ds, Split.VAL, spec)
     has_val = X_val.size > 0
 
     train_cfg = dataclasses.replace(cfg.train, seed=cfg.train_seed)
@@ -93,9 +93,7 @@ def _train_one(cfg: ExperimentConfig, ds: Dataset, groups, source_tag):
         model, trace = train_mlp(X_train, y_train, train_cfg, list(cfg.hidden_dims), **kwargs)
     else:
         model, trace = train_logreg(X_train, y_train, train_cfg, **kwargs)
-    model.feature_spec = FeatureSpec(
-        groups=tuple(sorted(groups, key=lambda g: g.value)), source_tag=source_tag
-    )
+    model.feature_spec = spec
     splits = {"train": (X_train, y_train)}
     if has_val:
         splits["val"] = (X_val, y_val)
@@ -111,9 +109,8 @@ def _write_trace(path, trace):
 
 
 def _evaluate_model(model, ds: Dataset, split: Split) -> MetricsReport:
-    groups = set(model.feature_spec.groups)
     try:
-        X, y, _ = build_design_matrix(ds, split, groups, model.feature_spec.source_tag)
+        X, y, _ = build_design_matrix(ds, split, model.feature_spec)
     except (MissingFeatures, MissingGroupData) as exc:
         raise FeatureSpecMismatch(str(exc)) from exc
     if X.size == 0:
@@ -150,7 +147,7 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
     if cfg.data.scenes is not None:
         if cfg.data.io_map is None:
             raise ConfigError("scenes configured without io_map")
-        _, scenes = load_deep_store(cfg.data.scenes)
+        _, scenes, columns = load_deep_store(cfg.data.scenes)
         io_map = extractors.load_io_map(cfg.data.io_map)
         if cfg.data.categories is not None:
             categories = extractors.load_categories(cfg.data.categories)
@@ -162,6 +159,12 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
         unmapped = next((c for c in categories if c not in io_map), None)
         if unmapped is not None:
             raise ConfigError(f"category {unmapped!r} is missing from io map {cfg.data.io_map}")
+        # a header that names categories must name them in the order of the list
+        if set(columns) <= io_map.keys() and columns != list(categories):
+            k, (name, expected) = next((k, pair) for k, pair in enumerate(
+                zip_longest(columns, categories)) if pair[0] != pair[1])
+            raise ConfigError(f"scene store {cfg.data.scenes} column {k + 1} is {name!r}, "
+                              f"the category list has {expected!r}")
     sources = extractors.ExtractionSources(
         safe_search=client,
         image_refs=image_refs,
@@ -187,7 +190,7 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
 
 def cmd_train(cfg: ExperimentConfig) -> int:
     ds = load_dataset(cfg, require_splits=True, annotations=False)
-    model, trace, splits, stop_note = _train_one(cfg, ds, cfg.groups, cfg.source_tag)
+    model, trace, splits, stop_note = _train_one(cfg, ds, cfg.features)
     reports = {name: MetricsReport.from_labels(y, predict_label(model, X))
                for name, (X, y) in splits.items()}
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -195,8 +198,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     _write_trace(cfg.out_dir / "loss_trace.csv", trace)
     train_log = {
         "classifier_kind": cfg.classifier_kind,
-        "groups": sorted(g.value for g in cfg.groups),
-        "source_tag": cfg.source_tag,
+        **cfg.features.to_dict(),
         "seed": cfg.seed,
         "derived_seeds": {"split": cfg.split_seed, "train": cfg.train_seed},
         "train_config": {k: v for k, v in dataclasses.asdict(cfg.train).items() if k != "seed"},
@@ -232,7 +234,7 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
     failures = 0
     for row in cfg.ablation_rows:
         try:
-            model = _train_one(cfg, ds, row.groups, row.source_tag)[0]
+            model = _train_one(cfg, ds, row.features)[0]
             report = _evaluate_model(model, ds, Split.TEST)
             results.append((row, report, None))
             save_model(model, cfg.out_dir / f"model_{row.row_id}.json")
@@ -245,9 +247,9 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
     csv_rows = []
     lines = ["  ".join(f"{h:<8s}" for h in header)]
     for row, report, err in results:
-        marks = ["x" if g in row.groups else "" for g in GROUP_ORDER]
-        if row.source_tag and FeatureGroup.DEEP in row.groups:
-            marks[4] = row.source_tag
+        marks = ["x" if g in row.features.groups else "" for g in GROUP_ORDER]
+        if row.features.source_tag and FeatureGroup.DEEP in row.features.groups:
+            marks[4] = row.features.source_tag
         if report is not None:
             ba = f"{report.balanced_accuracy:.4f}" if report.balanced_accuracy is not None else "n/a"
             f1v = f"{report.f1:.4f}"
@@ -362,7 +364,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PrivlensError as exc:
+    except Exception as exc:  # a PrivlensError, or a fault no input check foresaw
+        log.debug("%s failed", args.command, exc_info=exc)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK

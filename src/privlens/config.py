@@ -22,27 +22,37 @@ from .data_io import (
     write_manifest,
 )
 from .errors import ConfigError
-from .features import FeatureGroup
+from .features import FeatureGroup, FeatureSpec
 
 _GROUP_TOKENS = {g.value: g for g in FeatureGroup}
+_DEFAULT_GROUPS = "sens, people, out"
 
 # Upper bound on `--workers`, the number of threads `extract` starts.
 MAX_WORKERS = 64
 
 
-def parse_groups(token: str) -> set[FeatureGroup]:
+def parse_groups(token: str) -> frozenset[FeatureGroup]:
     groups = set()
     for part in token.split(","):
         part = part.strip().lower()
         if not part:
             continue
         if part not in _GROUP_TOKENS:
-            raise ConfigError(f"unknown feature group {part!r} "
-                              f"(expected one of {sorted(_GROUP_TOKENS)})")
+            raise ValueError(f"unknown feature group {part!r} "
+                             f"(expected one of {sorted(_GROUP_TOKENS)})")
         groups.add(_GROUP_TOKENS[part])
     if not groups:
-        raise ConfigError("feature groups must be a nonempty subset")
-    return groups
+        raise ValueError("feature groups must be a nonempty subset")
+    return frozenset(groups)
+
+
+def _feature_spec(sec, default_groups: str = "") -> FeatureSpec:
+    """The feature selection a [features] or [ablation.<row>] section declares."""
+    try:
+        return FeatureSpec(parse_groups(sec.get("groups", "").strip() or default_groups),
+                           sec.get("source_tag", "").strip() or None)
+    except ValueError as exc:
+        raise ConfigError(f"[{sec.name}] {exc}") from exc
 
 
 @dataclass
@@ -61,17 +71,13 @@ class DataPaths:
 @dataclass
 class AblationRow:
     row_id: str
-    groups: set[FeatureGroup]
-    source_tag: str | None = None
+    features: FeatureSpec
 
 
 @dataclass
 class ExperimentConfig:
     data: DataPaths
-    groups: set[FeatureGroup] = field(default_factory=lambda: {
-        FeatureGroup.SENS, FeatureGroup.PEOPLE, FeatureGroup.OUT,
-    })
-    source_tag: str | None = None
+    features: FeatureSpec = FeatureSpec(parse_groups(_DEFAULT_GROUPS))
     classifier_kind: str = "logreg"
     train: TrainConfig = field(default_factory=TrainConfig)
     hidden_dims: tuple[int, int, int] = (16, 16, 8)
@@ -151,11 +157,7 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
     cfg = ExperimentConfig(data=data)
 
     if "features" in parser:
-        sec = parser["features"]
-        if sec.get("groups", "").strip():
-            cfg.groups = parse_groups(sec["groups"])
-        tag = sec.get("source_tag", "").strip()
-        cfg.source_tag = tag or None
+        cfg.features = _feature_spec(parser["features"], _DEFAULT_GROUPS)
 
     if "train" in parser:
         sec = parser["train"]
@@ -190,8 +192,10 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
                 fr = tuple(float(x) for x in raw.split(","))
             except ValueError as exc:
                 raise ConfigError(f"bad split fractions: {exc}") from exc
-            if len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
-                raise ConfigError("split fractions must be three numbers summing to 1")
+            # NaN fails every comparison
+            if len(fr) != 3 or not all(0 <= f <= 1 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
+                raise ConfigError("split fractions must be three numbers in [0, 1] summing to 1, "
+                                  f"got {raw}")
             cfg.split_fractions = fr
 
     if "extract" in parser:
@@ -227,13 +231,7 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
             sec_name = f"ablation.{row_id}"
             if sec_name not in parser:
                 raise ConfigError(f"missing section [{sec_name}]")
-            sec = parser[sec_name]
-            tag = sec.get("source_tag", "").strip()
-            cfg.ablation_rows.append(AblationRow(
-                row_id=row_id,
-                groups=parse_groups(sec.get("groups", "")),
-                source_tag=tag or None,
-            ))
+            cfg.ablation_rows.append(AblationRow(row_id, _feature_spec(parser[sec_name])))
 
     # CLI overrides
     if seed is not None:
@@ -274,7 +272,7 @@ def load_dataset(
         stores["privacy_features"] = load_privacy_store(cfg.data.privacy_features)
     deep_stores = {}
     for p in cfg.data.deep_features if deep else ():
-        tag, store = load_deep_store(p)
+        tag, store, _ = load_deep_store(p)
         if tag in deep_stores:
             raise ConfigError(f"duplicate deep-feature source_tag {tag!r}")
         deep_stores[tag] = store

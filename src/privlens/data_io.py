@@ -44,6 +44,7 @@ from .features import (
     PRIVACY_FEATURE_NAMES,
     SENSITIVITY_CLASSES,
     FeatureGroup,
+    FeatureSpec,
     Likelihood,
     PrivacyLabel,
     assemble_features,
@@ -315,6 +316,11 @@ _LEVEL_CODES = _LevelCodes({lvl.name: encode_likelihood(lvl) for lvl in Likeliho
 _PRIVACY_CONVERTERS = {**{col: _LEVEL_CODES.__getitem__ for col in range(1, 6)}, 7: int}
 
 
+def decode_levels(values: np.ndarray) -> np.ndarray:
+    """Likelihood level of each sensitivity column, decoded from ``level / 4``."""
+    return np.rint(values[:, :len(SENSITIVITY_CLASSES)] * 4).astype(np.intp)
+
+
 def _bulk_privacy_store(path) -> FeatureStore | None:
     with _open_csv(path) as fh:
         _check_header(fh, _PRIVACY_HEADER, path)
@@ -367,7 +373,7 @@ def write_privacy_store(path, store: FeatureStore) -> None:
     a level is missing, the count as an integer and the two probabilities at
     6 decimals."""
     tokens = ("", *(lvl.name for lvl in Likelihood))  # "" where missing, else the level's token
-    levels = np.where(store.missing, 0, np.rint(store.values[:, :5] * 4).astype(np.intp) + 1)
+    levels = np.where(store.missing, 0, decode_levels(store.values) + 1)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_PRIVACY_HEADER)
@@ -377,8 +383,8 @@ def write_privacy_store(path, store: FeatureStore) -> None:
                          in zip(store.ids, levels.tolist(), store.values[:, 5:].tolist()))
 
 
-def _deep_header(fh, path) -> tuple[str, int]:
-    """(source_tag, dim) from the two header lines of a deep store."""
+def _deep_header(fh, path) -> tuple[str, int, list[str]]:
+    """(source_tag, dim, column names) from the two header lines of a deep store."""
     try:
         first = fh.readline().strip()
     except UnicodeDecodeError as exc:
@@ -396,23 +402,23 @@ def _deep_header(fh, path) -> tuple[str, int]:
     lineno, header = next(_csv_rows(fh, path, 2), (2, None))
     if lineno != 2 or header is None or header[0].strip() != "image_id":
         raise ParseError("expected column header starting with image_id", path=path, line=2)
-    return source_tag, dim
+    return source_tag, dim, [name.strip() for name in header[1:]]
 
 
-def _bulk_deep_store(path) -> tuple[str, FeatureStore] | None:
+def _bulk_deep_store(path) -> tuple[str, FeatureStore, list[str]] | None:
     with _open_csv(path) as fh:
-        source_tag, dim = _deep_header(fh, path)
+        source_tag, dim, columns = _deep_header(fh, path)
         parsed = _parse_bulk(fh, dim)
     if parsed is None or not np.isfinite(parsed[1]).all():
         return None
-    return source_tag, FeatureStore(*parsed)
+    return source_tag, FeatureStore(*parsed), columns
 
 
-def _scan_deep_store(path) -> tuple[str, FeatureStore]:
+def _scan_deep_store(path) -> tuple[str, FeatureStore, list[str]]:
     """Row-at-a-time parse; the reference for the bulk path and its error reporter."""
     rows: dict[str, list[float]] = {}
     with _open_csv(path) as fh:
-        source_tag, dim = _deep_header(fh, path)
+        source_tag, dim, columns = _deep_header(fh, path)
         for lineno, row in _csv_rows(fh, path, 3):
             image_id = row[0].strip()
             if len(row) - 1 != dim:
@@ -429,11 +435,11 @@ def _scan_deep_store(path) -> tuple[str, FeatureStore]:
                 raise DuplicateId(image_id, path=path, line=lineno)
             rows[image_id] = values
     values = np.array(list(rows.values()), dtype=np.float64).reshape(len(rows), dim)
-    return source_tag, FeatureStore(list(rows), values)
+    return source_tag, FeatureStore(list(rows), values), columns
 
 
-def load_deep_store(path) -> tuple[str, FeatureStore]:
-    """Returns (source_tag, store)."""
+def load_deep_store(path) -> tuple[str, FeatureStore, list[str]]:
+    """Returns (source_tag, store, the column names of its header)."""
     loaded = _bulk_deep_store(path)
     return loaded if loaded is not None else _scan_deep_store(path)
 
@@ -495,15 +501,9 @@ _PRIVACY_COLUMNS = {
 }
 
 
-def build_design_matrix(
-    ds: Dataset,
-    split: Split | None,
-    groups: set[FeatureGroup],
-    source_tag: str | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def build_design_matrix(ds: Dataset, split: Split | None,
+                        spec: FeatureSpec) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Aligned (X, y, image_ids) in manifest order; Private=1, Public=0."""
-    if FeatureGroup.DEEP in groups and source_tag is None:
-        raise ValueError("source_tag required when the DEEP group is selected")
     manifest = ds.manifest
     picked = np.arange(len(manifest)) if split is None else np.flatnonzero(
         ~manifest.missing[:, SPLIT] & (manifest.values[:, SPLIT] == _SPLIT_CODES[split.value]))
@@ -514,8 +514,8 @@ def build_design_matrix(
     sources = [source for source in (
         (ds.privacy_features, "privacy", _PRIVACY_COLUMNS),
         (ds.deep_features.get("places365"), "PLACES", {FeatureGroup.PLACES: slice(None)}),
-        (ds.deep_features.get(source_tag), "DEEP", {FeatureGroup.DEEP: slice(None)}),
-    ) if groups & source[2].keys()]
+        (ds.deep_features.get(spec.source_tag), "DEEP", {FeatureGroup.DEEP: slice(None)}),
+    ) if spec.groups & source[2].keys()]
     rows = [store.rows(ids) if store is not None else np.full(len(ids), -1)
             for store, _, _ in sources]
 
@@ -531,4 +531,4 @@ def build_design_matrix(
     blocks = {group: store.values[r, cols]
               for (store, _, columns), r in zip(sources, rows) for group, cols in columns.items()}
     y = manifest.values[picked, LABEL]
-    return assemble_features(blocks, groups), y, ids
+    return assemble_features(blocks, spec.groups), y, ids

@@ -123,9 +123,8 @@ class _RateLimiter:
     seconds after the previous one, waiting until it comes, so at most `rate`
     acquisitions start per second and none come in bursts."""
 
-    def __init__(self, rate: float, clock=time.monotonic, sleep=time.sleep):
+    def __init__(self, rate: float, sleep=time.sleep):
         self.interval = 1.0 / rate if rate > 0 else 0.0
-        self._clock = clock
         self._sleep = sleep
         self._lock = threading.Lock()
         self._next_free = 0.0
@@ -134,7 +133,7 @@ class _RateLimiter:
         if self.interval == 0.0:
             return
         with self._lock:
-            now = self._clock()
+            now = time.monotonic()
             wait = self._next_free - now
             self._next_free = max(now, self._next_free) + self.interval
         if wait > 0:

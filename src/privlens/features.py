@@ -72,6 +72,28 @@ GROUP_ORDER = (
 )
 
 
+@dataclass(frozen=True)
+class FeatureSpec:
+    """The feature groups a design matrix stacks and a model consumes, with
+    the tag of the deep store that backs DEEP."""
+
+    groups: frozenset[FeatureGroup]
+    source_tag: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "groups", frozenset(self.groups))
+        if FeatureGroup.DEEP in self.groups and self.source_tag is None:
+            raise ValueError("source_tag required when groups include deep")
+
+    def to_dict(self) -> dict:
+        return {"groups": sorted(g.value for g in self.groups),
+                "source_tag": self.source_tag}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "FeatureSpec":
+        return cls(frozenset(FeatureGroup(g) for g in d["groups"]), d.get("source_tag"))
+
+
 def assemble_features(
     blocks: dict[FeatureGroup, np.ndarray],
     groups: set[FeatureGroup],

@@ -46,6 +46,7 @@ from privlens.analysis import (
 )
 from privlens.errors import UndefinedMetric
 from privlens.features import FeatureGroup as G
+from privlens.features import FeatureSpec
 from privlens.features import Likelihood as L
 from privlens.features import PrivacyLabel
 from privlens.metrics import ConfusionCounts, balanced_accuracy, confusion, f1, unweighted_accuracy
@@ -152,8 +153,8 @@ def test_criterion_4_synthetic_end_to_end(tmp_path):
     )
 
     def run(groups):
-        X_tr, y_tr, _ = build_design_matrix(ds, Split.TRAIN, groups)
-        X_te, y_te, _ = build_design_matrix(ds, Split.TEST, groups)
+        X_tr, y_tr, _ = build_design_matrix(ds, Split.TRAIN, FeatureSpec(groups))
+        X_te, y_te, _ = build_design_matrix(ds, Split.TEST, FeatureSpec(groups))
         model, _ = train_logreg(X_tr, y_tr, TrainConfig(learning_rate=0.2, epochs=600, seed=1))
         return confusion(y_te, predict_label(model, X_te))
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import two_pass_training
 from privlens import classifiers
 from privlens.classifiers import (
-    FeatureSpec,
     MlpLayers,
     Model,
     TrainConfig,
@@ -37,6 +36,7 @@ from privlens.errors import (
     ShapeError,
 )
 from privlens.features import (
+    FeatureSpec,
     StandardizationParams,
     apply_standardizer,
     fit_standardizer,

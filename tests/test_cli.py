@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from privlens.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from privlens.config import MAX_WORKERS, load_config
 from privlens.errors import ConfigError
 from privlens.extractors import SafeSearchClient, _cache_path
+from privlens.features import GROUP_ORDER, FeatureGroup, FeatureSpec
 from privlens.metrics import MetricsReport
 
 from conftest import write_synth_corpus
@@ -73,6 +75,18 @@ source_tag = rn101
         out = tmp_path / "out"
         rc = main(["--config", cfg, "--out-dir", str(out), "train"])
         assert rc != EXIT_OK
+
+    def test_unexpected_error_is_one_line_and_exit_1(self, corpus_config, capsys):
+        # an --out-dir naming a file fails in mkdir with an OSError, no PrivlensError
+        tmp_path, cfg = corpus_config
+        out = tmp_path / "taken"
+        out.write_text("")
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out-dir", str(out), "train"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: FileExistsError: ") and str(out) in line
 
 
 class TestConfigParsing:
@@ -167,6 +181,76 @@ epochs = 20
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("configuration error: ") and key in line
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("fractions", ["nan, 0.5, 0.5", "1.5, -0.3, -0.2", "inf, -inf, 1"])
+    def test_out_of_range_split_fractions_are_config_error(self, tmp_path, capsys, fractions):
+        write_synth_corpus(tmp_path, n=40, seed=3, splits=False)
+        cfg = write_config(tmp_path / "c.ini", f"""
+[data]
+manifest = manifest.csv
+privacy_features = privacy_features.csv
+
+[split]
+fractions = {fractions}
+""")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out-dir", str(out), "train"]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("configuration error: split fractions must be ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section", [
+        ("train", "[features]\ngroups = sens, deep\n"),
+        ("ablate", "[ablation]\nrows = good, bad\n[ablation.good]\ngroups = sens\n"
+                   "[ablation.bad]\ngroups = deep\n"),
+    ], ids=["features", "ablation row"])
+    def test_deep_without_source_tag_is_config_error(self, corpus_config, capsys, command,
+                                                     section):
+        # rejected while the config loads: no row trains and nothing is written
+        tmp_path, _ = corpus_config
+        cfg = write_config(tmp_path / "bad.ini", "[data]\nmanifest = manifest.csv\n"
+                                                 "privacy_features = privacy_features.csv\n"
+                                                 + section)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out-dir", str(out), command]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        name = "features" if command == "train" else "ablation.bad"
+        assert line == (f"configuration error: [{name}] source_tag required "
+                        "when groups include deep")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, message", [
+        ("[features]\ngroups = sens, magic\n",
+         "[features] unknown feature group 'magic' (expected one of "),
+        ("[ablation]\nrows = r\n[ablation.r]\nsource_tag = rn101\n",
+         "[ablation.r] feature groups must be a nonempty subset"),
+    ], ids=["unknown group", "row without groups"])
+    def test_bad_groups_name_their_section(self, corpus_config, capsys, section, message):
+        tmp_path, _ = corpus_config
+        cfg = write_config(tmp_path / "bad.ini", "[data]\nmanifest = manifest.csv\n" + section)
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "ablate"]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"configuration error: {message}")
+
+    def test_feature_sections_parse_to_one_spec(self, tmp_path):
+        # every non-empty subset of groups, with and without a tag (deep needs one)
+        (tmp_path / "manifest.csv").write_text("image_id,label,split\n")
+        for size in range(1, len(GROUP_ORDER) + 1):
+            for groups in itertools.combinations(reversed(GROUP_ORDER), size):
+                for tag in ("rn101", None) if FeatureGroup.DEEP not in groups else ("rn101",):
+                    text = (f"groups = {', '.join(g.value for g in groups)}\n"
+                            + (f"source_tag = {tag}\n" if tag else ""))
+                    cfg = load_config(write_config(
+                        tmp_path / "c.ini", "[data]\nmanifest = manifest.csv\n"
+                        f"[features]\n{text}[ablation]\nrows = r\n[ablation.r]\n{text}"))
+                    spec = cfg.features
+                    assert spec == cfg.ablation_rows[0].features
+                    assert spec == FeatureSpec(frozenset(groups), tag)
+                    assert FeatureSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestTrain:
@@ -326,6 +410,24 @@ class TestEvaluate:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ParseError: ") and f"[{model_path}]" in line
 
+
+    def test_deep_spec_without_tag_is_one_parse_error_line(self, corpus_config, capsys):
+        tmp_path, cfg = corpus_config
+        doc = {
+            "schema_version": 1, "kind": "logreg",
+            "params": {"weights": [0.0] * 8, "bias": 0.0},
+            "standardizer": {"mean": [0.0] * 8, "stddev": [1.0] * 8},
+            "feature_spec": {"groups": ["deep"], "source_tag": None},
+        }
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "evaluate",
+                   str(model_path)])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("error: ParseError: malformed model document: source_tag required "
+                        f"when groups include deep [{model_path}]")
 
     def test_nan_weight_is_one_parse_error_line(self, corpus_config, capsys):
         tmp_path, cfg = corpus_config
@@ -775,6 +877,39 @@ detections = detections.csv
         assert f"category 'mystery' is missing from io map {tmp_path / 'io_map.txt'}" in err
         assert mock_server.calls == 0
         assert not (out / "privacy_features.csv").exists()
+
+    def _scene_config(self, tmp_path, header):
+        (tmp_path / "scenes.csv").write_text(
+            f"#source_tag=places365,dim=2\nimage_id,{header}\nimg_0,0.9,0.1\n")
+        (tmp_path / "io_map.txt").write_text("beach,outdoor\nkitchen,indoor\n")
+        return self._config(tmp_path, n=1, data="scenes = scenes.csv\nio_map = io_map.txt\n")
+
+    def test_scene_columns_out_of_category_order_are_config_error(
+            self, tmp_path, mock_server, monkeypatch, capsys):
+        # the category list is the io map sorted: beach, kitchen
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        cfg = self._scene_config(tmp_path, "kitchen,beach")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"configuration error: scene store {tmp_path / 'scenes.csv'} "
+                        "column 1 is 'kitchen', the category list has 'beach'")
+        assert mock_server.calls == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header, outdoor", [("beach,kitchen", "0.900000"),
+                                                 ("c0,c1", "0.900000")],
+                             ids=["categories in order", "other names"])
+    def test_scene_columns_in_category_order_or_unnamed_extract(
+            self, tmp_path, mock_server, monkeypatch, header, outdoor):
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        cfg = self._scene_config(tmp_path, header)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
+        (row,) = (out / "privacy_features.csv").read_text().strip().splitlines()[1:]
+        assert row.split(",")[-1] == outdoor
 
     @pytest.mark.parametrize("key, value", [
         ("person_conf_threshold", "1.5"),

@@ -35,7 +35,13 @@ from privlens.errors import (
     UnknownLabel,
     UnknownVote,
 )
-from privlens.features import FeatureGroup, Likelihood, PrivacyLabel, encode_likelihood
+from privlens.features import (
+    FeatureGroup,
+    FeatureSpec,
+    Likelihood,
+    PrivacyLabel,
+    encode_likelihood,
+)
 
 import frozen_splits
 from conftest import make_pfv, manifest_cells
@@ -143,8 +149,8 @@ class TestDeepStore:
     def test_happy_path(self, tmp_path):
         path = write(tmp_path, "d.csv",
                      "#source_tag=rn101,dim=3\nimage_id,v0,v1,v2\nimg_1,0.5,1.5,-2\n")
-        tag, store = load_deep_store(path)
-        assert tag == "rn101"
+        tag, store, columns = load_deep_store(path)
+        assert tag == "rn101" and columns == ["v0", "v1", "v2"]
         np.testing.assert_allclose(store.values[store.index["img_1"]], [0.5, 1.5, -2.0])
 
     def test_dim_mismatch(self, tmp_path):
@@ -160,7 +166,7 @@ class TestDeepStore:
 
     def test_empty_body_valid_header(self, tmp_path):
         path = write(tmp_path, "d.csv", "#source_tag=rn101,dim=3\nimage_id,v0,v1,v2\n")
-        tag, store = load_deep_store(path)
+        tag, store, _ = load_deep_store(path)
         assert tag == "rn101" and len(store) == 0 and store.values.shape == (0, 3)
 
     def test_missing_header(self, tmp_path):
@@ -191,34 +197,36 @@ class TestAnnotations:
 class TestDesignMatrix:
     def test_shapes_full_privacy(self, tiny_dataset):
         X, y, ids = build_design_matrix(
-            tiny_dataset, Split.TRAIN, {G.SENS, G.PEOPLE, G.OUT}
+            tiny_dataset, Split.TRAIN, FeatureSpec({G.SENS, G.PEOPLE, G.OUT})
         )
         assert X.shape == (3, 8)
         np.testing.assert_array_equal(y, [0.0, 1.0, 0.0])
         assert ids == ["a", "b", "c"]
 
     def test_sens_only_shape(self, tiny_dataset):
-        X, _, _ = build_design_matrix(tiny_dataset, Split.TRAIN, {G.SENS})
+        X, _, _ = build_design_matrix(tiny_dataset, Split.TRAIN, FeatureSpec({G.SENS}))
         assert X.shape == (3, 5)
 
     def test_missing_deep_features(self, tiny_dataset):
         with pytest.raises(MissingFeatures):
             build_design_matrix(
-                tiny_dataset, Split.TRAIN, {G.DEEP}, source_tag="rn101"
+                tiny_dataset, Split.TRAIN, FeatureSpec({G.DEEP}, source_tag="rn101")
             )
 
     def test_missing_label(self):
         ds = Dataset(manifest_store({"x": ("", "train"), "y": ("public", "train")}),
                      privacy_features=privacy_store({"x": make_pfv(), "y": make_pfv()}))
         with pytest.raises(MissingLabel):
-            build_design_matrix(ds, Split.TRAIN, {G.SENS})
+            build_design_matrix(ds, Split.TRAIN, FeatureSpec({G.SENS}))
 
     def test_permuting_manifest_permutes_rows(self, tiny_dataset):
-        X, y, ids = build_design_matrix(tiny_dataset, Split.TRAIN, {G.SENS, G.PEOPLE, G.OUT})
+        X, y, ids = build_design_matrix(tiny_dataset, Split.TRAIN,
+                                        FeatureSpec({G.SENS, G.PEOPLE, G.OUT}))
         cells = manifest_cells(tiny_dataset.manifest)
         flipped = Dataset(manifest_store(dict(reversed(cells.items()))),
                           privacy_features=tiny_dataset.privacy_features)
-        X2, y2, ids2 = build_design_matrix(flipped, Split.TRAIN, {G.SENS, G.PEOPLE, G.OUT})
+        X2, y2, ids2 = build_design_matrix(flipped, Split.TRAIN,
+                                           FeatureSpec({G.SENS, G.PEOPLE, G.OUT}))
         assert ids2 == list(reversed(ids))
         np.testing.assert_array_equal(X2, X[::-1])
         np.testing.assert_array_equal(y2, y[::-1])
@@ -228,7 +236,7 @@ class TestDesignMatrix:
             manifest = load_manifest(synth_corpus / "manifest.csv")
             store = load_privacy_store(synth_corpus / "privacy_features.csv")
             ds = Dataset(manifest, privacy_features=store)
-            return build_design_matrix(ds, Split.TRAIN, {G.SENS, G.PEOPLE, G.OUT})
+            return build_design_matrix(ds, Split.TRAIN, FeatureSpec({G.SENS, G.PEOPLE, G.OUT}))
         X1, y1, ids1 = build()
         X2, y2, ids2 = build()
         assert X1.tobytes() == X2.tobytes()
@@ -259,7 +267,7 @@ class TestSplits:
                 privacy_features=privacy_store({"a": make_pfv(), "ghost": make_pfv()}),
             )
         assert "ghost" in caplog.text
-        X, y, ids = build_design_matrix(ds, None, {G.SENS})
+        X, y, ids = build_design_matrix(ds, None, FeatureSpec({G.SENS}))
         assert ids == ["a"]  # the orphan id never reaches the matrix
 
 
@@ -410,9 +418,10 @@ class TestBulkMatchesRowScan:
             return
         if '"' not in body:
             assert bulk is not None
-        for tag, store in [t for t in (bulk, load_deep_store(path)) if t is not None]:
+        for tag, store, columns in [t for t in (bulk, load_deep_store(path)) if t is not None]:
             assert tag == scanned[0] == "rn"
             assert _same_store(store, scanned[1])
+            assert columns == scanned[2] == [f"v{k}" for k in range(dim)]
 
 
 # Manifests: ids csv.writer may quote, with or without labels, some splits preset.

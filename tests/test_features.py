@@ -13,6 +13,7 @@ from privlens.errors import DimensionMismatch, EmptyMatrix, MissingGroupData
 from privlens.features import (
     SENSITIVITY_CLASSES,
     FeatureGroup,
+    FeatureSpec,
     Likelihood,
     apply_standardizer,
     assemble_features,
@@ -40,7 +41,8 @@ def design_row(pfv, groups, deep=None):
         deep_features["rn101"] = FeatureStore(["x"], np.asarray(deep, dtype=float)[None, :])
     ds = Dataset(manifest_store({"x": ("public", "")}),
                  privacy_features=privacy_store({"x": pfv}), deep_features=deep_features)
-    X, _, _ = build_design_matrix(ds, None, groups, "rn101" if deep is not None else None)
+    X, _, _ = build_design_matrix(
+        ds, None, FeatureSpec(groups, "rn101" if deep is not None else None))
     return X[0]
 
 
@@ -111,6 +113,19 @@ class TestAssembleFeatures:
         a = design_row(pfv, {G.SENS, G.PEOPLE, G.OUT})
         b = design_row(pfv, {G.SENS, G.PEOPLE, G.OUT})
         assert np.array_equal(a, b)
+
+
+class TestFeatureSpec:
+    def test_deep_needs_a_source_tag(self):
+        with pytest.raises(ValueError, match="source_tag required"):
+            FeatureSpec({G.SENS, G.DEEP})
+        with pytest.raises(ValueError, match="source_tag required"):
+            FeatureSpec.from_dict({"groups": ["deep"], "source_tag": None})
+
+    def test_tag_without_deep_is_kept(self):
+        spec = FeatureSpec([G.OUT, G.SENS], "rn101")
+        assert spec.groups == frozenset({G.SENS, G.OUT}) and spec.source_tag == "rn101"
+        assert spec.to_dict() == {"groups": ["out", "sens"], "source_tag": "rn101"}
 
 
 class TestStandardizer:
