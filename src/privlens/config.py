@@ -6,15 +6,15 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .classifiers import TrainConfig
 from .data_io import (
     SPLIT,
     Dataset,
-    _bad_input,
     assign_splits,
+    bad_input,
     load_annotations,
     load_deep_store,
     load_manifest,
@@ -104,16 +104,61 @@ class ExperimentConfig:
         return self.seed + self.TRAIN_SEED_OFFSET
 
 
+# TrainConfig field: how its value is read. Empty turns the two optional ones off.
+_TRAIN_KEYS = {
+    "learning_rate": float,
+    "epochs": int,
+    "l2_penalty": float,
+    "batch_size": lambda raw: int(raw) if raw else None,
+    "class_weighting": str,
+    "early_stop_patience": lambda raw: int(raw) if raw else None,
+}
+# ExperimentConfig field: (cast, valid, what valid means); NaN fails every comparison
+_EXTRACT_KEYS = {
+    "person_conf_threshold": (float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "safesearch_max_attempts": (int, lambda v: v >= 1, "at least 1"),
+    "safesearch_backoff_base": (float, lambda v: 0 <= v < math.inf, "finite and non-negative"),
+    "safesearch_rps": (float, lambda v: v >= 0, "non-negative (0: no limit)"),
+}
+_FEATURE_KEYS = ("groups", "source_tag")  # of [features] and of each [ablation.<row>]
+# The keys each section takes; any other section or key is a ConfigError.
+_SECTION_KEYS = {
+    "DEFAULT": (),  # its keys would be read in every section
+    "data": tuple(f.name for f in fields(DataPaths)),
+    "features": _FEATURE_KEYS,
+    "train": ("kind", "hidden_dims", *_TRAIN_KEYS),
+    "split": ("fractions",),
+    "experiment": ("seed",),
+    "extract": tuple(_EXTRACT_KEYS),
+    "output": ("dir",),
+    "ablation": ("rows",),
+}
+
+
+def _check_keys(parser: configparser.ConfigParser) -> None:
+    for name, section in parser.items():
+        known = _FEATURE_KEYS if name.startswith("ablation.") else _SECTION_KEYS.get(name)
+        if known is None:
+            raise ConfigError(f"unknown section [{name}]")
+        for key in section:
+            if key not in known:
+                raise ConfigError(f"unknown key {key!r} in [{name}]")
+
+
+def _resolve_path(key, raw: str, base: Path) -> Path:
+    path = (base / raw).resolve() if not Path(raw).is_absolute() else Path(raw)
+    if not path.exists():
+        raise ConfigError(f"{key} = {raw!r} does not exist")
+    return path
+
+
 def _get_path(section, key, base: Path, required=False) -> Path | None:
     raw = section.get(key, "").strip()
     if not raw:
         if required:
             raise ConfigError(f"missing required key {key!r} in [{section.name}]")
         return None
-    path = (base / raw).resolve() if not Path(raw).is_absolute() else Path(raw)
-    if not path.exists():
-        raise ConfigError(f"{key} = {raw!r} does not exist")
-    return path
+    return _resolve_path(key, raw, base)
 
 
 def load_config(path, seed: int | None = None, out_dir=None, workers: int | None = None) -> ExperimentConfig:
@@ -127,54 +172,30 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"cannot read config: {_bad_input(exc, path, None)}") from exc
+        raise ConfigError(f"cannot read config: {bad_input(exc, path, None)}") from exc
     if "data" not in parser:
         raise ConfigError("config must have a [data] section")
+    _check_keys(parser)
     base = path.parent
 
     data_sec = parser["data"]
-    deep_raw = data_sec.get("deep_features", "").strip()
-    deep_paths = []
-    for part in deep_raw.split(","):
-        part = part.strip()
-        if part:
-            p = (base / part).resolve() if not Path(part).is_absolute() else Path(part)
-            if not p.exists():
-                raise ConfigError(f"deep_features path {part!r} does not exist")
-            deep_paths.append(p)
-    data = DataPaths(
-        manifest=_get_path(data_sec, "manifest", base, required=True),
-        privacy_features=_get_path(data_sec, "privacy_features", base),
-        deep_features=tuple(deep_paths),
-        annotations=_get_path(data_sec, "annotations", base),
-        detections=_get_path(data_sec, "detections", base),
-        scenes=_get_path(data_sec, "scenes", base),
-        categories=_get_path(data_sec, "categories", base),
-        io_map=_get_path(data_sec, "io_map", base),
-        image_refs=_get_path(data_sec, "image_refs", base),
-    )
-
-    cfg = ExperimentConfig(data=data)
+    deep_paths = tuple(_resolve_path("deep_features", part.strip(), base)
+                       for part in data_sec.get("deep_features", "").split(",") if part.strip())
+    cfg = ExperimentConfig(data=DataPaths(deep_features=deep_paths, **{
+        key: _get_path(data_sec, key, base, required=key == "manifest")
+        for key in _SECTION_KEYS["data"] if key != "deep_features"}))
 
     if "features" in parser:
         cfg.features = _feature_spec(parser["features"], _DEFAULT_GROUPS)
 
     if "train" in parser:
         sec = parser["train"]
-        cfg.classifier_kind = sec.get("kind", "logreg").strip().lower()
+        cfg.classifier_kind = sec.get("kind", cfg.classifier_kind).strip().lower()
         if cfg.classifier_kind not in ("logreg", "mlp"):
             raise ConfigError(f"unknown classifier kind {cfg.classifier_kind!r}")
         try:
-            batch_raw = sec.get("batch_size", "").strip()
-            patience_raw = sec.get("early_stop_patience", "").strip()
-            cfg.train = TrainConfig(
-                learning_rate=float(sec.get("learning_rate", "0.1")),
-                epochs=int(sec.get("epochs", "200")),
-                l2_penalty=float(sec.get("l2_penalty", "0.0")),
-                batch_size=int(batch_raw) if batch_raw else None,
-                class_weighting=sec.get("class_weighting", "balanced").strip(),
-                early_stop_patience=int(patience_raw) if patience_raw else None,
-            )
+            cfg.train = TrainConfig(**{key: read(sec[key].strip())
+                                       for key, read in _TRAIN_KEYS.items() if key in sec})
             dims_raw = sec.get("hidden_dims", "").strip()
             if dims_raw:
                 dims = tuple(int(d) for d in dims_raw.split(","))
@@ -201,12 +222,7 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
     if "extract" in parser:
         sec = parser["extract"]
         try:
-            for key, cast, valid, expected in (  # NaN fails every comparison
-                    ("person_conf_threshold", float, lambda v: 0 <= v <= 1, "in [0, 1]"),
-                    ("safesearch_max_attempts", int, lambda v: v >= 1, "at least 1"),
-                    ("safesearch_backoff_base", float, lambda v: 0 <= v < math.inf,
-                     "finite and non-negative"),
-                    ("safesearch_rps", float, lambda v: v >= 0, "non-negative (0: no limit)")):
+            for key, (cast, valid, expected) in _EXTRACT_KEYS.items():
                 if sec.get(key, "").strip():
                     value = cast(sec[key])
                     if not valid(value):

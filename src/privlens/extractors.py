@@ -25,8 +25,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .data_io import (FeatureStore, _bad_input, _check_header, _csv_rows, _open_csv,
-                      privacy_store, write_privacy_store)
+from .data_io import FeatureStore, privacy_store, read_lines, read_table, write_privacy_store
 from .errors import (
     AuthError,
     ConfigError,
@@ -259,32 +258,19 @@ def _parse_safe_search(payload) -> SafeSearchResult:
 
 def load_detections(path) -> dict[str, list[Detection]]:
     out: dict[str, list[Detection]] = {}
-    with _open_csv(path) as fh:
-        _check_header(fh, ["image_id", "class_name", "confidence"], path)
-        for lineno, row in _csv_rows(fh, path, 2):
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", path=path, line=lineno)
-            try:
-                det = Detection(class_name=row[1].strip(), confidence=float(row[2]))
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from exc
-            out.setdefault(row[0].strip(), []).append(det)
-    return out
-
-
-def _read_lines(path) -> list[str]:
-    """The lines of a text file; a byte that is not UTF-8 is a ParseError at its line."""
-    with _open_csv(path) as fh:
+    for lineno, row in read_table(path, ["image_id", "class_name", "confidence"]):
         try:
-            return fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise _bad_input(exc, path, None) from exc
+            det = Detection(class_name=row[1].strip(), confidence=float(row[2]))
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=lineno) from exc
+        out.setdefault(row[0].strip(), []).append(det)
+    return out
 
 
 def load_io_map(path) -> dict[str, str]:
     """Lines of `category,indoor|outdoor`; blank lines and `#` comments are skipped."""
     out: dict[str, str] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -296,7 +282,7 @@ def load_io_map(path) -> dict[str, str]:
 
 
 def load_categories(path) -> tuple[str, ...]:
-    return tuple(line.strip() for line in _read_lines(path) if line.strip())
+    return tuple(line.strip() for line in read_lines(path) if line.strip())
 
 
 @dataclass

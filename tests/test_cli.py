@@ -1,6 +1,8 @@
+import configparser
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -236,6 +238,47 @@ fractions = {fractions}
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"configuration error: {message}")
 
+    @pytest.mark.parametrize("tail, message", [
+        ("privacy_features = privacy_features.csv\n[train]\nlearnig_rate = 5\n",
+         "unknown key 'learnig_rate' in [train]"),
+        ("privacy_features = privacy_features.csv\n[trian]\nepochs = 3\n",
+         "unknown section [trian]"),
+        ("privacy_featurs = privacy_features.csv\n", "unknown key 'privacy_featurs' in [data]"),
+        ("privacy_features = privacy_features.csv\n[DEFAULT]\nseed = 3\n",
+         "unknown key 'seed' in [DEFAULT]"),
+    ], ids=["train key", "section", "data key", "DEFAULT"])
+    def test_unknown_section_or_key_is_config_error(self, corpus_config, capsys, tail, message):
+        # once read as absent: a misspelt key trained with lr 0.1, or with no privacy store
+        tmp_path, _ = corpus_config
+        cfg = write_config(tmp_path / "bad.ini", "[data]\nmanifest = manifest.csv\n" + tail)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out-dir", str(out), "train"]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"configuration error: {message}"
+        assert not out.exists()
+
+    def test_ablation_section_not_in_rows_is_accepted(self, corpus_config):
+        tmp_path, _ = corpus_config
+        cfg = load_config(write_config(
+            tmp_path / "c.ini", "[data]\nmanifest = manifest.csv\n[ablation]\nrows = a\n"
+            "[ablation.a]\ngroups = sens\n[ablation.spare]\ngroups = deep\nsource_tag = rn\n"))
+        assert [row.row_id for row in cfg.ablation_rows] == ["a"]
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        # the files the example names, read with its comments taken off
+        named = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        named.read_string(block)
+        for value in named["data"].values():
+            for name in value.split(","):
+                (tmp_path / name.strip()).write_text("")
+        cfg = load_config(write_config(tmp_path / "exp.ini", block))
+        assert cfg.data.manifest == tmp_path / "manifest.csv"
+        assert cfg.train.batch_size is None and cfg.train.early_stop_patience is None
+        assert cfg.split_fractions == (0.7, 0.1, 0.2) and cfg.hidden_dims == (16, 16, 8)
+
     def test_feature_sections_parse_to_one_spec(self, tmp_path):
         # every non-empty subset of groups, with and without a tag (deep needs one)
         (tmp_path / "manifest.csv").write_text("image_id,label,split\n")
@@ -301,6 +344,52 @@ source_tag = rn101
         assert rc == 1
         err = capsys.readouterr().err
         assert "ParseError" in err and "deep.csv:4]" in err
+
+    def test_deep_header_width_differing_from_dim_is_parse_error(self, tmp_path, capsys):
+        (tmp_path / "manifest.csv").write_text("image_id,label,split\na,private,train\n")
+        (tmp_path / "deep.csv").write_text("#source_tag=rn,dim=3\nimage_id,v0\na,1,2,3\n")
+        cfg = write_config(tmp_path / "c.ini", "[data]\nmanifest = manifest.csv\n"
+                           "deep_features = deep.csv\n[features]\ngroups = deep\nsource_tag = rn\n")
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "train"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ParseError: ")
+        assert line.endswith(f"[{tmp_path / 'deep.csv'}:2]")
+
+    @pytest.mark.parametrize("data_key", ["deep_features", "scenes"])
+    def test_places_group_reads_the_places365_deep_store(self, tmp_path, capsys, data_key):
+        # `places` takes every column of the deep store tagged places365; `[data] scenes`
+        # is read only by extract
+        write_synth_corpus(tmp_path, n=60, seed=4)
+        ids = [line.split(",")[0] for line in
+               (tmp_path / "manifest.csv").read_text().splitlines()[1:]]
+        rows = np.random.default_rng(4).dirichlet(np.ones(4), size=len(ids))
+        (tmp_path / "places.csv").write_text(
+            "#source_tag=places365,dim=4\nimage_id,c0,c1,c2,c3\n"
+            + "".join(f"{i},{','.join(map(str, r))}\n" for i, r in zip(ids, rows)))
+        cfg = write_config(tmp_path / "c.ini", f"""
+[data]
+manifest = manifest.csv
+privacy_features = privacy_features.csv
+{data_key} = places.csv
+
+[features]
+groups = places
+""")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["--config", cfg, "--out-dir", str(out), "train"])
+        if data_key == "scenes":
+            assert rc == 1
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line == f"error: MissingFeatures: image {ids[0]!r} lacks features for group PLACES"
+            return
+        assert rc == EXIT_OK
+        model = json.loads((out / "model.json").read_text())
+        assert model["feature_spec"] == {"groups": ["places"], "source_tag": None}
+        assert main(["--config", cfg, "--out-dir", str(out), "evaluate",
+                     str(out / "model.json")]) == EXIT_OK
+        assert json.loads((out / "test_metrics.json").read_text())["n"] == 12
 
     def test_malformed_annotations_do_not_fail_train(self, corpus_config):
         tmp_path, _ = corpus_config

@@ -159,6 +159,12 @@ class TestDeepStore:
         with pytest.raises(DimensionMismatch, match=re.escape(f"[{path}:3]")):
             load_deep_store(path)
 
+    @pytest.mark.parametrize("names", ["v0", "v0,v1,v2,v3"])
+    def test_header_width_differing_from_dim_is_parse_error(self, tmp_path, names):
+        path = write(tmp_path, "d.csv", f"#source_tag=rn,dim=3\nimage_id,{names}\na,1,2,3\n")
+        with pytest.raises(ParseError, match=re.escape(f"[{path}:2]")):
+            load_deep_store(path)
+
     def test_blank_column_header_line(self, tmp_path):
         path = write(tmp_path, "d.csv", "#source_tag=rn101,dim=1\n\nimage_id,v0\nimg_1,0.5\n")
         with pytest.raises(ParseError, match=re.escape(f"[{path}:2]")):
