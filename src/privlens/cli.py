@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--seed", type=int, default=None, help="top-level seed override")
     parser.add_argument("--out-dir", default=None, help="output directory override")
-    parser.add_argument("--workers", type=int, default=None, help="extraction worker count")
+    parser.add_argument("--workers", type=int, default=None, help="the most extraction threads")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("extract", help="produce privacy_features.csv from configured sources")
     sub.add_parser("train", help="train the configured classifier")

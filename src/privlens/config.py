@@ -27,7 +27,7 @@ from .features import FeatureGroup, FeatureSpec
 _GROUP_TOKENS = {g.value: g for g in FeatureGroup}
 _DEFAULT_GROUPS = "sens, people, out"
 
-# Upper bound on `--workers`, the number of threads `extract` starts.
+# Upper bound on `--workers`, the most threads `extract` starts.
 MAX_WORKERS = 64
 
 

@@ -256,8 +256,16 @@ def load_manifest(path) -> FeatureStore:
 
 
 def load_image_refs(path) -> dict[str, str]:
-    """image_id → URI, from an `image_id,uri` file."""
-    return {row[0].strip(): row[1].strip() for _, row in read_table(path, ["image_id", "uri"])}
+    """image_id → URI, from an `image_id,uri` file; each id non-empty and listed once."""
+    refs: dict[str, str] = {}
+    for lineno, row in read_table(path, ["image_id", "uri"]):
+        image_id = row[0].strip()
+        if not image_id:
+            raise ParseError("empty image_id", path=path, line=lineno)
+        if image_id in refs:
+            raise DuplicateId(image_id, path=path, line=lineno)
+        refs[image_id] = row[1].strip()
+    return refs
 
 
 # Lines csv.reader yields as an empty row; every loader skips them.

@@ -7,7 +7,8 @@ Three sources feed the eight features:
 
 Batch extraction caches SafeSearch responses as one JSON file per image,
 named by a hash of the image id, and collects per-image failures into a
-report instead of aborting.
+report instead of aborting. The calling thread reads the cache; threads
+start only to query the images it misses, so a warm re-run starts none.
 """
 
 from __future__ import annotations
@@ -332,19 +333,14 @@ def _read_cache(path: Path) -> SafeSearchResult | None:
         return None
 
 
-def _sensitivity_for(
+def _fetch(
     image_id: str, sources: ExtractionSources, cache_dir: Path | None
-) -> SafeSearchResult | None:
-    """Cached SafeSearch lookup; None when no sensitivity source exists."""
-    path = _cache_path(cache_dir, image_id) if cache_dir is not None else None
-    cached = _read_cache(path) if path is not None else None
-    if cached is not None:
-        return cached
-    if sources.safe_search is None:
-        return None
-    ref = sources.image_refs.get(image_id, image_id)
-    result = sources.safe_search.annotate(ref)
-    if path is not None:
+) -> SafeSearchResult:
+    """Query SafeSearch about one image and, with a cache, store the answer
+    under a temporary name first, so no reader sees half an entry."""
+    result = sources.safe_search.annotate(sources.image_refs.get(image_id, image_id))
+    if cache_dir is not None:
+        path = _cache_path(cache_dir, image_id)
         tmp = path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(result.to_dict(), sort_keys=True), "utf-8")
         tmp.replace(path)
@@ -361,11 +357,14 @@ def run_extraction(
     """Produce privacy_features.csv for the manifest's `image_ids`; idempotent under re-run.
 
     The people and outdoor columns, and which scene rows are valid, are
-    computed once for the batch; the worker threads only look up SafeSearch.
-    Any exception from an image's lookup or scene check fails only that image:
-    it lands in the report as "<Type>: <message>". Successful rows are still
-    written, in manifest order, so re-runs with identical upstream responses
-    produce byte-identical files.
+    computed once for the batch. The calling thread reads each image's cache
+    entry; only the misses (no entry or an unreadable one, with a client
+    configured) go to at most `workers` threads, which query SafeSearch and
+    write the entry, so a warm re-run starts none. Any exception from an
+    image's cache read, query or scene check fails only that image: it lands
+    in the report as "<Type>: <message>", a failed query over a bad scene
+    row. Successful rows are still written, in manifest order, so re-runs
+    with identical upstream responses produce byte-identical files.
     """
     cache = Path(cache_dir) if cache_dir is not None else None
     if cache is not None:
@@ -385,22 +384,39 @@ def run_extraction(
             sources.scenes, sources.categories, sources.io_map)[rows[has_row]]
         bad_scene[has_row] = invalid[rows[has_row]]
 
-    cells: dict[str, tuple] = {}
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [pool.submit(_sensitivity_for, i, sources, cache) for i in image_ids]
-        for k, (future, image_id) in enumerate(zip(futures, image_ids)):
+    # per image: its SafeSearchResult, None, or the exception that failed it
+    found: list = [None] * len(image_ids)
+    misses: list[int] = []
+    for k, image_id in enumerate(image_ids):
+        if cache is not None:
             try:
-                sensitivity = future.result()
-                if bad_scene[k]:
-                    raise InvalidScene("scene probabilities must be non-negative and sum to 1")
+                found[k] = _read_cache(_cache_path(cache, image_id))
             except Exception as exc:
-                log.debug("image %s failed", image_id, exc_info=exc)
-                report.failures[image_id] = f"{type(exc).__name__}: {exc}"
+                found[k] = exc
                 continue
-            levels = [getattr(sensitivity, c, None) for c in SENSITIVITY_CLASSES]
-            cells[image_id] = (*levels, prob[k], count[k], outdoor[k])
+        if found[k] is None and sources.safe_search is not None:
+            misses.append(k)
+    if misses:
+        with ThreadPoolExecutor(max_workers=min(max(1, workers), len(misses))) as pool:
+            fetches = [pool.submit(_fetch, image_ids[k], sources, cache) for k in misses]
+            for k, fetch in zip(misses, fetches):
+                try:
+                    found[k] = fetch.result()
+                except Exception as exc:
+                    found[k] = exc
+        del fetches  # the finished futures hold megabytes that building the store can reuse
 
-    del futures  # the finished futures hold megabytes that building the store can reuse
+    cells: dict[str, tuple] = {}
+    for k, (image_id, sensitivity) in enumerate(zip(image_ids, found)):
+        if bad_scene[k] and not isinstance(sensitivity, Exception):  # a failed lookup wins
+            sensitivity = InvalidScene("scene probabilities must be non-negative and sum to 1")
+        if isinstance(sensitivity, Exception):
+            log.debug("image %s failed", image_id, exc_info=sensitivity)
+            report.failures[image_id] = f"{type(sensitivity).__name__}: {sensitivity}"
+            continue
+        levels = [getattr(sensitivity, c, None) for c in SENSITIVITY_CLASSES]
+        cells[image_id] = (*levels, prob[k], count[k], outdoor[k])
+
     store = privacy_store(cells)
     write_privacy_store(out_path, store)
     report.n_complete = len(store)

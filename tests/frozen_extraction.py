@@ -2,14 +2,16 @@
 row class, the per-image people and outdoor features, and `run_extraction`
 with its per-image worker and hand-written CSV. They are kept to check the
 batch extraction in `privlens.extractors` against. The code is the earlier
-code verbatim; the SafeSearch lookup, the report and the sources it reads
-are imported from the package, which still has them. Do not change these to
+code verbatim, the per-image SafeSearch lookup `_sensitivity_for` included;
+the cache file naming and reading, the report and the sources it reads are
+imported from the package, which still has them. Do not change these to
 follow the package.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +23,9 @@ from privlens.extractors import (
     Detection,
     ExtractionReport,
     ExtractionSources,
-    _sensitivity_for,
+    SafeSearchResult,
+    _cache_path,
+    _read_cache,
 )
 from privlens.features import SENSITIVITY_CLASSES
 
@@ -67,6 +71,25 @@ def outdoor_probability(scene: SceneDistribution, io_map: dict[str, str]) -> flo
         if side == "outdoor":
             total += float(p)
     return total
+
+
+def _sensitivity_for(
+    image_id: str, sources: ExtractionSources, cache_dir: Path | None
+) -> SafeSearchResult | None:
+    """Cached SafeSearch lookup; None when no sensitivity source exists."""
+    path = _cache_path(cache_dir, image_id) if cache_dir is not None else None
+    cached = _read_cache(path) if path is not None else None
+    if cached is not None:
+        return cached
+    if sources.safe_search is None:
+        return None
+    ref = sources.image_refs.get(image_id, image_id)
+    result = sources.safe_search.annotate(ref)
+    if path is not None:
+        tmp = path.with_suffix(".json.tmp")
+        tmp.write_text(json.dumps(result.to_dict(), sort_keys=True), "utf-8")
+        tmp.replace(path)
+    return result
 
 
 def _format_float(x: float) -> str:

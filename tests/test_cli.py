@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -745,6 +746,10 @@ epochs = 5
         assert line == f"error: {message} [{tmp_path / name}:{lineno}]"
 
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("extraction started a thread pool")
+
+
 class TestExtract:
     def _config(self, tmp_path, n=3, limited=(), data="", ids=None, extract=None):
         ids = ids or [f"img_{i}" for i in range(n)]
@@ -771,6 +776,23 @@ detections = detections.csv
         assert rc == 1
         err = capsys.readouterr().err
         assert "error: ParseError: expected 2 fields, got 1" in err and "refs.csv:3]" in err
+
+    @pytest.mark.parametrize("rows, message", [
+        ("img_0,http://x/1\nimg_0,http://x/2\n", "DuplicateId: duplicate image_id: 'img_0'"),
+        ("img_0,http://x/1\n,http://x/3\n", "ParseError: empty image_id"),
+    ], ids=["repeated", "empty"])
+    def test_bad_image_refs_id_is_one_error_line(self, tmp_path, mock_server, monkeypatch,
+                                                 capsys, rows, message):
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        cfg = self._config(tmp_path)
+        (tmp_path / "refs.csv").write_text("image_id,uri\n" + rows)
+        out = tmp_path / "out"
+        rc = main(["--config", cfg, "--out-dir", str(out), "extract"])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert line == f"error: {message} [{tmp_path / 'refs.csv'}:3]"
+        assert mock_server.calls == 0 and not out.exists()
 
     def test_happy_path(self, tmp_path, mock_server, monkeypatch):
         monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
@@ -852,7 +874,8 @@ detections = detections.csv
         report = json.loads((out / "extraction_report.json").read_text())
         assert list(report["failures"]) == ["img_1"]
 
-    def test_truncated_cache_entry_is_requeried(self, tmp_path, mock_server, monkeypatch):
+    def test_truncated_cache_entry_is_requeried(self, tmp_path, mock_server, monkeypatch,
+                                                caplog):
         monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
                            f"http://127.0.0.1:{mock_server.server_port}/")
         cfg = self._config(tmp_path)
@@ -862,10 +885,14 @@ detections = detections.csv
         entry = _cache_path(out / "safesearch_cache", "img_1")
         entry.write_bytes(entry.read_bytes()[:10])
         calls = mock_server.calls
+        caplog.clear()
         assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
         assert mock_server.calls == calls + 1  # only the truncated entry is asked again
         assert (out / "privacy_features.csv").read_bytes() == first
         assert json.loads(entry.read_text())["racy"] == "POSSIBLE"
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("ignoring unreadable cache entry")]
+        assert len(warnings) == 1 and str(entry) in warnings[0]
 
     def test_scene_row_failing_the_sum_check_fails_alone(self, tmp_path, mock_server,
                                                           monkeypatch):
@@ -914,6 +941,87 @@ detections = detections.csv
         assert report["n_complete"] == 1
         rows = (out / "privacy_features.csv").read_text().strip().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["img_0"]
+
+    def test_warm_run_starts_no_thread(self, tmp_path, mock_server, monkeypatch):
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        cfg = self._config(tmp_path, n=5)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
+        first = {name: (out / name).read_bytes()
+                 for name in ("privacy_features.csv", "extraction_report.json")}
+        calls = mock_server.calls
+        monkeypatch.setattr("privlens.extractors.ThreadPoolExecutor", no_pool)
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
+        assert mock_server.calls == calls
+        assert {name: (out / name).read_bytes() for name in first} == first
+
+    def test_directory_at_a_cache_entry_fails_only_its_image(self, tmp_path, mock_server,
+                                                              monkeypatch, capsys):
+        # the entry is read in the calling thread: no pool is needed to report it
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        cfg = self._config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
+        entry = _cache_path(out / "safesearch_cache", "img_1")
+        entry.unlink()
+        entry.mkdir()
+        calls = mock_server.calls
+        monkeypatch.setattr("privlens.extractors.ThreadPoolExecutor", no_pool)
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_PARTIAL
+        assert mock_server.calls == calls
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "FAILED img_1: IsADirectoryError: " in err
+        report = json.loads((out / "extraction_report.json").read_text())
+        assert list(report["failures"]) == ["img_1"] and report["n_complete"] == 2
+        assert report["failures"]["img_1"].startswith("IsADirectoryError: ")
+
+    def test_worker_count_does_not_change_results(self, tmp_path, mock_server, monkeypatch,
+                                                  capsys):
+        # img_5 is permanently rate-limited by the mock; every third image's
+        # first attempt is answered 429 by a scripted transport before the mock
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        real = SafeSearchClient._requests_transport
+        seen, lock = set(), threading.Lock()
+
+        def once_limited(self, url, headers, body):
+            uri = body["image"]["source"]["uri"]
+            with lock:
+                first = uri not in seen
+                seen.add(uri)
+            if first and int(uri.split("_")[-1].split(".")[0]) % 3 == 0:
+                return 429, None
+            return real(self, url, headers, body)
+
+        monkeypatch.setattr(SafeSearchClient, "_requests_transport", once_limited)
+        cfg = self._config(tmp_path, n=12, limited=("img_5",))
+        runs = {}
+        for workers in (1, 8):
+            seen.clear()
+            out = tmp_path / f"out_{workers}"
+            args = ["--config", cfg, "--out-dir", str(out), "--workers", str(workers),
+                    "extract"]
+            capsys.readouterr()
+            calls = mock_server.calls
+            codes = [main(args)]
+            cold_err = capsys.readouterr().err
+            codes.append(main(args))
+            warm_err = capsys.readouterr().err
+            runs[workers] = (
+                codes, mock_server.calls - calls,
+                [[line for line in err.splitlines() if line.startswith("FAILED ")]
+                 for err in (cold_err, warm_err)],
+                {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()})
+        assert runs[1] == runs[8]
+        codes, _, failed, files = runs[1]
+        assert codes == [EXIT_PARTIAL, EXIT_PARTIAL]
+        assert failed[0] == failed[1] == [
+            "FAILED img_5: RateLimited: HTTP 429 from SafeSearch endpoint"]
+        assert len(files) == 2 + 11  # the CSV, the report and one entry per answered image
 
     def test_ids_with_path_separators_stay_in_the_cache(self, tmp_path, mock_server,
                                                         monkeypatch):

@@ -16,6 +16,7 @@ from privlens.data_io import (
     build_design_matrix,
     load_annotations,
     load_deep_store,
+    load_image_refs,
     load_manifest,
     load_privacy_store,
     manifest_store,
@@ -88,6 +89,25 @@ class TestManifest:
         path = tmp_path / "out.csv"
         write_manifest(path, manifest_store(cells))
         assert manifest_cells(load_manifest(path)) == cells
+
+
+class TestImageRefs:
+    def test_direct_mapping(self, tmp_path):
+        path = write(tmp_path, "r.csv", "image_id,uri\na, http://x/1\nb,http://x/2\n")
+        assert load_image_refs(path) == {"a": "http://x/1", "b": "http://x/2"}
+
+    def test_repeated_id_is_duplicate_at_its_line(self, tmp_path):
+        path = write(tmp_path, "r.csv", "image_id,uri\na,http://x/1\na,http://x/2\n")
+        with pytest.raises(DuplicateId) as info:
+            load_image_refs(path)
+        assert str(info.value) == f"duplicate image_id: 'a' [{path}:3]"
+
+    @pytest.mark.parametrize("cell", ["", "  "], ids=["empty", "blank"])
+    def test_empty_id_is_parse_error_at_its_line(self, tmp_path, cell):
+        path = write(tmp_path, "r.csv", f"image_id,uri\na,http://x/1\n{cell},http://x/3\n")
+        with pytest.raises(ParseError) as info:
+            load_image_refs(path)
+        assert str(info.value) == f"empty image_id [{path}:3]"
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])

@@ -1,6 +1,8 @@
 import json
 import socket
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,13 +25,14 @@ from privlens.extractors import (
     ExtractionSources,
     SafeSearchClient,
     SafeSearchResult,
+    _cache_path,
     load_detections,
     load_io_map,
     outdoor_probability,
     people_features,
     run_extraction,
 )
-from privlens.features import Likelihood
+from privlens.features import SENSITIVITY_CLASSES, Likelihood
 
 L = Likelihood
 
@@ -221,6 +224,31 @@ class TestRunExtraction:
         assert transport.calls == first_calls  # zero new HTTP calls
         assert (tmp_path / "out.csv").read_bytes() == out1  # byte-identical
 
+    def test_only_the_misses_go_to_at_most_that_many_threads(self, tmp_path, monkeypatch):
+        ids = make_ids(6)
+        cache, out = tmp_path / "cache", tmp_path / "out.csv"
+        run_extraction(ids, self.sources(CountingTransport()), cache, out, workers=4)
+        first = out.read_bytes()
+        _cache_path(cache, "img_1").unlink()
+        _cache_path(cache, "img_4").write_text("{")
+        pools, asked = [], []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        def transport(url, headers, body):
+            asked.append((body["image"]["source"]["uri"], threading.get_ident()))
+            return 200, OK_RESPONSE
+
+        monkeypatch.setattr("privlens.extractors.ThreadPoolExecutor", RecordingPool)
+        report = run_extraction(ids, self.sources(transport), cache, out, workers=4)
+        assert not report.failures and out.read_bytes() == first
+        assert sorted(uri for uri, _ in asked) == ["img_1", "img_4"]
+        assert pools == [2] and len({thread for _, thread in asked}) <= 2
+        assert threading.get_ident() not in {thread for _, thread in asked}
+
     def test_permanent_failure_isolated(self, tmp_path):
         class FailSecond(CountingTransport):
             def __call__(self, url, headers, body):
@@ -312,7 +340,33 @@ def extraction_batches(draw):
         sources.safe_search = make_client(
             lambda url, headers, body: script[body["image"]["source"]["uri"]],
             max_attempts=1, requests_per_second=0.0)
-    return ids, sources, draw(st.integers(1, 3))
+
+    # the cache entries each side starts with; None runs without a cache
+    entries = draw(st.sampled_from([None, "empty", "prefilled", "truncated"]))
+    if entries == "prefilled":
+        level = st.sampled_from([lvl.name for lvl in Likelihood] + [None])
+        entries = {image_id: json.dumps({c: draw(level) for c in SENSITIVITY_CLASSES},
+                                        sort_keys=True).encode()
+                   for image_id in ids if draw(st.booleans())}
+    elif entries == "truncated":
+        entries = {draw(st.sampled_from(ids)): b'{"adult": "LIK'} if ids else {}
+    elif entries == "empty":
+        entries = {}
+    return ids, sources, draw(st.integers(1, 3)), entries
+
+
+def cache_dir_with(path, entries):
+    """`path` as a cache holding `entries` (image id -> file bytes); None for no cache."""
+    if entries is None:
+        return None
+    path.mkdir()
+    for image_id, raw in entries.items():
+        _cache_path(path, image_id).write_bytes(raw)
+    return path
+
+
+def files_of(path):
+    return None if path is None else {p.name: p.read_bytes() for p in path.iterdir()}
 
 
 class TestAgainstFrozenReference:
@@ -322,12 +376,16 @@ class TestAgainstFrozenReference:
     @settings(max_examples=80, deadline=None)
     @given(extraction_batches())
     def test_same_file_and_report_as_the_per_image_extraction(self, batch):
-        ids, sources, workers = batch
+        ids, sources, workers, entries = batch
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            want = frozen_extraction.run_extraction(ids, sources, None, tmp / "want.csv", workers)
-            got = run_extraction(ids, sources, None, tmp / "got.csv", workers)
+            want_cache = cache_dir_with(tmp / "want_cache", entries)
+            got_cache = cache_dir_with(tmp / "got_cache", entries)
+            want = frozen_extraction.run_extraction(ids, sources, want_cache, tmp / "want.csv",
+                                                    workers)
+            got = run_extraction(ids, sources, got_cache, tmp / "got.csv", workers)
             assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+            assert files_of(got_cache) == files_of(want_cache)
         assert got.to_dict() == want.to_dict()
 
     @settings(max_examples=60, deadline=None)
