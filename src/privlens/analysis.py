@@ -2,8 +2,7 @@
 images, people-count breakdowns, cumulative private probability, sensitivity
 label distributions, conditional private probability, group probabilities.
 
-Vote folding: the "clearly" variants merge into private/public; undecidable
-votes count toward the assessor total but toward neither side.
+Votes arrive as per-image counts (see data_io.vote_store).
 """
 
 from __future__ import annotations
@@ -11,12 +10,11 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import AnnotationRecord, Dataset, FiveClassVote, decode_levels
-from .errors import EmptyControversialSet, EmptyDataset, TooFewVotes
+from .data_io import N_PRIVATE, N_PUBLIC, OUTDOOR_PROB, PEOPLE_COUNT, Dataset, decode_levels
+from .errors import EmptyControversialSet, EmptyDataset
 from .features import Likelihood, SENSITIVITY_CLASSES
 
 #: Neither side may exceed this fraction of assessors for an image to count
@@ -27,55 +25,24 @@ CONTROVERSY_MAX_SHARE = 0.65
 SENSITIVE_MIN_LEVEL = Likelihood.POSSIBLE
 OUTDOOR_MIN_PROB = 0.5
 
-# Columns of the privacy store (see data_io.FeatureStore).
-_PEOPLE_COUNT = 6
-_OUTDOOR_PROB = 7
 
-_PRIVATE_VOTES = {FiveClassVote.CLEARLY_PRIVATE, FiveClassVote.PRIVATE}
-_PUBLIC_VOTES = {FiveClassVote.CLEARLY_PUBLIC, FiveClassVote.PUBLIC}
-
-
-@dataclass(frozen=True)
-class VoteSummary:
-    n_votes: int
-    n_private: int
-    n_public: int
-    n_undecidable: int
-
-    def __post_init__(self):
-        if self.n_private + self.n_public + self.n_undecidable != self.n_votes:
-            raise ValueError("vote counts must sum to n_votes")
-
-
-def summarize_votes(record: AnnotationRecord) -> VoteSummary:
-    n_private = sum(1 for v in record.votes if v in _PRIVATE_VOTES)
-    n_public = sum(1 for v in record.votes if v in _PUBLIC_VOTES)
-    n_undecidable = len(record.votes) - n_private - n_public
-    return VoteSummary(len(record.votes), n_private, n_public, n_undecidable)
-
-
-def is_controversial(summary: VoteSummary) -> bool:
-    """Both sides voted, and neither side was picked by more than 65% of assessors."""
-    if summary.n_votes < 2:
-        raise TooFewVotes("controversy is defined only for 2+ assessors")
-    if summary.n_private < 1 or summary.n_public < 1:
-        return False
-    return (
-        summary.n_private / summary.n_votes <= CONTROVERSY_MAX_SHARE
-        and summary.n_public / summary.n_votes <= CONTROVERSY_MAX_SHARE
-    )
+def is_controversial(counts: np.ndarray) -> np.ndarray:
+    """For each row of an (n, 3) vote-count array (see data_io.vote_store): both
+    sides voted, and neither was picked by more than 65% of assessors. Counts
+    divide as Python's ints do, so a share of exactly 0.65 (13 of 20) passes."""
+    n = counts.sum(axis=1)
+    private, public = counts[:, N_PRIVATE], counts[:, N_PUBLIC]
+    with np.errstate(invalid="ignore"):  # 0/0 in a row of no votes, which has no side
+        return ((private >= 1) & (public >= 1)
+                & (private / n <= CONTROVERSY_MAX_SHARE) & (public / n <= CONTROVERSY_MAX_SHARE))
 
 
 def controversial_image_ids(ds: Dataset) -> list[str]:
-    """Manifest-ordered ids of controversial images (2+ votes only)."""
-    out = []
-    for image_id in ds.manifest.ids:
-        ann = ds.annotations.get(image_id)
-        if ann is None or len(ann.votes) < 2:
-            continue
-        if is_controversial(summarize_votes(ann)):
-            out.append(image_id)
-    return out
+    """Manifest-ordered ids of controversial images."""
+    ids, votes = ds.manifest.ids, ds.annotations
+    rows = votes.rows(ids)
+    voted = np.flatnonzero(rows >= 0)
+    return [ids[i] for i in voted[is_controversial(votes.values[rows[voted]])].tolist()]
 
 
 def controversial_people_breakdown(ds: Dataset, ids: list[str]) -> dict[str, float]:
@@ -86,7 +53,7 @@ def controversial_people_breakdown(ds: Dataset, ids: list[str]) -> dict[str, flo
     if (rows < 0).any():
         image_id = ids[int(np.argmax(rows < 0))]
         raise EmptyDataset(f"controversial image {image_id!r} lacks people_count")
-    counts = ds.privacy_features.values[rows, _PEOPLE_COUNT]
+    counts = ds.privacy_features.values[rows, PEOPLE_COUNT]
     total = len(ids)
     return {
         "one_person": int(np.count_nonzero(counts == 1)) / total,
@@ -107,9 +74,9 @@ def group_membership(
     """
     sensitive = ((decode_levels(values) >= sensitive_min_level) & ~missing).any(axis=1)
     return (
-        values[:, _PEOPLE_COUNT] >= 1,
+        values[:, PEOPLE_COUNT] >= 1,
         sensitive,
-        values[:, _OUTDOOR_PROB] >= outdoor_min_prob,
+        values[:, OUTDOOR_PROB] >= outdoor_min_prob,
     )
 
 
@@ -124,9 +91,9 @@ def cumulative_private_by_people(
     if location not in (None, "indoor", "outdoor"):
         raise ValueError(f"bad location filter {location!r}")
     values, _, private = ds.labeled_privacy_features
-    outdoor = values[:, _OUTDOOR_PROB] >= OUTDOOR_MIN_PROB
+    outdoor = values[:, OUTDOOR_PROB] >= OUTDOOR_MIN_PROB
     keep = {None: np.ones_like(outdoor), "indoor": ~outdoor, "outdoor": outdoor}[location]
-    counts = values[keep, _PEOPLE_COUNT].astype(np.int64)
+    counts = values[keep, PEOPLE_COUNT].astype(np.int64)
     if counts.size == 0:
         raise EmptyDataset("no labeled images with features after filtering")
     n_upto = np.cumsum(np.bincount(counts))

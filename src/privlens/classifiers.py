@@ -4,7 +4,8 @@ regression with no hidden layers or as the three-hidden-layer MLP.
 
 Loss/gradient functions are module-level so tests can check them against
 finite differences. All math is double precision, summed in fixed row order,
-so training is bit-reproducible given the same config and seed.
+so training is bit-reproducible given the same config and seed: the same
+bytes for any BLAS thread count on one numpy build.
 """
 
 from __future__ import annotations
@@ -135,7 +136,8 @@ def mlp_loss_and_grad(layers: MlpLayers, X, y, weights, l2_penalty):
     """Weighted BCE + (l2/2)·Σ||W||² and gradients in layer order."""
     logits, inputs = mlp_forward(layers, X)
     wsum = weights.sum()
-    loss = float(np.dot(weights, _bce_from_logits(logits, y)) / wsum)
+    # numpy's own pairwise sum, not a BLAS dot, whose split varies with the thread count
+    loss = float(np.sum(weights * _bce_from_logits(logits, y)) / wsum)
     loss += 0.5 * l2_penalty * sum(float(np.sum(W * W)) for W in layers.weights)
 
     delta = (weights * (sigmoid(logits) - y) / wsum)[:, None]

@@ -19,6 +19,7 @@ from .data_io import (
     load_deep_store,
     load_manifest,
     load_privacy_store,
+    vote_store,
     write_manifest,
 )
 from .errors import ConfigError
@@ -293,5 +294,6 @@ def load_dataset(
             raise ConfigError(f"duplicate deep-feature source_tag {tag!r}")
         deep_stores[tag] = store
     if annotations and cfg.data.annotations is not None:
-        stores["annotations"] = load_annotations(cfg.data.annotations)
+        # the loader returns per-image records because perfbench/traced_cli.py counts their votes
+        stores["annotations"] = vote_store(load_annotations(cfg.data.annotations))
     return Dataset(manifest, deep_features=deep_stores, **stores)

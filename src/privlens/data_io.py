@@ -11,12 +11,13 @@ File formats (all UTF-8 CSV with a mandatory header):
                         image_id,v0,...,v{D-1}
   annotations.csv       image_id,assessor_id,vote
 
-The manifest and each feature store become one id-keyed float64 matrix
-(`FeatureStore`); `write_manifest` and `write_privacy_store` write them
-back. Feature stores are parsed in bulk; the manifest, and a
-store the bulk parser leaves, are read by a row scan, which reports the
-failing path:line. So do undecodable bytes and malformed CSV in any file.
-Every table with a one-line header is scanned through `read_table`.
+The manifest, each feature store and the per-image vote counts become one
+id-keyed float64 matrix (`FeatureStore`); `write_manifest` and
+`write_privacy_store` write the first two back. Feature stores are parsed
+in bulk; the manifest, and a store the bulk parser leaves, are read by a
+row scan, which reports the failing path:line. So do undecodable bytes
+and malformed CSV in any file. Every table with a one-line header is
+scanned through `read_table`.
 """
 
 from __future__ import annotations
@@ -106,13 +107,21 @@ class FeatureStore:
         return np.fromiter((get(i, -1) for i in image_ids), dtype=np.intp, count=len(image_ids))
 
 
+# Columns of the privacy store, named as in PRIVACY_FEATURE_NAMES.
+SENSITIVITY = slice(0, len(SENSITIVITY_CLASSES))
+PEOPLE_PROB, PEOPLE_COUNT, OUTDOOR_PROB = map(PRIVACY_FEATURE_NAMES.index,
+                                              ("people_prob", "people_count", "outdoor_prob"))
+
+
 def privacy_store(rows: dict[str, tuple]) -> FeatureStore:
     """A privacy store from per-image cells in canonical order: five
     ``Likelihood | None``, then people_prob, people_count, outdoor_prob."""
     cells = list(rows.values())
-    values = np.array([[*map(encode_likelihood, r[:5]), *r[5:]] for r in cells], dtype=np.float64)
-    missing = np.array([[lvl is None for lvl in r[:5]] for r in cells], dtype=bool)
-    return FeatureStore(list(rows), values.reshape(-1, 8), missing.reshape(-1, 5))
+    values = np.array([[*map(encode_likelihood, r[SENSITIVITY]), *r[PEOPLE_PROB:]] for r in cells],
+                      dtype=np.float64)
+    missing = np.array([[lvl is None for lvl in r[SENSITIVITY]] for r in cells], dtype=bool)
+    return FeatureStore(list(rows), values.reshape(-1, len(PRIVACY_FEATURE_NAMES)),
+                        missing.reshape(-1, len(SENSITIVITY_CLASSES)))
 
 
 # Columns of the manifest store, and the tokens each column codes by position.
@@ -136,21 +145,39 @@ def manifest_store(rows: dict[str, tuple[str, str]]) -> FeatureStore:
     return FeatureStore(list(rows), np.where(missing, 0.0, values), missing)
 
 
+# Columns of the vote store: each image's private, public and undecidable votes.
+N_PRIVATE, N_PUBLIC, N_UNDECIDABLE = 0, 1, 2
+
+
+def vote_store(annotations: dict[str, AnnotationRecord]) -> FeatureStore:
+    """The votes as counts, one row per annotated image in file order, in the
+    columns N_PRIVATE, N_PUBLIC and N_UNDECIDABLE. The "clearly" variants count
+    toward their side; undecidable votes count toward the assessor total but
+    toward neither side."""
+    V = FiveClassVote
+    counts = [(vs.count(V.CLEARLY_PRIVATE) + vs.count(V.PRIVATE),
+               vs.count(V.CLEARLY_PUBLIC) + vs.count(V.PUBLIC), vs.count(V.UNDECIDABLE))
+              for vs in (record.votes for record in annotations.values())]
+    return FeatureStore(list(annotations), np.array(counts, dtype=np.float64).reshape(-1, 3))
+
+
 @dataclass
 class Dataset:
-    """Immutable-after-construction join of manifest, features and votes."""
+    """Immutable-after-construction join of id-keyed stores: manifest, features, votes."""
 
     manifest: FeatureStore
     privacy_features: FeatureStore = field(default_factory=lambda: privacy_store({}))
     deep_features: dict[str, FeatureStore] = field(default_factory=dict)
-    annotations: dict[str, AnnotationRecord] = field(default_factory=dict)
+    annotations: FeatureStore = field(default_factory=lambda: vote_store({}))
 
     def __post_init__(self):
         known = self.manifest.index
-        stores = {"privacy_features": self.privacy_features.ids, "annotations": self.annotations,
-                  **{f"deep store {tag!r}": s.ids for tag, s in self.deep_features.items()}}
-        for name, ids in stores.items():
-            for image_id in ids:
+        stores = {"privacy_features": self.privacy_features, "annotations": self.annotations,
+                  **{f"deep store {tag!r}": s for tag, s in self.deep_features.items()}}
+        for name, store in stores.items():
+            if store.index.keys() <= known.keys():  # a check in C; the walk below keeps file order
+                continue
+            for image_id in store.ids:
                 if image_id not in known:
                     log.warning("%s id %r not in manifest; ignored in matrices", name, image_id)
 
@@ -340,25 +367,27 @@ class _LevelCodes(dict):
 
 
 _LEVEL_CODES = _LevelCodes({lvl.name: encode_likelihood(lvl) for lvl in Likelihood})
-_PRIVACY_CONVERTERS = {**{col: _LEVEL_CODES.__getitem__ for col in range(1, 6)}, 7: int}
+# keyed by file column, which counts the image_id first
+_PRIVACY_CONVERTERS = {**{1 + col: _LEVEL_CODES.__getitem__
+                          for col in range(len(SENSITIVITY_CLASSES))}, 1 + PEOPLE_COUNT: int}
 
 
 def decode_levels(values: np.ndarray) -> np.ndarray:
     """Likelihood level of each sensitivity column, decoded from ``level / 4``."""
-    return np.rint(values[:, :len(SENSITIVITY_CLASSES)] * 4).astype(np.intp)
+    return np.rint(values[:, SENSITIVITY] * 4).astype(np.intp)
 
 
 def _bulk_privacy_store(path) -> FeatureStore | None:
     with _open_csv(path) as fh:
         _check_header(fh, _PRIVACY_HEADER, path)
-        parsed = _parse_bulk(fh, 8, _PRIVACY_CONVERTERS)
+        parsed = _parse_bulk(fh, len(PRIVACY_FEATURE_NAMES), _PRIVACY_CONVERTERS)
     if parsed is None:
         return None
     ids, values = parsed
-    missing = np.isnan(values[:, :5])
-    values[:, :5][missing] = 0.0
-    probs = values[:, [5, 7]]
-    if not (((probs >= 0.0) & (probs <= 1.0)).all() and (values[:, 6] >= 0).all()):
+    missing = np.isnan(values[:, SENSITIVITY])
+    values[:, SENSITIVITY][missing] = 0.0
+    probs = values[:, [PEOPLE_PROB, OUTDOOR_PROB]]
+    if not (((probs >= 0.0) & (probs <= 1.0)).all() and (values[:, PEOPLE_COUNT] >= 0).all()):
         return None
     return FeatureStore(ids, values, missing)
 
@@ -401,8 +430,8 @@ def write_privacy_store(path, store: FeatureStore) -> None:
         writer.writerow(_PRIVACY_HEADER)
         writer.writerows([image_id, *(tokens[c] for c in codes),
                           "%.6f" % people_prob, "%d" % count, "%.6f" % outdoor]
-                         for image_id, codes, (people_prob, count, outdoor)
-                         in zip(store.ids, levels.tolist(), store.values[:, 5:].tolist()))
+                         for image_id, codes, (people_prob, count, outdoor) in zip(
+                             store.ids, levels.tolist(), store.values[:, PEOPLE_PROB:].tolist()))
 
 
 def _deep_header(fh, path) -> tuple[str, int, list[str]]:
@@ -516,9 +545,9 @@ def write_manifest(path, manifest: FeatureStore) -> None:
 
 # Columns of each privacy group in the privacy store.
 _PRIVACY_COLUMNS = {
-    FeatureGroup.SENS: slice(0, len(SENSITIVITY_CLASSES)),
-    FeatureGroup.PEOPLE: slice(5, 7),
-    FeatureGroup.OUT: slice(7, 8),
+    FeatureGroup.SENS: SENSITIVITY,
+    FeatureGroup.PEOPLE: slice(PEOPLE_PROB, PEOPLE_COUNT + 1),
+    FeatureGroup.OUT: slice(OUTDOOR_PROB, OUTDOOR_PROB + 1),
 }
 
 

@@ -133,10 +133,6 @@ class UndefinedMetric(PrivlensError):
     pass
 
 
-class TooFewVotes(PrivlensError):
-    pass
-
-
 class EmptyControversialSet(PrivlensError):
     pass
 

@@ -81,7 +81,7 @@ class SafeSearchResult:
     @classmethod
     def from_dict(cls, d: dict) -> "SafeSearchResult":
         return cls(**{
-            c: (Likelihood[d[c]] if d.get(c) is not None else None)
+            c: (Likelihood[d[c]] if d[c] is not None else None)
             for c in SENSITIVITY_CLASSES
         })
 
@@ -260,11 +260,14 @@ def _parse_safe_search(payload) -> SafeSearchResult:
 def load_detections(path) -> dict[str, list[Detection]]:
     out: dict[str, list[Detection]] = {}
     for lineno, row in read_table(path, ["image_id", "class_name", "confidence"]):
+        image_id = row[0].strip()
+        if not image_id:
+            raise ParseError("empty image_id", path=path, line=lineno)
         try:
             det = Detection(class_name=row[1].strip(), confidence=float(row[2]))
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=lineno) from exc
-        out.setdefault(row[0].strip(), []).append(det)
+        out.setdefault(image_id, []).append(det)
     return out
 
 

@@ -35,6 +35,7 @@ from privlens.data_io import (
     load_privacy_store,
     manifest_store,
     privacy_store,
+    vote_store,
 )
 from privlens.analysis import (
     CONTROVERSY_MAX_SHARE,
@@ -42,7 +43,6 @@ from privlens.analysis import (
     group_privacy_probabilities,
     is_controversial,
     private_prob_given_sensitivity,
-    summarize_votes,
 )
 from privlens.errors import UndefinedMetric
 from privlens.features import FeatureGroup as G
@@ -185,8 +185,8 @@ def test_criterion_5_controversial_criterion():
                 and not n_priv / size > CONTROVERSY_MAX_SHARE
                 and not n_pub / size > CONTROVERSY_MAX_SHARE
             )
-            record = AnnotationRecord("x", tuple(votes))
-            assert is_controversial(summarize_votes(record)) == literal
+            counts = vote_store({"x": AnnotationRecord("x", tuple(votes))}).values
+            assert is_controversial(counts).tolist() == [literal]
             checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 1.0

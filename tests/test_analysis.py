@@ -1,10 +1,13 @@
 import itertools
+import warnings
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from privlens.analysis import (
     CONTROVERSY_MAX_SHARE,
-    VoteSummary,
     controversial_image_ids,
     controversial_people_breakdown,
     cumulative_private_by_people,
@@ -13,7 +16,6 @@ from privlens.analysis import (
     is_controversial,
     private_prob_given_sensitivity,
     sensitivity_label_distribution,
-    summarize_votes,
 )
 from privlens.data_io import (
     AnnotationRecord,
@@ -22,10 +24,12 @@ from privlens.data_io import (
     FiveClassVote,
     manifest_store,
     privacy_store,
+    vote_store,
 )
-from privlens.errors import EmptyControversialSet, EmptyDataset, TooFewVotes
+from privlens.errors import EmptyControversialSet, EmptyDataset
 from privlens.features import SENSITIVITY_CLASSES, Likelihood, PrivacyLabel
 
+import frozen_votes
 from conftest import make_pfv
 
 V = FiveClassVote
@@ -37,33 +41,44 @@ def ann(votes, image_id="x"):
     return AnnotationRecord(image_id, tuple(votes))
 
 
+def counts(votes):
+    """The (private, public, undecidable) counts of one image's votes."""
+    return vote_store({"x": ann(votes)}).values[0].tolist()
+
+
+def controversial(votes) -> bool:
+    return bool(is_controversial(vote_store({"x": ann(votes)}).values)[0])
+
+
 class TestSummarizeVotes:
+    """`vote_store` folds each image's votes into three counts."""
+
     def test_clearly_variants_fold(self):
-        s = summarize_votes(ann([V.CLEARLY_PRIVATE, V.PUBLIC]))
-        assert (s.n_votes, s.n_private, s.n_public, s.n_undecidable) == (2, 1, 1, 0)
+        assert counts([V.CLEARLY_PRIVATE, V.PUBLIC]) == [1, 1, 0]
 
     def test_undecidable(self):
-        s = summarize_votes(ann([V.UNDECIDABLE]))
-        assert (s.n_votes, s.n_private, s.n_public, s.n_undecidable) == (1, 0, 0, 1)
+        assert counts([V.UNDECIDABLE]) == [0, 0, 1]
 
     def test_majority_private(self):
-        s = summarize_votes(ann([V.PRIVATE, V.PRIVATE, V.PUBLIC]))
-        assert (s.n_votes, s.n_private, s.n_public, s.n_undecidable) == (3, 2, 1, 0)
+        assert counts([V.PRIVATE, V.PRIVATE, V.PUBLIC]) == [2, 1, 0]
 
 
 class TestIsControversial:
     def test_even_split_is_controversial(self):
-        assert is_controversial(summarize_votes(ann([V.PRIVATE, V.PUBLIC])))
+        assert controversial([V.PRIVATE, V.PUBLIC])
 
     def test_two_thirds_exceeds_threshold(self):
-        assert not is_controversial(summarize_votes(ann([V.PRIVATE, V.PRIVATE, V.PUBLIC])))
+        assert not controversial([V.PRIVATE, V.PRIVATE, V.PUBLIC])
 
     def test_unanimous_public_not_controversial(self):
-        assert not is_controversial(summarize_votes(ann([V.PUBLIC, V.PUBLIC])))
+        assert not controversial([V.PUBLIC, V.PUBLIC])
 
-    def test_single_vote_rejected(self):
-        with pytest.raises(TooFewVotes):
-            is_controversial(summarize_votes(ann([V.PRIVATE])))
+    def test_single_vote_not_controversial(self):
+        """A row of fewer than two votes is not controversial, and no division warns."""
+        rows = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [1, 1, 0]], dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_controversial(rows).tolist() == [False, False, False, False, True]
 
     def test_exhaustive_vs_literal_criterion(self):
         """All vote multisets of size 2..5 against a literal reading: at least
@@ -78,7 +93,7 @@ class TestIsControversial:
                     and not n_priv / size > CONTROVERSY_MAX_SHARE
                     and not n_pub / size > CONTROVERSY_MAX_SHARE
                 )
-                assert is_controversial(summarize_votes(ann(votes))) == literal
+                assert controversial(votes) == literal
 
     def test_folding_invariance(self):
         for size in range(2, 5):
@@ -88,8 +103,68 @@ class TestIsControversial:
                     else V.PUBLIC if v is V.CLEARLY_PUBLIC else v
                     for v in votes
                 ]
-                assert (is_controversial(summarize_votes(ann(votes)))
-                        == is_controversial(summarize_votes(ann(folded))))
+                assert controversial(votes) == controversial(folded)
+
+
+_MANIFEST_IDS = [f"i{k}" for k in range(8)]
+
+
+@st.composite
+def _image_votes(draw):
+    """One image's votes, drawn as counts of each kind and shuffled, so that
+    shares such as 13 of 20 come up."""
+    per_kind = draw(st.lists(st.integers(0, 13), min_size=5, max_size=5)
+                    .filter(lambda c: sum(c) > 0))
+    return draw(st.permutations([v for v, n in zip(V, per_kind) for _ in range(n)]))
+
+
+# ids in the manifest, ids with votes (some not in the manifest) and their votes
+_VOTE_CASES = st.tuples(
+    st.lists(st.sampled_from(_MANIFEST_IDS), unique=True),
+    st.dictionaries(st.sampled_from([*_MANIFEST_IDS, "x0", "x1"]), _image_votes()),
+)
+_AT_THRESHOLD = {
+    "i0": [V.PRIVATE] * 13 + [V.PUBLIC] * 7,  # 13 of 20 is exactly 0.65
+    "i1": [V.CLEARLY_PUBLIC] * 6 + [V.PUBLIC] * 7 + [V.PRIVATE] * 5 + [V.UNDECIDABLE] * 2,
+    "i2": [V.PRIVATE] * 14 + [V.PUBLIC] * 6,
+    "i3": [V.PUBLIC],
+    "x0": [V.PRIVATE, V.PUBLIC],
+}
+
+
+class TestAgainstFrozenVotes:
+    """The count store and the mask against the earlier per-image records,
+    summaries and scalar rule in `frozen_votes`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VOTE_CASES)
+    @example((["i3", "i2", "i1", "i0", "i4"], _AT_THRESHOLD))
+    def test_controversial_image_ids(self, case):
+        manifest_ids, votes = case
+        manifest = manifest_store({i: ("", "") for i in manifest_ids})
+        records = {i: ann(vs, i) for i, vs in votes.items()}
+        expected = frozen_votes.controversial_image_ids(
+            SimpleNamespace(manifest=manifest, annotations=records))
+        ds = Dataset(manifest, annotations=vote_store(records))
+        assert controversial_image_ids(ds) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VOTE_CASES)
+    def test_vote_store_counts(self, case):
+        _, votes = case
+        store = vote_store({i: ann(vs, i) for i, vs in votes.items()})
+        assert store.ids == list(votes)
+        assert store.values.dtype == np.float64 and store.values.shape == (len(votes), 3)
+        assert store.values.tolist() == [
+            [sum(v in (V.CLEARLY_PRIVATE, V.PRIVATE) for v in vs),
+             sum(v in (V.CLEARLY_PUBLIC, V.PUBLIC) for v in vs),
+             sum(v is V.UNDECIDABLE for v in vs)]
+            for vs in votes.values()]
+
+    def test_threshold_example_is_on_the_boundary(self):
+        assert frozen_votes.controversial_image_ids(SimpleNamespace(
+            manifest=manifest_store({i: ("", "") for i in _AT_THRESHOLD}),
+            annotations={i: ann(vs, i) for i, vs in _AT_THRESHOLD.items()})) == ["i0", "i1", "x0"]
 
 
 def controversial_ds(counts):
@@ -102,7 +177,7 @@ def controversial_ds(counts):
         features[image_id] = make_pfv(people_count=c)
         annotations[image_id] = ann([V.PRIVATE, V.PUBLIC], image_id)
     return Dataset(manifest_store(manifest), privacy_features=privacy_store(features),
-                   annotations=annotations)
+                   annotations=vote_store(annotations))
 
 
 def people_breakdown(ds):
@@ -123,7 +198,7 @@ class TestPeopleBreakdown:
     def test_empty_controversial_set(self):
         ds = Dataset(manifest=manifest_store({"a": ("public", "")}),
                      privacy_features=privacy_store({"a": make_pfv()}),
-                     annotations={"a": ann([V.PUBLIC, V.PUBLIC], "a")})
+                     annotations=vote_store({"a": ann([V.PUBLIC, V.PUBLIC], "a")}))
         with pytest.raises(EmptyControversialSet):
             people_breakdown(ds)
 
@@ -305,11 +380,6 @@ class TestGroupMembership:
 def test_controversial_ids_manifest_order():
     ds = controversial_ds([1, 2])
     assert controversial_image_ids(ds) == ["i0", "i1"]
-
-
-def test_vote_summary_invariant():
-    with pytest.raises(ValueError):
-        VoteSummary(3, 1, 1, 0)
 
 
 def test_feature_analyses_select_the_labeled_rows_once(monkeypatch):

@@ -436,6 +436,42 @@ early_stop_patience = 2
         assert main(["--config", cfg, "--out-dir", str(out), "train"]) == EXIT_OK
         assert "early_stopping" not in json.loads((out / "training_log.json").read_text())
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="OpenBLAS runs at most one thread per visible CPU")
+    @pytest.mark.parametrize("kind", ["logreg", "mlp"])
+    @pytest.mark.parametrize("patience", ["", "early_stop_patience = 2"],
+                             ids=["no-patience", "patience"])
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path, kind, patience):
+        # 21,000 training rows: OpenBLAS splits a vector product across threads
+        # at about 20,000 elements
+        write_synth_corpus(tmp_path, n=30_000, seed=11, noise=0.1)
+        cfg = write_config(tmp_path / "c.ini", f"""
+[data]
+manifest = manifest.csv
+privacy_features = privacy_features.csv
+
+[train]
+kind = {kind}
+learning_rate = 0.5
+epochs = 10
+{patience}
+
+[experiment]
+seed = 3
+""")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+            proc = subprocess.run([sys.executable, "-m", "privlens.cli", "--config", cfg,
+                                   "--out-dir", str(out), "train"],
+                                  env=env, capture_output=True, timeout=120)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outputs.append((proc.stdout.replace(str(out).encode(), b"OUT"),
+                            {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert outputs[0] == outputs[1]
+
 
 class TestEvaluate:
     def test_test_split_metrics(self, corpus_config):
@@ -794,6 +830,20 @@ detections = detections.csv
         assert line == f"error: {message} [{tmp_path / 'refs.csv'}:3]"
         assert mock_server.calls == 0 and not out.exists()
 
+    def test_empty_detections_id_is_one_error_line(self, tmp_path, mock_server, monkeypatch,
+                                                   capsys):
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        cfg = self._config(tmp_path)
+        (tmp_path / "detections.csv").write_text(
+            "image_id,class_name,confidence\nimg_0,person,0.9\n,person,0.9\n")
+        out = tmp_path / "out"
+        rc = main(["--config", cfg, "--out-dir", str(out), "extract"])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert line == f"error: ParseError: empty image_id [{tmp_path / 'detections.csv'}:3]"
+        assert mock_server.calls == 0 and not out.exists()
+
     def test_happy_path(self, tmp_path, mock_server, monkeypatch):
         monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
                            f"http://127.0.0.1:{mock_server.server_port}/")
@@ -874,8 +924,13 @@ detections = detections.csv
         report = json.loads((out / "extraction_report.json").read_text())
         assert list(report["failures"]) == ["img_1"]
 
+    @pytest.mark.parametrize("damage", [
+        lambda entry: entry[:10],
+        lambda entry: b"{}",
+        lambda entry: b'{"adult": "LIKELY"}',
+    ], ids=["truncated", "empty-object", "one-key"])
     def test_truncated_cache_entry_is_requeried(self, tmp_path, mock_server, monkeypatch,
-                                                caplog):
+                                                caplog, damage):
         monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
                            f"http://127.0.0.1:{mock_server.server_port}/")
         cfg = self._config(tmp_path)
@@ -883,7 +938,7 @@ detections = detections.csv
         assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
         first = (out / "privacy_features.csv").read_bytes()
         entry = _cache_path(out / "safesearch_cache", "img_1")
-        entry.write_bytes(entry.read_bytes()[:10])
+        entry.write_bytes(damage(entry.read_bytes()))
         calls = mock_server.calls
         caplog.clear()
         assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK

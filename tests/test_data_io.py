@@ -9,7 +9,9 @@ from privlens.data_io import (
     _bulk_privacy_store,
     _scan_deep_store,
     _scan_privacy_store,
+    AnnotationRecord,
     Dataset,
+    FeatureStore,
     FiveClassVote,
     Split,
     assign_splits,
@@ -21,6 +23,7 @@ from privlens.data_io import (
     load_privacy_store,
     manifest_store,
     privacy_store,
+    vote_store,
     write_manifest,
     write_privacy_store,
 )
@@ -291,8 +294,16 @@ class TestSplits:
             ds = Dataset(
                 manifest_store({"a": ("public", "")}),
                 privacy_features=privacy_store({"a": make_pfv(), "ghost": make_pfv()}),
+                deep_features={"rn": FeatureStore(["a"], np.zeros((1, 2)))},
+                annotations=vote_store({i: AnnotationRecord(i, (FiveClassVote.PRIVATE,))
+                                        for i in ("z", "a", "y")}),
             )
-        assert "ghost" in caplog.text
+        # one line per unknown id, store by store and in each store's file order
+        assert [r.getMessage() for r in caplog.records] == [
+            "privacy_features id 'ghost' not in manifest; ignored in matrices",
+            "annotations id 'z' not in manifest; ignored in matrices",
+            "annotations id 'y' not in manifest; ignored in matrices",
+        ]
         X, y, ids = build_design_matrix(ds, None, FeatureSpec({G.SENS}))
         assert ids == ["a"]  # the orphan id never reaches the matrix
 

@@ -4,7 +4,9 @@ evaluate the full-train loss for the trace and then, in a second call, the
 gradient for each step (on a copy of the rows even in full-batch mode), the
 separate logistic-regression and MLP loss-and-gradient functions, and the
 piecewise sigmoid. The trainers return plain arrays. Do not change these to
-follow the package.
+follow the package. The one departure: both losses sum the weighted BCE as
+`np.sum(weights * bce)`, the package's thread-count-independent form, where
+the earlier code took `np.dot`; the order of that sum is not what these check.
 """
 
 from types import SimpleNamespace
@@ -34,7 +36,7 @@ def logreg_loss_and_grad(w, b, X, y, weights, l2_penalty):
     """Weighted BCE + (l2/2)·||w||² and its gradient wrt (w, b)."""
     z = X @ w + b
     wsum = weights.sum()
-    loss = float(np.dot(weights, _bce_from_logits(z, y)) / wsum)
+    loss = float(np.sum(weights * _bce_from_logits(z, y)) / wsum)
     loss += 0.5 * l2_penalty * float(np.dot(w, w))
     resid = weights * (piecewise_sigmoid(z) - y) / wsum
     grad_w = X.T @ resid + l2_penalty * w
@@ -60,7 +62,7 @@ def mlp_loss_and_grad(layers, X, y, weights, l2_penalty):
     """Weighted BCE + (l2/2)·Σ||W||² and gradients in layer order."""
     logits, activations, pre = mlp_forward(layers, X)
     wsum = weights.sum()
-    loss = float(np.dot(weights, _bce_from_logits(logits, y)) / wsum)
+    loss = float(np.sum(weights * _bce_from_logits(logits, y)) / wsum)
     loss += 0.5 * l2_penalty * sum(float(np.sum(W * W)) for W in layers.weights)
 
     delta = (weights * (piecewise_sigmoid(logits) - y) / wsum)[:, None]
