@@ -25,7 +25,8 @@ from .classifiers import (
     train_mlp,
 )
 from .config import ExperimentConfig, load_config, load_dataset
-from .data_io import LABEL, Dataset, Split, build_design_matrix, load_deep_store, load_image_refs
+from .data_io import (LABEL, Dataset, Split, StoreCache, build_design_matrix, load_deep_store,
+                      load_image_refs)
 from .errors import (
     ConfigError,
     EmptyDataset,
@@ -125,6 +126,7 @@ def _evaluate_model(model, ds: Dataset, split: Split) -> MetricsReport:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_extract(cfg: ExperimentConfig) -> int:
+    cache = StoreCache(cfg.out_dir / "store_cache")
     image_ids = load_dataset(cfg, privacy=False, deep=False, annotations=False).manifest.ids
     image_refs = {}
     if cfg.data.image_refs is not None:
@@ -147,7 +149,7 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
     if cfg.data.scenes is not None:
         if cfg.data.io_map is None:
             raise ConfigError("scenes configured without io_map")
-        _, scenes, columns = load_deep_store(cfg.data.scenes)
+        _, scenes, columns = load_deep_store(cfg.data.scenes, cache)
         io_map = extractors.load_io_map(cfg.data.io_map)
         if cfg.data.categories is not None:
             categories = extractors.load_categories(cfg.data.categories)
@@ -175,6 +177,7 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
         person_conf_threshold=cfg.person_conf_threshold,
     )
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    cache.save()
     out_path = cfg.out_dir / "privacy_features.csv"
     report = extractors.run_extraction(
         image_ids, sources, cfg.out_dir / "safesearch_cache", out_path, workers=cfg.workers
@@ -189,11 +192,13 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
-    ds = load_dataset(cfg, require_splits=True, annotations=False)
+    cache = StoreCache(cfg.out_dir / "store_cache")
+    ds = load_dataset(cfg, require_splits=True, annotations=False, cache=cache)
     model, trace, splits, stop_note = _train_one(cfg, ds, cfg.features)
     reports = {name: MetricsReport.from_labels(y, predict_label(model, X))
                for name, (X, y) in splits.items()}
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    cache.save()
     save_model(model, cfg.out_dir / "model.json")
     _write_trace(cfg.out_dir / "loss_trace.csv", trace)
     train_log = {
@@ -215,10 +220,12 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 
 def cmd_evaluate(cfg: ExperimentConfig, model_path) -> int:
-    ds = load_dataset(cfg, require_splits=True, annotations=False)
+    cache = StoreCache(cfg.out_dir / "store_cache")
+    ds = load_dataset(cfg, require_splits=True, annotations=False, cache=cache)
     model = load_model(model_path)
     report = _evaluate_model(model, ds, Split.TEST)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    cache.save()
     analysis.write_json(cfg.out_dir / "test_metrics.json", report.to_dict())
     print(report.table_row("test"))
     return EXIT_OK
@@ -227,8 +234,10 @@ def cmd_evaluate(cfg: ExperimentConfig, model_path) -> int:
 def cmd_ablate(cfg: ExperimentConfig) -> int:
     if not cfg.ablation_rows:
         raise ConfigError("config has no [ablation] rows")
-    ds = load_dataset(cfg, require_splits=True, annotations=False)
+    cache = StoreCache(cfg.out_dir / "store_cache")
+    ds = load_dataset(cfg, require_splits=True, annotations=False, cache=cache)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    cache.save()
 
     results = []
     failures = 0

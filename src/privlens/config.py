@@ -13,6 +13,7 @@ from .classifiers import TrainConfig
 from .data_io import (
     SPLIT,
     Dataset,
+    StoreCache,
     assign_splits,
     bad_input,
     load_annotations,
@@ -271,9 +272,11 @@ def load_dataset(
     privacy: bool = True,
     deep: bool = True,
     annotations: bool = True,
+    cache: StoreCache | None = None,
 ) -> Dataset:
     """Join the manifest and the configured stores that `privacy`, `deep` and
-    `annotations` select (the rest stay empty) into a Dataset.
+    `annotations` select (the rest stay empty) into a Dataset. Deep stores go
+    through `cache` when one is given.
 
     When the manifest lacks splits and require_splits is set, a seeded random
     split is generated and written to out_dir/manifest_with_splits.csv.
@@ -289,7 +292,7 @@ def load_dataset(
         stores["privacy_features"] = load_privacy_store(cfg.data.privacy_features)
     deep_stores = {}
     for p in cfg.data.deep_features if deep else ():
-        tag, store, _ = load_deep_store(p)
+        tag, store, _ = load_deep_store(p, cache)
         if tag in deep_stores:
             raise ConfigError(f"duplicate deep-feature source_tag {tag!r}")
         deep_stores[tag] = store

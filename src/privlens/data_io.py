@@ -15,9 +15,12 @@ The manifest, each feature store and the per-image vote counts become one
 id-keyed float64 matrix (`FeatureStore`); `write_manifest` and
 `write_privacy_store` write the first two back. Feature stores are parsed
 in bulk; the manifest, and a store the bulk parser leaves, are read by a
-row scan, which reports the failing path:line. So do undecodable bytes
-and malformed CSV in any file. Every table with a one-line header is
-scanned through `read_table`.
+row scan, which reports the failing path:line. So do undecodable bytes,
+malformed CSV and an empty image_id in any file. Every table with a
+one-line header is scanned through `read_table`.
+
+A `StoreCache` keeps each parsed deep store, keyed by the sha256 of the
+file's bytes, so a later load of the same content skips the parse.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from __future__ import annotations
 import csv
 import enum
 import itertools
+import json
 import logging
+import os
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -330,7 +335,8 @@ def _parse_bulk(fh, n_values: int, converters=None):
         )  # (loadtxt warns on empty input)
     except ValueError:
         return None
-    return (ids, values) if len(set(ids)) == len(ids) else None
+    unique = set(ids)
+    return (ids, values) if len(unique) == len(ids) and "" not in unique else None
 
 
 _PRIVACY_HEADER = ["image_id", *PRIVACY_FEATURE_NAMES]
@@ -397,6 +403,8 @@ def _scan_privacy_store(path) -> FeatureStore:
     rows: dict[str, tuple] = {}
     for lineno, row in read_table(path, _PRIVACY_HEADER):
         image_id = row[0].strip()
+        if not image_id:
+            raise ParseError("empty image_id", path=path, line=lineno)
         levels = [_parse_sensitivity_cell(c, path, lineno) for c in row[1:6]]
         try:
             people_prob, people_count, outdoor_prob = float(row[6]), int(row[7]), float(row[8])
@@ -475,6 +483,8 @@ def _scan_deep_store(path) -> tuple[str, FeatureStore, list[str]]:
         source_tag, dim, columns = _deep_header(fh, path)
         for lineno, row in _csv_rows(fh, path, 3):
             image_id = row[0].strip()
+            if not image_id:
+                raise ParseError("empty image_id", path=path, line=lineno)
             if len(row) - 1 != dim:
                 raise DimensionMismatch(f"image {image_id!r} has {len(row) - 1} values, "
                                         f"header declares dim={dim}", path=path, line=lineno)
@@ -492,21 +502,118 @@ def _scan_deep_store(path) -> tuple[str, FeatureStore, list[str]]:
     return source_tag, FeatureStore(list(rows), values), columns
 
 
-def load_deep_store(path) -> tuple[str, FeatureStore, list[str]]:
-    """Returns (source_tag, store, the column names of its header)."""
+def _parse_deep_store(path) -> tuple[str, FeatureStore, list[str]]:
     loaded = _bulk_deep_store(path)
     return loaded if loaded is not None else _scan_deep_store(path)
+
+
+def file_sha256(path) -> str:
+    """The hex sha256 of the bytes of the file at `path`, read in 1 MiB chunks."""
+    import hashlib  # imported here: it loads OpenSSL, and only a cached load hashes
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+# Part of each entry's name. Bump it whenever the deep-store parser accepts or
+# rejects other files, or returns other results, so no older entry is read.
+STORE_CACHE_VERSION = 1
+
+
+def _publish(path: Path, write) -> None:
+    """Call `write` on a temporary file that then replaces `path`, so no reader
+    sees half a file."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        if path.is_dir():  # found in place of an entry, which was then parsed again
+            path.rmdir()
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+class StoreCache:
+    """Parsed deep stores under `root`, one entry per file content.
+
+    An entry is named `deep-v<STORE_CACHE_VERSION>-<sha256 of the file>`: a
+    `.npy` of the values and a `.json` of the source tag, column names and
+    ids. Loading writes nothing: a parse is only recorded, and `save` writes
+    the recorded entries. A command saves once its input checks have passed.
+    """
+
+    def __init__(self, root):
+        self.root = Path(root)
+        self._parsed: dict[str, tuple[str, FeatureStore, list[str]]] = {}
+
+    def _paths(self, key: str) -> tuple[Path, Path]:
+        name = f"deep-v{STORE_CACHE_VERSION}-{key}"
+        return self.root / f"{name}.npy", self.root / f"{name}.json"
+
+    def load(self, path) -> tuple[str, FeatureStore, list[str]]:
+        """The deep store at `path`, from its entry when one exists and can be
+        read (else with a warning), otherwise parsed and recorded."""
+        try:
+            key = file_sha256(path)
+        except OSError:  # the parser reports an unreadable file
+            return _parse_deep_store(path)
+        values_path, meta_path = self._paths(key)
+        if values_path.exists() or meta_path.exists():
+            try:
+                values = np.load(values_path, allow_pickle=False)
+                meta = json.loads(meta_path.read_text("utf-8"))
+                tag, columns, ids = meta["source_tag"], meta["columns"], meta["ids"]
+                if not (isinstance(ids, list) and isinstance(columns, list)
+                        and all(isinstance(s, str) for s in (tag, *columns, *ids))
+                        and values.dtype == np.float64
+                        and values.shape == (len(ids), len(columns))):
+                    raise ValueError("values and metadata disagree")
+                return tag, FeatureStore(ids, values), columns
+            except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError) as exc:
+                log.warning("ignoring unreadable store cache entry %s: %s",
+                            values_path.with_suffix(""), exc)
+        loaded = self._parsed[key] = _parse_deep_store(path)
+        return loaded
+
+    def save(self) -> None:
+        """Write the entries recorded since the last save; an OSError is one warning."""
+        parsed, self._parsed = self._parsed, {}
+        try:
+            for key, (tag, store, columns) in parsed.items():
+                values_path, meta_path = self._paths(key)
+                meta = json.dumps({"source_tag": tag, "columns": columns, "ids": store.ids})
+                self.root.mkdir(parents=True, exist_ok=True)
+                _publish(values_path, lambda fh: np.save(fh, store.values))
+                _publish(meta_path, lambda fh: fh.write(meta.encode("utf-8")))
+        except OSError as exc:
+            log.warning("cannot save parsed deep stores under %s: %s", self.root, exc)
+
+
+def load_deep_store(path, cache: StoreCache | None = None) -> tuple[str, FeatureStore, list[str]]:
+    """Returns (source_tag, store, the column names of its header).
+
+    With a `cache`, a file whose bytes were parsed before is read from its
+    entry, and any other is parsed and recorded there. Every error comes from
+    the parser, so the cache holds only stores the parser returned.
+    """
+    return _parse_deep_store(path) if cache is None else cache.load(path)
 
 
 def load_annotations(path) -> dict[str, AnnotationRecord]:
     votes: dict[str, list[FiveClassVote]] = {}
     for lineno, row in read_table(path, ["image_id", "assessor_id", "vote"]):
-        vote_tok = row[2].strip()
+        image_id, vote_tok = row[0].strip(), row[2].strip()
+        if not image_id:
+            raise ParseError("empty image_id", path=path, line=lineno)
         try:
             vote = FiveClassVote[vote_tok.upper()]
         except KeyError:
             raise UnknownVote(vote_tok, path=path, line=lineno)
-        votes.setdefault(row[0].strip(), []).append(vote)
+        votes.setdefault(image_id, []).append(vote)
     return {image_id: AnnotationRecord(image_id, tuple(vs)) for image_id, vs in votes.items()}
 
 

@@ -1,6 +1,7 @@
 import configparser
 import itertools
 import json
+import logging
 import os
 import re
 import subprocess
@@ -48,6 +49,55 @@ epochs = 150
 seed = 5
 """)
     return tmp_path, cfg
+
+
+@pytest.fixture
+def deep_config(tmp_path):
+    """The synthetic corpus plus a 4-dim deep store tagged rn101, trained on sens and deep."""
+    write_synth_corpus(tmp_path, n=120, seed=9)
+    ids = [line.split(",")[0] for line in
+           (tmp_path / "manifest.csv").read_text().splitlines()[1:]]
+    rows = np.random.default_rng(9).normal(size=(len(ids), 4))
+    (tmp_path / "deep.csv").write_text(
+        "#source_tag=rn101,dim=4\nimage_id,v0,v1,v2,v3\n"
+        + "".join(f"{i},{','.join(map(repr, r.tolist()))}\n" for i, r in zip(ids, rows)))
+    return tmp_path, write_config(tmp_path / "deep.ini", """
+[data]
+manifest = manifest.csv
+privacy_features = privacy_features.csv
+deep_features = deep.csv
+
+[features]
+groups = sens, deep
+source_tag = rn101
+
+[train]
+epochs = 50
+""")
+
+
+def never_parse(monkeypatch):
+    """Makes any deep-store parse raise, so a command must read its stores from the cache."""
+    def parse(path):
+        raise AssertionError(f"{path} was parsed")
+    monkeypatch.setattr("privlens.data_io._bulk_deep_store", parse)
+    monkeypatch.setattr("privlens.data_io._scan_deep_store", parse)
+
+
+def output_files(out) -> dict[str, bytes]:
+    """Every file under `out` but the parsed-store cache, by relative path."""
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and "store_cache" not in p.relative_to(out).parts}
+
+
+def test_importing_the_cli_loads_no_hashing_or_http():
+    # each of these costs every command start-up time; only the commands that use them import them
+    script = "import sys, privlens.cli; print(sorted(set(sys.argv[1:]) & sys.modules.keys()))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, "hashlib", "_hashlib", "urllib.request",
+                           "http.client"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestExitCodes:
@@ -690,6 +740,51 @@ source_tag = rn101
         assert "ERROR" in table and "good" in table
 
 
+class TestStoreCache:
+    """Deep stores parsed by one command are read by the next from `<out>/store_cache`."""
+
+    def test_repeated_evaluate_reads_the_deep_store_from_its_cache(self, deep_config,
+                                                                   monkeypatch, capsys):
+        tmp_path, cfg = deep_config
+        model, out = tmp_path / "train" / "model.json", tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(model.parent), "train"]) == EXIT_OK
+        args = ["--config", cfg, "--out-dir", str(out), "evaluate", str(model)]
+        capsys.readouterr()
+        assert main(args) == EXIT_OK
+        first = capsys.readouterr(), output_files(out)
+        assert len(list((out / "store_cache").iterdir())) == 2
+        never_parse(monkeypatch)
+        assert main(args) == EXIT_OK
+        assert (capsys.readouterr(), output_files(out)) == first
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
+    def test_file_at_the_store_cache_is_one_warning(self, deep_config, capsys, caplog,
+                                                    command):
+        tmp_path, cfg = deep_config
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write("[ablation]\nrows = both\n[ablation.both]\ngroups = sens, deep\n"
+                     "source_tag = rn101\n")
+        model = tmp_path / "train" / "model.json"
+        assert main(["--config", cfg, "--out-dir", str(model.parent), "train"]) == EXIT_OK
+        args = [command] + ([str(model)] if command == "evaluate" else [])
+        runs, warned = [], []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            if out.name == "b":
+                out.mkdir()
+                (out / "store_cache").write_text("")
+            capsys.readouterr()
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                rc = main(["--config", cfg, "--out-dir", str(out), *args])
+            warned.append([r.getMessage() for r in caplog.records])
+            stdout = capsys.readouterr().out.replace(str(out), "<out>")
+            runs.append((rc, stdout, output_files(out)))
+        assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
+        assert warned[0] == []
+        (warning,) = warned[1]
+        assert warning.startswith(f"cannot save parsed deep stores under {out / 'store_cache'}: ")
+
+
 class TestAnalyze:
     def test_votes_only_gracefully_skips_feature_analyses(self, tmp_path):
         (tmp_path / "manifest.csv").write_text(
@@ -1149,6 +1244,37 @@ detections = detections.csv
                         "column 1 is 'kitchen', the category list has 'beach'")
         assert mock_server.calls == 0
         assert not out.exists()
+
+    def test_warm_extract_reads_the_scene_store_from_its_cache(self, tmp_path, mock_server,
+                                                               monkeypatch, capsys):
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        cfg = self._scene_config(tmp_path, "beach,kitchen")
+        out = tmp_path / "out"
+        args = ["--config", cfg, "--out-dir", str(out), "extract"]
+        capsys.readouterr()
+        assert main(args) == EXIT_OK
+        first = capsys.readouterr(), output_files(out)
+        assert len(list((out / "store_cache").iterdir())) == 2
+        never_parse(monkeypatch)
+        assert main(args) == EXIT_OK
+        assert (capsys.readouterr(), output_files(out)) == first
+
+    @pytest.mark.parametrize("header, io_map, code", [
+        ("kitchen,beach", "beach,outdoor\nkitchen,indoor\n", EXIT_CONFIG),
+        ("beach,kitchen", "beach,outdoor\nkitchen\n", 1),
+    ], ids=["scene columns out of order", "bad io map"])
+    def test_failed_input_check_writes_no_store_cache(self, tmp_path, mock_server, monkeypatch,
+                                                      header, io_map, code):
+        # the scene store is parsed before the check fails; nothing of it is written
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        cfg = self._scene_config(tmp_path, header)
+        (tmp_path / "io_map.txt").write_text(io_map)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == code
+        assert list(out.iterdir()) == [] and mock_server.calls == 0
 
     @pytest.mark.parametrize("header, outdoor", [("beach,kitchen", "0.900000"),
                                                  ("c0,c1", "0.900000")],

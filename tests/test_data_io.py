@@ -1,4 +1,9 @@
+import json
+import logging
+import os
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from privlens.data_io import (
     FeatureStore,
     FiveClassVote,
     Split,
+    StoreCache,
     assign_splits,
     build_design_matrix,
     load_annotations,
@@ -130,6 +136,22 @@ def test_bad_byte_is_placed_at_its_line(tmp_path, load, lines, newline):
 
 PRIVACY_HEADER = ("image_id,adult,racy,medical,spoofed,violent,"
                   "people_prob,people_count,outdoor_prob\n")
+DEEP_HEADER = "#source_tag=rn,dim=2\nimage_id,v0,v1\n"
+
+
+@pytest.mark.parametrize("cell", ["", "  ", '""'], ids=["empty", "blank", "quoted"])
+@pytest.mark.parametrize("load, head, row, lineno", [
+    (load_privacy_store, PRIVACY_HEADER, "{},POSSIBLE,,,,,0.5,1,0.25", 3),
+    (load_deep_store, DEEP_HEADER, "{},0.5,1.5", 4),
+    (load_annotations, "image_id,assessor_id,vote\n", "{},u1,PRIVATE", 3),
+], ids=["privacy store", "deep store", "annotations"])
+def test_empty_id_is_parse_error_at_its_line(tmp_path, load, head, row, lineno, cell):
+    # the line before the bad one is valid; an unquoted file first takes the bulk path
+    good = row.format("a")
+    path = write(tmp_path, "in.csv", head + good + "\n" + row.format(cell) + "\n")
+    with pytest.raises(ParseError) as info:
+        load(path)
+    assert str(info.value) == f"empty image_id [{path}:{lineno}]"
 
 
 class TestPrivacyStore:
@@ -363,7 +385,7 @@ _BLANK = st.sampled_from(["", "", " "])  # a whitespace-only line is a malformed
 def _store_lines(draw, row_cells):
     """A store body: mostly valid rows, sometimes a blank line, a row with a
     field too few or too many, a malformed cell, a bad number in one of the
-    last three cells, or a repeated id."""
+    last three cells, a repeated id or an empty one."""
     ids = draw(st.lists(_IDS, min_size=6, max_size=8, unique=True))
     lines = []
     for _ in range(draw(st.integers(1, 6))):
@@ -379,6 +401,8 @@ def _store_lines(draw, row_cells):
             cells[draw(st.integers(1, len(cells) - 1))] = draw(_BAD_CELLS)
         elif kind == 4:
             cells[draw(st.integers(max(1, len(cells) - 3), len(cells) - 1))] = draw(_BAD_NUMBERS)
+        elif kind == 5:
+            cells[0] = draw(st.sampled_from(["", " ", '""']))
         lines.append(",".join(cells))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return "".join(line + newline for line in lines)
@@ -539,3 +563,149 @@ class TestManifestMatchesFrozenReference:
             _records(cells), cfg.split_seed, fractions))
         assert ((out / "manifest_with_splits.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
+
+
+# --- the parsed deep-store cache ------------------------------------------------
+
+def _no_parse(monkeypatch):
+    """Makes any deep-store parse fail the test."""
+    def never(path):
+        raise AssertionError(f"{path} was parsed")
+    monkeypatch.setattr("privlens.data_io._bulk_deep_store", never)
+    monkeypatch.setattr("privlens.data_io._scan_deep_store", never)
+
+
+def _same_deep_store(a, b) -> bool:
+    return a[0] == b[0] and a[2] == b[2] and _same_store(a[1], b[1])
+
+
+_TEXT = st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n")
+_CACHE_IDS = st.one_of(st.text(_TEXT, min_size=1, max_size=5),
+                       st.text(_TEXT, max_size=4).map(lambda s: s + "\x00"))
+
+
+@st.composite
+def _deep_files(draw):
+    """A valid deep store: any source tag, column names and ids, some cells
+    quoted, so that both the bulk parse and the row scan are reached."""
+    dim = draw(st.integers(1, 3))
+    tag = draw(st.text(st.characters(blacklist_categories=("Cs",),
+                                     blacklist_characters="\r\n,"), max_size=4))
+    names = draw(st.lists(st.text(_TEXT, max_size=4), min_size=dim, max_size=dim))
+    ids = draw(st.lists(_CACHE_IDS.filter(lambda s: s.strip() == s), max_size=6, unique=True))
+    rows = [[i, *draw(st.lists(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                               min_size=dim, max_size=dim))] for i in ids]
+    quote = draw(st.booleans())
+
+    def line(cells):
+        return ",".join(_quoted(c) if quote or any(q in c for q in ',"') else c for c in cells)
+
+    return (f"#source_tag={tag},dim={dim}\n" + line(["image_id", *names]) + "\n"
+            + "".join(line(r) + "\n" for r in rows))
+
+
+class TestStoreCache:
+    @_PROPERTY
+    @given(_deep_files())
+    def test_cached_load_equals_the_parse(self, tmp_path, body):
+        example = Path(tempfile.mkdtemp(dir=tmp_path))  # tmp_path is shared by the examples
+        path, root = example / "d.csv", example / "cache"
+        path.write_text(body, encoding="utf-8", newline="")
+        parsed = load_deep_store(path)
+        cache = StoreCache(root)
+        assert _same_deep_store(load_deep_store(path, cache), parsed)
+        cache.save()
+        with pytest.MonkeyPatch.context() as mp:
+            _no_parse(mp)
+            cached = load_deep_store(path, StoreCache(root))
+        assert _same_deep_store(cached, parsed)
+        assert cached[1].values.flags.writeable and cached[1].values.dtype == np.float64
+
+    def _entry(self, tmp_path, text=DEEP_HEADER + "a,0.5,1.5\nb\x00,-2,3e-3\n"):
+        path = write(tmp_path, "d.csv", text)
+        cache = StoreCache(tmp_path / "cache")
+        loaded = load_deep_store(path, cache)
+        cache.save()
+        return path, loaded
+
+    @pytest.mark.parametrize("damage", [
+        lambda npy, meta: npy.write_bytes(npy.read_bytes()[:-5]),
+        lambda npy, meta: npy.write_bytes(npy.read_bytes()[:40]),
+        lambda npy, meta: npy.write_bytes(b""),
+        lambda npy, meta: meta.write_text(json.dumps(
+            {**json.loads(meta.read_text()), "ids": ["a"]})),
+        lambda npy, meta: meta.write_text(json.dumps(
+            {**json.loads(meta.read_text()), "columns": ["v0"]})),
+        lambda npy, meta: meta.write_text("{not json"),
+        lambda npy, meta: meta.write_text("null"),
+        lambda npy, meta: meta.unlink(),
+        lambda npy, meta: (npy.unlink(), npy.mkdir()),
+        lambda npy, meta: (meta.unlink(), meta.mkdir()),
+    ], ids=["truncated npy", "truncated npy header", "empty npy", "ids of wrong length",
+            "columns of wrong length", "non-JSON metadata", "metadata not an object",
+            "metadata missing", "directory at the npy", "directory at the metadata"])
+    def test_bad_entry_is_one_warning_a_parse_and_a_rewrite(self, tmp_path, caplog,
+                                                             monkeypatch, damage):
+        path, first = self._entry(tmp_path)
+        (npy,) = (tmp_path / "cache").glob("*.npy")
+        meta = npy.with_suffix(".json")
+        damage(npy, meta)
+        cache = StoreCache(tmp_path / "cache")
+        with caplog.at_level(logging.WARNING, logger="privlens.data_io"):
+            assert _same_deep_store(load_deep_store(path, cache), first)
+            cache.save()
+        (record,) = caplog.records
+        assert record.getMessage().startswith(
+            f"ignoring unreadable store cache entry {npy.with_suffix('')}: ")
+        caplog.clear()
+        _no_parse(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="privlens.data_io"):
+            assert _same_deep_store(load_deep_store(path, StoreCache(tmp_path / "cache")), first)
+        assert caplog.records == []
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [meta.name, npy.name]
+
+    def test_edit_keeping_size_and_mtime_is_a_miss(self, tmp_path):
+        path, first = self._entry(tmp_path)
+        stat = path.stat()
+        path.write_text(path.read_text().replace("0.5", "0.7"))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        cache = StoreCache(tmp_path / "cache")
+        tag, store, _ = load_deep_store(path, cache)
+        assert store.values[0].tolist() == [0.7, 1.5]
+        cache.save()
+        assert len(list((tmp_path / "cache").glob("*.npy"))) == 2
+
+    def test_entries_are_written_only_by_save(self, tmp_path):
+        path = write(tmp_path, "d.csv", DEEP_HEADER + "a,0.5,1.5\n")
+        cache = StoreCache(tmp_path / "cache")
+        load_deep_store(path, cache)
+        assert not (tmp_path / "cache").exists()
+        cache.save()
+        assert len(list((tmp_path / "cache").iterdir())) == 2
+
+    @pytest.mark.parametrize("text", [DEEP_HEADER + ",0.5,1.5\n", DEEP_HEADER + "a,nan,1\n",
+                                      "image_id,v0\na,1\n"], ids=["empty id", "nan", "header"])
+    def test_rejected_file_records_nothing(self, tmp_path, text):
+        path = write(tmp_path, "d.csv", text)
+        cache = StoreCache(tmp_path / "cache")
+        with pytest.raises(ParseError) as info:
+            load_deep_store(path, cache)
+        assert str(info.value) == str(_outcome(load_deep_store, path)[1])
+        cache.save()
+        assert not (tmp_path / "cache").exists()
+
+    def test_unreadable_file_is_the_parsers_error(self, tmp_path):
+        with pytest.raises(ParseError, match=re.escape(f"[{tmp_path}]")):
+            load_deep_store(tmp_path, StoreCache(tmp_path / "cache"))
+
+    def test_failed_save_is_one_warning(self, tmp_path, caplog):
+        (tmp_path / "cache").write_text("a file where the cache directory goes")
+        path = write(tmp_path, "d.csv", DEEP_HEADER + "a,0.5,1.5\n")
+        cache = StoreCache(tmp_path / "cache")
+        with caplog.at_level(logging.WARNING, logger="privlens.data_io"):
+            load_deep_store(path, cache)
+            cache.save()
+        (record,) = caplog.records
+        assert record.getMessage().startswith(
+            f"cannot save parsed deep stores under {tmp_path / 'cache'}: ")
