@@ -7,13 +7,14 @@ Votes arrive as per-image counts (see data_io.vote_store).
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 
 import numpy as np
 
 from .data_io import N_PRIVATE, N_PUBLIC, OUTDOOR_PROB, PEOPLE_COUNT, Dataset, decode_levels
+# Each analysis is written as JSON and as a flat CSV. The CLI calls the
+# writers by these names, which perfbench/traced_cli.py wraps.
+from .data_io import write_csv, write_json  # noqa: F401
 from .errors import EmptyControversialSet, EmptyDataset
 from .features import Likelihood, SENSITIVITY_CLASSES
 
@@ -174,17 +175,3 @@ def group_privacy_probabilities(ds: Dataset) -> list[dict]:
         })
     return out
 
-
-# --- report writers (JSON + flat CSV per analysis) ---------------------------
-
-def write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_io import write_json
 from .errors import (
     DegenerateLabels,
     DimensionMismatch,
@@ -335,16 +336,14 @@ def model_to_dict(model: Model) -> dict:
 
 
 def save_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> Model:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a JSON or UTF-8 decode error is a ValueError
         raise ParseError(f"cannot read model file: {exc}", path=path) from exc
     if not isinstance(doc, dict):
         raise ParseError("model file must hold a JSON object", path=path)

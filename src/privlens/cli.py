@@ -7,13 +7,11 @@ error, 1 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
 import sys
 from itertools import zip_longest
-from pathlib import Path
 
 from . import analysis, extractors
 from .classifiers import (
@@ -26,7 +24,7 @@ from .classifiers import (
 )
 from .config import ExperimentConfig, load_config, load_dataset
 from .data_io import (LABEL, Dataset, Split, StoreCache, build_design_matrix, load_deep_store,
-                      load_image_refs)
+                      load_image_refs, publish, write_manifest)
 from .errors import (
     ConfigError,
     EmptyDataset,
@@ -101,12 +99,20 @@ def _train_one(cfg: ExperimentConfig, ds: Dataset, spec: FeatureSpec):
     return model, trace, splits, stop_note
 
 
-def _write_trace(path, trace):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for i, loss in enumerate(trace):
-            writer.writerow([i, repr(loss)])
+def _commit(cfg: ExperimentConfig, cache: StoreCache | None = None, ds: Dataset | None = None,
+            outputs=None) -> None:
+    """The commit point of a command, reached once every input check has
+    passed: nothing under --out-dir is created or changed before it. Creates
+    --out-dir, saves the parsed deep stores, and writes the split manifest
+    when `ds` drew its splits, then each of `outputs` (file name -> function
+    writing that path), each file whole."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    if cache is not None:
+        cache.save()
+    if ds is not None and ds.splits_assigned:
+        write_manifest(cfg.out_dir / "manifest_with_splits.csv", ds.manifest)
+    for name, write in (outputs or {}).items():
+        write(cfg.out_dir / name)
 
 
 def _evaluate_model(model, ds: Dataset, split: Split) -> MetricsReport:
@@ -176,8 +182,7 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
         io_map=io_map,
         person_conf_threshold=cfg.person_conf_threshold,
     )
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    cache.save()
+    _commit(cfg, cache)  # before the queries: each answer is cached as it arrives
     out_path = cfg.out_dir / "privacy_features.csv"
     report = extractors.run_extraction(
         image_ids, sources, cfg.out_dir / "safesearch_cache", out_path, workers=cfg.workers
@@ -197,10 +202,6 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     model, trace, splits, stop_note = _train_one(cfg, ds, cfg.features)
     reports = {name: MetricsReport.from_labels(y, predict_label(model, X))
                for name, (X, y) in splits.items()}
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    cache.save()
-    save_model(model, cfg.out_dir / "model.json")
-    _write_trace(cfg.out_dir / "loss_trace.csv", trace)
     train_log = {
         "classifier_kind": cfg.classifier_kind,
         **cfg.features.to_dict(),
@@ -212,7 +213,12 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     }
     if stop_note is not None:
         train_log["early_stopping"] = stop_note
-    analysis.write_json(cfg.out_dir / "training_log.json", train_log)
+    _commit(cfg, cache, ds, {
+        "model.json": lambda path: save_model(model, path),
+        "loss_trace.csv": lambda path: analysis.write_csv(
+            path, ["epoch", "loss"], ([i, repr(loss)] for i, loss in enumerate(trace))),
+        "training_log.json": lambda path: analysis.write_json(path, train_log),
+    })
     for name, report in reports.items():
         print(report.table_row(name))
     print(f"model written to {cfg.out_dir / 'model.json'}")
@@ -224,9 +230,8 @@ def cmd_evaluate(cfg: ExperimentConfig, model_path) -> int:
     ds = load_dataset(cfg, require_splits=True, annotations=False, cache=cache)
     model = load_model(model_path)
     report = _evaluate_model(model, ds, Split.TEST)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    cache.save()
-    analysis.write_json(cfg.out_dir / "test_metrics.json", report.to_dict())
+    _commit(cfg, cache, ds,
+            {"test_metrics.json": lambda path: analysis.write_json(path, report.to_dict())})
     print(report.table_row("test"))
     return EXIT_OK
 
@@ -236,26 +241,22 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
         raise ConfigError("config has no [ablation] rows")
     cache = StoreCache(cfg.out_dir / "store_cache")
     ds = load_dataset(cfg, require_splits=True, annotations=False, cache=cache)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    cache.save()
 
-    results = []
-    failures = 0
+    results = []  # (row, its test metrics or None when it failed)
+    outputs = {}  # the model of each row that ran, then the table and the CSV
     for row in cfg.ablation_rows:
         try:
             model = _train_one(cfg, ds, row.features)[0]
-            report = _evaluate_model(model, ds, Split.TEST)
-            results.append((row, report, None))
-            save_model(model, cfg.out_dir / f"model_{row.row_id}.json")
+            results.append((row, _evaluate_model(model, ds, Split.TEST)))
+            outputs[f"model_{row.row_id}.json"] = lambda path, m=model: save_model(m, path)
         except PrivlensError as exc:
-            failures += 1
-            results.append((row, None, f"{type(exc).__name__}: {exc}"))
+            results.append((row, None))
             log.error("ablation row %s failed: %s", row.row_id, exc)
 
     header = ["row", "Sens", "People", "Out", "Places", "Deep", "BA", "F1"]
     csv_rows = []
     lines = ["  ".join(f"{h:<8s}" for h in header)]
-    for row, report, err in results:
+    for row, report in results:
         marks = ["x" if g in row.features.groups else "" for g in GROUP_ORDER]
         if row.features.source_tag and FeatureGroup.DEEP in row.features.groups:
             marks[4] = row.features.source_tag
@@ -268,23 +269,22 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
         csv_rows.append(cells)
         lines.append("  ".join(f"{c:<8s}" for c in cells))
     table = "\n".join(lines) + "\n"
-    (cfg.out_dir / "ablation_table.txt").write_text(table, "utf-8")
-    analysis.write_csv(cfg.out_dir / "ablation_results.csv", header, csv_rows)
+    outputs["ablation_table.txt"] = lambda path: publish(path, lambda fh: fh.write(table))
+    outputs["ablation_results.csv"] = lambda path: analysis.write_csv(path, header, csv_rows)
+    _commit(cfg, cache, ds, outputs)
     print(table, end="")
-    return EXIT_PARTIAL if failures else EXIT_OK
+    return EXIT_PARTIAL if any(report is None for _, report in results) else EXIT_OK
 
 
-def _write_report(stem: Path, payload, header: list[str], rows) -> None:
-    """One analysis as `<stem>.json` and as the flat `<stem>.csv`."""
-    analysis.write_json(stem.with_suffix(".json"), payload)
-    analysis.write_csv(stem.with_suffix(".csv"), header, rows)
+def _report(stem: str, payload, header: list[str], rows) -> dict:
+    """The outputs of one analysis: `<stem>.json` and the flat `<stem>.csv`."""
+    return {f"{stem}.json": lambda path: analysis.write_json(path, payload),
+            f"{stem}.csv": lambda path: analysis.write_csv(path, header, rows)}
 
 
 def cmd_analyze(cfg: ExperimentConfig) -> int:
     ds = load_dataset(cfg, deep=False)
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    skipped = []
+    outputs, skipped = {}, []
 
     have_votes = cfg.data.annotations is not None
     have_features = len(ds.privacy_features) > 0
@@ -294,13 +294,12 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
         if not ds.annotations:
             raise EmptyDataset("annotations file contains no votes")
         ids = analysis.controversial_image_ids(ds)
-        _write_report(out / "controversial", {"image_ids": ids}, ["image_id"],
-                      [[i] for i in ids])
+        outputs |= _report("controversial", {"image_ids": ids}, ["image_id"], [[i] for i in ids])
         if have_features:
             try:
                 breakdown = analysis.controversial_people_breakdown(ds, ids)
-                _write_report(out / "people_breakdown", breakdown, ["group", "fraction"],
-                              sorted(breakdown.items()))
+                outputs |= _report("people_breakdown", breakdown, ["group", "fraction"],
+                                   sorted(breakdown.items()))
             except analysis.EmptyControversialSet:
                 skipped.append("people_breakdown (no controversial images)")
         else:
@@ -315,13 +314,13 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
                 curves[loc or "all"] = analysis.cumulative_private_by_people(ds, loc)
             except EmptyDataset:
                 pass
-        _write_report(
-            out / "cumulative_private", curves, ["location", "max_people", "p_private"],
+        outputs |= _report(
+            "cumulative_private", curves, ["location", "max_people", "p_private"],
             [(loc, k, p) for loc, curve in sorted(curves.items()) for k, p in curve])
 
         dist = analysis.sensitivity_label_distribution(ds)
-        _write_report(
-            out / "sensitivity_distribution", dist, ["class", "level", "label", "count"],
+        outputs |= _report(
+            "sensitivity_distribution", dist, ["class", "level", "label", "count"],
             [(c, lvl, lab, n)
              for c, per_level in sorted(dist["counts"].items())
              for lvl, per_label in per_level.items()
@@ -331,21 +330,22 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
             c: analysis.private_prob_given_sensitivity(ds, c)
             for c in analysis.SENSITIVITY_CLASSES
         }
-        _write_report(
-            out / "conditional_private", conditional, ["class", "level", "p_private", "support"],
+        outputs |= _report(
+            "conditional_private", conditional, ["class", "level", "p_private", "support"],
             [(c, lvl, p, n) for c, rows in sorted(conditional.items()) for lvl, p, n in rows])
 
         columns = ["has_people", "is_sensitive", "is_outdoor", "share", "p_private", "support"]
         groups = analysis.group_privacy_probabilities(ds)
-        _write_report(out / "group_probabilities", groups, columns,
-                      [[g[c] for c in columns] for g in groups])
+        outputs |= _report("group_probabilities", groups, columns,
+                           [[g[c] for c in columns] for g in groups])
     else:
         skipped.append("feature-based analyses (need privacy features and labels)")
 
+    _commit(cfg, outputs=outputs)
     for item in skipped:
         log.warning("skipped: %s", item)
         print(f"skipped: {item}", file=sys.stderr)
-    print(f"analysis outputs written to {out}")
+    print(f"analysis outputs written to {cfg.out_dir}")
     return EXIT_OK
 
 
@@ -359,17 +359,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed=args.seed, out_dir=args.out_dir,
                           workers=args.workers)
-        if args.command == "extract":
-            return cmd_extract(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.model_path)
-        if args.command == "ablate":
-            return cmd_ablate(cfg)
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
-        parser.error(f"unknown command {args.command!r}")
+        return {"extract": cmd_extract, "train": cmd_train, "ablate": cmd_ablate,
+                "analyze": cmd_analyze}[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -377,7 +370,6 @@ def main(argv=None) -> int:
         log.debug("%s failed", args.command, exc_info=exc)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    return EXIT_OK
 
 
 if __name__ == "__main__":

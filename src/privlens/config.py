@@ -21,7 +21,6 @@ from .data_io import (
     load_manifest,
     load_privacy_store,
     vote_store,
-    write_manifest,
 )
 from .errors import ConfigError
 from .features import FeatureGroup, FeatureSpec
@@ -145,6 +144,8 @@ def _check_keys(parser: configparser.ConfigParser) -> None:
         for key in section:
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in [{name}]")
+            if "\0" in parser.get(name, key, raw=True):  # a path op would raise ValueError
+                raise ConfigError(f"[{name}] {key} contains a NUL byte")
 
 
 def _resolve_path(key, raw: str, base: Path) -> Path:
@@ -279,13 +280,12 @@ def load_dataset(
     through `cache` when one is given.
 
     When the manifest lacks splits and require_splits is set, a seeded random
-    split is generated and written to out_dir/manifest_with_splits.csv.
+    split is assigned and `splits_assigned` set; nothing is written.
     """
     manifest = load_manifest(cfg.data.manifest)
-    if require_splits and manifest.missing[:, SPLIT].any():
+    assigned = require_splits and bool(manifest.missing[:, SPLIT].any())
+    if assigned:
         manifest = assign_splits(manifest, cfg.split_seed, cfg.split_fractions)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        write_manifest(cfg.out_dir / "manifest_with_splits.csv", manifest)
 
     stores = {}
     if privacy and cfg.data.privacy_features is not None:
@@ -299,4 +299,4 @@ def load_dataset(
     if annotations and cfg.data.annotations is not None:
         # the loader returns per-image records because perfbench/traced_cli.py counts their votes
         stores["annotations"] = vote_store(load_annotations(cfg.data.annotations))
-    return Dataset(manifest, deep_features=deep_stores, **stores)
+    return Dataset(manifest, deep_features=deep_stores, splits_assigned=assigned, **stores)

@@ -13,7 +13,8 @@ File formats (all UTF-8 CSV with a mandatory header):
 
 The manifest, each feature store and the per-image vote counts become one
 id-keyed float64 matrix (`FeatureStore`); `write_manifest` and
-`write_privacy_store` write the first two back. Feature stores are parsed
+`write_privacy_store` write the first two back. Every file privlens writes
+is written whole by `publish`. Feature stores are parsed
 in bulk; the manifest, and a store the bulk parser leaves, are read by a
 row scan, which reports the failing path:line. So do undecodable bytes,
 malformed CSV and an empty image_id in any file. Every table with a
@@ -174,6 +175,7 @@ class Dataset:
     privacy_features: FeatureStore = field(default_factory=lambda: privacy_store({}))
     deep_features: dict[str, FeatureStore] = field(default_factory=dict)
     annotations: FeatureStore = field(default_factory=lambda: vote_store({}))
+    splits_assigned: bool = False  # the manifest's splits were drawn, not read
 
     def __post_init__(self):
         known = self.manifest.index
@@ -433,13 +435,10 @@ def write_privacy_store(path, store: FeatureStore) -> None:
     6 decimals."""
     tokens = ("", *(lvl.name for lvl in Likelihood))  # "" where missing, else the level's token
     levels = np.where(store.missing, 0, decode_levels(store.values) + 1)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_PRIVACY_HEADER)
-        writer.writerows([image_id, *(tokens[c] for c in codes),
-                          "%.6f" % people_prob, "%d" % count, "%.6f" % outdoor]
-                         for image_id, codes, (people_prob, count, outdoor) in zip(
-                             store.ids, levels.tolist(), store.values[:, PEOPLE_PROB:].tolist()))
+    write_csv(path, _PRIVACY_HEADER, (
+        [image_id, *(tokens[c] for c in codes), "%.6f" % people_prob, "%d" % count, "%.6f" % out]
+        for image_id, codes, (people_prob, count, out) in zip(
+            store.ids, levels.tolist(), store.values[:, PEOPLE_PROB:].tolist())))
 
 
 def _deep_header(fh, path) -> tuple[str, int, list[str]]:
@@ -523,18 +522,41 @@ def file_sha256(path) -> str:
 STORE_CACHE_VERSION = 1
 
 
-def _publish(path: Path, write) -> None:
-    """Call `write` on a temporary file that then replaces `path`, so no reader
-    sees half a file."""
+def publish(path, write, binary: bool = False) -> None:
+    """Write the file at `path` whole: `write` streams into a temporary file
+    beside it, UTF-8 text with no newline translation or, with `binary`,
+    bytes, which then replaces `path`. No reader sees half a file, and a
+    failed `write` leaves the old file and no temporary one. This is the
+    one place privlens writes a file."""
+    path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="")
     try:
-        with open(tmp, "wb") as fh:
+        with fh:
             write(fh)
-        if path.is_dir():  # found in place of an entry, which was then parsed again
+        if path.is_dir():  # an empty directory in its place, such as a damaged cache entry
             path.rmdir()
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, payload) -> None:
+    """`payload` as JSON indented by 2, keys sorted, with a final newline."""
+    def write(fh):
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    publish(path, write)
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """A CSV table: `header`, then each of `rows`."""
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    publish(path, write)
 
 
 class StoreCache:
@@ -586,9 +608,9 @@ class StoreCache:
             for key, (tag, store, columns) in parsed.items():
                 values_path, meta_path = self._paths(key)
                 meta = json.dumps({"source_tag": tag, "columns": columns, "ids": store.ids})
-                self.root.mkdir(parents=True, exist_ok=True)
-                _publish(values_path, lambda fh: np.save(fh, store.values))
-                _publish(meta_path, lambda fh: fh.write(meta.encode("utf-8")))
+                self.root.mkdir(exist_ok=True)
+                publish(values_path, lambda fh: np.save(fh, store.values), binary=True)
+                publish(meta_path, lambda fh: fh.write(meta))
         except OSError as exc:
             log.warning("cannot save parsed deep stores under %s: %s", self.root, exc)
 
@@ -643,11 +665,9 @@ def assign_splits(
 def write_manifest(path, manifest: FeatureStore) -> None:
     labels, splits = ("", *_LABELS), ("", *_SPLITS)  # "" where empty, else the code's token
     tokens = np.where(manifest.missing, 0, manifest.values.astype(np.intp) + 1).tolist()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["image_id", "label", "split"])
-        writer.writerows((image_id, labels[label], splits[split])
-                         for image_id, (label, split) in zip(manifest.ids, tokens))
+    write_csv(path, ["image_id", "label", "split"], (
+        (image_id, labels[label], splits[split])
+        for image_id, (label, split) in zip(manifest.ids, tokens)))
 
 
 # Columns of each privacy group in the privacy store.

@@ -26,7 +26,8 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .data_io import FeatureStore, privacy_store, read_lines, read_table, write_privacy_store
+from .data_io import (FeatureStore, privacy_store, publish, read_lines, read_table,
+                      write_privacy_store)
 from .errors import (
     AuthError,
     ConfigError,
@@ -339,14 +340,11 @@ def _read_cache(path: Path) -> SafeSearchResult | None:
 def _fetch(
     image_id: str, sources: ExtractionSources, cache_dir: Path | None
 ) -> SafeSearchResult:
-    """Query SafeSearch about one image and, with a cache, store the answer
-    under a temporary name first, so no reader sees half an entry."""
+    """Query SafeSearch about one image and, with a cache, store the answer."""
     result = sources.safe_search.annotate(sources.image_refs.get(image_id, image_id))
     if cache_dir is not None:
-        path = _cache_path(cache_dir, image_id)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(result.to_dict(), sort_keys=True), "utf-8")
-        tmp.replace(path)
+        payload = json.dumps(result.to_dict(), sort_keys=True)
+        publish(_cache_path(cache_dir, image_id), lambda fh: fh.write(payload))
     return result
 
 
@@ -371,7 +369,7 @@ def run_extraction(
     """
     cache = Path(cache_dir) if cache_dir is not None else None
     if cache is not None:
-        cache.mkdir(parents=True, exist_ok=True)
+        cache.mkdir(exist_ok=True)
     report = ExtractionReport(n_images=len(image_ids))
 
     count, prob = people_features(image_ids, sources.detections or {},

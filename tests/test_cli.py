@@ -4,23 +4,27 @@ import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from privlens import cli
+from privlens import cli, errors
 from privlens.classifiers import load_model, predict_proba
 from privlens.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from privlens.config import MAX_WORKERS, load_config
 from privlens.errors import ConfigError
 from privlens.extractors import SafeSearchClient, _cache_path
-from privlens.features import GROUP_ORDER, FeatureGroup, FeatureSpec
+from privlens.features import GROUP_ORDER, FeatureGroup, FeatureSpec, PrivacyLabel
 from privlens.metrics import MetricsReport
 
+import frozen_splits
 from conftest import write_synth_corpus
 
 
@@ -309,6 +313,22 @@ fractions = {fractions}
         assert line == f"configuration error: {message}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, key", [
+        ("[data]\nmanifest = manifest.csv\ndeep_features = deep.csv, de\0ep.csv\n",
+         "[data] deep_features"),
+        ("[data]\nmanifest = manifest.csv\n[output]\ndir = o\0ut\n", "[output] dir"),
+    ], ids=["data path", "output dir"])
+    def test_nul_byte_in_a_path_is_config_error(self, corpus_config, capsys, body, key):
+        # pathlib raised ValueError on it, which ended as exit 1
+        tmp_path, _ = corpus_config
+        cfg = write_config(tmp_path / "bad.ini", body)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out-dir", str(out), "train"]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"configuration error: {key} contains a NUL byte"
+        assert not out.exists()
+
     def test_ablation_section_not_in_rows_is_accepted(self, corpus_config):
         tmp_path, _ = corpus_config
         cfg = load_config(write_config(
@@ -376,6 +396,13 @@ privacy_features = privacy_features.csv
         assert main(["--config", cfg, "--out-dir", str(out), "train"]) == EXIT_OK
         text = (out / "manifest_with_splits.csv").read_text()
         assert ",train" in text and ",test" in text
+        records = [frozen_splits.Record(image_id, PrivacyLabel(label) if label else None)
+                   for image_id, label, _ in (line.split(",") for line in (
+                       tmp_path / "manifest.csv").read_text().splitlines()[1:])]
+        frozen_splits.write_manifest(tmp_path / "ref.csv", frozen_splits.assign_splits(
+            records, load_config(cfg).split_seed))
+        assert (out / "manifest_with_splits.csv").read_bytes() == (
+            tmp_path / "ref.csv").read_bytes()
 
     def test_non_finite_deep_cell_is_parse_error(self, tmp_path, capsys):
         (tmp_path / "manifest.csv").write_text(
@@ -586,6 +613,20 @@ class TestEvaluate:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ParseError: ") and f"[{model_path}]" in line
 
+
+    def test_undecodable_model_file_is_one_parse_error_line(self, corpus_config, capsys):
+        # found by mutating inputs as TestFuzzedInput does: a UnicodeDecodeError escaped
+        tmp_path, cfg = corpus_config
+        model_path = tmp_path / "model" / "model.json"
+        assert main(["--config", cfg, "--out-dir", str(model_path.parent), "train"]) == EXIT_OK
+        model_path.write_bytes(model_path.read_bytes().replace(b'"kind"', b'"k\xffind"'))
+        capsys.readouterr()
+        rc = main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "evaluate",
+                   str(model_path)])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert rc == 1 and not (tmp_path / "out").exists()
+        assert line.startswith("error: ParseError: cannot read model file: 'utf-8' codec ")
+        assert line.endswith(f"[{model_path}]")
 
     def test_deep_spec_without_tag_is_one_parse_error_line(self, corpus_config, capsys):
         tmp_path, cfg = corpus_config
@@ -1074,14 +1115,14 @@ detections = detections.csv
 
     def test_unexpected_error_fails_only_its_image(self, tmp_path, mock_server, monkeypatch,
                                                    capsys):
-        # a directory where img_1's cache entry is written raises IsADirectoryError,
-        # which is no ExtractionError
+        # a directory at the temporary name publish writes img_1's cache entry to
+        # raises IsADirectoryError, which is no ExtractionError; main runs in this process
         monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
                            f"http://127.0.0.1:{mock_server.server_port}/")
         cfg = self._config(tmp_path, n=2)
         out = tmp_path / "out"
-        _cache_path(out / "safesearch_cache", "img_1").with_suffix(".json.tmp").mkdir(
-            parents=True)
+        entry = _cache_path(out / "safesearch_cache", "img_1")
+        entry.with_name(f"{entry.name}.{os.getpid()}.tmp").mkdir(parents=True)
         assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_PARTIAL
         err = capsys.readouterr().err
         assert "Traceback" not in err and "FAILED img_1: IsADirectoryError: " in err
@@ -1337,3 +1378,262 @@ detections = detections.csv
         assert line == ("error: ParseError: not UTF-8: invalid start byte "
                         f"[{tmp_path / name}:3]")
         assert mock_server.calls == 0
+
+
+# --- no output before the commit point ------------------------------------------
+
+def _fault_corpus(tmp_path) -> dict:
+    """A 60-image corpus every command runs on, as the config sections that
+    name its files: splits, a 3-dim deep store, votes that make img_00000
+    controversial, image refs, detections and one ablation row."""
+    write_synth_corpus(tmp_path, n=60, seed=3)
+    ids = [line.split(",")[0] for line in
+           (tmp_path / "manifest.csv").read_text().splitlines()[1:]]
+    rows = np.random.default_rng(3).normal(size=(len(ids), 3))
+    (tmp_path / "deep.csv").write_text("#source_tag=rn,dim=3\nimage_id,v0,v1,v2\n" + "".join(
+        f"{i},{','.join(map(repr, r.tolist()))}\n" for i, r in zip(ids, rows)))
+    (tmp_path / "annotations.csv").write_text("image_id,assessor_id,vote\n" + "".join(
+        f"{i},u1,PRIVATE\n{i},u2,{'PUBLIC' if k < 10 else 'PRIVATE'}\n"
+        for k, i in enumerate(ids)))
+    (tmp_path / "refs.csv").write_text("image_id,uri\n" + "".join(f"{i},{i}.jpg\n" for i in ids))
+    (tmp_path / "detections.csv").write_text(
+        "image_id,class_name,confidence\nimg_00000,person,0.9\n")
+    return {
+        "data": {"manifest": "manifest.csv", "privacy_features": "privacy_features.csv",
+                 "deep_features": "deep.csv", "annotations": "annotations.csv",
+                 "image_refs": "refs.csv", "detections": "detections.csv"},
+        "features": {"groups": "sens, deep", "source_tag": "rn"},
+        "train": {"epochs": "5"},
+        "ablation": {"rows": "a"},
+        "ablation.a": {"groups": "sens, people"},
+        "extract": {"safesearch_max_attempts": "1", "safesearch_backoff_base": "0",
+                    "safesearch_rps": "0"},
+    }
+
+
+def _write_sections(path, sections: dict) -> str:
+    return write_config(path, "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()))
+
+
+def _scenes(tmp_path, sections, header="beach,kitchen", io_map="beach,outdoor\nkitchen,indoor\n",
+            categories=None):
+    ids = [line.split(",")[0] for line in
+           (tmp_path / "manifest.csv").read_text().splitlines()[1:]]
+    width = len(header.split(","))
+    (tmp_path / "scenes.csv").write_text(
+        f"#source_tag=places365,dim={width}\nimage_id,{header}\n"
+        + "".join(f"{i}," + ",".join([f"{1 / width:.6f}"] * width) + "\n" for i in ids))
+    (tmp_path / "io_map.txt").write_text(io_map)
+    sections["data"] |= {"scenes": "scenes.csv", "io_map": "io_map.txt"}
+    if categories is not None:
+        (tmp_path / "categories.txt").write_text(categories)
+        sections["data"]["categories"] = "categories.txt"
+
+
+def _drop_splits(tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text("".join(line.rsplit(",", 1)[0] + ",\n" if k else line + "\n"
+                            for k, line in enumerate(path.read_text().splitlines())))
+
+
+def _repeat_deep_row(tmp_path):
+    with open(tmp_path / "deep.csv", "a", encoding="utf-8") as fh:
+        fh.write("img_00003,0,0,0\n")
+
+
+def _drop_privacy_row(tmp_path, image_id):
+    path = tmp_path / "privacy_features.csv"
+    path.write_text("".join(line + "\n" for line in path.read_text().splitlines()
+                            if not line.startswith(image_id + ",")))
+
+
+# id -> (command line after --out-dir, edit(tmp_path, sections, env), the documented exit code)
+FAULTS = {
+    "train/unknown key": (["train"], lambda t, s, e: s["train"].update(learnig_rate="5"),
+                          EXIT_CONFIG),
+    "train/hidden width 0": (["train"], lambda t, s, e: s["train"].update(
+        kind="mlp", hidden_dims="16, 0, 8"), EXIT_CONFIG),
+    "train/NaN split fraction": (["train"], lambda t, s, e: (
+        _drop_splits(t), s.update(split={"fractions": "nan, 0.5, 0.5"})), EXIT_CONFIG),
+    "train/deep without source_tag": (["train"], lambda t, s, e: s["features"].pop(
+        "source_tag"), EXIT_CONFIG),
+    "train/NUL in a data path": (["train"], lambda t, s, e: s["data"].update(
+        manifest="mani\0fest.csv"), EXIT_CONFIG),
+    "train/NUL in the output dir": (["train"], lambda t, s, e: s.update(
+        output={"dir": "o\0ut"}), EXIT_CONFIG),
+    "train/repeated deep id, drawn splits": (["train"], lambda t, s, e: (
+        _drop_splits(t), _repeat_deep_row(t)), 1),
+    "train/bad manifest byte": (["train"], lambda t, s, e: _replace_line(
+        t / "manifest.csv", 20, b"img_00018,priv\xffate,train"), 1),
+    "train/bad seed flag": (["--seed", "x", "train"], lambda t, s, e: None, EXIT_USAGE),
+    "evaluate/no model path": (["evaluate"], lambda t, s, e: None, EXIT_USAGE),
+    "evaluate/missing model": (["evaluate", "{tmp}/none.json"], lambda t, s, e: None, 1),
+    "evaluate/malformed model": (["evaluate", "{tmp}/refs.csv"], lambda t, s, e: None, 1),
+    "evaluate/repeated deep id, drawn splits": (["evaluate", "{tmp}/none.json"],
+                                                lambda t, s, e: (_drop_splits(t),
+                                                                 _repeat_deep_row(t)), 1),
+    "ablate/no rows": (["ablate"], lambda t, s, e: (s.pop("ablation"), s.pop("ablation.a")),
+                       EXIT_CONFIG),
+    "ablate/deep row without source_tag": (["ablate"], lambda t, s, e: s["ablation.a"].update(
+        groups="deep"), EXIT_CONFIG),
+    "ablate/repeated deep id, drawn splits": (["ablate"], lambda t, s, e: (
+        _drop_splits(t), _repeat_deep_row(t)), 1),
+    "analyze/controversial image without features": (["analyze"], lambda t, s, e: (
+        _drop_privacy_row(t, "img_00000")), 1),
+    "analyze/no votes": (["analyze"], lambda t, s, e: (t / "annotations.csv").write_text(
+        "image_id,assessor_id,vote\n"), 1),
+    "analyze/unknown vote": (["analyze"], lambda t, s, e: _replace_line(
+        t / "annotations.csv", 5, b"img_00001,u2,MAYBE"), 1),
+    "extract/repeated image refs id": (["extract"], lambda t, s, e: _replace_line(
+        t / "refs.csv", 3, b"img_00000,x.jpg"), 1),
+    "extract/empty detections id": (["extract"], lambda t, s, e: (
+        t / "detections.csv").write_text("image_id,class_name,confidence\n,person,0.9\n"), 1),
+    "extract/malformed endpoint": (["extract"], lambda t, s, e: e.update(
+        PRIVLENS_SAFESEARCH_URL="ftp://127.0.0.1/"), EXIT_CONFIG),
+    "extract/out-of-range value": (["extract"], lambda t, s, e: s["extract"].update(
+        safesearch_rps="-1"), EXIT_CONFIG),
+    "extract/scene columns out of order": (["extract"], lambda t, s, e: _scenes(
+        t, s, header="kitchen,beach"), EXIT_CONFIG),
+    "extract/scene width differs": (["extract"], lambda t, s, e: _scenes(
+        t, s, header="beach,kitchen,c2"), EXIT_CONFIG),
+    "extract/category not in io map": (["extract"], lambda t, s, e: _scenes(
+        t, s, categories="beach\nmystery\n"), EXIT_CONFIG),
+    "extract/bad io map line": (["extract"], lambda t, s, e: _scenes(
+        t, s, io_map="beach,outdoor\nkitchen\n"), 1),
+}
+
+# Files of every command, as an earlier run may have left them.
+_EARLIER = {"model.json": b"earlier", "manifest_with_splits.csv": b"earlier",
+            "controversial.json": b"earlier", "privacy_features.csv": b"earlier",
+            "model_a.json": b"earlier", "store_cache/deep-v1-0.json": b"earlier"}
+
+
+def tree(root) -> dict:
+    """Every file under `root` by relative path, with its bytes; a directory maps to None."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+class TestNothingWrittenOnFailure:
+    """Exit 1, 64 and 78 leave --out-dir as it was: absent, or byte for byte."""
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "analyze", "extract"])
+    def test_the_corpus_runs(self, tmp_path, mock_server, monkeypatch, command):
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        cfg = _write_sections(tmp_path / "c.ini", _fault_corpus(tmp_path))
+        model = tmp_path / "trained" / "model.json"
+        assert main(["--config", cfg, "--out-dir", str(model.parent), "train"]) == EXIT_OK
+        args = [command] + ([str(model)] if command == "evaluate" else [])
+        assert main(["--config", cfg, "--out-dir", str(tmp_path / "out"), *args]) == EXIT_OK
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["absent", "earlier run"])
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_fault_leaves_the_out_dir_as_it_was(self, tmp_path, mock_server, monkeypatch,
+                                                capsys, fault, earlier):
+        args, edit, code = FAULTS[fault]
+        sections = _fault_corpus(tmp_path)
+        env = {"PRIVLENS_SAFESEARCH_URL": f"http://127.0.0.1:{mock_server.server_port}/"}
+        edit(tmp_path, sections, env)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        cfg = _write_sections(tmp_path / "c.ini", sections)
+        out = tmp_path / "out"
+        if earlier:
+            for name, data in _EARLIER.items():
+                (out / name).parent.mkdir(parents=True, exist_ok=True)
+                (out / name).write_bytes(data)
+        before = tree(out) if earlier else None
+        capsys.readouterr()
+        rc = main(["--config", cfg, "--out-dir", str(out),
+                   *(a.format(tmp=tmp_path) for a in args)])
+        err = capsys.readouterr().err
+        assert rc == code, err
+        assert "Traceback" not in err
+        if code != EXIT_USAGE:
+            (line,) = err.splitlines()
+            assert line.startswith("configuration error: " if code == EXIT_CONFIG else "error: ")
+        assert (tree(out) if out.exists() else None) == before
+        assert mock_server.calls == 0
+
+
+# --- a fuzz property over the dataset commands ----------------------------------
+
+FUZZED_FILES = ["manifest.csv", "privacy_features.csv", "deep.csv", "annotations.csv", "c.ini",
+                "model.json"]
+FUZZ_TOKENS = [b",", b"\n", b'"', b"\x00", b"\xff", b"nan", b"1e999"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    """The fault corpus with two ablation rows, ten images whose split is
+    drawn, and a model trained on it."""
+    root = tmp_path_factory.mktemp("fuzz") / "corpus"
+    root.mkdir()
+    sections = _fault_corpus(root)
+    sections["ablation"]["rows"] = "a, b"
+    sections["ablation.b"] = {"groups": "sens, people, out, deep", "source_tag": "rn"}
+    manifest = root / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("".join((line.rsplit(",", 1)[0] + "," if k > 50 else line) + "\n"
+                                for k, line in enumerate(lines)))
+    cfg = _write_sections(root / "c.ini", sections)
+    assert main(["--config", cfg, "--out-dir", str(root / "trained"), "train"]) == EXIT_OK
+    shutil.move(root / "trained" / "model.json", root / "model.json")
+    shutil.rmtree(root / "trained")
+    return root
+
+
+def mutate(data: bytes, kind: str, token: bytes, at: int, to: int) -> bytes:
+    """`data` truncated, with `token` replacing or inserted at one byte, or with
+    one line repeated, deleted or moved."""
+    if kind == "truncate":
+        return data[:at % (len(data) + 1)]
+    if kind in ("replace", "insert"):
+        i = at % len(data)
+        return data[:i] + token + data[i + (kind == "replace"):]
+    lines = data.splitlines(keepends=True)
+    i = at % len(lines)
+    if kind == "repeat":
+        lines.insert(i, lines[i])
+    elif kind == "delete":
+        del lines[i]
+    else:
+        lines.insert(to % len(lines), lines.pop(i))
+    return b"".join(lines)
+
+
+class TestFuzzedInput:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["train", "evaluate", "ablate", "analyze"]),
+           name=st.sampled_from(FUZZED_FILES),
+           kind=st.sampled_from(["truncate", "replace", "insert", "repeat", "delete",
+                                 "shuffle"]),
+           token=st.sampled_from(FUZZ_TOKENS), at=st.integers(0, 2**20),
+           to=st.integers(0, 2**20))
+    def test_one_mutated_file_fails_cleanly(self, fuzz_corpus, capsys, command, name, kind,
+                                            token, at, to):
+        """Exit 0, 1, 2 or 78; exit 1 is one `error:` line naming a
+        PrivlensError; no traceback; no --out-dir after exit 1 or 78."""
+        root = Path(tempfile.mkdtemp(dir=fuzz_corpus.parent)) / "corpus"
+        shutil.copytree(fuzz_corpus, root)
+        path = root / name
+        path.write_bytes(mutate(path.read_bytes(), kind, token, at, to))
+        out = root / "out"
+        capsys.readouterr()
+        rc = main(["--config", str(root / "c.ini"), "--out-dir", str(out), command]
+                  + ([str(root / "model.json")] if command == "evaluate" else []))
+        err = capsys.readouterr().err
+        assert rc in (EXIT_OK, 1, EXIT_PARTIAL, EXIT_CONFIG), err
+        assert "Traceback" not in err
+        if rc == 1:
+            (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+            error = re.match(r"error: (\w+): ", line)
+            assert error and issubclass(getattr(errors, error[1], type(None)),
+                                        errors.PrivlensError), line
+        if rc in (1, EXIT_CONFIG):
+            assert not out.exists(), err
+        shutil.rmtree(root.parent)

@@ -29,6 +29,7 @@ from privlens.data_io import (
     load_privacy_store,
     manifest_store,
     privacy_store,
+    publish,
     vote_store,
     write_manifest,
     write_privacy_store,
@@ -549,20 +550,16 @@ class TestManifestMatchesFrozenReference:
     @_PROPERTY
     @given(_MANIFESTS, st.integers(0, 2**32), _FRACTIONS)
     def test_manifest_with_splits_csv(self, tmp_path, cells, seed, fractions):
+        # the command writes the assigned manifest at its commit point (tests/test_cli.py)
         frozen_splits.write_manifest(tmp_path / "manifest.csv", _records(cells))
         out = tmp_path / "out"
-        (out / "manifest_with_splits.csv").unlink(missing_ok=True)
         cfg = ExperimentConfig(DataPaths(tmp_path / "manifest.csv"), seed=seed,
                                split_fractions=fractions, out_dir=out)
         ds = load_dataset(cfg, require_splits=True)
-        if all(split for _, split in cells.values()):
-            assert not (out / "manifest_with_splits.csv").exists()
-            assert manifest_cells(ds.manifest) == cells
-            return
-        frozen_splits.write_manifest(tmp_path / "ref.csv", frozen_splits.assign_splits(
-            _records(cells), cfg.split_seed, fractions))
-        assert ((out / "manifest_with_splits.csv").read_bytes()
-                == (tmp_path / "ref.csv").read_bytes())
+        assert not out.exists()
+        assert ds.splits_assigned == (not all(split for _, split in cells.values()))
+        expected = frozen_splits.assign_splits(_records(cells), cfg.split_seed, fractions)
+        assert manifest_cells(ds.manifest) == _tokens(expected)
 
 
 # --- the parsed deep-store cache ------------------------------------------------
@@ -709,3 +706,31 @@ class TestStoreCache:
         (record,) = caplog.records
         assert record.getMessage().startswith(
             f"cannot save parsed deep stores under {tmp_path / 'cache'}: ")
+
+
+class TestPublish:
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failed_writer_leaves_the_old_file(self, tmp_path, error):
+        path = write(tmp_path, "report.csv", "earlier,bytes\n")
+
+        def write_half(fh):
+            fh.write("image_id,label\n")
+            fh.flush()
+            raise error("midway")
+
+        with pytest.raises(error, match="midway"):
+            publish(path, write_half)
+        assert path.read_bytes() == b"earlier,bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+    def test_text_has_no_newline_translation_and_bytes_pass_through(self, tmp_path):
+        publish(tmp_path / "a.txt", lambda fh: fh.write("é\r\n\n"))
+        publish(tmp_path / "b.bin", lambda fh: fh.write(b"\xff\x00"), binary=True)
+        assert (tmp_path / "a.txt").read_bytes() == "é\r\n\n".encode("utf-8")
+        assert (tmp_path / "b.bin").read_bytes() == b"\xff\x00"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.bin"]
+
+    def test_empty_directory_in_its_place_is_replaced(self, tmp_path):
+        (tmp_path / "entry.json").mkdir()
+        publish(tmp_path / "entry.json", lambda fh: fh.write("{}"))
+        assert (tmp_path / "entry.json").read_text() == "{}"
