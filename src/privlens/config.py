@@ -169,7 +169,7 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:

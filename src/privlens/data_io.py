@@ -15,10 +15,9 @@ The manifest, each feature store and the per-image vote counts become one
 id-keyed float64 matrix (`FeatureStore`); `write_manifest` and
 `write_privacy_store` write the first two back. Every file privlens writes
 is written whole by `publish`. Feature stores are parsed
-in bulk; the manifest, and a store the bulk parser leaves, are read by a
-row scan, which reports the failing path:line. So do undecodable bytes,
-malformed CSV and an empty image_id in any file. Every table with a
-one-line header is scanned through `read_table`.
+in bulk; every table the bulk parser does not take is scanned row by row
+through `read_table`, which checks the image id and reports each fault at
+its path:line.
 
 A `StoreCache` keeps each parsed deep store, keyed by the sha256 of the
 file's bytes, so a later load of the same content skips the parse.
@@ -40,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     DuplicateId,
     MissingFeatures,
     MissingLabel,
@@ -224,42 +222,52 @@ def bad_input(exc: UnicodeDecodeError | csv.Error, path, line) -> ParseError:
     return ParseError(f"not UTF-8: {exc.reason}", path=path, line=line)
 
 
-def _csv_rows(fh, path, start: int):
-    """(line number, row) of each non-blank CSV row left in `fh`, the first
-    numbered `start`. Undecodable bytes and malformed CSV raise ParseError."""
-    lineno = start - 1
+def _header_row(fh, path, line: int) -> tuple[list[str], int]:
+    """The stripped cells of the CSV row on `line`, the next line of `fh`
+    ([] where that line is blank or the file ends), and the row's last line.
+    Undecodable bytes and malformed CSV raise ParseError."""
+    reader = csv.reader(fh)
     try:
-        for lineno, row in enumerate(csv.reader(fh), start=start):
-            if row:
-                yield lineno, row
+        row = next(reader, [])
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise bad_input(exc, path, lineno + 1) from exc
+        raise bad_input(exc, path, line - 1 + reader.line_num) from exc
+    return [cell.strip() for cell in row], line - 1 + reader.line_num
 
 
-def _check_header(fh, expected: list[str], path) -> None:
-    lineno, header = next(_csv_rows(fh, path, 1), (1, None))
-    if lineno != 1 or header is None or [h.strip() for h in header] != expected:
-        raise ParseError("expected header " + ",".join(expected), path=path, line=1)
-
-
-def read_table(path, header: list[str]):
-    """(line number, row) of each non-blank data row of the UTF-8 CSV file at
-    `path`, whose first line must be `header` and whose every row must have
-    as many fields. A breach, an undecodable byte or malformed CSV raises
-    ParseError at its line. Cells are yielded unstripped."""
-    width = len(header)
+def read_table(path, header: list[str], keyed: bool = True, header_line: int = 1):
+    """(line, image_id, row) of each non-blank data row of the UTF-8 CSV file
+    at `path`, whose line `header_line` must be `header` (a deep store's
+    #source_tag line comes first) and whose every row must have as many
+    fields. The image id is the first cell, stripped: it must not be empty,
+    nor, in a table `keyed` by image, repeat. Lines are physical lines, so a
+    row whose quoted field spans lines is placed at its last. A breach, an
+    undecodable byte or malformed CSV raises ParseError at its line, a
+    repeated id DuplicateId. The row's cells are yielded unstripped."""
+    width, seen = len(header), set()
     with _open_csv(path) as fh:
-        _check_header(fh, header, path)
-        lineno = 1
-        try:  # the csv.reader loop itself: wrapping `_csv_rows` made a 700k-row scan ~14% slower
-            for lineno, row in enumerate(csv.reader(fh), start=2):
+        for _ in range(header_line - 1):
+            fh.readline()
+        cells, start = _header_row(fh, path, header_line)
+        if cells != header:
+            raise ParseError("expected header " + ",".join(header), path=path, line=header_line)
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
                 if row:
+                    line = start + reader.line_num
                     if len(row) != width:
                         raise ParseError(f"expected {width} fields, got {len(row)}",
-                                         path=path, line=lineno)
-                    yield lineno, row
+                                         path=path, line=line)
+                    image_id = row[0].strip()
+                    if not image_id:
+                        raise ParseError("empty image_id", path=path, line=line)
+                    if keyed:
+                        if image_id in seen:
+                            raise DuplicateId(image_id, path=path, line=line)
+                        seen.add(image_id)
+                    yield line, image_id, row
         except (UnicodeDecodeError, csv.Error) as exc:
-            raise bad_input(exc, path, lineno + 1) from exc
+            raise bad_input(exc, path, start + reader.line_num) from exc
 
 
 def read_lines(path) -> list[str]:
@@ -274,31 +282,24 @@ def read_lines(path) -> list[str]:
 def load_manifest(path) -> FeatureStore:
     """The manifest as a two-column store (see `manifest_store`)."""
     rows: dict[str, tuple] = {}
-    for lineno, row in read_table(path, ["image_id", "label", "split"]):
-        image_id, label, split = row[0].strip(), row[1].strip(), row[2].strip()
-        if not image_id:
-            raise ParseError("empty image_id", path=path, line=lineno)
-        if image_id in rows:
-            raise DuplicateId(image_id, path=path, line=lineno)
+    for line, image_id, row in read_table(path, ["image_id", "label", "split"]):
+        label, split = row[1].strip(), row[2].strip()
         cells = label.lower(), split.lower()
         if cells[0] not in _LABEL_CODES:
-            raise UnknownLabel(label, path=path, line=lineno)
+            raise UnknownLabel(label, path=path, line=line)
         if cells[1] not in _SPLIT_CODES:
-            raise ParseError(f"unknown split {split!r}", path=path, line=lineno)
+            raise ParseError(f"unknown split {split!r}", path=path, line=line)
         rows[image_id] = cells
     return manifest_store(rows)
 
 
 def load_image_refs(path) -> dict[str, str]:
-    """image_id → URI, from an `image_id,uri` file; each id non-empty and listed once."""
+    """image_id → URI, from an `image_id,uri` file; each id listed once, each URI non-empty."""
     refs: dict[str, str] = {}
-    for lineno, row in read_table(path, ["image_id", "uri"]):
-        image_id = row[0].strip()
-        if not image_id:
-            raise ParseError("empty image_id", path=path, line=lineno)
-        if image_id in refs:
-            raise DuplicateId(image_id, path=path, line=lineno)
-        refs[image_id] = row[1].strip()
+    for line, image_id, row in read_table(path, ["image_id", "uri"]):
+        if not (uri := row[1].strip()):
+            raise ParseError("empty uri", path=path, line=line)
+        refs[image_id] = uri
     return refs
 
 
@@ -387,7 +388,8 @@ def decode_levels(values: np.ndarray) -> np.ndarray:
 
 def _bulk_privacy_store(path) -> FeatureStore | None:
     with _open_csv(path) as fh:
-        _check_header(fh, _PRIVACY_HEADER, path)
+        if _header_row(fh, path, 1)[0] != _PRIVACY_HEADER:
+            return None  # the row scan reports it
         parsed = _parse_bulk(fh, len(PRIVACY_FEATURE_NAMES), _PRIVACY_CONVERTERS)
     if parsed is None:
         return None
@@ -403,23 +405,18 @@ def _bulk_privacy_store(path) -> FeatureStore | None:
 def _scan_privacy_store(path) -> FeatureStore:
     """Row-at-a-time parse; the reference for the bulk path and its error reporter."""
     rows: dict[str, tuple] = {}
-    for lineno, row in read_table(path, _PRIVACY_HEADER):
-        image_id = row[0].strip()
-        if not image_id:
-            raise ParseError("empty image_id", path=path, line=lineno)
-        levels = [_parse_sensitivity_cell(c, path, lineno) for c in row[1:6]]
+    for line, image_id, row in read_table(path, _PRIVACY_HEADER):
+        levels = [_parse_sensitivity_cell(c, path, line) for c in row[1:6]]
         try:
             people_prob, people_count, outdoor_prob = float(row[6]), int(row[7]), float(row[8])
         except ValueError as exc:
-            raise ParseError(str(exc), path=path, line=lineno) from exc
+            raise ParseError(str(exc), path=path, line=line) from exc
         if not 0.0 <= people_prob <= 1.0:
-            raise ParseError(f"people_prob out of [0,1]: {people_prob}", path=path, line=lineno)
+            raise ParseError(f"people_prob out of [0,1]: {people_prob}", path=path, line=line)
         if not 0.0 <= outdoor_prob <= 1.0:
-            raise ParseError(f"outdoor_prob out of [0,1]: {outdoor_prob}", path=path, line=lineno)
+            raise ParseError(f"outdoor_prob out of [0,1]: {outdoor_prob}", path=path, line=line)
         if people_count < 0:
-            raise ParseError(f"people_count negative: {people_count}", path=path, line=lineno)
-        if image_id in rows:
-            raise DuplicateId(image_id, path=path, line=lineno)
+            raise ParseError(f"people_count negative: {people_count}", path=path, line=line)
         rows[image_id] = (*levels, people_prob, people_count, outdoor_prob)
     return privacy_store(rows)
 
@@ -457,13 +454,13 @@ def _deep_header(fh, path) -> tuple[str, int, list[str]]:
         raise ParseError(f"bad deep-store header {first!r}", path=path, line=1) from exc
     if dim <= 0:
         raise ParseError("dim must be positive", path=path, line=1)
-    lineno, header = next(_csv_rows(fh, path, 2), (2, None))
-    if lineno != 2 or header is None or header[0].strip() != "image_id":
+    header, _ = _header_row(fh, path, 2)
+    if header[:1] != ["image_id"]:
         raise ParseError("expected column header starting with image_id", path=path, line=2)
     if len(header) - 1 != dim:
         raise ParseError(f"column header names {len(header) - 1} columns, "
                          f"first line declares dim={dim}", path=path, line=2)
-    return source_tag, dim, [name.strip() for name in header[1:]]
+    return source_tag, dim, header[1:]
 
 
 def _bulk_deep_store(path) -> tuple[str, FeatureStore, list[str]] | None:
@@ -477,26 +474,17 @@ def _bulk_deep_store(path) -> tuple[str, FeatureStore, list[str]] | None:
 
 def _scan_deep_store(path) -> tuple[str, FeatureStore, list[str]]:
     """Row-at-a-time parse; the reference for the bulk path and its error reporter."""
-    rows: dict[str, list[float]] = {}
     with _open_csv(path) as fh:
         source_tag, dim, columns = _deep_header(fh, path)
-        for lineno, row in _csv_rows(fh, path, 3):
-            image_id = row[0].strip()
-            if not image_id:
-                raise ParseError("empty image_id", path=path, line=lineno)
-            if len(row) - 1 != dim:
-                raise DimensionMismatch(f"image {image_id!r} has {len(row) - 1} values, "
-                                        f"header declares dim={dim}", path=path, line=lineno)
-            try:
-                values = [float(c) for c in row[1:]]
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from exc
-            if not np.isfinite(values).all():
-                raise ParseError(f"non-finite value for image {image_id!r}",
-                                 path=path, line=lineno)
-            if image_id in rows:
-                raise DuplicateId(image_id, path=path, line=lineno)
-            rows[image_id] = values
+    rows: dict[str, list[float]] = {}
+    for line, image_id, row in read_table(path, ["image_id", *columns], header_line=2):
+        try:
+            values = [float(c) for c in row[1:]]
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=line) from exc
+        if not np.isfinite(values).all():
+            raise ParseError(f"non-finite value for image {image_id!r}", path=path, line=line)
+        rows[image_id] = values
     values = np.array(list(rows.values()), dtype=np.float64).reshape(len(rows), dim)
     return source_tag, FeatureStore(list(rows), values), columns
 
@@ -627,14 +615,13 @@ def load_deep_store(path, cache: StoreCache | None = None) -> tuple[str, Feature
 
 def load_annotations(path) -> dict[str, AnnotationRecord]:
     votes: dict[str, list[FiveClassVote]] = {}
-    for lineno, row in read_table(path, ["image_id", "assessor_id", "vote"]):
-        image_id, vote_tok = row[0].strip(), row[2].strip()
-        if not image_id:
-            raise ParseError("empty image_id", path=path, line=lineno)
+    for line, image_id, row in read_table(path, ["image_id", "assessor_id", "vote"],
+                                          keyed=False):
+        vote_tok = row[2].strip()
         try:
             vote = FiveClassVote[vote_tok.upper()]
         except KeyError:
-            raise UnknownVote(vote_tok, path=path, line=lineno)
+            raise UnknownVote(vote_tok, path=path, line=line)
         votes.setdefault(image_id, []).append(vote)
     return {image_id: AnnotationRecord(image_id, tuple(vs)) for image_id, vs in votes.items()}
 

@@ -260,14 +260,12 @@ def _parse_safe_search(payload) -> SafeSearchResult:
 
 def load_detections(path) -> dict[str, list[Detection]]:
     out: dict[str, list[Detection]] = {}
-    for lineno, row in read_table(path, ["image_id", "class_name", "confidence"]):
-        image_id = row[0].strip()
-        if not image_id:
-            raise ParseError("empty image_id", path=path, line=lineno)
+    for line, image_id, row in read_table(path, ["image_id", "class_name", "confidence"],
+                                          keyed=False):
         try:
             det = Detection(class_name=row[1].strip(), confidence=float(row[2]))
         except ValueError as exc:
-            raise ParseError(str(exc), path=path, line=lineno) from exc
+            raise ParseError(str(exc), path=path, line=line) from exc
         out.setdefault(image_id, []).append(det)
     return out
 

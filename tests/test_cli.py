@@ -329,6 +329,15 @@ fractions = {fractions}
         assert line == f"configuration error: {key} contains a NUL byte"
         assert not out.exists()
 
+    def test_percent_sign_in_a_value_is_literal(self, corpus_config):
+        # configparser's default interpolation raised InterpolationSyntaxError on it (exit 1)
+        tmp_path, _ = corpus_config
+        (tmp_path / "manifest.csv").rename(tmp_path / "m%1.csv")
+        cfg = write_config(tmp_path / "c.ini", "[data]\nmanifest = m%1.csv\n"
+                           "privacy_features = privacy_features.csv\n[train]\nepochs = 5\n")
+        assert load_config(cfg).data.manifest == tmp_path / "m%1.csv"
+        assert main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "train"]) == EXIT_OK
+
     def test_ablation_section_not_in_rows_is_accepted(self, corpus_config):
         tmp_path, _ = corpus_config
         cfg = load_config(write_config(
@@ -349,6 +358,7 @@ fractions = {fractions}
         assert cfg.data.manifest == tmp_path / "manifest.csv"
         assert cfg.train.batch_size is None and cfg.train.early_stop_patience is None
         assert cfg.split_fractions == (0.7, 0.1, 0.2) and cfg.hidden_dims == (16, 16, 8)
+        assert cfg.out_dir == Path("out")
 
     def test_feature_sections_parse_to_one_spec(self, tmp_path):
         # every non-empty subset of groups, with and without a tag (deep needs one)
@@ -1488,6 +1498,8 @@ FAULTS = {
         t / "annotations.csv", 5, b"img_00001,u2,MAYBE"), 1),
     "extract/repeated image refs id": (["extract"], lambda t, s, e: _replace_line(
         t / "refs.csv", 3, b"img_00000,x.jpg"), 1),
+    "extract/empty uri": (["extract"], lambda t, s, e: _replace_line(
+        t / "refs.csv", 3, b"img_00001,"), 1),
     "extract/empty detections id": (["extract"], lambda t, s, e: (
         t / "detections.csv").write_text("image_id,class_name,confidence\n,person,0.9\n"), 1),
     "extract/malformed endpoint": (["extract"], lambda t, s, e: e.update(
@@ -1564,6 +1576,7 @@ class TestNothingWrittenOnFailure:
 FUZZED_FILES = ["manifest.csv", "privacy_features.csv", "deep.csv", "annotations.csv", "c.ini",
                 "model.json"]
 FUZZ_TOKENS = [b",", b"\n", b'"', b"\x00", b"\xff", b"nan", b"1e999"]
+FUZZ_KINDS = ["truncate", "replace", "insert", "repeat", "delete", "shuffle"]
 
 
 @pytest.fixture(scope="module")
@@ -1605,35 +1618,84 @@ def mutate(data: bytes, kind: str, token: bytes, at: int, to: int) -> bytes:
     return b"".join(lines)
 
 
+def mutated_copy(corpus: Path, name: str, kind, token, at, to) -> Path:
+    """A copy of `corpus` in a new directory beside it, with the file `name` mutated."""
+    root = Path(tempfile.mkdtemp(dir=corpus.parent)) / "corpus"
+    shutil.copytree(corpus, root)
+    path = root / name
+    path.write_bytes(mutate(path.read_bytes(), kind, token, at, to))
+    return root
+
+
+def assert_failed_cleanly(rc: int, err: str, out: Path) -> None:
+    """Exit 0, 1, 2 or 78; exit 1 is one `error:` line naming a
+    PrivlensError; no traceback; no --out-dir after exit 1 or 78."""
+    assert rc in (EXIT_OK, 1, EXIT_PARTIAL, EXIT_CONFIG), err
+    assert "Traceback" not in err
+    if rc == 1:
+        (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+        error = re.match(r"error: (\w+): ", line)
+        assert error and issubclass(getattr(errors, error[1], type(None)),
+                                    errors.PrivlensError), line
+    if rc in (1, EXIT_CONFIG):
+        assert not out.exists(), err
+
+
 class TestFuzzedInput:
     @settings(max_examples=200, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(command=st.sampled_from(["train", "evaluate", "ablate", "analyze"]),
            name=st.sampled_from(FUZZED_FILES),
-           kind=st.sampled_from(["truncate", "replace", "insert", "repeat", "delete",
-                                 "shuffle"]),
+           kind=st.sampled_from(FUZZ_KINDS),
            token=st.sampled_from(FUZZ_TOKENS), at=st.integers(0, 2**20),
            to=st.integers(0, 2**20))
     def test_one_mutated_file_fails_cleanly(self, fuzz_corpus, capsys, command, name, kind,
                                             token, at, to):
-        """Exit 0, 1, 2 or 78; exit 1 is one `error:` line naming a
-        PrivlensError; no traceback; no --out-dir after exit 1 or 78."""
-        root = Path(tempfile.mkdtemp(dir=fuzz_corpus.parent)) / "corpus"
-        shutil.copytree(fuzz_corpus, root)
-        path = root / name
-        path.write_bytes(mutate(path.read_bytes(), kind, token, at, to))
+        """One mutated input of a dataset command fails cleanly."""
+        root = mutated_copy(fuzz_corpus, name, kind, token, at, to)
         out = root / "out"
         capsys.readouterr()
         rc = main(["--config", str(root / "c.ini"), "--out-dir", str(out), command]
                   + ([str(root / "model.json")] if command == "evaluate" else []))
+        assert_failed_cleanly(rc, capsys.readouterr().err, out)
+        shutil.rmtree(root.parent)
+
+
+EXTRACT_FUZZED_FILES = ["refs.csv", "detections.csv", "scenes.csv", "io_map.txt",
+                        "categories.txt"]
+
+
+@pytest.fixture(scope="module")
+def extract_fuzz_corpus(tmp_path_factory):
+    """The fault corpus with a scene store, an io map and a category list."""
+    root = tmp_path_factory.mktemp("fuzz_extract") / "corpus"
+    root.mkdir()
+    sections = _fault_corpus(root)
+    _scenes(root, sections, categories="beach\nkitchen\n")
+    _write_sections(root / "c.ini", sections)
+    return root
+
+
+class TestFuzzedExtractInput:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from(EXTRACT_FUZZED_FILES),
+           kind=st.sampled_from(FUZZ_KINDS),
+           token=st.sampled_from(FUZZ_TOKENS), at=st.integers(0, 2**20),
+           to=st.integers(0, 2**20))
+    def test_one_mutated_file_fails_cleanly(self, extract_fuzz_corpus, mock_server,
+                                            monkeypatch, capsys, name, kind, token, at, to):
+        """The property of `TestFuzzedInput`, for `extract` against the mock
+        endpoint, which gets no request after exit 1 or 78."""
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        root = mutated_copy(extract_fuzz_corpus, name, kind, token, at, to)
+        out = root / "out"
+        calls = mock_server.calls
+        capsys.readouterr()
+        rc = main(["--config", str(root / "c.ini"), "--out-dir", str(out), "extract"])
         err = capsys.readouterr().err
-        assert rc in (EXIT_OK, 1, EXIT_PARTIAL, EXIT_CONFIG), err
-        assert "Traceback" not in err
-        if rc == 1:
-            (line,) = [line for line in err.splitlines() if line.startswith("error:")]
-            error = re.match(r"error: (\w+): ", line)
-            assert error and issubclass(getattr(errors, error[1], type(None)),
-                                        errors.PrivlensError), line
+        assert_failed_cleanly(rc, err, out)
         if rc in (1, EXIT_CONFIG):
-            assert not out.exists(), err
+            assert mock_server.calls == calls, err
         shutil.rmtree(root.parent)

@@ -35,9 +35,8 @@ from privlens.data_io import (
     write_privacy_store,
 )
 from privlens.config import DataPaths, ExperimentConfig, load_dataset
-from privlens.extractors import load_io_map
+from privlens.extractors import load_detections, load_io_map
 from privlens.errors import (
-    DimensionMismatch,
     DuplicateId,
     MissingFeatures,
     MissingLabel,
@@ -119,6 +118,13 @@ class TestImageRefs:
             load_image_refs(path)
         assert str(info.value) == f"empty image_id [{path}:3]"
 
+    @pytest.mark.parametrize("cell", ["", "  "], ids=["empty", "blank"])
+    def test_empty_uri_is_parse_error_at_its_line(self, tmp_path, cell):
+        path = write(tmp_path, "r.csv", f"image_id,uri\na,http://x/1\nb,{cell}\n")
+        with pytest.raises(ParseError) as info:
+            load_image_refs(path)
+        assert str(info.value) == f"empty uri [{path}:3]"
+
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
 @pytest.mark.parametrize("load, lines", [
@@ -153,6 +159,62 @@ def test_empty_id_is_parse_error_at_its_line(tmp_path, load, head, row, lineno, 
     with pytest.raises(ParseError) as info:
         load(path)
     assert str(info.value) == f"empty image_id [{path}:{lineno}]"
+
+
+# Each table after a row whose quoted id spans two lines: the fault is on the
+# next physical line, not on the next row. The quote also sends both stores
+# to their row scans.
+_SPANNING_ID = '"x\ny"'
+
+
+@pytest.mark.parametrize("load, head, good, bad, message", [
+    (load_manifest, "image_id,label,split\n", "{},public,train", "b,bogus,train",
+     "unknown privacy label: 'bogus'"),
+    (load_image_refs, "image_id,uri\n", "{},http://x/1", "b", "expected 2 fields, got 1"),
+    (load_privacy_store, PRIVACY_HEADER, "{},POSSIBLE,,,,,0.5,1,0.25",
+     "b,MAYBE,,,,,0.5,1,0.25", "bad sensitivity cell 'MAYBE'"),
+    (load_deep_store, DEEP_HEADER, "{},0.5,1.5", "b,zz,1.5",
+     "could not convert string to float: 'zz'"),
+    (load_annotations, "image_id,assessor_id,vote\n", "{},u1,PRIVATE", "b,u1,MAYBE",
+     "unknown vote token: 'MAYBE'"),
+    (load_detections, "image_id,class_name,confidence\n", "{},person,0.9", "b,person,high",
+     "could not convert string to float: 'high'"),
+    (load_manifest, "image_id,label,split\n", "{},public,train", "b," + "x" * 131_073 + ",",
+     "malformed CSV: field larger than field limit (131072)"),
+    (load_manifest, '"image_id\n",label,split\n', "{},public,train", "b,bogus,train",
+     "unknown privacy label: 'bogus'"),
+], ids=["manifest", "image refs", "privacy store", "deep store", "annotations", "detections",
+        "malformed CSV", "header spanning lines"])
+def test_error_after_a_field_spanning_lines_names_its_physical_line(tmp_path, load, head,
+                                                                     good, bad, message):
+    path = write(tmp_path, "in.csv", head + good.format(_SPANNING_ID) + "\n" + bad + "\n")
+    line = head.count("\n") + 3
+    with pytest.raises(PrivlensError) as info:
+        load(path)
+    assert str(info.value) == f"{message} [{path}:{line}]"
+    assert info.value.line == line
+
+
+def test_row_spanning_lines_is_placed_at_its_last_line(tmp_path):
+    path = write(tmp_path, "m.csv", 'image_id,label,split\na,public,train\n"x\ny",public\n')
+    with pytest.raises(ParseError) as info:
+        load_manifest(path)
+    assert str(info.value) == f"expected 3 fields, got 2 [{path}:4]"
+
+
+@pytest.mark.parametrize("load, head, rows, expected", [
+    # a repeated id before a bad cell, then an empty id before a wrong width
+    (load_privacy_store, PRIVACY_HEADER, ["a,,,,,,0.5,1,0.25", "a,MAYBE,,,,,0.5,1,0.25"],
+     (DuplicateId, "duplicate image_id: 'a'")),
+    (load_privacy_store, PRIVACY_HEADER, [",,,,,,0.5,1"], (ParseError, "expected 9 fields, got 8")),
+    (load_deep_store, DEEP_HEADER, ["a,1,2", "a,zz,2"], (DuplicateId, "duplicate image_id: 'a'")),
+    (load_deep_store, DEEP_HEADER, ["a,1,2", ",1"], (ParseError, "expected 3 fields, got 2")),
+], ids=["privacy id before cells", "privacy width before id", "deep id before cells",
+        "deep width before id"])
+def test_a_rows_checks_run_in_one_order(tmp_path, load, head, rows, expected):
+    path = write(tmp_path, "in.csv", head + "".join(row + "\n" for row in rows))
+    line = head.count("\n") + len(rows)
+    assert _outcome(load, path) == (expected[0], f"{expected[1]} [{path}:{line}]")
 
 
 class TestPrivacyStore:
@@ -202,7 +264,7 @@ class TestDeepStore:
     def test_dim_mismatch(self, tmp_path):
         path = write(tmp_path, "d.csv",
                      "#source_tag=rn101,dim=3\nimage_id,v0,v1,v2\nimg_1,0.5,1.5\n")
-        with pytest.raises(DimensionMismatch, match=re.escape(f"[{path}:3]")):
+        with pytest.raises(ParseError, match=re.escape(f"expected 4 fields, got 3 [{path}:3]")):
             load_deep_store(path)
 
     @pytest.mark.parametrize("names", ["v0", "v0,v1,v2,v3"])
