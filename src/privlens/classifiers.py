@@ -249,12 +249,11 @@ def _descend(params: list, X, y, weights, cfg: TrainConfig,
     return params, trace
 
 
-def _train(init, seed: int, X, y, cfg: TrainConfig, standardizer, X_val, y_val):
+def _train(init, seed: int, X, y, cfg: TrainConfig, X_val, y_val):
     """Train the network `init(input_dim)`, drawing mini-batches from `seed`.
     The validation set is used only when early stopping is on and can run."""
     X, y = _check_training_inputs(X, y)
-    if standardizer is None:
-        standardizer = fit_standardizer(X)
+    standardizer = fit_standardizer(X)
     Xs = apply_standardizer(standardizer, X)
     weights = sample_weights(y, cfg.class_weighting)
     val = None
@@ -273,24 +272,22 @@ def _train(init, seed: int, X, y, cfg: TrainConfig, standardizer, X_val, y_val):
     return Model(MlpLayers(params[:n], params[n:]), standardizer, FeatureSpec(frozenset())), trace
 
 
-def train_logreg(X, y, cfg: TrainConfig, standardizer: StandardizationParams | None = None,
-                 X_val=None, y_val=None) -> tuple[Model, list[float]]:
+def train_logreg(X, y, cfg: TrainConfig, X_val=None, y_val=None) -> tuple[Model, list[float]]:
     """Gradient-descent logistic regression, the one-layer network started at
     zeros. Returns (model, per-epoch loss trace).
 
-    The standardizer is fitted on X unless one is passed in; features are
-    standardized internally both here and at prediction time.
+    The standardizer is fitted on X; features are standardized internally
+    both here and at prediction time.
     """
     return _train(lambda dim: MlpLayers([np.zeros((dim, 1))], [np.zeros(1)]), cfg.seed,
-                  X, y, cfg, standardizer, X_val, y_val)
+                  X, y, cfg, X_val, y_val)
 
 
 def train_mlp(X, y, cfg: TrainConfig, hidden_dims: list[int],
-              standardizer: StandardizationParams | None = None,
               X_val=None, y_val=None) -> tuple[Model, list[float]]:
     """Backprop training of the three-hidden-layer MLP. Returns (model, loss trace)."""
     return _train(lambda dim: init_mlp_layers(dim, hidden_dims, cfg.seed), cfg.seed + 1,
-                  X, y, cfg, standardizer, X_val, y_val)
+                  X, y, cfg, X_val, y_val)
 
 
 def predict_proba(model: Model, X) -> np.ndarray:

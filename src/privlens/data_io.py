@@ -15,12 +15,14 @@ The manifest, each feature store and the per-image vote counts become one
 id-keyed float64 matrix (`FeatureStore`); `write_manifest` and
 `write_privacy_store` write the first two back. Every file privlens writes
 is written whole by `publish`. Feature stores are parsed
-in bulk; every table the bulk parser does not take is scanned row by row
-through `read_table`, which checks the image id and reports each fault at
-its path:line.
+in bulk; every table the bulk parser does not take is read row by row by
+`read_table`, which checks the image id, reports each fault at its
+path:line and returns the id-keyed table of what the loader's cell parser
+made of each row.
 
-A `StoreCache` keeps each parsed deep store, keyed by the sha256 of the
-file's bytes, so a later load of the same content skips the parse.
+A `StoreCache` keeps each parsed deep store in one file, keyed by the
+sha256 of the file's bytes, so a later load of the same content skips the
+parse.
 """
 
 from __future__ import annotations
@@ -234,16 +236,17 @@ def _header_row(fh, path, line: int) -> tuple[list[str], int]:
     return [cell.strip() for cell in row], line - 1 + reader.line_num
 
 
-def read_table(path, header: list[str], keyed: bool = True, header_line: int = 1):
-    """(line, image_id, row) of each non-blank data row of the UTF-8 CSV file
-    at `path`, whose line `header_line` must be `header` (a deep store's
-    #source_tag line comes first) and whose every row must have as many
-    fields. The image id is the first cell, stripped: it must not be empty,
-    nor, in a table `keyed` by image, repeat. Lines are physical lines, so a
-    row whose quoted field spans lines is placed at its last. A breach, an
-    undecodable byte or malformed CSV raises ParseError at its line, a
-    repeated id DuplicateId. The row's cells are yielded unstripped."""
-    width, seen = len(header), set()
+def read_table(path, header: list[str], parse, keyed: bool = True, header_line: int = 1) -> dict:
+    """The UTF-8 CSV file at `path` as a dict in file order: in a table `keyed`
+    by image, image_id -> ``parse(line, image_id, row)`` of its row, elsewhere
+    image_id -> that of each of its rows. Line `header_line` must be `header`
+    (a deep store's #source_tag line comes first), and every non-blank row must
+    have as many fields. The image id is the first cell, stripped: it must not
+    be empty, nor, in a keyed table, repeat. Lines are physical lines, so a row
+    whose quoted field spans lines is placed at its last. A breach, an
+    undecodable byte or malformed CSV raises ParseError at its line, a repeated
+    id DuplicateId; `parse` then checks the row's cells, unstripped."""
+    width, table = len(header), {}
     with _open_csv(path) as fh:
         for _ in range(header_line - 1):
             fh.readline()
@@ -261,13 +264,15 @@ def read_table(path, header: list[str], keyed: bool = True, header_line: int = 1
                     image_id = row[0].strip()
                     if not image_id:
                         raise ParseError("empty image_id", path=path, line=line)
-                    if keyed:
-                        if image_id in seen:
-                            raise DuplicateId(image_id, path=path, line=line)
-                        seen.add(image_id)
-                    yield line, image_id, row
+                    if not keyed:
+                        table.setdefault(image_id, []).append(parse(line, image_id, row))
+                    elif image_id in table:
+                        raise DuplicateId(image_id, path=path, line=line)
+                    else:
+                        table[image_id] = parse(line, image_id, row)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise bad_input(exc, path, start + reader.line_num) from exc
+    return table
 
 
 def read_lines(path) -> list[str]:
@@ -281,26 +286,24 @@ def read_lines(path) -> list[str]:
 
 def load_manifest(path) -> FeatureStore:
     """The manifest as a two-column store (see `manifest_store`)."""
-    rows: dict[str, tuple] = {}
-    for line, image_id, row in read_table(path, ["image_id", "label", "split"]):
+    def parse(line, image_id, row):
         label, split = row[1].strip(), row[2].strip()
         cells = label.lower(), split.lower()
         if cells[0] not in _LABEL_CODES:
             raise UnknownLabel(label, path=path, line=line)
         if cells[1] not in _SPLIT_CODES:
             raise ParseError(f"unknown split {split!r}", path=path, line=line)
-        rows[image_id] = cells
-    return manifest_store(rows)
+        return cells
+    return manifest_store(read_table(path, ["image_id", "label", "split"], parse))
 
 
 def load_image_refs(path) -> dict[str, str]:
     """image_id → URI, from an `image_id,uri` file; each id listed once, each URI non-empty."""
-    refs: dict[str, str] = {}
-    for line, image_id, row in read_table(path, ["image_id", "uri"]):
+    def parse(line, image_id, row):
         if not (uri := row[1].strip()):
             raise ParseError("empty uri", path=path, line=line)
-        refs[image_id] = uri
-    return refs
+        return uri
+    return read_table(path, ["image_id", "uri"], parse)
 
 
 # Lines csv.reader yields as an empty row; every loader skips them.
@@ -404,8 +407,7 @@ def _bulk_privacy_store(path) -> FeatureStore | None:
 
 def _scan_privacy_store(path) -> FeatureStore:
     """Row-at-a-time parse; the reference for the bulk path and its error reporter."""
-    rows: dict[str, tuple] = {}
-    for line, image_id, row in read_table(path, _PRIVACY_HEADER):
+    def parse(line, image_id, row):
         levels = [_parse_sensitivity_cell(c, path, line) for c in row[1:6]]
         try:
             people_prob, people_count, outdoor_prob = float(row[6]), int(row[7]), float(row[8])
@@ -417,8 +419,8 @@ def _scan_privacy_store(path) -> FeatureStore:
             raise ParseError(f"outdoor_prob out of [0,1]: {outdoor_prob}", path=path, line=line)
         if people_count < 0:
             raise ParseError(f"people_count negative: {people_count}", path=path, line=line)
-        rows[image_id] = (*levels, people_prob, people_count, outdoor_prob)
-    return privacy_store(rows)
+        return (*levels, people_prob, people_count, outdoor_prob)
+    return privacy_store(read_table(path, _PRIVACY_HEADER, parse))
 
 
 def load_privacy_store(path) -> FeatureStore:
@@ -476,15 +478,15 @@ def _scan_deep_store(path) -> tuple[str, FeatureStore, list[str]]:
     """Row-at-a-time parse; the reference for the bulk path and its error reporter."""
     with _open_csv(path) as fh:
         source_tag, dim, columns = _deep_header(fh, path)
-    rows: dict[str, list[float]] = {}
-    for line, image_id, row in read_table(path, ["image_id", *columns], header_line=2):
+    def parse(line, image_id, row):
         try:
             values = [float(c) for c in row[1:]]
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=line) from exc
         if not np.isfinite(values).all():
             raise ParseError(f"non-finite value for image {image_id!r}", path=path, line=line)
-        rows[image_id] = values
+        return values
+    rows = read_table(path, ["image_id", *columns], parse, header_line=2)
     values = np.array(list(rows.values()), dtype=np.float64).reshape(len(rows), dim)
     return source_tag, FeatureStore(list(rows), values), columns
 
@@ -506,8 +508,9 @@ def file_sha256(path) -> str:
 
 
 # Part of each entry's name. Bump it whenever the deep-store parser accepts or
-# rejects other files, or returns other results, so no older entry is read.
-STORE_CACHE_VERSION = 1
+# rejects other files, or returns other results, or the entry layout changes,
+# so no older entry is read.
+STORE_CACHE_VERSION = 2
 
 
 def publish(path, write, binary: bool = False) -> None:
@@ -550,19 +553,16 @@ def write_csv(path, header: list[str], rows) -> None:
 class StoreCache:
     """Parsed deep stores under `root`, one entry per file content.
 
-    An entry is named `deep-v<STORE_CACHE_VERSION>-<sha256 of the file>`: a
-    `.npy` of the values and a `.json` of the source tag, column names and
-    ids. Loading writes nothing: a parse is only recorded, and `save` writes
-    the recorded entries. A command saves once its input checks have passed.
+    An entry is one file, `deep-v<STORE_CACHE_VERSION>-<sha256 of the
+    file>.npy`: the values as `np.save` writes them, then the JSON list
+    ``[source tag, column names, ids]``. Loading writes nothing: a parse is
+    only recorded, and `save` writes the recorded entries. A command saves
+    once its input checks have passed.
     """
 
     def __init__(self, root):
         self.root = Path(root)
-        self._parsed: dict[str, tuple[str, FeatureStore, list[str]]] = {}
-
-    def _paths(self, key: str) -> tuple[Path, Path]:
-        name = f"deep-v{STORE_CACHE_VERSION}-{key}"
-        return self.root / f"{name}.npy", self.root / f"{name}.json"
+        self._parsed: dict[Path, tuple[str, FeatureStore, list[str]]] = {}  # by entry
 
     def load(self, path) -> tuple[str, FeatureStore, list[str]]:
         """The deep store at `path`, from its entry when one exists and can be
@@ -571,34 +571,31 @@ class StoreCache:
             key = file_sha256(path)
         except OSError:  # the parser reports an unreadable file
             return _parse_deep_store(path)
-        values_path, meta_path = self._paths(key)
-        if values_path.exists() or meta_path.exists():
+        entry = self.root / f"deep-v{STORE_CACHE_VERSION}-{key}.npy"
+        if entry.exists():
             try:
-                values = np.load(values_path, allow_pickle=False)
-                meta = json.loads(meta_path.read_text("utf-8"))
-                tag, columns, ids = meta["source_tag"], meta["columns"], meta["ids"]
+                with open(entry, "rb") as fh:
+                    values = np.load(fh, allow_pickle=False)
+                    tag, columns, ids = json.loads(fh.read())
                 if not (isinstance(ids, list) and isinstance(columns, list)
                         and all(isinstance(s, str) for s in (tag, *columns, *ids))
                         and values.dtype == np.float64
                         and values.shape == (len(ids), len(columns))):
                     raise ValueError("values and metadata disagree")
                 return tag, FeatureStore(ids, values), columns
-            except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError) as exc:
-                log.warning("ignoring unreadable store cache entry %s: %s",
-                            values_path.with_suffix(""), exc)
-        loaded = self._parsed[key] = _parse_deep_store(path)
+            except (OSError, EOFError, ValueError, TypeError, AttributeError) as exc:
+                log.warning("ignoring unreadable store cache entry %s: %s", entry, exc)
+        loaded = self._parsed[entry] = _parse_deep_store(path)
         return loaded
 
     def save(self) -> None:
         """Write the entries recorded since the last save; an OSError is one warning."""
         parsed, self._parsed = self._parsed, {}
         try:
-            for key, (tag, store, columns) in parsed.items():
-                values_path, meta_path = self._paths(key)
-                meta = json.dumps({"source_tag": tag, "columns": columns, "ids": store.ids})
+            for entry, (tag, store, columns) in parsed.items():
+                meta = json.dumps([tag, columns, store.ids]).encode("ascii")
                 self.root.mkdir(exist_ok=True)
-                publish(values_path, lambda fh: np.save(fh, store.values), binary=True)
-                publish(meta_path, lambda fh: fh.write(meta))
+                publish(entry, lambda fh: (np.save(fh, store.values), fh.write(meta)), binary=True)
         except OSError as exc:
             log.warning("cannot save parsed deep stores under %s: %s", self.root, exc)
 
@@ -614,15 +611,13 @@ def load_deep_store(path, cache: StoreCache | None = None) -> tuple[str, Feature
 
 
 def load_annotations(path) -> dict[str, AnnotationRecord]:
-    votes: dict[str, list[FiveClassVote]] = {}
-    for line, image_id, row in read_table(path, ["image_id", "assessor_id", "vote"],
-                                          keyed=False):
+    def parse(line, image_id, row):
         vote_tok = row[2].strip()
         try:
-            vote = FiveClassVote[vote_tok.upper()]
+            return FiveClassVote[vote_tok.upper()]
         except KeyError:
             raise UnknownVote(vote_tok, path=path, line=line)
-        votes.setdefault(image_id, []).append(vote)
+    votes = read_table(path, ["image_id", "assessor_id", "vote"], parse, keyed=False)
     return {image_id: AnnotationRecord(image_id, tuple(vs)) for image_id, vs in votes.items()}
 
 
@@ -665,11 +660,11 @@ _PRIVACY_COLUMNS = {
 }
 
 
-def build_design_matrix(ds: Dataset, split: Split | None,
+def build_design_matrix(ds: Dataset, split: Split,
                         spec: FeatureSpec) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Aligned (X, y, image_ids) in manifest order; Private=1, Public=0."""
+    """Aligned (X, y, image_ids) of `split` in manifest order; Private=1, Public=0."""
     manifest = ds.manifest
-    picked = np.arange(len(manifest)) if split is None else np.flatnonzero(
+    picked = np.flatnonzero(
         ~manifest.missing[:, SPLIT] & (manifest.values[:, SPLIT] == _SPLIT_CODES[split.value]))
     if not picked.size:
         return np.empty((0, 0)), np.empty(0), []

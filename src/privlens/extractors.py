@@ -259,15 +259,12 @@ def _parse_safe_search(payload) -> SafeSearchResult:
 
 
 def load_detections(path) -> dict[str, list[Detection]]:
-    out: dict[str, list[Detection]] = {}
-    for line, image_id, row in read_table(path, ["image_id", "class_name", "confidence"],
-                                          keyed=False):
+    def parse(line, image_id, row):
         try:
-            det = Detection(class_name=row[1].strip(), confidence=float(row[2]))
+            return Detection(class_name=row[1].strip(), confidence=float(row[2]))
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=line) from exc
-        out.setdefault(image_id, []).append(det)
-    return out
+    return read_table(path, ["image_id", "class_name", "confidence"], parse, keyed=False)
 
 
 def load_io_map(path) -> dict[str, str]:
@@ -335,14 +332,11 @@ def _read_cache(path: Path) -> SafeSearchResult | None:
         return None
 
 
-def _fetch(
-    image_id: str, sources: ExtractionSources, cache_dir: Path | None
-) -> SafeSearchResult:
-    """Query SafeSearch about one image and, with a cache, store the answer."""
+def _fetch(image_id: str, sources: ExtractionSources, cache_dir: Path) -> SafeSearchResult:
+    """Query SafeSearch about one image and store the answer in the cache."""
     result = sources.safe_search.annotate(sources.image_refs.get(image_id, image_id))
-    if cache_dir is not None:
-        payload = json.dumps(result.to_dict(), sort_keys=True)
-        publish(_cache_path(cache_dir, image_id), lambda fh: fh.write(payload))
+    payload = json.dumps(result.to_dict(), sort_keys=True)
+    publish(_cache_path(cache_dir, image_id), lambda fh: fh.write(payload))
     return result
 
 
@@ -365,9 +359,8 @@ def run_extraction(
     row. Successful rows are still written, in manifest order, so re-runs
     with identical upstream responses produce byte-identical files.
     """
-    cache = Path(cache_dir) if cache_dir is not None else None
-    if cache is not None:
-        cache.mkdir(exist_ok=True)
+    cache = Path(cache_dir)
+    cache.mkdir(exist_ok=True)
     report = ExtractionReport(n_images=len(image_ids))
 
     count, prob = people_features(image_ids, sources.detections or {},
@@ -387,12 +380,11 @@ def run_extraction(
     found: list = [None] * len(image_ids)
     misses: list[int] = []
     for k, image_id in enumerate(image_ids):
-        if cache is not None:
-            try:
-                found[k] = _read_cache(_cache_path(cache, image_id))
-            except Exception as exc:
-                found[k] = exc
-                continue
+        try:
+            found[k] = _read_cache(_cache_path(cache, image_id))
+        except Exception as exc:
+            found[k] = exc
+            continue
         if found[k] is None and sources.safe_search is not None:
             misses.append(k)
     if misses:

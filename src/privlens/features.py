@@ -91,7 +91,10 @@ class FeatureSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSpec":
-        return cls(frozenset(FeatureGroup(g) for g in d["groups"]), d.get("source_tag"))
+        groups, tag = frozenset(FeatureGroup(g) for g in d["groups"]), d.get("source_tag")
+        if not isinstance(tag, (str, type(None))):
+            raise ValueError(f"source_tag must be a string or null, not {tag!r}")
+        return cls(groups, tag)
 
 
 def assemble_features(

@@ -656,6 +656,24 @@ class TestEvaluate:
         assert line == ("error: ParseError: malformed model document: source_tag required "
                         f"when groups include deep [{model_path}]")
 
+    @pytest.mark.parametrize("tag", [["rn101"], {"a": 1}, 1, True],
+                             ids=["list", "object", "number", "boolean"])
+    def test_source_tag_not_a_string_is_one_parse_error_line(self, deep_config, capsys, tag):
+        # a list or an object was a raw TypeError, a number a misleading missing-features error
+        tmp_path, cfg = deep_config
+        model_path = tmp_path / "model" / "model.json"
+        assert main(["--config", cfg, "--out-dir", str(model_path.parent), "train"]) == EXIT_OK
+        doc = json.loads(model_path.read_text())
+        doc["feature_spec"]["source_tag"] = tag
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "evaluate",
+                   str(model_path)])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert rc == 1 and not (tmp_path / "out").exists()
+        assert line == ("error: ParseError: malformed model document: source_tag must be a "
+                        f"string or null, not {tag!r} [{model_path}]")
+
     def test_nan_weight_is_one_parse_error_line(self, corpus_config, capsys):
         tmp_path, cfg = corpus_config
         out = tmp_path / "out"
@@ -803,7 +821,7 @@ class TestStoreCache:
         capsys.readouterr()
         assert main(args) == EXIT_OK
         first = capsys.readouterr(), output_files(out)
-        assert len(list((out / "store_cache").iterdir())) == 2
+        assert len(list((out / "store_cache").iterdir())) == 1  # one entry, one file
         never_parse(monkeypatch)
         assert main(args) == EXIT_OK
         assert (capsys.readouterr(), output_files(out)) == first
@@ -1306,7 +1324,7 @@ detections = detections.csv
         capsys.readouterr()
         assert main(args) == EXIT_OK
         first = capsys.readouterr(), output_files(out)
-        assert len(list((out / "store_cache").iterdir())) == 2
+        assert len(list((out / "store_cache").iterdir())) == 1  # one entry, one file
         never_parse(monkeypatch)
         assert main(args) == EXIT_OK
         assert (capsys.readouterr(), output_files(out)) == first
@@ -1659,6 +1677,69 @@ class TestFuzzedInput:
                   + ([str(root / "model.json")] if command == "evaluate" else []))
         assert_failed_cleanly(rc, capsys.readouterr().err, out)
         shutil.rmtree(root.parent)
+
+
+# Each value one JSON value of a model file may be replaced with.
+MODEL_FUZZ_VALUES = [None, True, 0, -1, 1e308, "x", "deep", [], {}, ["x"], [1.0], {"a": 1},
+                     [[1.0]]]
+
+
+def json_positions(doc, at=()) -> list[tuple]:
+    """The path of every value in `doc`, at any depth, the document itself first."""
+    children = (doc.items() if isinstance(doc, dict) else
+                enumerate(doc) if isinstance(doc, list) else ())
+    return [at, *(p for key, value in children for p in json_positions(value, (*at, key)))]
+
+
+def json_replaced(doc, at: tuple, value):
+    """A copy of `doc` with the value at path `at` replaced by `value`."""
+    if not at:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in at[:-1]:
+        node = node[key]
+    node[at[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def model_fuzz_corpus(tmp_path_factory):
+    """The fault corpus, its config and a logreg and an MLP model document trained on it."""
+    root = tmp_path_factory.mktemp("fuzz_model") / "corpus"
+    root.mkdir()
+    sections = _fault_corpus(root)
+    models = {}
+    for kind in ("logreg", "mlp"):
+        sections["train"] |= {"kind": kind, "hidden_dims": "2, 2, 1"}
+        cfg = _write_sections(root / f"{kind}.ini", sections)
+        assert main(["--config", cfg, "--out-dir", str(root / kind), "train"]) == EXIT_OK
+        models[kind] = json.loads((root / kind / "model.json").read_text())
+        shutil.rmtree(root / kind)
+    return root, cfg, models
+
+
+class TestFuzzedModelFile:
+    # 1e308 in a weight or the standardizer loads and overflows the forward pass
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["logreg", "mlp"]), value=st.sampled_from(MODEL_FUZZ_VALUES),
+           data=st.data())
+    def test_one_replaced_value_fails_cleanly(self, model_fuzz_corpus, capsys, kind, value,
+                                              data):
+        """The property of `TestFuzzedInput` for `evaluate`, with one value of
+        a logreg or MLP model file, at any depth, replaced."""
+        root, cfg, models = model_fuzz_corpus
+        at = data.draw(st.sampled_from(json_positions(models[kind])), label="at")
+        run = Path(tempfile.mkdtemp(dir=root.parent))
+        model, out = run / "model.json", run / "out"
+        model.write_text(json.dumps(json_replaced(models[kind], at, value)))
+        capsys.readouterr()
+        rc = main(["--config", cfg, "--out-dir", str(out), "evaluate", str(model)])
+        assert_failed_cleanly(rc, capsys.readouterr().err, out)
+        shutil.rmtree(run)
 
 
 EXTRACT_FUZZED_FILES = ["refs.csv", "detections.csv", "scenes.csv", "io_map.txt",

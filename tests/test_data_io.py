@@ -18,10 +18,12 @@ from privlens.data_io import (
     Dataset,
     FeatureStore,
     FiveClassVote,
+    STORE_CACHE_VERSION,
     Split,
     StoreCache,
     assign_splits,
     build_design_matrix,
+    file_sha256,
     load_annotations,
     load_deep_store,
     load_image_refs,
@@ -30,6 +32,7 @@ from privlens.data_io import (
     manifest_store,
     privacy_store,
     publish,
+    read_table,
     vote_store,
     write_manifest,
     write_privacy_store,
@@ -53,6 +56,7 @@ from privlens.features import (
     encode_likelihood,
 )
 
+import frozen_row_loop
 import frozen_splits
 from conftest import make_pfv, manifest_cells
 
@@ -377,7 +381,7 @@ class TestSplits:
         import logging
         with caplog.at_level(logging.WARNING, logger="privlens.data_io"):
             ds = Dataset(
-                manifest_store({"a": ("public", "")}),
+                manifest_store({"a": ("public", "train")}),
                 privacy_features=privacy_store({"a": make_pfv(), "ghost": make_pfv()}),
                 deep_features={"rn": FeatureStore(["a"], np.zeros((1, 2)))},
                 annotations=vote_store({i: AnnotationRecord(i, (FiveClassVote.PRIVATE,))
@@ -389,7 +393,7 @@ class TestSplits:
             "annotations id 'z' not in manifest; ignored in matrices",
             "annotations id 'y' not in manifest; ignored in matrices",
         ]
-        X, y, ids = build_design_matrix(ds, None, FeatureSpec({G.SENS}))
+        X, y, ids = build_design_matrix(ds, Split.TRAIN, FeatureSpec({G.SENS}))
         assert ids == ["a"]  # the orphan id never reaches the matrix
 
 
@@ -663,6 +667,69 @@ def _deep_files(draw):
             + "".join(line(r) + "\n" for r in rows))
 
 
+# Row ids and cells of the tables `read_table` is checked on: repeats once
+# stripped, empty, blank and quoted-empty ids, fields spanning lines and a
+# cell the parser rejects. Each fault is rare enough that most tables reach
+# the next row.
+_ROW_IDS = st.sampled_from(["a", "b", " a ", '"x\ny"', '"c,d"'] * 4 + ["", "  ", '""'])
+_ROW_CELLS = st.sampled_from(["1", "", " v ", '"p\nq"', '"e, f"', "bad"])
+
+
+@st.composite
+def _tables(draw):
+    """(file bytes, header, header_line, keyed) of a table as a loader reads it."""
+    width = draw(st.integers(2, 3))
+    header = ["image_id", *(f"c{k}" for k in range(1, width))]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [draw(st.sampled_from([",".join(header)] * 4 + [
+        " image_id , " + ",".join(header[1:]), "id," + ",".join(header[1:])]))]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 16 + ["blank", "short", "long"] * 2 + ["byte"]))
+        n = width + (kind == "long") - (kind == "short")
+        lines.append({"blank": "", "byte": "z,\udcff"}.get(kind) or ",".join(
+            [draw(_ROW_IDS), *(draw(_ROW_CELLS) for _ in range(n - 1))]))
+    prefix = ["#source_tag=t,dim=1"] if draw(st.booleans()) else []
+    text = "".join(line + newline for line in prefix + lines)
+    return (text.encode("utf-8", "surrogateescape"), header, 1 + len(prefix),
+            draw(st.booleans()))
+
+
+def _cells_or_error(line, image_id, row):
+    if "bad" in row:
+        raise ParseError(f"bad cell in {image_id!r}", line=line)
+    return line, image_id, row
+
+
+def _frozen_table(path, header, parse, keyed, header_line):
+    """The table a loader built by driving the earlier row loop."""
+    table = {}
+    for line, image_id, row in frozen_row_loop.read_table(path, header, keyed, header_line):
+        if keyed:
+            table[image_id] = parse(line, image_id, row)
+        else:
+            table.setdefault(image_id, []).append(parse(line, image_id, row))
+    return table
+
+
+def _table_or_error(read, *args):
+    try:
+        return read(*args)
+    except Exception as exc:  # a raw error too must be the same one
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+class TestReadTableMatchesFrozenLoop:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_tables())
+    def test_same_table_or_same_error(self, tmp_path, table):
+        data, header, header_line, keyed = table
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        args = path, header, _cells_or_error, keyed, header_line
+        assert _table_or_error(read_table, *args) == _table_or_error(_frozen_table, *args)
+
+
 class TestStoreCache:
     @_PROPERTY
     @given(_deep_files())
@@ -688,41 +755,65 @@ class TestStoreCache:
         return path, loaded
 
     @pytest.mark.parametrize("damage", [
-        lambda npy, meta: npy.write_bytes(npy.read_bytes()[:-5]),
-        lambda npy, meta: npy.write_bytes(npy.read_bytes()[:40]),
-        lambda npy, meta: npy.write_bytes(b""),
-        lambda npy, meta: meta.write_text(json.dumps(
-            {**json.loads(meta.read_text()), "ids": ["a"]})),
-        lambda npy, meta: meta.write_text(json.dumps(
-            {**json.loads(meta.read_text()), "columns": ["v0"]})),
-        lambda npy, meta: meta.write_text("{not json"),
-        lambda npy, meta: meta.write_text("null"),
-        lambda npy, meta: meta.unlink(),
-        lambda npy, meta: (npy.unlink(), npy.mkdir()),
-        lambda npy, meta: (meta.unlink(), meta.mkdir()),
-    ], ids=["truncated npy", "truncated npy header", "empty npy", "ids of wrong length",
-            "columns of wrong length", "non-JSON metadata", "metadata not an object",
-            "metadata missing", "directory at the npy", "directory at the metadata"])
+        lambda entry, values, meta: entry.write_bytes((values + meta)[:-5]),
+        lambda entry, values, meta: entry.write_bytes(values[:40]),
+        lambda entry, values, meta: entry.write_bytes(b""),
+        lambda entry, values, meta: entry.write_bytes(
+            values + json.dumps([*json.loads(meta)[:2], ["a"]]).encode()),
+        lambda entry, values, meta: entry.write_bytes(
+            values + json.dumps([json.loads(meta)[0], ["v0"], json.loads(meta)[2]]).encode()),
+        lambda entry, values, meta: entry.write_bytes(values + b"{not json"),
+        lambda entry, values, meta: entry.write_bytes(values + b"null"),
+        lambda entry, values, meta: entry.write_bytes(values),
+        lambda entry, values, meta: (entry.unlink(), entry.mkdir()),
+        lambda entry, values, meta: entry.write_bytes(values[:-8] + meta),
+    ], ids=["truncated file", "truncated header", "empty file", "ids of wrong length",
+            "columns of wrong length", "non-JSON metadata", "metadata not a list",
+            "no metadata", "directory at the entry", "values cut short"])
     def test_bad_entry_is_one_warning_a_parse_and_a_rewrite(self, tmp_path, caplog,
                                                              monkeypatch, damage):
         path, first = self._entry(tmp_path)
-        (npy,) = (tmp_path / "cache").glob("*.npy")
-        meta = npy.with_suffix(".json")
-        damage(npy, meta)
+        (entry,) = (tmp_path / "cache").iterdir()
+        with open(entry, "rb") as fh:  # the values, then the JSON metadata
+            np.load(fh, allow_pickle=False)
+            meta = fh.read()
+        raw = entry.read_bytes()
+        damage(entry, raw[:len(raw) - len(meta)], meta)
         cache = StoreCache(tmp_path / "cache")
         with caplog.at_level(logging.WARNING, logger="privlens.data_io"):
             assert _same_deep_store(load_deep_store(path, cache), first)
             cache.save()
         (record,) = caplog.records
-        assert record.getMessage().startswith(
-            f"ignoring unreadable store cache entry {npy.with_suffix('')}: ")
+        assert record.getMessage().startswith(f"ignoring unreadable store cache entry {entry}: ")
         caplog.clear()
         _no_parse(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="privlens.data_io"):
             assert _same_deep_store(load_deep_store(path, StoreCache(tmp_path / "cache")), first)
         assert caplog.records == []
-        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [meta.name, npy.name]
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [entry.name]
 
+    def test_entry_is_one_file_of_values_then_metadata(self, tmp_path):
+        path, (tag, store, columns) = self._entry(tmp_path)
+        (entry,) = (tmp_path / "cache").iterdir()
+        assert entry.name == f"deep-v{STORE_CACHE_VERSION}-{file_sha256(path)}.npy"
+        with open(entry, "rb") as fh:
+            assert np.load(fh, allow_pickle=False).tolist() == store.values.tolist()
+            assert json.loads(fh.read()) == [tag, columns, store.ids]
+
+    def test_entry_of_another_version_is_not_read(self, tmp_path, caplog):
+        # an entry of the two-file layout, with values the file does not hold
+        path = write(tmp_path, "d.csv", DEEP_HEADER + "a,0.5,1.5\n")
+        (tmp_path / "cache").mkdir()
+        earlier = tmp_path / "cache" / f"deep-v1-{file_sha256(path)}"
+        np.save(earlier.with_suffix(".npy"), np.array([[9.0, 9.0]]))
+        earlier.with_suffix(".json").write_text(
+            json.dumps({"source_tag": "rn", "columns": ["v0", "v1"], "ids": ["a"]}))
+        cache = StoreCache(tmp_path / "cache")
+        with caplog.at_level(logging.WARNING, logger="privlens.data_io"):
+            assert load_deep_store(path, cache)[1].values.tolist() == [[0.5, 1.5]]
+            cache.save()
+        assert caplog.records == []
+        assert len(list((tmp_path / "cache").iterdir())) == 3
     def test_edit_keeping_size_and_mtime_is_a_miss(self, tmp_path):
         path, first = self._entry(tmp_path)
         stat = path.stat()
@@ -741,7 +832,7 @@ class TestStoreCache:
         load_deep_store(path, cache)
         assert not (tmp_path / "cache").exists()
         cache.save()
-        assert len(list((tmp_path / "cache").iterdir())) == 2
+        assert len(list((tmp_path / "cache").iterdir())) == 1
 
     @pytest.mark.parametrize("text", [DEEP_HEADER + ",0.5,1.5\n", DEEP_HEADER + "a,nan,1\n",
                                       "image_id,v0\na,1\n"], ids=["empty id", "nan", "header"])

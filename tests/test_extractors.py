@@ -341,8 +341,8 @@ def extraction_batches(draw):
             lambda url, headers, body: script[body["image"]["source"]["uri"]],
             max_attempts=1, requests_per_second=0.0)
 
-    # the cache entries each side starts with; None runs without a cache
-    entries = draw(st.sampled_from([None, "empty", "prefilled", "truncated"]))
+    # the cache entries each side starts with
+    entries = draw(st.sampled_from(["empty", "prefilled", "truncated"]))
     if entries == "prefilled":
         level = st.sampled_from([lvl.name for lvl in Likelihood] + [None])
         entries = {image_id: json.dumps({c: draw(level) for c in SENSITIVITY_CLASSES},
@@ -356,9 +356,7 @@ def extraction_batches(draw):
 
 
 def cache_dir_with(path, entries):
-    """`path` as a cache holding `entries` (image id -> file bytes); None for no cache."""
-    if entries is None:
-        return None
+    """`path` as a cache holding `entries` (image id -> file bytes)."""
     path.mkdir()
     for image_id, raw in entries.items():
         _cache_path(path, image_id).write_bytes(raw)
@@ -366,7 +364,7 @@ def cache_dir_with(path, entries):
 
 
 def files_of(path):
-    return None if path is None else {p.name: p.read_bytes() for p in path.iterdir()}
+    return {p.name: p.read_bytes() for p in path.iterdir()}
 
 
 class TestAgainstFrozenReference:

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from privlens.data_io import (
     Dataset,
     FeatureStore,
+    Split,
     build_design_matrix,
     manifest_store,
     privacy_store,
@@ -39,10 +40,10 @@ def design_row(pfv, groups, deep=None):
     deep_features = {}
     if deep is not None:
         deep_features["rn101"] = FeatureStore(["x"], np.asarray(deep, dtype=float)[None, :])
-    ds = Dataset(manifest_store({"x": ("public", "")}),
+    ds = Dataset(manifest_store({"x": ("public", "train")}),
                  privacy_features=privacy_store({"x": pfv}), deep_features=deep_features)
     X, _, _ = build_design_matrix(
-        ds, None, FeatureSpec(groups, "rn101" if deep is not None else None))
+        ds, Split.TRAIN, FeatureSpec(groups, "rn101" if deep is not None else None))
     return X[0]
 
 
