@@ -22,7 +22,7 @@ from .features import Likelihood, SENSITIVITY_CLASSES
 #: as controversial.
 CONTROVERSY_MAX_SHARE = 0.65
 
-# Group-membership thresholds (configurable where used).
+# Group-membership thresholds.
 SENSITIVE_MIN_LEVEL = Likelihood.POSSIBLE
 OUTDOOR_MIN_PROB = 0.5
 
@@ -63,21 +63,16 @@ def controversial_people_breakdown(ds: Dataset, ids: list[str]) -> dict[str, flo
     }
 
 
-def group_membership(
-    values: np.ndarray,
-    missing: np.ndarray,
-    sensitive_min_level: Likelihood = SENSITIVE_MIN_LEVEL,
-    outdoor_min_prob: float = OUTDOOR_MIN_PROB,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def group_membership(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(has_people, is_sensitive, is_outdoor) for each privacy-store row.
 
-    A missing sensitivity cell never makes an image sensitive.
+    A missing sensitivity cell never makes an image sensitive: it reads 0.0,
+    the code of VERY_UNLIKELY, which is below SENSITIVE_MIN_LEVEL.
     """
-    sensitive = ((decode_levels(values) >= sensitive_min_level) & ~missing).any(axis=1)
     return (
         values[:, PEOPLE_COUNT] >= 1,
-        sensitive,
-        values[:, OUTDOOR_PROB] >= outdoor_min_prob,
+        (decode_levels(values) >= SENSITIVE_MIN_LEVEL).any(axis=1),
+        values[:, OUTDOOR_PROB] >= OUTDOOR_MIN_PROB,
     )
 
 
@@ -153,11 +148,11 @@ def private_prob_given_sensitivity(
 
 def group_privacy_probabilities(ds: Dataset) -> list[dict]:
     """Share of the dataset and P(private) for all 8 people x sensitive x outdoor cells."""
-    values, missing, private = ds.labeled_privacy_features
+    values, _, private = ds.labeled_privacy_features
     total = len(private)
     if total == 0:
         raise EmptyDataset("no labeled images with full privacy features")
-    has_people, sensitive, outdoor = group_membership(values, missing)
+    has_people, sensitive, outdoor = group_membership(values)
     # cell codes count up in sorted (has_people, is_sensitive, is_outdoor) order
     cell = 4 * has_people + 2 * sensitive + outdoor
     n_cell = np.bincount(cell, minlength=8)

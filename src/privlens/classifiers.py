@@ -30,6 +30,7 @@ from .features import (
     StandardizationParams,
     apply_standardizer,
     fit_standardizer,
+    require_finite,
 )
 
 log = logging.getLogger(__name__)
@@ -227,11 +228,17 @@ def _descend(params: list, X, y, weights, cfg: TrainConfig,
     l2, lr = cfg.l2_penalty, cfg.learning_rate
     best_loss, best, misses = np.inf, params, 0
     trace: list[float] = []
-    for _ in range(cfg.epochs):
+
+    def traced(params):
+        """The gradients at `params`, after appending their full-train loss to the trace."""
         loss, grads = _objective(params, X, y, weights, l2)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"training diverged (loss={loss}); lower the learning rate")
         trace.append(loss)
+        return grads
+
+    for _ in range(cfg.epochs):
+        grads = traced(params)
         for idx in _epoch_batches(y.size, cfg.batch_size, rng):
             if idx is not None:
                 grads = _objective(params, X[idx], y[idx], weights[idx], l2)[1]
@@ -245,7 +252,7 @@ def _descend(params: list, X, y, weights, cfg: TrainConfig,
                 if misses > cfg.early_stop_patience:
                     params = best
                     break
-    trace.append(_objective(params, X, y, weights, l2)[0])
+    traced(params)
     return params, trace
 
 
@@ -266,8 +273,9 @@ def _train(init, seed: int, X, y, cfg: TrainConfig, X_val, y_val):
             Xv = apply_standardizer(standardizer, np.asarray(X_val, dtype=np.float64))
             val = (Xv, yv, sample_weights(yv, cfg.class_weighting))
     layers = init(Xs.shape[1])
-    params, trace = _descend(layers.weights + layers.biases, Xs, y, weights, cfg,
-                             np.random.default_rng(seed), val)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is NonFiniteLoss
+        params, trace = _descend(layers.weights + layers.biases, Xs, y, weights, cfg,
+                                 np.random.default_rng(seed), val)
     n = len(layers.weights)
     return Model(MlpLayers(params[:n], params[n:]), standardizer, FeatureSpec(frozenset())), trace
 
@@ -291,14 +299,13 @@ def train_mlp(X, y, cfg: TrainConfig, hidden_dims: list[int],
 
 
 def predict_proba(model: Model, X) -> np.ndarray:
-    """Sigmoid of the model logit per row; values in (0,1)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.standardizer.dim:
-        raise DimensionMismatch(
-            f"X has {X.shape[-1] if X.ndim == 2 else '?'} columns, "
-            f"model expects {model.standardizer.dim}"
-        )
-    return sigmoid(mlp_forward(model.layers, apply_standardizer(model.standardizer, X))[0])
+    """Sigmoid of the model logit per row; values in (0,1). A matrix of the
+    wrong width is the standardizer's DimensionMismatch."""
+    Xs = apply_standardizer(model.standardizer, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = mlp_forward(model.layers, Xs)[0]
+    require_finite(np.isfinite(logits), "model logit of row {} is not finite")
+    return sigmoid(logits)
 
 
 def predict_label(model: Model, X) -> np.ndarray:

@@ -36,7 +36,7 @@ from .errors import (
 from .features import GROUP_ORDER, FeatureGroup, FeatureSpec
 from .metrics import MetricsReport
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("privlens.cli")  # not __name__, which is "__main__" under python -m
 
 EXIT_OK = 0
 EXIT_PARTIAL = 2
@@ -138,14 +138,12 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
     if cfg.data.image_refs is not None:
         image_refs = load_image_refs(cfg.data.image_refs)
 
-    client = None
-    try:
-        client = extractors.SafeSearchClient.from_env(
-            max_attempts=cfg.safesearch_max_attempts,
-            backoff_base=cfg.safesearch_backoff_base,
-            requests_per_second=cfg.safesearch_rps,
-        )
-    except ValueError:
+    client = extractors.SafeSearchClient.from_env(
+        max_attempts=cfg.safesearch_max_attempts,
+        backoff_base=cfg.safesearch_backoff_base,
+        requests_per_second=cfg.safesearch_rps,
+    )
+    if client is None:
         log.warning("no SafeSearch endpoint configured; sensitivity fields will be empty")
 
     detections = None
@@ -242,38 +240,35 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
     cache = StoreCache(cfg.out_dir / "store_cache")
     ds = load_dataset(cfg, require_splits=True, annotations=False, cache=cache)
 
-    results = []  # (row, its test metrics or None when it failed)
+    results = {}  # row id -> its test metrics, or None when it failed
     outputs = {}  # the model of each row that ran, then the table and the CSV
-    for row in cfg.ablation_rows:
+    for row_id, spec in cfg.ablation_rows.items():
         try:
-            model = _train_one(cfg, ds, row.features)[0]
-            results.append((row, _evaluate_model(model, ds, Split.TEST)))
-            outputs[f"model_{row.row_id}.json"] = lambda path, m=model: save_model(m, path)
+            model = _train_one(cfg, ds, spec)[0]
+            results[row_id] = _evaluate_model(model, ds, Split.TEST)
+            outputs[f"model_{row_id}.json"] = lambda path, m=model: save_model(m, path)
         except PrivlensError as exc:
-            results.append((row, None))
-            log.error("ablation row %s failed: %s", row.row_id, exc)
+            results[row_id] = None
+            log.error("ablation row %s failed: %s", row_id, exc)
 
     header = ["row", "Sens", "People", "Out", "Places", "Deep", "BA", "F1"]
     csv_rows = []
-    lines = ["  ".join(f"{h:<8s}" for h in header)]
-    for row, report in results:
-        marks = ["x" if g in row.features.groups else "" for g in GROUP_ORDER]
-        if row.features.source_tag and FeatureGroup.DEEP in row.features.groups:
-            marks[4] = row.features.source_tag
-        if report is not None:
+    for row_id, spec in cfg.ablation_rows.items():
+        marks = ["x" if g in spec.groups else "" for g in GROUP_ORDER]
+        if spec.source_tag and FeatureGroup.DEEP in spec.groups:
+            marks[4] = spec.source_tag
+        if (report := results[row_id]) is not None:
             ba = f"{report.balanced_accuracy:.4f}" if report.balanced_accuracy is not None else "n/a"
             f1v = f"{report.f1:.4f}"
         else:
             ba = f1v = "ERROR"
-        cells = [row.row_id, *marks, ba, f1v]
-        csv_rows.append(cells)
-        lines.append("  ".join(f"{c:<8s}" for c in cells))
-    table = "\n".join(lines) + "\n"
+        csv_rows.append([row_id, *marks, ba, f1v])
+    table = "".join("  ".join(f"{c:<8s}" for c in cells) + "\n" for cells in [header, *csv_rows])
     outputs["ablation_table.txt"] = lambda path: publish(path, lambda fh: fh.write(table))
     outputs["ablation_results.csv"] = lambda path: analysis.write_csv(path, header, csv_rows)
     _commit(cfg, cache, ds, outputs)
     print(table, end="")
-    return EXIT_PARTIAL if any(report is None for _, report in results) else EXIT_OK
+    return EXIT_PARTIAL if None in results.values() else EXIT_OK
 
 
 def _report(stem: str, payload, header: list[str], rows) -> dict:
@@ -343,7 +338,6 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
 
     _commit(cfg, outputs=outputs)
     for item in skipped:
-        log.warning("skipped: %s", item)
         print(f"skipped: {item}", file=sys.stderr)
     print(f"analysis outputs written to {cfg.out_dir}")
     return EXIT_OK

@@ -70,12 +70,6 @@ class DataPaths:
 
 
 @dataclass
-class AblationRow:
-    row_id: str
-    features: FeatureSpec
-
-
-@dataclass
 class ExperimentConfig:
     data: DataPaths
     features: FeatureSpec = FeatureSpec(parse_groups(_DEFAULT_GROUPS))
@@ -90,7 +84,7 @@ class ExperimentConfig:
     safesearch_max_attempts: int = 5
     safesearch_backoff_base: float = 1.0
     safesearch_rps: float = 5.0
-    ablation_rows: list[AblationRow] = field(default_factory=list)
+    ablation_rows: dict[str, FeatureSpec] = field(default_factory=dict)  # in `rows =` order
 
     # fixed offsets deriving per-component seeds from the top-level seed
     SPLIT_SEED_OFFSET = 1
@@ -250,7 +244,7 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
             sec_name = f"ablation.{row_id}"
             if sec_name not in parser:
                 raise ConfigError(f"missing section [{sec_name}]")
-            cfg.ablation_rows.append(AblationRow(row_id, _feature_spec(parser[sec_name])))
+            cfg.ablation_rows[row_id] = _feature_spec(parser[sec_name])
 
     # CLI overrides
     if seed is not None:

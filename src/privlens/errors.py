@@ -7,8 +7,8 @@ class PrivlensError(Exception):
 
 # --- data / feature errors -------------------------------------------------
 
-class _Located:
-    """Carries the path and line of a bad input and names them in the message."""
+class ParseError(PrivlensError):
+    """A file could not be parsed; names its path and line number when known."""
 
     def __init__(self, message, path=None, line=None):
         loc = ""
@@ -19,26 +19,19 @@ class _Located:
         self.line = line
 
 
-class ParseError(_Located, PrivlensError):
-    """A file could not be parsed; carries path and line number when known."""
-
-
-class DuplicateId(_Located, PrivlensError):
+class DuplicateId(ParseError):
     def __init__(self, image_id, path=None, line=None):
         super().__init__(f"duplicate image_id: {image_id!r}", path, line)
-        self.image_id = image_id
 
 
-class UnknownLabel(_Located, PrivlensError):
+class UnknownLabel(ParseError):
     def __init__(self, token, path=None, line=None):
         super().__init__(f"unknown privacy label: {token!r}", path, line)
-        self.token = token
 
 
-class UnknownVote(_Located, PrivlensError):
+class UnknownVote(ParseError):
     def __init__(self, token, path=None, line=None):
         super().__init__(f"unknown vote token: {token!r}", path, line)
-        self.token = token
 
 
 class MissingGroupData(PrivlensError):
@@ -48,22 +41,23 @@ class MissingGroupData(PrivlensError):
 class MissingFeatures(PrivlensError):
     def __init__(self, image_id, group):
         super().__init__(f"image {image_id!r} lacks features for group {group}")
-        self.image_id = image_id
-        self.group = group
 
 
 class MissingLabel(PrivlensError):
     def __init__(self, image_id):
         super().__init__(f"image {image_id!r} has no binary label")
-        self.image_id = image_id
 
 
-class DimensionMismatch(_Located, PrivlensError):
+class DimensionMismatch(PrivlensError):
     pass
 
 
 class EmptyMatrix(PrivlensError):
     pass
+
+
+class NonFiniteValue(PrivlensError):
+    """A standardizer, standardized feature or logit left float64's finite range."""
 
 
 # --- extractor errors ------------------------------------------------------
@@ -95,7 +89,6 @@ class InvalidScene(ExtractionError):
 class UnmappedCategory(PrivlensError):
     def __init__(self, category):
         super().__init__(f"scene category {category!r} missing from indoor/outdoor map")
-        self.category = category
 
 
 # --- classifier errors -----------------------------------------------------
@@ -115,8 +108,6 @@ class ShapeError(PrivlensError):
 class SchemaVersionMismatch(PrivlensError):
     def __init__(self, found, expected):
         super().__init__(f"model schema version {found} unsupported (expected {expected})")
-        self.found = found
-        self.expected = expected
 
 
 # --- metrics / analysis errors ----------------------------------------------

@@ -177,13 +177,13 @@ class SafeSearchClient:
         self._limiter = _RateLimiter(self.requests_per_second, sleep=self.sleep)
 
     @classmethod
-    def from_env(cls, **kwargs) -> "SafeSearchClient":
-        """The client of the configured endpoint; ValueError when none is set,
+    def from_env(cls, **kwargs) -> "SafeSearchClient | None":
+        """The client of the configured endpoint; None when none is set,
         ConfigError when it is not an http(s) URL with a host, a valid port and
         no user info."""
         url = os.environ.get(ENV_URL)
         if not url:
-            raise ValueError(f"{ENV_URL} not set")
+            return None
         try:
             parts = urlsplit(url)
             parts.port  # ValueError unless absent or a number in 0-65535

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyMatrix, MissingGroupData
+from .errors import DimensionMismatch, EmptyMatrix, MissingGroupData, NonFiniteValue
 
 
 class Likelihood(enum.IntEnum):
@@ -145,15 +145,26 @@ class StandardizationParams:
         return int(self.mean.size)
 
 
+def require_finite(finite: np.ndarray, message: str) -> None:
+    """NonFiniteValue with `message` formatted with the 1-based position of the
+    first False in `finite`, unless every entry is True. Callers compute with
+    float warnings off and report through here instead."""
+    if not finite.all():
+        raise NonFiniteValue(message.format(int(np.argmin(finite)) + 1))
+
+
 def fit_standardizer(X: np.ndarray) -> StandardizationParams:
-    """Column means and population stddevs; zero-variance columns get stddev 1."""
+    """Column means and population stddevs; zero-variance columns get stddev 1.
+    A NaN or infinite entry, or a sum or square past float64's range, is
+    NonFiniteValue naming the first such column."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyMatrix("cannot fit standardizer on an empty matrix")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("feature matrix contains non-finite entries")
-    mean = X.mean(axis=0)
-    stddev = X.std(axis=0)  # population stddev (ddof=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        stddev = X.std(axis=0)  # population stddev (ddof=0)
+    require_finite(np.isfinite(mean) & np.isfinite(stddev),
+                   "feature column {} has no finite mean and stddev")
     stddev = np.where(stddev == 0.0, 1.0, stddev)
     return StandardizationParams(mean=mean, stddev=stddev)
 
@@ -165,4 +176,7 @@ def apply_standardizer(params: StandardizationParams, X: np.ndarray) -> np.ndarr
             f"matrix has {X.shape[-1] if X.ndim == 2 else '?'} columns, "
             f"standardizer expects {params.dim}"
         )
-    return (X - params.mean) / params.stddev
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xs = (X - params.mean) / params.stddev
+    require_finite(np.isfinite(Xs).all(axis=0), "standardized feature column {} is not finite")
+    return Xs

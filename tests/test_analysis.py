@@ -350,11 +350,9 @@ class TestGroupProbabilities:
             group_privacy_probabilities(Dataset(manifest_store({})))
 
 
-def membership(pfv, **thresholds):
+def membership(pfv):
     """(has_people, is_sensitive, is_outdoor) of one image."""
-    store = privacy_store({"x": pfv})
-    return tuple(bool(m[0]) for m in group_membership(store.values, store.missing,
-                                                      **thresholds))
+    return tuple(bool(m[0]) for m in group_membership(privacy_store({"x": pfv}).values))
 
 
 class TestGroupMembership:
@@ -368,13 +366,9 @@ class TestGroupMembership:
         member = membership(make_pfv(adult=None, racy=None, medical=None,
                                      spoofed=None, violent=None))
         assert not member[1]
-        # a missing cell encodes as VERY_UNLIKELY's 0.0 but is still not sensitive
-        member = membership(make_pfv(adult=None), sensitive_min_level=L.VERY_UNLIKELY)
-        assert member[1]  # the other four cells are present VERY_UNLIKELY levels
-        member = membership(make_pfv(adult=None, racy=None, medical=None,
-                                     spoofed=None, violent=None),
-                            sensitive_min_level=L.VERY_UNLIKELY)
-        assert not member[1]
+        # a missing cell reads VERY_UNLIKELY's 0.0, below the threshold
+        assert membership(make_pfv(adult=None, racy=L.POSSIBLE))[1]
+        assert not membership(make_pfv(adult=None, racy=L.UNLIKELY))[1]
 
 
 def test_controversial_ids_manifest_order():

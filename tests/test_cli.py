@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,12 @@ from conftest import write_synth_corpus
 def write_config(path, body):
     path.write_text(body, encoding="utf-8")
     return str(path)
+
+
+def src_env(**extra) -> dict:
+    """The environment of a `python -m privlens.cli` run of this checkout."""
+    return {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+            **extra}
 
 
 @pytest.fixture
@@ -97,7 +104,7 @@ def output_files(out) -> dict[str, bytes]:
 def test_importing_the_cli_loads_no_hashing_or_http():
     # each of these costs every command start-up time; only the commands that use them import them
     script = "import sys, privlens.cli; print(sorted(set(sys.argv[1:]) & sys.modules.keys()))"
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env = src_env()
     proc = subprocess.run([sys.executable, "-c", script, "hashlib", "_hashlib", "urllib.request",
                            "http.client"], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -343,7 +350,7 @@ fractions = {fractions}
         cfg = load_config(write_config(
             tmp_path / "c.ini", "[data]\nmanifest = manifest.csv\n[ablation]\nrows = a\n"
             "[ablation.a]\ngroups = sens\n[ablation.spare]\ngroups = deep\nsource_tag = rn\n"))
-        assert [row.row_id for row in cfg.ablation_rows] == ["a"]
+        assert list(cfg.ablation_rows) == ["a"]
 
     def test_readme_config_example_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
@@ -372,7 +379,7 @@ fractions = {fractions}
                         tmp_path / "c.ini", "[data]\nmanifest = manifest.csv\n"
                         f"[features]\n{text}[ablation]\nrows = r\n[ablation.r]\n{text}"))
                     spec = cfg.features
-                    assert spec == cfg.ablation_rows[0].features
+                    assert cfg.ablation_rows == {"r": spec}
                     assert spec == FeatureSpec(frozenset(groups), tag)
                     assert FeatureSpec.from_dict(spec.to_dict()) == spec
 
@@ -549,8 +556,7 @@ seed = 3
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"out{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+            env = src_env(OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run([sys.executable, "-m", "privlens.cli", "--config", cfg,
                                    "--out-dir", str(out), "train"],
                                   env=env, capture_output=True, timeout=120)
@@ -689,6 +695,46 @@ class TestEvaluate:
         assert line == f"error: ParseError: non-finite number in model file [{model_path}]"
 
 
+class TestFloatingPointFaults:
+    """A value past float64's range ends the command with one `error:` line
+    naming a PrivlensError, no numpy RuntimeWarning and no --out-dir."""
+
+    @pytest.mark.parametrize("case, expected", [
+        ("mean", "NonFiniteValue: standardized feature column 1 is not finite"),
+        ("weight", "NonFiniteValue: model logit of row "),
+        ("people_count", "NonFiniteValue: feature column 7 has no finite mean and stddev"),
+        ("learning_rate", "NonFiniteLoss: training diverged (loss=nan); lower the learning rate"),
+    ])
+    def test_one_error_line(self, tmp_path, capsys, case, expected):
+        write_synth_corpus(tmp_path, n=200, seed=3)
+        cfg = write_config(tmp_path / "c.ini", "[data]\nmanifest = manifest.csv\n"
+                           "privacy_features = privacy_features.csv\n[train]\nepochs = 50\n"
+                           + ("learning_rate = 1e305\n" if case == "learning_rate" else ""))
+        args = ["train"]
+        if case in ("mean", "weight"):  # 1e308 in the model file
+            model_path = tmp_path / "model" / "model.json"
+            assert main(["--config", cfg, "--out-dir", str(model_path.parent), "train"]) == 0
+            doc = json.loads(model_path.read_text())
+            (doc["standardizer"]["mean"] if case == "mean" else doc["params"]["weights"])[0] = 1e308
+            model_path.write_text(json.dumps(doc))
+            args = ["evaluate", str(model_path)]
+        elif case == "people_count":  # 10**308, a valid integer, in two rows
+            path = tmp_path / "privacy_features.csv"
+            lines = path.read_text().splitlines()
+            for k in (1, 2):
+                cells = lines[k].split(",")
+                lines[k] = ",".join([*cells[:7], str(10**308), cells[8]])
+            path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["--config", cfg, "--out-dir", str(out), *args])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert (rc, [str(w.message) for w in caught]) == (1, [])
+        assert line.startswith(f"error: {expected}") and not out.exists()
+
+
 ABLATION_SECTION = """
 [ablation]
 rows = all8, out_only, sens_only
@@ -808,6 +854,54 @@ source_tag = rn101
         table = (out / "ablation_table.txt").read_text()
         assert "ERROR" in table and "good" in table
 
+    def test_log_lines_name_the_cli_module_under_python_m(self, corpus_config):
+        tmp_path, _ = corpus_config
+        cfg = write_config(tmp_path / "ab.ini", "[data]\nmanifest = manifest.csv\n"
+                           "privacy_features = privacy_features.csv\n[train]\nepochs = 5\n"
+                           "[ablation]\nrows = bad\n[ablation.bad]\ngroups = deep\n"
+                           "source_tag = rn101\n")
+        proc = subprocess.run([sys.executable, "-m", "privlens.cli", "--config", cfg,
+                               "--out-dir", str(tmp_path / "out"), "ablate"],
+                              env=src_env(), capture_output=True, timeout=120)
+        assert proc.returncode == EXIT_PARTIAL
+        (line,) = proc.stderr.decode().splitlines()
+        assert line.startswith("ERROR privlens.cli: ablation row bad failed: ")
+
+    def test_failing_middle_row_keeps_the_rows_order(self, corpus_config):
+        tmp_path, _ = corpus_config
+        cfg = write_config(tmp_path / "ab.ini", """
+[data]
+manifest = manifest.csv
+privacy_features = privacy_features.csv
+
+[train]
+epochs = 20
+
+[ablation]
+rows = sens, bad, out
+
+[ablation.sens]
+groups = sens
+
+[ablation.bad]
+groups = deep
+source_tag = rn101
+
+[ablation.out]
+groups = out
+""")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "ablate"]) == EXIT_PARTIAL
+        table = (out / "ablation_table.txt").read_text().splitlines()
+        csv_rows = (out / "ablation_results.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in csv_rows] == ["row", "sens", "bad", "out"]
+        # the table holds the CSV's cells, the empty ones as blanks
+        assert [line.split() for line in table] == [[c for c in row.split(",") if c]
+                                                    for row in csv_rows]
+        assert csv_rows[2].endswith(",ERROR,ERROR")
+        assert sorted(p.name for p in out.glob("model_*.json")) == ["model_out.json",
+                                                                   "model_sens.json"]
+
 
 class TestStoreCache:
     """Deep stores parsed by one command are read by the next from `<out>/store_cache`."""
@@ -868,6 +962,19 @@ class TestAnalyze:
         assert main(["--config", cfg, "--out-dir", str(out), "analyze"]) == EXIT_OK
         assert json.loads((out / "controversial.json").read_text()) == {"image_ids": ["a"]}
         assert not (out / "cumulative_private.json").exists()
+
+    def test_each_skip_is_one_stderr_line(self, tmp_path):
+        (tmp_path / "manifest.csv").write_text("image_id,label,split\na,,\n")
+        (tmp_path / "annotations.csv").write_text("image_id,assessor_id,vote\na,u1,PUBLIC\n")
+        cfg = write_config(tmp_path / "c.ini", "[data]\nmanifest = manifest.csv\n"
+                           "annotations = annotations.csv\n")
+        proc = subprocess.run([sys.executable, "-m", "privlens.cli", "--config", cfg,
+                               "--out-dir", str(tmp_path / "out"), "analyze"],
+                              env=src_env(), capture_output=True, timeout=120)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr.decode().splitlines() == [
+            "skipped: people_breakdown (no privacy features)",
+            "skipped: feature-based analyses (need privacy features and labels)"]
 
     def test_full_fixture_writes_all_outputs(self, corpus_config, tmp_path):
         corpus_dir, _ = corpus_config
@@ -1024,8 +1131,7 @@ detections = detections.csv
         out = tmp_path / "out"
         script = ("import sys; sys.modules['requests'] = None; from privlens.cli import main; "
                   f"sys.exit(main(['--config', {cfg!r}, '--out-dir', {str(out)!r}, 'extract']))")
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
-               "PRIVLENS_SAFESEARCH_URL": f"http://127.0.0.1:{mock_server.server_port}/"}
+        env = src_env(PRIVLENS_SAFESEARCH_URL=f"http://127.0.0.1:{mock_server.server_port}/")
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == EXIT_OK, proc.stderr
@@ -1593,7 +1699,7 @@ class TestNothingWrittenOnFailure:
 
 FUZZED_FILES = ["manifest.csv", "privacy_features.csv", "deep.csv", "annotations.csv", "c.ini",
                 "model.json"]
-FUZZ_TOKENS = [b",", b"\n", b'"', b"\x00", b"\xff", b"nan", b"1e999"]
+FUZZ_TOKENS = [b",", b"\n", b'"', b"\x00", b"\xff", b"nan", b"1e999", b"1e308"]
 FUZZ_KINDS = ["truncate", "replace", "insert", "repeat", "delete", "shuffle"]
 
 
@@ -1720,9 +1826,6 @@ def model_fuzz_corpus(tmp_path_factory):
 
 
 class TestFuzzedModelFile:
-    # 1e308 in a weight or the standardizer loads and overflows the forward pass
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @settings(max_examples=300, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(kind=st.sampled_from(["logreg", "mlp"]), value=st.sampled_from(MODEL_FUZZ_VALUES),

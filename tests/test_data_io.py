@@ -206,6 +206,25 @@ def test_row_spanning_lines_is_placed_at_its_last_line(tmp_path):
     assert str(info.value) == f"expected 3 fields, got 2 [{path}:4]"
 
 
+@pytest.mark.parametrize("load, text, error, message, line", [
+    (load_manifest, "image_id,label,split\na,public,train\na,private,test\n", DuplicateId,
+     "duplicate image_id: 'a'", 3),
+    (load_manifest, "image_id,label,split\na, Secret ,train\n", UnknownLabel,
+     "unknown privacy label: 'Secret'", 2),
+    (load_annotations, "image_id,assessor_id,vote\na,u1,PRIVATE\na,u2,maybe\n", UnknownVote,
+     "unknown vote token: 'maybe'", 3),
+], ids=["duplicate id", "unknown label", "unknown vote"])
+def test_id_label_and_vote_faults_are_parse_errors(tmp_path, load, text, error, message, line):
+    path = write(tmp_path, "in.csv", text)
+    try:
+        load(path)
+    except ParseError as exc:
+        assert type(exc) is error
+        assert (str(exc), exc.path, exc.line) == (f"{message} [{path}:{line}]", path, line)
+    else:
+        pytest.fail("no ParseError")
+
+
 @pytest.mark.parametrize("load, head, rows, expected", [
     # a repeated id before a bad cell, then an empty id before a wrong width
     (load_privacy_store, PRIVACY_HEADER, ["a,,,,,,0.5,1,0.25", "a,MAYBE,,,,,0.5,1,0.25"],

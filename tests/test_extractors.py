@@ -171,6 +171,21 @@ class TestSafeSearchClient:
         with pytest.raises(TransportError):
             client.annotate("x")
 
+    @pytest.mark.parametrize("url", [None, ""], ids=["unset", "empty"])
+    def test_from_env_without_an_endpoint_is_none(self, monkeypatch, url):
+        if url is None:
+            monkeypatch.delenv("PRIVLENS_SAFESEARCH_URL", raising=False)
+        else:
+            monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL", url)
+        assert SafeSearchClient.from_env(max_attempts=2) is None
+
+    def test_from_env_reads_the_endpoint_and_key(self, monkeypatch):
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL", "http://127.0.0.1:8080/annotate")
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_KEY", "k")
+        client = SafeSearchClient.from_env(max_attempts=2)
+        assert (client.url, client.api_key, client.max_attempts) == (
+            "http://127.0.0.1:8080/annotate", "k", 2)
+
 
 class TestFileLoaders:
     def test_detections(self, tmp_path):

@@ -10,7 +10,7 @@ from privlens.data_io import (
     manifest_store,
     privacy_store,
 )
-from privlens.errors import DimensionMismatch, EmptyMatrix, MissingGroupData
+from privlens.errors import DimensionMismatch, EmptyMatrix, MissingGroupData, NonFiniteValue
 from privlens.features import (
     SENSITIVITY_CLASSES,
     FeatureGroup,
@@ -167,6 +167,19 @@ class TestStandardizer:
     def test_empty_matrix_raises(self):
         with pytest.raises(EmptyMatrix):
             fit_standardizer(np.empty((0, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    def test_non_finite_statistics_name_their_column(self, bad):
+        # two 1e308 cells overflow the sum; the check runs with float warnings off
+        X = np.array([[0.0, 1.0, 1.0], [1.0, bad, bad], [2.0, bad, 0.0]])
+        with pytest.raises(NonFiniteValue, match="^feature column 2 has no finite mean"):
+            fit_standardizer(X)
+
+    def test_standardized_overflow_names_its_column(self):
+        from privlens.features import StandardizationParams
+        params = StandardizationParams(np.array([0.0, -1e308]), np.array([1.0, 0.5]))
+        with pytest.raises(NonFiniteValue, match="^standardized feature column 2 is not"):
+            apply_standardizer(params, np.array([[1.0, 1e308]]))
 
     def test_dim_mismatch_raises(self):
         params = fit_standardizer(np.array([[0.0], [2.0]]))
