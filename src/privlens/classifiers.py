@@ -369,7 +369,8 @@ def load_model(path) -> Model:
                                [np.array(b, dtype=np.float64) for b in params["biases"]])
         else:
             raise ParseError(f"unknown model kind {kind!r}", path=path)
-    except (KeyError, TypeError, ValueError, IndexError, DimensionMismatch, ShapeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, IndexError, DimensionMismatch,
+            ShapeError) as exc:  # OverflowError: an integer past float64
         raise ParseError(f"malformed model document: {exc}", path=path) from exc
     if not all(np.isfinite(a).all() for a in (standardizer.mean, standardizer.stddev,
                                               *layers.weights, *layers.biases)):

@@ -11,7 +11,6 @@ import dataclasses
 import json
 import logging
 import sys
-from itertools import zip_longest
 
 from . import analysis, extractors
 from .classifiers import (
@@ -149,36 +148,18 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
     detections = None
     if cfg.data.detections is not None:
         detections = extractors.load_detections(cfg.data.detections)
-    scenes = categories = io_map = None
+    scenes = outdoor_columns = None
     if cfg.data.scenes is not None:
-        if cfg.data.io_map is None:
-            raise ConfigError("scenes configured without io_map")
-        _, scenes, columns = load_deep_store(cfg.data.scenes, cache)
-        io_map = extractors.load_io_map(cfg.data.io_map)
-        if cfg.data.categories is not None:
-            categories = extractors.load_categories(cfg.data.categories)
-        else:
-            categories = tuple(sorted(io_map))
-        if scenes.values.shape[1] != len(categories):
-            raise ConfigError(f"scene store {cfg.data.scenes} has {scenes.values.shape[1]} "
-                              f"categories, the category list has {len(categories)}")
-        unmapped = next((c for c in categories if c not in io_map), None)
-        if unmapped is not None:
-            raise ConfigError(f"category {unmapped!r} is missing from io map {cfg.data.io_map}")
-        # a header that names categories must name them in the order of the list
-        if set(columns) <= io_map.keys() and columns != list(categories):
-            k, (name, expected) = next((k, pair) for k, pair in enumerate(
-                zip_longest(columns, categories)) if pair[0] != pair[1])
-            raise ConfigError(f"scene store {cfg.data.scenes} column {k + 1} is {name!r}, "
-                              f"the category list has {expected!r}")
+        # parsed by this module's load_deep_store, the name the traced benchmark wraps
+        scenes, outdoor_columns = extractors.load_scenes(
+            cfg.data, lambda path: load_deep_store(path, cache))
     sources = extractors.ExtractionSources(
+        person_conf_threshold=cfg.person_conf_threshold,
         safe_search=client,
         image_refs=image_refs,
         detections=detections,
         scenes=scenes,
-        categories=categories,
-        io_map=io_map,
-        person_conf_threshold=cfg.person_conf_threshold,
+        outdoor_columns=outdoor_columns,
     )
     _commit(cfg, cache)  # before the queries: each answer is cached as it arrives
     out_path = cfg.out_dir / "privacy_features.csv"

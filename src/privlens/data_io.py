@@ -6,7 +6,8 @@ File formats (all UTF-8 CSV with a mandatory header):
                         label in {private,public,""}; split in {train,val,test,""}
   privacy_features.csv  image_id,adult,racy,medical,spoofed,violent,
                         people_prob,people_count,outdoor_prob
-                        sensitivity cells: level tokens, decimals in [0,1], or empty
+                        sensitivity cells: level tokens, decimals in [0,1], or empty;
+                        people_count an integer in [0, MAX_PEOPLE_COUNT]
   deep_features.csv     first line "#source_tag=<tag>,dim=<D>", then
                         image_id,v0,...,v{D-1}
   annotations.csv       image_id,assessor_id,vote
@@ -339,13 +340,16 @@ def _parse_bulk(fh, n_values: int, converters=None):
             itertools.chain([first], lines), dtype=np.float64, delimiter=",",
             comments=None, usecols=range(1, n_values + 1), converters=converters, ndmin=2,
         )  # (loadtxt warns on empty input)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: a converter's int past float64
         return None
     unique = set(ids)
     return (ids, values) if len(unique) == len(ids) and "" not in unique else None
 
 
 _PRIVACY_HEADER = ["image_id", *PRIVACY_FEATURE_NAMES]
+# The largest people_count a privacy store may hold: analyze's people curve
+# has a point for each count up to the largest one.
+MAX_PEOPLE_COUNT = 10_000
 
 
 def _parse_sensitivity_cell(cell: str, path, lineno) -> Likelihood | None:
@@ -399,8 +403,9 @@ def _bulk_privacy_store(path) -> FeatureStore | None:
     ids, values = parsed
     missing = np.isnan(values[:, SENSITIVITY])
     values[:, SENSITIVITY][missing] = 0.0
-    probs = values[:, [PEOPLE_PROB, OUTDOOR_PROB]]
-    if not (((probs >= 0.0) & (probs <= 1.0)).all() and (values[:, PEOPLE_COUNT] >= 0).all()):
+    probs, counts = values[:, [PEOPLE_PROB, OUTDOOR_PROB]], values[:, PEOPLE_COUNT]
+    if not (((probs >= 0.0) & (probs <= 1.0)).all()
+            and ((counts >= 0) & (counts <= MAX_PEOPLE_COUNT)).all()):
         return None
     return FeatureStore(ids, values, missing)
 
@@ -419,6 +424,9 @@ def _scan_privacy_store(path) -> FeatureStore:
             raise ParseError(f"outdoor_prob out of [0,1]: {outdoor_prob}", path=path, line=line)
         if people_count < 0:
             raise ParseError(f"people_count negative: {people_count}", path=path, line=line)
+        if people_count > MAX_PEOPLE_COUNT:
+            raise ParseError(f"people_count above {MAX_PEOPLE_COUNT}: {people_count}",
+                             path=path, line=line)
         return (*levels, people_prob, people_count, outdoor_prob)
     return privacy_store(read_table(path, _PRIVACY_HEADER, parse))
 
@@ -622,9 +630,7 @@ def load_annotations(path) -> dict[str, AnnotationRecord]:
 
 
 def assign_splits(
-    manifest: FeatureStore,
-    seed: int,
-    fractions: tuple[float, float, float] = (0.7, 0.1, 0.2),
+    manifest: FeatureStore, seed: int, fractions: tuple[float, float, float]
 ) -> FeatureStore:
     """Seeded random train/val/test assignment for manifests lacking a split column.
 

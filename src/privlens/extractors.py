@@ -21,22 +21,24 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import zip_longest
 from pathlib import Path
 from urllib.parse import urlsplit
 
 import numpy as np
 
-from .data_io import (FeatureStore, privacy_store, publish, read_lines, read_table,
-                      write_privacy_store)
+from .config import DataPaths
+from .data_io import (MAX_PEOPLE_COUNT, FeatureStore, privacy_store, publish, read_lines,
+                      read_table, write_privacy_store)
 from .errors import (
     AuthError,
     ConfigError,
+    ExtractionError,
     InvalidScene,
     MalformedResponse,
     ParseError,
     RateLimited,
     TransportError,
-    UnmappedCategory,
 )
 from .features import Likelihood, SENSITIVITY_CLASSES
 
@@ -53,16 +55,6 @@ _RESPONSE_FIELDS = {
     "spoof": "spoofed",
     "violence": "violent",
 }
-
-
-@dataclass(frozen=True)
-class Detection:
-    class_name: str
-    confidence: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence out of [0,1]: {self.confidence}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +80,7 @@ class SafeSearchResult:
 
 
 def people_features(
-    image_ids: list[str], detections: dict[str, list[Detection]], conf_threshold: float = 0.5
+    image_ids: list[str], detections: dict[str, list[tuple[str, float]]], conf_threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per image: (count of person detections at/above threshold, max person
     confidence), 0 and 0.0 for an image without person detections.
@@ -96,26 +88,19 @@ def people_features(
     The probability deliberately ignores the threshold so weak evidence still
     reaches the classifier.
     """
-    confs = [[d.confidence for d in detections.get(i, ()) if d.class_name == "person"]
+    confs = [[conf for name, conf in detections.get(i, ()) if name == "person"]
              for i in image_ids]
     count = np.array([sum(c >= conf_threshold for c in cs) for cs in confs], dtype=np.float64)
     prob = np.array([max(cs, default=0.0) for cs in confs], dtype=np.float64)
     return count, prob
 
 
-def outdoor_probability(
-    scenes: FeatureStore, categories: tuple[str, ...], io_map: dict[str, str]
-) -> np.ndarray:
-    """Each scene row's mass on categories mapped to 'outdoor', added column by
-    column in category order as a loop over one row adds it; the store is not copied."""
+def outdoor_probability(scenes: FeatureStore, outdoor_columns: list[int]) -> np.ndarray:
+    """Each scene row's mass on its outdoor columns, added column by column in
+    ascending order as a loop over one row adds it; the store is not copied."""
     total = np.zeros(len(scenes))
-    for j, name in enumerate(categories):
-        try:
-            side = io_map[name]
-        except KeyError:
-            raise UnmappedCategory(name)
-        if side == "outdoor":
-            total += scenes.values[:, j]
+    for j in outdoor_columns:
+        total += scenes.values[:, j]
     return total
 
 
@@ -164,10 +149,10 @@ class SafeSearchClient:
     """
 
     url: str
-    api_key: str = ""
-    max_attempts: int = 5
-    backoff_base: float = 1.0
-    requests_per_second: float = 5.0
+    api_key: str
+    max_attempts: int
+    backoff_base: float
+    requests_per_second: float
     transport: object = None
     sleep: object = time.sleep
 
@@ -258,12 +243,16 @@ def _parse_safe_search(payload) -> SafeSearchResult:
     return SafeSearchResult(**values)
 
 
-def load_detections(path) -> dict[str, list[Detection]]:
+def load_detections(path) -> dict[str, list[tuple[str, float]]]:
+    """Each image's (class name, confidence) rows, a confidence in [0,1]."""
     def parse(line, image_id, row):
         try:
-            return Detection(class_name=row[1].strip(), confidence=float(row[2]))
+            confidence = float(row[2])
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=line) from exc
+        if not 0.0 <= confidence <= 1.0:  # NaN fails it too
+            raise ParseError(f"confidence out of [0,1]: {confidence}", path=path, line=line)
+        return row[1].strip(), confidence
     return read_table(path, ["image_id", "class_name", "confidence"], parse, keyed=False)
 
 
@@ -285,17 +274,43 @@ def load_categories(path) -> tuple[str, ...]:
     return tuple(line.strip() for line in read_lines(path) if line.strip())
 
 
+def load_scenes(data: DataPaths, load_store) -> tuple[FeatureStore, list[int]]:
+    """The scene store `load_store` parses from `data.scenes`, and the indices
+    of its outdoor columns, ascending. Its columns are the category list
+    (`data.categories`, else the io map's categories sorted); any disagreement
+    is a ConfigError, and so is a missing io map, before the store is parsed."""
+    if data.io_map is None:
+        raise ConfigError("scenes configured without io_map")
+    _, scenes, columns = load_store(data.scenes)
+    io_map = load_io_map(data.io_map)
+    if data.categories is not None:
+        categories = load_categories(data.categories)
+    else:
+        categories = tuple(sorted(io_map))
+    if scenes.values.shape[1] != len(categories):
+        raise ConfigError(f"scene store {data.scenes} has {scenes.values.shape[1]} "
+                          f"categories, the category list has {len(categories)}")
+    unmapped = next((c for c in categories if c not in io_map), None)
+    if unmapped is not None:
+        raise ConfigError(f"category {unmapped!r} is missing from io map {data.io_map}")
+    if set(columns) <= io_map.keys() and columns != list(categories):
+        k, (name, expected) = next((k, pair) for k, pair in enumerate(
+            zip_longest(columns, categories)) if pair[0] != pair[1])
+        raise ConfigError(f"scene store {data.scenes} column {k + 1} is {name!r}, "
+                          f"the category list has {expected!r}")
+    return scenes, [j for j, name in enumerate(categories) if io_map[name] == "outdoor"]
+
+
 @dataclass
 class ExtractionSources:
     """Whatever evidence is available; any subset may be None."""
 
+    person_conf_threshold: float
     safe_search: SafeSearchClient | None = None
     image_refs: dict[str, str] = field(default_factory=dict)  # image_id -> URI
-    detections: dict[str, list[Detection]] | None = None
+    detections: dict[str, list[tuple[str, float]]] | None = None  # (class name, confidence)
     scenes: FeatureStore | None = None  # one row of category probs per image
-    categories: tuple[str, ...] | None = None
-    io_map: dict[str, str] | None = None
-    person_conf_threshold: float = 0.5
+    outdoor_columns: list[int] | None = None  # of `scenes`, from `load_scenes`
 
 
 @dataclass
@@ -345,7 +360,7 @@ def run_extraction(
     sources: ExtractionSources,
     cache_dir,
     out_path,
-    workers: int = 4,
+    workers: int,
 ) -> ExtractionReport:
     """Produce privacy_features.csv for the manifest's `image_ids`; idempotent under re-run.
 
@@ -354,10 +369,11 @@ def run_extraction(
     entry; only the misses (no entry or an unreadable one, with a client
     configured) go to at most `workers` threads, which query SafeSearch and
     write the entry, so a warm re-run starts none. Any exception from an
-    image's cache read, query or scene check fails only that image: it lands
-    in the report as "<Type>: <message>", a failed query over a bad scene
-    row. Successful rows are still written, in manifest order, so re-runs
-    with identical upstream responses produce byte-identical files.
+    image's cache read, query, scene check or people-count bound fails only
+    that image: it lands in the report as "<Type>: <message>", a failed query
+    over a bad scene row over a count past the bound. Successful rows are
+    still written, in manifest order, so re-runs with identical upstream
+    responses produce byte-identical files.
     """
     cache = Path(cache_dir)
     cache.mkdir(exist_ok=True)
@@ -373,7 +389,7 @@ def run_extraction(
         rows = sources.scenes.rows(image_ids)
         has_row = rows >= 0
         outdoor[has_row] = outdoor_probability(
-            sources.scenes, sources.categories, sources.io_map)[rows[has_row]]
+            sources.scenes, sources.outdoor_columns)[rows[has_row]]
         bad_scene[has_row] = invalid[rows[has_row]]
 
     # per image: its SafeSearchResult, None, or the exception that failed it
@@ -399,8 +415,12 @@ def run_extraction(
 
     cells: dict[str, tuple] = {}
     for k, (image_id, sensitivity) in enumerate(zip(image_ids, found)):
-        if bad_scene[k] and not isinstance(sensitivity, Exception):  # a failed lookup wins
-            sensitivity = InvalidScene("scene probabilities must be non-negative and sum to 1")
+        if not isinstance(sensitivity, Exception):  # a failed lookup wins
+            if bad_scene[k]:
+                sensitivity = InvalidScene("scene probabilities must be non-negative and sum to 1")
+            elif count[k] > MAX_PEOPLE_COUNT:  # a row the privacy-store loader would reject
+                sensitivity = ExtractionError(f"people_count above {MAX_PEOPLE_COUNT}: "
+                                              f"{int(count[k])}")
         if isinstance(sensitivity, Exception):
             log.debug("image %s failed", image_id, exc_info=sensitivity)
             report.failures[image_id] = f"{type(sensitivity).__name__}: {sensitivity}"

@@ -1,11 +1,11 @@
-"""Frozen reference copies of the earlier per-image extraction: the scene
-row class, the per-image people and outdoor features, and `run_extraction`
-with its per-image worker and hand-written CSV. They are kept to check the
-batch extraction in `privlens.extractors` against. The code is the earlier
-code verbatim, the per-image SafeSearch lookup `_sensitivity_for` included;
-the cache file naming and reading, the report and the sources it reads are
-imported from the package, which still has them. Do not change these to
-follow the package.
+"""Frozen reference copies of the earlier per-image extraction: the
+detection and scene row classes, the sources it reads, the per-image people
+and outdoor features, and `run_extraction` with its per-image worker and
+hand-written CSV. They are kept to check the batch extraction in
+`privlens.extractors` against. The code is the earlier code verbatim, the
+per-image SafeSearch lookup `_sensitivity_for` included; the cache file
+naming and reading and the report are imported from the package, which
+still has them. Do not change these to follow the package.
 """
 
 from __future__ import annotations
@@ -13,21 +13,44 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from privlens.data_io import FeatureStore
 from privlens.errors import ExtractionError, InvalidScene, UnmappedCategory
 from privlens.extractors import (
-    Detection,
     ExtractionReport,
-    ExtractionSources,
+    SafeSearchClient,
     SafeSearchResult,
     _cache_path,
     _read_cache,
 )
 from privlens.features import SENSITIVITY_CLASSES
+
+
+@dataclass(frozen=True)
+class Detection:
+    class_name: str
+    confidence: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ValueError(f"confidence out of [0,1]: {self.confidence}")
+
+
+@dataclass
+class ExtractionSources:
+    """Whatever evidence is available; any subset may be None."""
+
+    safe_search: SafeSearchClient | None = None
+    image_refs: dict[str, str] = field(default_factory=dict)  # image_id -> URI
+    detections: dict[str, list[Detection]] | None = None
+    scenes: FeatureStore | None = None  # one row of category probs per image
+    categories: tuple[str, ...] | None = None
+    io_map: dict[str, str] | None = None
+    person_conf_threshold: float = 0.5
 
 
 @dataclass(frozen=True)

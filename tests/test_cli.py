@@ -205,7 +205,7 @@ groups = sens
         tmp_path, cfg = corpus_config
         with open(cfg, "ab") as fh:
             fh.write(b"# caf\xe9\n")
-        last = open(cfg, "rb").read().count(b"\n")
+        last = Path(cfg).read_bytes().count(b"\n")
         capsys.readouterr()
         assert main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "train"]) == EXIT_CONFIG
         (line,) = capsys.readouterr().err.splitlines()
@@ -702,13 +702,16 @@ class TestFloatingPointFaults:
     @pytest.mark.parametrize("case, expected", [
         ("mean", "NonFiniteValue: standardized feature column 1 is not finite"),
         ("weight", "NonFiniteValue: model logit of row "),
-        ("people_count", "NonFiniteValue: feature column 7 has no finite mean and stddev"),
+        ("deep_feature", "NonFiniteValue: feature column 6 has no finite mean and stddev"),
         ("learning_rate", "NonFiniteLoss: training diverged (loss=nan); lower the learning rate"),
     ])
     def test_one_error_line(self, tmp_path, capsys, case, expected):
         write_synth_corpus(tmp_path, n=200, seed=3)
         cfg = write_config(tmp_path / "c.ini", "[data]\nmanifest = manifest.csv\n"
-                           "privacy_features = privacy_features.csv\n[train]\nepochs = 50\n"
+                           "privacy_features = privacy_features.csv\n"
+                           + ("deep_features = deep.csv\n[features]\ngroups = sens, deep\n"
+                              "source_tag = rn\n" if case == "deep_feature" else "")
+                           + "[train]\nepochs = 50\n"
                            + ("learning_rate = 1e305\n" if case == "learning_rate" else ""))
         args = ["train"]
         if case in ("mean", "weight"):  # 1e308 in the model file
@@ -718,13 +721,11 @@ class TestFloatingPointFaults:
             (doc["standardizer"]["mean"] if case == "mean" else doc["params"]["weights"])[0] = 1e308
             model_path.write_text(json.dumps(doc))
             args = ["evaluate", str(model_path)]
-        elif case == "people_count":  # 10**308, a valid integer, in two rows
-            path = tmp_path / "privacy_features.csv"
-            lines = path.read_text().splitlines()
-            for k in (1, 2):
-                cells = lines[k].split(",")
-                lines[k] = ",".join([*cells[:7], str(10**308), cells[8]])
-            path.write_text("\n".join(lines) + "\n")
+        elif case == "deep_feature":  # 1e308 in two rows of a deep store
+            ids = [line.split(",")[0] for line in
+                   (tmp_path / "manifest.csv").read_text().splitlines()[1:]]
+            (tmp_path / "deep.csv").write_text("#source_tag=rn,dim=1\nimage_id,v0\n" + "".join(
+                f"{i},{'1e308' if k < 2 else '0.5'}\n" for k, i in enumerate(ids)))
         out = tmp_path / "out"
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
@@ -733,6 +734,47 @@ class TestFloatingPointFaults:
         (line,) = capsys.readouterr().err.splitlines()
         assert (rc, [str(w.message) for w in caught]) == (1, [])
         assert line.startswith(f"error: {expected}") and not out.exists()
+
+
+class TestHugeIntegers:
+    """An integer too large for its cell, in a privacy store or a model
+    file, is one `error: ParseError` line naming the file, with no --out-dir."""
+
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    @pytest.mark.parametrize("count", [10**4 + 1, 10**9, 10**308, 10**400],
+                             ids=["past bound", "1e9", "1e308", "401 digits"])
+    def test_people_count(self, tmp_path, capsys, command, count):
+        cfg = _write_sections(tmp_path / "c.ini", _fault_corpus(tmp_path))
+        path = tmp_path / "privacy_features.csv"
+        cells = path.read_text().splitlines()[5].split(",")
+        _replace_line(path, 6, ",".join([*cells[:7], str(count), cells[8]]).encode())
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out-dir", str(out), command]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: ParseError: people_count above 10000: {count} [{path}:6]"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["bias", "mean"])
+    def test_model_number(self, tmp_path, capsys, where):
+        write_synth_corpus(tmp_path, n=100, seed=3)
+        cfg = write_config(tmp_path / "c.ini", "[data]\nmanifest = manifest.csv\n"
+                           "privacy_features = privacy_features.csv\n[train]\nepochs = 5\n")
+        model_path = tmp_path / "model" / "model.json"
+        assert main(["--config", cfg, "--out-dir", str(model_path.parent), "train"]) == 0
+        doc = json.loads(model_path.read_text())
+        if where == "bias":
+            doc["params"]["bias"] = 10**400
+        else:
+            doc["standardizer"]["mean"][0] = 10**400
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["--config", cfg, "--out-dir", str(out), "evaluate", str(model_path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("error: ParseError: malformed model document: int too large to "
+                        f"convert to float [{model_path}]")
+        assert not out.exists()
 
 
 ABLATION_SECTION = """
@@ -1400,6 +1442,39 @@ detections = detections.csv
         assert mock_server.calls == 0
         assert not (out / "privacy_features.csv").exists()
 
+    @pytest.mark.parametrize("confidence", ["1.5", "-0.25", "nan"])
+    def test_detection_confidence_out_of_range_is_parse_error(
+            self, tmp_path, mock_server, monkeypatch, capsys, confidence):
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        cfg = self._config(tmp_path, n=2)
+        (tmp_path / "detections.csv").write_text(
+            f"image_id,class_name,confidence\nimg_0,person,0.9\nimg_1,person,{confidence}\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"error: ParseError: confidence out of [0,1]: {float(confidence)} "
+                        f"[{tmp_path / 'detections.csv'}:3]")
+        assert mock_server.calls == 0 and not out.exists()
+
+    @pytest.mark.parametrize("scenes", ["#source_tag=places365,dim=2\nimage_id,beach\n",
+                                        "img_0,0.5,0.5\n", None],
+                             ids=["bad header", "no header", "absent"])
+    def test_scenes_without_io_map_is_config_error_before_the_store_is_read(
+            self, tmp_path, mock_server, monkeypatch, capsys, scenes):
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        if scenes is not None:
+            (tmp_path / "scenes.csv").write_text(scenes)
+        else:
+            (tmp_path / "scenes.csv").mkdir()  # a path that exists and cannot be read
+        cfg = self._config(tmp_path, n=1, data="scenes = scenes.csv\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "configuration error: scenes configured without io_map"
+        assert mock_server.calls == 0 and not out.exists()
+
     def _scene_config(self, tmp_path, header):
         (tmp_path / "scenes.csv").write_text(
             f"#source_tag=places365,dim=2\nimage_id,{header}\nimg_0,0.9,0.1\n")
@@ -1786,8 +1861,8 @@ class TestFuzzedInput:
 
 
 # Each value one JSON value of a model file may be replaced with.
-MODEL_FUZZ_VALUES = [None, True, 0, -1, 1e308, "x", "deep", [], {}, ["x"], [1.0], {"a": 1},
-                     [[1.0]]]
+MODEL_FUZZ_VALUES = [None, True, 0, -1, 1e308, 10**400, "x", "deep", [], {}, ["x"], [1.0],
+                     {"a": 1}, [[1.0]]]
 
 
 def json_positions(doc, at=()) -> list[tuple]:

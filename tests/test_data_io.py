@@ -18,6 +18,7 @@ from privlens.data_io import (
     Dataset,
     FeatureStore,
     FiveClassVote,
+    MAX_PEOPLE_COUNT,
     STORE_CACHE_VERSION,
     Split,
     StoreCache,
@@ -384,8 +385,8 @@ class TestDesignMatrix:
 class TestSplits:
     def test_assign_splits_reproducible_and_proportioned(self):
         manifest = manifest_store({f"i{i}": ("public", "") for i in range(100)})
-        a = manifest_cells(assign_splits(manifest, seed=5))
-        b = manifest_cells(assign_splits(manifest, seed=5))
+        a = manifest_cells(assign_splits(manifest, 5, (0.7, 0.1, 0.2)))
+        b = manifest_cells(assign_splits(manifest, 5, (0.7, 0.1, 0.2)))
         assert a == b
         counts = {s: sum(1 for _, split in a.values() if split == s.value) for s in Split}
         assert counts[Split.TRAIN] == 70 and counts[Split.VAL] == 10
@@ -393,7 +394,7 @@ class TestSplits:
 
     def test_existing_splits_kept(self):
         manifest = manifest_store({"a": ("", "test"), "b": ("", "")})
-        out = manifest_cells(assign_splits(manifest, seed=1))
+        out = manifest_cells(assign_splits(manifest, 1, (0.7, 0.1, 0.2)))
         assert out["a"] == ("", "test")
 
     def test_unknown_store_id_warns_not_raises(self, caplog):
@@ -460,7 +461,9 @@ _SENS_CELLS = st.one_of(
 )
 _PROB_CELLS = st.one_of(st.floats(0, 1).map(lambda x: f"{x:.6f}"),
                         _padded(st.floats(0, 1).map(repr)))
-_COUNT_CELLS = _padded(st.integers(0, 6).map(str))
+# at the bound, past it, and past float64 (400 digits)
+_COUNT_CELLS = st.one_of(_padded(st.integers(0, 6).map(str)), st.sampled_from(
+    [str(MAX_PEOPLE_COUNT), str(MAX_PEOPLE_COUNT + 1), str(10**399)]))
 _BAD_CELLS = st.sampled_from(["MAYBE", "1.5", "-0.25", "nan", "inf", "x", "", "1e400", '"0.5"'])
 # out of range or not finite, where the cells are plain numbers
 _BAD_NUMBERS = st.sampled_from(["1.5", "-0.25", "-1", "nan", "-inf", "1e400"])
@@ -590,7 +593,7 @@ class TestWritePrivacyStore:
     @given(st.lists(st.tuples(
         st.sampled_from(["img_{}", "a,{}", 'q"{}']),  # the last two are written quoted
         st.lists(st.sampled_from([None, *Likelihood]), min_size=5, max_size=5),
-        st.floats(0, 1), st.integers(0, 10**6), st.floats(0, 1)), max_size=12))
+        st.floats(0, 1), st.integers(0, MAX_PEOPLE_COUNT), st.floats(0, 1)), max_size=12))
     def test_load_reads_back_the_written_store(self, tmp_path, rows):
         # the probabilities at 6 decimals, the precision the file keeps
         store = privacy_store({fmt.format(i): (*levels, round(prob, 6), count, round(out, 6))

@@ -12,22 +12,23 @@ from hypothesis import given, settings, strategies as st
 
 import frozen_extraction
 from conftest import serving_mock
-from privlens.data_io import FeatureStore
+from privlens.config import DataPaths
+from privlens.data_io import MAX_PEOPLE_COUNT, FeatureStore, load_deep_store, load_privacy_store
 from privlens.errors import (
     AuthError,
+    ConfigError,
     MalformedResponse,
     RateLimited,
     TransportError,
-    UnmappedCategory,
 )
 from privlens.extractors import (
-    Detection,
     ExtractionSources,
     SafeSearchClient,
     SafeSearchResult,
     _cache_path,
     load_detections,
     load_io_map,
+    load_scenes,
     outdoor_probability,
     people_features,
     run_extraction,
@@ -51,56 +52,76 @@ def people_of(detections, threshold=0.5):
 class TestPeopleFeatures:
     def test_empty(self):
         assert people_of([]) == (0, 0.0)
-        count, prob = people_features(["a", "b"], {})
+        count, prob = people_features(["a", "b"], {}, 0.5)
         assert count.tolist() == [0, 0] and prob.tolist() == [0.0, 0.0]
 
     def test_threshold_applies_to_count_only(self):
-        dets = [Detection("person", 0.9), Detection("person", 0.7), Detection("dog", 0.95)]
+        dets = [("person", 0.9), ("person", 0.7), ("dog", 0.95)]
         assert people_of(dets, 0.5) == (2, 0.9)
 
     def test_weak_person_counts_zero_but_keeps_prob(self):
-        assert people_of([Detection("person", 0.3)], 0.5) == (0, 0.3)
+        assert people_of([("person", 0.3)], 0.5) == (0, 0.3)
 
     @given(st.lists(st.tuples(st.sampled_from(["person", "dog", "car"]),
                               st.floats(0, 1)), max_size=12),
            st.floats(0, 1))
-    def test_permutation_invariant(self, raw, threshold):
-        dets = [Detection(c, conf) for c, conf in raw]
+    def test_permutation_invariant(self, dets, threshold):
         forward = people_of(dets, threshold)
         assert people_of(list(reversed(dets)), threshold) == forward
 
 
-def outdoor_of(probs, names, io_map):
+def outdoor_of(probs, outdoor_columns):
     """The outdoor mass of one scene row, from the batch function."""
-    return outdoor_probability(FeatureStore(["a"], np.array([probs])), names, io_map)[0]
+    return outdoor_probability(FeatureStore(["a"], np.array([probs])), outdoor_columns)[0]
 
 
 class TestOutdoorProbability:
     def test_all_mass_outdoor(self):
-        io_map = {"beach": "outdoor", "kitchen": "indoor"}
-        assert outdoor_of([1.0, 0.0], ("beach", "kitchen"), io_map) == 1.0
+        assert outdoor_of([1.0, 0.0], [0]) == 1.0
 
     def test_uniform_split(self):
-        io_map = {"beach": "outdoor", "kitchen": "indoor"}
-        assert outdoor_of([0.5, 0.5], ("beach", "kitchen"), io_map) == 0.5
+        assert outdoor_of([0.5, 0.5], [0]) == 0.5
 
     def test_hand_summed(self):
-        io_map = {"a": "indoor", "b": "outdoor", "c": "outdoor"}
-        assert outdoor_of([0.7, 0.2, 0.1], ("a", "b", "c"), io_map) == pytest.approx(0.3)
-
-    def test_unmapped_category(self):
-        with pytest.raises(UnmappedCategory):
-            outdoor_of([1.0], ("mystery",), {})
+        assert outdoor_of([0.7, 0.2, 0.1], [1, 2]) == pytest.approx(0.3)
 
     def test_complement_of_indoor_mass(self):
         rng = np.random.default_rng(0)
         probs = rng.dirichlet(np.ones(10))
-        names = tuple(f"c{i}" for i in range(10))
-        io_map = {n: ("outdoor" if i % 3 else "indoor") for i, n in enumerate(names)}
-        out = outdoor_of(probs, names, io_map)
-        indoor = sum(p for n, p in zip(names, probs) if io_map[n] == "indoor")
-        assert out == pytest.approx(1.0 - indoor)
+        out = outdoor_of(probs, [j for j in range(10) if j % 3])
+        assert out == pytest.approx(1.0 - sum(probs[j] for j in range(10) if not j % 3))
         assert 0.0 <= out <= 1.0
+
+
+def scene_files(tmp_path, header="beach,kitchen", io_map="beach,outdoor\nkitchen,indoor\n",
+                categories=None):
+    """The `[data]` paths of a one-row scene store, its io map and, when
+    given, a category list."""
+    (tmp_path / "scenes.csv").write_text(f"#source_tag=places,dim=2\nimage_id,{header}\n"
+                                         "a,0.25,0.75\n")
+    (tmp_path / "io_map.txt").write_text(io_map)
+    if categories is not None:
+        (tmp_path / "categories.txt").write_text(categories)
+    return DataPaths(manifest=tmp_path / "manifest.csv", scenes=tmp_path / "scenes.csv",
+                     io_map=tmp_path / "io_map.txt",
+                     categories=tmp_path / "categories.txt" if categories is not None else None)
+
+
+class TestLoadScenes:
+    """Which scene columns are outdoor; `TestExtract` in test_cli.py covers
+    the other scene rules through the command."""
+
+    def test_outdoor_columns_in_category_order(self, tmp_path):
+        scenes, columns = load_scenes(scene_files(tmp_path, header="v0,v1"), load_deep_store)
+        assert scenes.ids == ["a"] and columns == [0]
+        data = scene_files(tmp_path, header="cave,beach",
+                           io_map="beach,outdoor\ncave,indoor\n", categories="cave\nbeach\n")
+        assert load_scenes(data, load_deep_store)[1] == [1]
+
+    def test_unmapped_category(self, tmp_path):
+        data = scene_files(tmp_path, header="v0,v1", categories="beach\nmystery\n")
+        with pytest.raises(ConfigError, match="category 'mystery' is missing from io map"):
+            load_scenes(data, load_deep_store)
 
 
 class CountingTransport:
@@ -120,10 +141,13 @@ class CountingTransport:
         return status, (self.payload if status == 200 else {"error": status})
 
 
+CLIENT_SETTINGS = {"api_key": "", "max_attempts": 5, "backoff_base": 0.0,
+                   "requests_per_second": 5.0, "sleep": lambda s: None}
+
+
 def make_client(transport, **kwargs):
-    kwargs.setdefault("backoff_base", 0.0)
-    kwargs.setdefault("sleep", lambda s: None)
-    return SafeSearchClient(url="http://fake", transport=transport, **kwargs)
+    """A client on a fake transport that never waits."""
+    return SafeSearchClient(url="http://fake", transport=transport, **CLIENT_SETTINGS | kwargs)
 
 
 class TestSafeSearchClient:
@@ -182,7 +206,8 @@ class TestSafeSearchClient:
     def test_from_env_reads_the_endpoint_and_key(self, monkeypatch):
         monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL", "http://127.0.0.1:8080/annotate")
         monkeypatch.setenv("PRIVLENS_SAFESEARCH_KEY", "k")
-        client = SafeSearchClient.from_env(max_attempts=2)
+        client = SafeSearchClient.from_env(max_attempts=2, backoff_base=1.0,
+                                           requests_per_second=5.0)
         assert (client.url, client.api_key, client.max_attempts) == (
             "http://127.0.0.1:8080/annotate", "k", 2)
 
@@ -191,8 +216,8 @@ class TestFileLoaders:
     def test_detections(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("image_id,class_name,confidence\na,person,0.9\na,dog,0.5\nb,person,0.2\n")
-        dets = load_detections(path)
-        assert len(dets["a"]) == 2 and dets["b"][0].confidence == 0.2
+        assert load_detections(path) == {"a": [("person", 0.9), ("dog", 0.5)],
+                                         "b": [("person", 0.2)]}
 
     def test_io_map(self, tmp_path):
         path = tmp_path / "io.txt"
@@ -206,15 +231,15 @@ def make_ids(n):
 
 class TestRunExtraction:
     def sources(self, transport=None):
-        detections = {"img_0": [Detection("person", 0.9)], "img_1": []}
+        detections = {"img_0": [("person", 0.9)], "img_1": []}
         scenes = FeatureStore(["img_0", "img_1"], np.array([[0.8, 0.2], [0.5, 0.5]]))
         client = make_client(transport) if transport is not None else None
         return ExtractionSources(
+            person_conf_threshold=0.5,
             safe_search=client,
             detections=detections,
             scenes=scenes,
-            categories=("beach", "kitchen"),
-            io_map={"beach": "outdoor", "kitchen": "indoor"},
+            outdoor_columns=[0],
         )
 
     def test_happy_path_two_rows(self, tmp_path):
@@ -230,12 +255,12 @@ class TestRunExtraction:
     def test_warm_cache_issues_zero_calls(self, tmp_path):
         transport = CountingTransport()
         run_extraction(make_ids(2), self.sources(transport),
-                       tmp_path / "cache", tmp_path / "out.csv")
+                       tmp_path / "cache", tmp_path / "out.csv", workers=4)
         first_calls = transport.calls
         assert first_calls == 2
         out1 = (tmp_path / "out.csv").read_bytes()
         run_extraction(make_ids(2), self.sources(transport),
-                       tmp_path / "cache", tmp_path / "out.csv")
+                       tmp_path / "cache", tmp_path / "out.csv", workers=4)
         assert transport.calls == first_calls  # zero new HTTP calls
         assert (tmp_path / "out.csv").read_bytes() == out1  # byte-identical
 
@@ -274,17 +299,32 @@ class TestRunExtraction:
                 return 200, OK_RESPONSE
 
         report = run_extraction(make_ids(3), self.sources(FailSecond()),
-                                tmp_path / "cache", tmp_path / "out.csv")
+                                tmp_path / "cache", tmp_path / "out.csv", workers=4)
         assert report.n_complete == 2
         assert list(report.failures) == ["img_1"]
         assert "RateLimited" in report.failures["img_1"]
         lines = (tmp_path / "out.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 surviving rows
 
+    def test_people_count_past_the_bound_fails_only_its_image(self, tmp_path):
+        sources = self.sources(CountingTransport())
+        sources.detections["img_1"] = [("person", 0.9)] * (MAX_PEOPLE_COUNT + 1)
+        report = run_extraction(make_ids(2), sources, tmp_path / "cache", tmp_path / "out.csv",
+                                workers=4)
+        assert report.failures == {
+            "img_1": f"ExtractionError: people_count above {MAX_PEOPLE_COUNT}: "
+                     f"{MAX_PEOPLE_COUNT + 1}"}
+        assert report.n_complete == 1
+        sources.detections["img_1"].pop()  # at the bound the row is written, and loads
+        report = run_extraction(make_ids(2), sources, tmp_path / "cache", tmp_path / "out.csv",
+                                workers=4)
+        assert not report.failures
+        assert load_privacy_store(tmp_path / "out.csv").values[1, 6] == MAX_PEOPLE_COUNT
+
     def test_missing_sensitivity_flagged(self, tmp_path):
         sources = self.sources(transport=None)  # no safe-search source
         report = run_extraction(make_ids(2), sources,
-                                tmp_path / "cache", tmp_path / "out.csv")
+                                tmp_path / "cache", tmp_path / "out.csv", workers=4)
         assert report.n_complete == 2
         assert set(report.imputed["img_0"]) == {
             "adult", "racy", "medical", "spoofed", "violent"}
@@ -317,42 +357,51 @@ def scene_row(draw, rng, k):
     return row
 
 
+def outdoor_columns_of(categories, io_map) -> list[int]:
+    return [j for j, name in enumerate(categories) if io_map[name] == "outdoor"]
+
+
 @st.composite
 def extraction_batches(draw):
-    """(image ids, sources, workers) of a small batch drawn to reach every
-    branch of extraction; SafeSearch answers from a scripted transport."""
+    """(image ids, the package's sources, the same sources in the frozen
+    reference's types, workers, cache entries) of a small batch drawn to reach
+    every branch of extraction; SafeSearch answers from a scripted transport."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ids = [f"img_{i}" for i in range(draw(st.integers(0, 8)))]
     others = ids + ["not_in_manifest"]
     threshold = draw(st.floats(0, 1))
     sources = ExtractionSources(person_conf_threshold=threshold)
+    frozen = frozen_extraction.ExtractionSources(person_conf_threshold=threshold)
 
     if draw(st.booleans()):
         near = [threshold, float(np.nextafter(threshold, 0.0)),
                 float(np.nextafter(threshold, 1.0)), 0.0, -0.0, 1.0]
         conf = st.one_of(st.sampled_from(near), st.floats(0, 1))
         sources.detections = {
-            image_id: [Detection(draw(st.sampled_from(["person", "dog"])), draw(conf))
+            image_id: [(draw(st.sampled_from(["person", "dog"])), draw(conf))
                        for _ in range(draw(st.integers(0, 4)))]
             for image_id in others if draw(st.booleans())}
+        frozen.detections = {image_id: [frozen_extraction.Detection(*d) for d in dets]
+                             for image_id, dets in sources.detections.items()}
 
     if draw(st.booleans()):
         k = draw(st.integers(1, 400))
-        sources.categories = tuple(f"cat_{j}" for j in range(k))
+        frozen.categories = tuple(f"cat_{j}" for j in range(k))
         # "indoor" everywhere leaves rows with no outdoor category
         outdoor_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
-        sources.io_map = {c: "outdoor" if rng.random() < outdoor_share else "indoor"
-                          for c in sources.categories}
+        frozen.io_map = {c: "outdoor" if rng.random() < outdoor_share else "indoor"
+                         for c in frozen.categories}
+        sources.outdoor_columns = outdoor_columns_of(frozen.categories, frozen.io_map)
         scene_ids = [i for i in others if draw(st.booleans())]
         values = np.array([scene_row(draw, rng, k) for _ in scene_ids]).reshape(-1, k)
-        sources.scenes = FeatureStore(scene_ids, values)
+        sources.scenes = frozen.scenes = FeatureStore(scene_ids, values)
 
     if draw(st.booleans()):
         script = {image_id: (draw(st.sampled_from([200, 200, 200, 429, 500])),
                              {field: draw(st.sampled_from(LEVEL_TOKENS))
                               for field in OK_RESPONSE})
                   for image_id in ids}
-        sources.safe_search = make_client(
+        sources.safe_search = frozen.safe_search = make_client(
             lambda url, headers, body: script[body["image"]["source"]["uri"]],
             max_attempts=1, requests_per_second=0.0)
 
@@ -367,7 +416,7 @@ def extraction_batches(draw):
         entries = {draw(st.sampled_from(ids)): b'{"adult": "LIK'} if ids else {}
     elif entries == "empty":
         entries = {}
-    return ids, sources, draw(st.integers(1, 3)), entries
+    return ids, sources, frozen, draw(st.integers(1, 3)), entries
 
 
 def cache_dir_with(path, entries):
@@ -389,12 +438,12 @@ class TestAgainstFrozenReference:
     @settings(max_examples=80, deadline=None)
     @given(extraction_batches())
     def test_same_file_and_report_as_the_per_image_extraction(self, batch):
-        ids, sources, workers, entries = batch
+        ids, sources, frozen, workers, entries = batch
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             want_cache = cache_dir_with(tmp / "want_cache", entries)
             got_cache = cache_dir_with(tmp / "got_cache", entries)
-            want = frozen_extraction.run_extraction(ids, sources, want_cache, tmp / "want.csv",
+            want = frozen_extraction.run_extraction(ids, frozen, want_cache, tmp / "want.csv",
                                                     workers)
             got = run_extraction(ids, sources, got_cache, tmp / "got.csv", workers)
             assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
@@ -412,7 +461,7 @@ class TestAgainstFrozenReference:
         names = tuple(f"cat_{j}" for j in range(k))
         io_map = {n: "outdoor" if rng.random() < 0.7 else "indoor" for n in names}
         got = outdoor_probability(FeatureStore([f"img_{i}" for i in range(m)], values),
-                                  names, io_map)
+                                  outdoor_columns_of(names, io_map))
         want = np.array([frozen_extraction.outdoor_probability(
             SimpleNamespace(probs=row, category_names=names), io_map) for row in values])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -420,8 +469,7 @@ class TestAgainstFrozenReference:
 
 def http_client(url, **kwargs):
     """A client on the default transport that never waits."""
-    return SafeSearchClient(url=url, backoff_base=0.0, sleep=lambda s: None,
-                            requests_per_second=0.0, **kwargs)
+    return SafeSearchClient(url=url, **CLIENT_SETTINGS | {"requests_per_second": 0.0} | kwargs)
 
 
 class TestAgainstRealHttp:
