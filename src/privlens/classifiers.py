@@ -40,6 +40,8 @@ MODEL_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings; `config` states the valid range of each."""
+
     learning_rate: float = 0.1
     epochs: int = 200
     l2_penalty: float = 0.0
@@ -47,20 +49,6 @@ class TrainConfig:
     seed: int = 0
     class_weighting: str = "balanced"  # "none" | "balanced"
     early_stop_patience: int | None = None
-
-    def __post_init__(self):  # NaN fails every comparison
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be finite and positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if not 0 <= self.l2_penalty < np.inf:
-            raise ValueError("l2_penalty must be finite and non-negative")
-        if self.batch_size is not None and self.batch_size <= 0:
-            raise ValueError("batch_size must be positive or None")
-        if self.class_weighting not in ("none", "balanced"):
-            raise ValueError(f"unknown class_weighting {self.class_weighting!r}")
-        if self.early_stop_patience is not None and self.early_stop_patience < 0:
-            raise ValueError("early_stop_patience must be non-negative or None")
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

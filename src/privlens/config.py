@@ -99,21 +99,60 @@ class ExperimentConfig:
         return self.seed + self.TRAIN_SEED_OFFSET
 
 
-# TrainConfig field: how its value is read. Empty turns the two optional ones off.
-_TRAIN_KEYS = {
-    "learning_rate": float,
-    "epochs": int,
-    "l2_penalty": float,
-    "batch_size": lambda raw: int(raw) if raw else None,
-    "class_weighting": str,
-    "early_stop_patience": lambda raw: int(raw) if raw else None,
-}
-# ExperimentConfig field: (cast, valid, what valid means); NaN fails every comparison
-_EXTRACT_KEYS = {
-    "person_conf_threshold": (float, lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "safesearch_max_attempts": (int, lambda v: v >= 1, "at least 1"),
-    "safesearch_backoff_base": (float, lambda v: 0 <= v < math.inf, "finite and non-negative"),
-    "safesearch_rps": (float, lambda v: v >= 0, "non-negative (0: no limit)"),
+# Declared bounds; a value past one would hang a run, or end it in an
+# exception from numpy or time.sleep, or in an allocation too large to make.
+MAX_WORKERS = 64  # the most threads `extract` starts
+MAX_EPOCHS = 100_000
+MAX_WIDTH = 4096  # of one MLP hidden layer
+MAX_ATTEMPTS = 10  # SafeSearch requests per image
+MAX_BACKOFF_BASE = 10.0  # s; the longest wait is MAX_BACKOFF_BASE * 2**(MAX_ATTEMPTS - 2)
+MAX_REQUEST_INTERVAL = 60  # s between two SafeSearch requests when `safesearch_rps` > 0
+
+
+def _numbers(cast):
+    return lambda raw: tuple(cast(part) for part in raw.split(","))
+
+
+# (section, key): (the ExperimentConfig field it sets, or "train." and a TrainConfig
+# field; how the value is read; when it is valid; what valid means). An empty
+# value keeps the default. NaN fails every comparison. Section None: a flag only.
+_KEYS = {
+    ("train", "kind"): ("classifier_kind", str.lower, lambda v: v in ("logreg", "mlp"),
+                        "logreg or mlp"),
+    ("train", "learning_rate"): ("train.learning_rate", float, lambda v: 0 < v < math.inf,
+                                 "a finite number above 0"),
+    ("train", "epochs"): ("train.epochs", int, lambda v: 0 <= v <= MAX_EPOCHS,
+                          f"an integer from 0 to {MAX_EPOCHS}"),
+    ("train", "l2_penalty"): ("train.l2_penalty", float, lambda v: 0 <= v < math.inf,
+                              "a finite number, at least 0"),
+    ("train", "batch_size"): ("train.batch_size", int, lambda v: v >= 1,
+                              "an integer of at least 1 (empty: full batch)"),
+    ("train", "hidden_dims"): ("hidden_dims", _numbers(int),
+                               lambda v: len(v) == 3 and all(1 <= d <= MAX_WIDTH for d in v),
+                               f"three integers from 1 to {MAX_WIDTH}"),
+    ("train", "class_weighting"): ("train.class_weighting", str,
+                                   lambda v: v in ("balanced", "none"), "balanced or none"),
+    ("train", "early_stop_patience"): ("train.early_stop_patience", int, lambda v: v >= 0,
+                                       "an integer of at least 0 (empty: off)"),
+    ("split", "fractions"): ("split_fractions", _numbers(float),
+                             lambda v: (len(v) == 3 and all(0 <= f <= 1 for f in v)
+                                        and abs(sum(v) - 1.0) <= 1e-9),
+                             "three numbers in [0, 1] summing to 1"),
+    ("experiment", "seed"): ("seed", int, lambda v: v >= 0, "an integer of at least 0"),
+    ("extract", "person_conf_threshold"): ("person_conf_threshold", float,
+                                           lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    ("extract", "safesearch_max_attempts"): ("safesearch_max_attempts", int,
+                                             lambda v: 1 <= v <= MAX_ATTEMPTS,
+                                             f"an integer from 1 to {MAX_ATTEMPTS}"),
+    ("extract", "safesearch_backoff_base"): ("safesearch_backoff_base", float,
+                                             lambda v: 0 <= v <= MAX_BACKOFF_BASE,
+                                             f"a number from 0 to {MAX_BACKOFF_BASE:g}"),
+    ("extract", "safesearch_rps"): ("safesearch_rps", float,
+                                    lambda v: v == 0 or v >= 1 / MAX_REQUEST_INTERVAL,
+                                    f"0 (no limit) or at least 1/{MAX_REQUEST_INTERVAL}"),
+    ("output", "dir"): ("out_dir", Path, lambda v: True, "a path"),
+    (None, "workers"): ("workers", int, lambda v: 1 <= v <= MAX_WORKERS,
+                        f"an integer from 1 to {MAX_WORKERS}"),
 }
 _FEATURE_KEYS = ("groups", "source_tag")  # of [features] and of each [ablation.<row>]
 # The keys each section takes; any other section or key is a ConfigError.
@@ -121,12 +160,8 @@ _SECTION_KEYS = {
     "DEFAULT": (),  # its keys would be read in every section
     "data": tuple(f.name for f in fields(DataPaths)),
     "features": _FEATURE_KEYS,
-    "train": ("kind", "hidden_dims", *_TRAIN_KEYS),
-    "split": ("fractions",),
-    "experiment": ("seed",),
-    "extract": tuple(_EXTRACT_KEYS),
-    "output": ("dir",),
     "ablation": ("rows",),
+    **{section: tuple(k for s, k in _KEYS if s == section) for section, _ in _KEYS if section},
 }
 
 
@@ -185,56 +220,28 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
     if "features" in parser:
         cfg.features = _feature_spec(parser["features"], _DEFAULT_GROUPS)
 
-    if "train" in parser:
-        sec = parser["train"]
-        cfg.classifier_kind = sec.get("kind", cfg.classifier_kind).strip().lower()
-        if cfg.classifier_kind not in ("logreg", "mlp"):
-            raise ConfigError(f"unknown classifier kind {cfg.classifier_kind!r}")
+    # the flags' values replace the file's and go through the same checks
+    flags = {("experiment", "seed"): ("--seed", seed), ("output", "dir"): ("--out-dir", out_dir),
+             (None, "workers"): ("--workers", workers)}
+    train = {}
+    for (section, key), (target, cast, valid, expected) in _KEYS.items():
+        where, raw = flags.get((section, key), (None, None))
+        if raw is None:
+            if section not in parser or not parser[section].get(key, "").strip():
+                continue
+            where, raw = f"[{section}] {key}", parser[section][key].strip()
         try:
-            cfg.train = TrainConfig(**{key: read(sec[key].strip())
-                                       for key, read in _TRAIN_KEYS.items() if key in sec})
-            dims_raw = sec.get("hidden_dims", "").strip()
-            if dims_raw:
-                dims = tuple(int(d) for d in dims_raw.split(","))
-                if len(dims) != 3 or min(dims) < 1:
-                    raise ConfigError(f"hidden_dims must list exactly three positive widths, "
-                                      f"got {dims_raw}")
-                cfg.hidden_dims = dims
-        except ValueError as exc:
-            raise ConfigError(f"bad [train] value: {exc}") from exc
-
-    if "split" in parser:
-        raw = parser["split"].get("fractions", "").strip()
-        if raw:
-            try:
-                fr = tuple(float(x) for x in raw.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"bad split fractions: {exc}") from exc
-            # NaN fails every comparison
-            if len(fr) != 3 or not all(0 <= f <= 1 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
-                raise ConfigError("split fractions must be three numbers in [0, 1] summing to 1, "
-                                  f"got {raw}")
-            cfg.split_fractions = fr
-
-    if "extract" in parser:
-        sec = parser["extract"]
-        try:
-            for key, (cast, valid, expected) in _EXTRACT_KEYS.items():
-                if sec.get(key, "").strip():
-                    value = cast(sec[key])
-                    if not valid(value):
-                        raise ConfigError(f"[extract] {key} must be {expected}, got {sec[key]}")
-                    setattr(cfg, key, value)
-        except ValueError as exc:
-            raise ConfigError(f"bad [extract] value: {exc}") from exc
-
-    if "output" in parser and parser["output"].get("dir", "").strip():
-        cfg.out_dir = Path(parser["output"]["dir"])
-    if "experiment" in parser and parser["experiment"].get("seed", "").strip():
-        try:
-            cfg.seed = int(parser["experiment"]["seed"])
-        except ValueError as exc:
-            raise ConfigError(f"bad [experiment] value: {exc}") from exc
+            value = cast(raw)
+            ok = valid(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ConfigError(f"{where} must be {expected}, got {raw}")
+        if target.startswith("train."):
+            train[target.removeprefix("train.")] = value
+        else:
+            setattr(cfg, target, value)
+    cfg.train = TrainConfig(**train)
 
     if "ablation" in parser:
         row_ids = [r.strip() for r in parser["ablation"].get("rows", "").split(",") if r.strip()]
@@ -246,17 +253,6 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
                 raise ConfigError(f"missing section [{sec_name}]")
             cfg.ablation_rows[row_id] = _feature_spec(parser[sec_name])
 
-    # CLI overrides
-    if seed is not None:
-        cfg.seed = seed
-    if out_dir is not None:
-        cfg.out_dir = Path(out_dir)
-    if workers is not None:
-        cfg.workers = workers
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
-    if not 1 <= cfg.workers <= MAX_WORKERS:
-        raise ConfigError(f"workers must be between 1 and {MAX_WORKERS}, got {cfg.workers}")
     return cfg
 
 

@@ -2,6 +2,7 @@ import configparser
 import itertools
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -19,7 +20,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from privlens import cli, errors
 from privlens.classifiers import load_model, predict_proba
 from privlens.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
-from privlens.config import MAX_WORKERS, load_config
+from privlens.config import (
+    MAX_ATTEMPTS,
+    MAX_BACKOFF_BASE,
+    MAX_EPOCHS,
+    MAX_REQUEST_INTERVAL,
+    MAX_WIDTH,
+    MAX_WORKERS,
+    load_config,
+)
 from privlens.errors import ConfigError
 from privlens.extractors import SafeSearchClient, _cache_path
 from privlens.features import GROUP_ORDER, FeatureGroup, FeatureSpec, PrivacyLabel
@@ -212,10 +221,24 @@ groups = sens
         assert line == ("configuration error: cannot read config: not UTF-8: "
                         f"invalid continuation byte [{cfg}:{last}]")
 
-    @pytest.mark.parametrize("workers", [1, MAX_WORKERS])
-    def test_workers_within_range_accepted(self, corpus_config, workers):
-        _, cfg = corpus_config
-        assert load_config(cfg, workers=workers).workers == workers
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "workers", 1),
+        (None, "workers", MAX_WORKERS),
+        ("train", "epochs", MAX_EPOCHS),
+        ("train", "hidden_dims", (MAX_WIDTH, 1, MAX_WIDTH)),
+        ("extract", "safesearch_max_attempts", MAX_ATTEMPTS),
+        ("extract", "safesearch_backoff_base", MAX_BACKOFF_BASE),
+        ("extract", "safesearch_rps", 1 / MAX_REQUEST_INTERVAL),
+    ])
+    def test_value_at_its_bound_loads(self, corpus_config, section, key, value):
+        tmp_path, cfg = corpus_config
+        if section is None:  # a flag only
+            loaded = load_config(cfg, workers=value)
+        else:
+            raw = ", ".join(map(str, value)) if isinstance(value, tuple) else repr(value)
+            loaded = load_config(_write_sections(tmp_path / "bound.ini", {
+                "data": {"manifest": "manifest.csv"}, section: {key: raw}}))
+        assert getattr(loaded.train if key == "epochs" else loaded, key) == value
 
     @pytest.mark.parametrize("key, value", [
         ("hidden_dims", "16, 0, 8"),
@@ -225,25 +248,23 @@ groups = sens
         ("l2_penalty", "nan"),
         ("l2_penalty", "inf"),
         ("early_stop_patience", "-1"),
+        ("hidden_dims", f"{MAX_WIDTH + 1}, 4, 4"),
+        ("hidden_dims", "1000000000000000000000000000000, 4, 4"),
+        ("hidden_dims", "100000000, 4, 4"),
+        ("epochs", str(MAX_EPOCHS + 1)),
     ])
     def test_out_of_range_train_value_is_config_error(self, corpus_config, capsys, key, value):
         # rejected while the config loads: no data is read and nothing is written
         tmp_path, _ = corpus_config
-        cfg = write_config(tmp_path / "bad.ini", f"""
-[data]
-manifest = manifest.csv
-privacy_features = privacy_features.csv
-
-[train]
-kind = mlp
-epochs = 20
-{key} = {value}
-""")
+        cfg = _write_sections(tmp_path / "bad.ini", {
+            "data": {"manifest": "manifest.csv", "privacy_features": "privacy_features.csv"},
+            "train": {"kind": "mlp", "epochs": "20", key: value}})
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(["--config", cfg, "--out-dir", str(out), "train"]) == EXIT_CONFIG
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("configuration error: ") and key in line
+        assert line.startswith(f"configuration error: [train] {key} must be ")
+        assert line.endswith(f", got {value}")
         assert not out.exists()
 
 
@@ -262,7 +283,7 @@ fractions = {fractions}
         capsys.readouterr()
         assert main(["--config", cfg, "--out-dir", str(out), "train"]) == EXIT_CONFIG
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("configuration error: split fractions must be ")
+        assert line.startswith("configuration error: [split] fractions must be ")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, section", [
@@ -1544,11 +1565,17 @@ detections = detections.csv
         ("person_conf_threshold", "-0.1"),
         ("person_conf_threshold", "nan"),
         ("safesearch_max_attempts", "0"),
+        ("safesearch_max_attempts", str(MAX_ATTEMPTS + 1)),
+        ("safesearch_max_attempts", "2000"),
         ("safesearch_backoff_base", "-1"),
         ("safesearch_backoff_base", "nan"),
         ("safesearch_backoff_base", "inf"),
+        ("safesearch_backoff_base", repr(math.nextafter(MAX_BACKOFF_BASE, math.inf))),
+        ("safesearch_backoff_base", "1e300"),
         ("safesearch_rps", "-1"),
         ("safesearch_rps", "nan"),
+        ("safesearch_rps", repr(math.nextafter(1 / MAX_REQUEST_INTERVAL, 0))),
+        ("safesearch_rps", "1e-300"),
     ])
     def test_out_of_range_extract_value_is_config_error(
             self, tmp_path, mock_server, monkeypatch, capsys, key, value):
@@ -1774,7 +1801,7 @@ class TestNothingWrittenOnFailure:
 
 FUZZED_FILES = ["manifest.csv", "privacy_features.csv", "deep.csv", "annotations.csv", "c.ini",
                 "model.json"]
-FUZZ_TOKENS = [b",", b"\n", b'"', b"\x00", b"\xff", b"nan", b"1e999", b"1e308"]
+FUZZ_TOKENS = [b",", b"\n", b'"', b"\x00", b"\xff", b"nan", b"1e999", b"1e308", b"1" * 401]
 FUZZ_KINDS = ["truncate", "replace", "insert", "repeat", "delete", "shuffle"]
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import frozen_extraction
 from conftest import serving_mock
-from privlens.config import DataPaths
+from privlens.config import MAX_ATTEMPTS, MAX_BACKOFF_BASE, DataPaths
 from privlens.data_io import MAX_PEOPLE_COUNT, FeatureStore, load_deep_store, load_privacy_store
 from privlens.errors import (
     AuthError,
@@ -170,12 +170,18 @@ class TestSafeSearchClient:
         assert client.annotate("x").adult is L.VERY_UNLIKELY
         assert transport.calls == 4
 
-    def test_gives_up_after_max_attempts(self):
-        transport = CountingTransport(script=[429] * 10)
-        client = make_client(transport, max_attempts=5)
+    @pytest.mark.parametrize("max_attempts, backoff_base", [
+        (5, 0.0), (MAX_ATTEMPTS, MAX_BACKOFF_BASE)], ids=["no wait", "at the bounds"])
+    def test_gives_up_after_max_attempts(self, max_attempts, backoff_base):
+        transport = CountingTransport(script=[429] * (max_attempts + 5))
+        waits = []
+        client = make_client(transport, max_attempts=max_attempts, backoff_base=backoff_base,
+                             requests_per_second=0.0, sleep=waits.append)
         with pytest.raises(RateLimited):
             client.annotate("x")
-        assert transport.calls == 5  # never more than the configured cap
+        assert transport.calls == max_attempts  # never more than the configured cap
+        # the longest single wait, as README states it
+        assert max(waits) == backoff_base * 2 ** (max_attempts - 2)
 
     def test_auth_errors_not_retried(self):
         transport = CountingTransport(script=[403])
