@@ -98,16 +98,15 @@ def _train_one(cfg: ExperimentConfig, ds: Dataset, spec: FeatureSpec):
     return model, trace, splits, stop_note
 
 
-def _commit(cfg: ExperimentConfig, cache: StoreCache | None = None, ds: Dataset | None = None,
+def _commit(cfg: ExperimentConfig, cache: StoreCache, ds: Dataset | None = None,
             outputs=None) -> None:
     """The commit point of a command, reached once every input check has
     passed: nothing under --out-dir is created or changed before it. Creates
-    --out-dir, saves the parsed deep stores, and writes the split manifest
+    --out-dir, saves the parsed stores, and writes the split manifest
     when `ds` drew its splits, then each of `outputs` (file name -> function
     writing that path), each file whole."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    if cache is not None:
-        cache.save()
+    cache.save()
     if ds is not None and ds.splits_assigned:
         write_manifest(cfg.out_dir / "manifest_with_splits.csv", ds.manifest)
     for name, write in (outputs or {}).items():
@@ -132,7 +131,8 @@ def _evaluate_model(model, ds: Dataset, split: Split) -> MetricsReport:
 
 def cmd_extract(cfg: ExperimentConfig) -> int:
     cache = StoreCache(cfg.out_dir / "store_cache")
-    image_ids = load_dataset(cfg, privacy=False, deep=False, annotations=False).manifest.ids
+    image_ids = load_dataset(cfg, privacy=False, deep=False, annotations=False,
+                             cache=cache).manifest.ids
     image_refs = {}
     if cfg.data.image_refs is not None:
         image_refs = load_image_refs(cfg.data.image_refs)
@@ -259,7 +259,8 @@ def _report(stem: str, payload, header: list[str], rows) -> dict:
 
 
 def cmd_analyze(cfg: ExperimentConfig) -> int:
-    ds = load_dataset(cfg, deep=False)
+    cache = StoreCache(cfg.out_dir / "store_cache")
+    ds = load_dataset(cfg, deep=False, cache=cache)
     outputs, skipped = {}, []
 
     have_votes = cfg.data.annotations is not None
@@ -317,7 +318,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
     else:
         skipped.append("feature-based analyses (need privacy features and labels)")
 
-    _commit(cfg, outputs=outputs)
+    _commit(cfg, cache, outputs=outputs)
     for item in skipped:
         print(f"skipped: {item}", file=sys.stderr)
     print(f"analysis outputs written to {cfg.out_dir}")

@@ -266,20 +266,21 @@ def load_dataset(
     cache: StoreCache | None = None,
 ) -> Dataset:
     """Join the manifest and the configured stores that `privacy`, `deep` and
-    `annotations` select (the rest stay empty) into a Dataset. Deep stores go
-    through `cache` when one is given.
+    `annotations` select (the rest stay empty) into a Dataset. The manifest,
+    the privacy store and the deep stores go through `cache` when one is
+    given; the annotations are always parsed.
 
     When the manifest lacks splits and require_splits is set, a seeded random
     split is assigned and `splits_assigned` set; nothing is written.
     """
-    manifest = load_manifest(cfg.data.manifest)
+    manifest = load_manifest(cfg.data.manifest, cache)
     assigned = require_splits and bool(manifest.missing[:, SPLIT].any())
     if assigned:
         manifest = assign_splits(manifest, cfg.split_seed, cfg.split_fractions)
 
     stores = {}
     if privacy and cfg.data.privacy_features is not None:
-        stores["privacy_features"] = load_privacy_store(cfg.data.privacy_features)
+        stores["privacy_features"] = load_privacy_store(cfg.data.privacy_features, cache)
     deep_stores = {}
     for p in cfg.data.deep_features if deep else ():
         tag, store, _ = load_deep_store(p, cache)

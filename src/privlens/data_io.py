@@ -19,11 +19,11 @@ is written whole by `publish`. Feature stores are parsed
 in bulk; every table the bulk parser does not take is read row by row by
 `read_table`, which checks the image id, reports each fault at its
 path:line and returns the id-keyed table of what the loader's cell parser
-made of each row.
+made of each row. A UTF-8 byte-order mark at the start of a file is skipped.
 
-A `StoreCache` keeps each parsed deep store in one file, keyed by the
-sha256 of the file's bytes, so a later load of the same content skips the
-parse.
+A `StoreCache` keeps each parsed manifest, privacy store and deep store in
+one file, keyed by the store's kind and the sha256 of the file's bytes, so
+a later load of the same content skips the parse.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import json
 import logging
 import os
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -205,7 +206,7 @@ class Dataset:
 
 def _open_csv(path):
     try:
-        return open(path, "r", encoding="utf-8", newline="")
+        return open(path, "r", encoding="utf-8-sig", newline="")  # skips a byte-order mark
     except OSError as exc:
         raise ParseError(str(exc), path=path) from exc
 
@@ -285,8 +286,13 @@ def read_lines(path) -> list[str]:
             raise bad_input(exc, path, None) from exc
 
 
-def load_manifest(path) -> FeatureStore:
-    """The manifest as a two-column store (see `manifest_store`)."""
+def load_manifest(path, cache: StoreCache | None = None) -> FeatureStore:
+    """The manifest as a two-column store (see `manifest_store`), through
+    `cache` as `load_deep_store` reads a deep store."""
+    return _load("manifest", path, cache)[0]
+
+
+def _parse_manifest(path) -> FeatureStore:
     def parse(line, image_id, row):
         label, split = row[1].strip(), row[2].strip()
         cells = label.lower(), split.lower()
@@ -431,7 +437,13 @@ def _scan_privacy_store(path) -> FeatureStore:
     return privacy_store(read_table(path, _PRIVACY_HEADER, parse))
 
 
-def load_privacy_store(path) -> FeatureStore:
+def load_privacy_store(path, cache: StoreCache | None = None) -> FeatureStore:
+    """The privacy store (see `FeatureStore`), through `cache` as
+    `load_deep_store` reads a deep store."""
+    return _load("privacy", path, cache)[0]
+
+
+def _parse_privacy_store(path) -> FeatureStore:
     store = _bulk_privacy_store(path)
     return store if store is not None else _scan_privacy_store(path)
 
@@ -499,26 +511,64 @@ def _scan_deep_store(path) -> tuple[str, FeatureStore, list[str]]:
     return source_tag, FeatureStore(list(rows), values), columns
 
 
-def _parse_deep_store(path) -> tuple[str, FeatureStore, list[str]]:
-    loaded = _bulk_deep_store(path)
-    return loaded if loaded is not None else _scan_deep_store(path)
+def _parse_deep_store(path) -> tuple[FeatureStore, list]:
+    """(store, [source_tag, column names])."""
+    tag, store, columns = _bulk_deep_store(path) or _scan_deep_store(path)
+    return store, [tag, columns]
+
+
+def _deep_columns(meta: list) -> int | None:
+    """The width of a deep store whose metadata is ``[source_tag, column names]``."""
+    if (len(meta) == 2 and isinstance(meta[0], str) and isinstance(meta[1], list)
+            and all(isinstance(c, str) for c in meta[1])):
+        return len(meta[1])
+    return None
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """A kind of store a `StoreCache` holds: the version in its entries'
+    names; its parser, path -> (store, metadata as a JSON list); the store's
+    width given its metadata, None for metadata the parser never returns;
+    and the width of its `missing`, None where it has none.
+
+    Bump the version whenever the kind's parser accepts or rejects other
+    files, or returns other results, or its entry layout changes, so no
+    older entry is read.
+    """
+
+    version: int
+    parse: Callable[..., tuple[FeatureStore, list]]
+    columns: Callable[[list], int | None]
+    missing: int | None
+
+
+# Each parser is looked up when it runs, so a test can replace it.
+STORE_KINDS = {
+    "manifest": _Kind(1, lambda path: (_parse_manifest(path), []),
+                      lambda meta: 2 if meta == [] else None, 2),
+    "privacy": _Kind(1, lambda path: (_parse_privacy_store(path), []),
+                     lambda meta: len(PRIVACY_FEATURE_NAMES) if meta == [] else None,
+                     len(SENSITIVITY_CLASSES)),
+    "deep": _Kind(2, lambda path: _parse_deep_store(path), _deep_columns, None),
+}
+
+
+def _load(kind: str, path, cache: StoreCache | None) -> tuple[FeatureStore, list]:
+    return STORE_KINDS[kind].parse(path) if cache is None else cache.load(kind, path)
 
 
 def file_sha256(path) -> str:
     """The hex sha256 of the bytes of the file at `path`, read in 1 MiB chunks."""
-    import hashlib  # imported here: it loads OpenSSL, and only a cached load hashes
+    # imported here: it loads OpenSSL, which importing the CLI and checking
+    # the config need not pay for; only a command that reads a store hashes
+    import hashlib
 
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-# Part of each entry's name. Bump it whenever the deep-store parser accepts or
-# rejects other files, or returns other results, or the entry layout changes,
-# so no older entry is read.
-STORE_CACHE_VERSION = 2
 
 
 def publish(path, write, binary: bool = False) -> None:
@@ -559,53 +609,67 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 class StoreCache:
-    """Parsed deep stores under `root`, one entry per file content.
+    """Parsed stores under `root`, one entry per kind of store and file content.
 
-    An entry is one file, `deep-v<STORE_CACHE_VERSION>-<sha256 of the
-    file>.npy`: the values as `np.save` writes them, then the JSON list
-    ``[source tag, column names, ids]``. Loading writes nothing: a parse is
+    An entry is one file, `<kind>-v<version>-<sha256 of the file>.npy`, for
+    each kind of `STORE_KINDS`: the values as `np.save` writes them, then
+    `missing` the same way where the kind has it, then the JSON list of the
+    kind's metadata followed by the ids. Loading writes nothing: a parse is
     only recorded, and `save` writes the recorded entries. A command saves
-    once its input checks have passed.
+    once its input checks have passed. Entries are never pruned.
     """
 
     def __init__(self, root):
         self.root = Path(root)
-        self._parsed: dict[Path, tuple[str, FeatureStore, list[str]]] = {}  # by entry
+        self._parsed: dict[Path, tuple[FeatureStore, list]] = {}  # by entry
 
-    def load(self, path) -> tuple[str, FeatureStore, list[str]]:
-        """The deep store at `path`, from its entry when one exists and can be
-        read (else with a warning), otherwise parsed and recorded."""
+    def load(self, kind: str, path) -> tuple[FeatureStore, list]:
+        """The store of `kind` at `path` and its metadata, from its entry when
+        one exists and can be read (else with a warning), otherwise parsed
+        and recorded."""
+        spec = STORE_KINDS[kind]
         try:
             key = file_sha256(path)
         except OSError:  # the parser reports an unreadable file
-            return _parse_deep_store(path)
-        entry = self.root / f"deep-v{STORE_CACHE_VERSION}-{key}.npy"
+            return spec.parse(path)
+        entry = self.root / f"{kind}-v{spec.version}-{key}.npy"
         if entry.exists():
             try:
                 with open(entry, "rb") as fh:
                     values = np.load(fh, allow_pickle=False)
-                    tag, columns, ids = json.loads(fh.read())
-                if not (isinstance(ids, list) and isinstance(columns, list)
-                        and all(isinstance(s, str) for s in (tag, *columns, *ids))
+                    missing = None if spec.missing is None else np.load(fh, allow_pickle=False)
+                    *meta, ids = json.loads(fh.read())
+                if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)
                         and values.dtype == np.float64
-                        and values.shape == (len(ids), len(columns))):
+                        and values.shape == (len(ids), spec.columns(meta))
+                        and (missing is None or (missing.dtype == bool
+                                                 and missing.shape == (len(ids), spec.missing)))):
                     raise ValueError("values and metadata disagree")
-                return tag, FeatureStore(ids, values), columns
+                store = FeatureStore(ids, values, missing)
+                if len(store.index) != len(ids):
+                    raise ValueError("repeated ids")
+                return store, meta
             except (OSError, EOFError, ValueError, TypeError, AttributeError) as exc:
                 log.warning("ignoring unreadable store cache entry %s: %s", entry, exc)
-        loaded = self._parsed[entry] = _parse_deep_store(path)
+        loaded = self._parsed[entry] = spec.parse(path)
         return loaded
 
     def save(self) -> None:
         """Write the entries recorded since the last save; an OSError is one warning."""
         parsed, self._parsed = self._parsed, {}
+
+        def write(fh, store, meta):
+            np.save(fh, store.values)
+            if store.missing is not None:
+                np.save(fh, store.missing)
+            fh.write(json.dumps([*meta, store.ids]).encode("ascii"))
+
         try:
-            for entry, (tag, store, columns) in parsed.items():
-                meta = json.dumps([tag, columns, store.ids]).encode("ascii")
+            for entry, (store, meta) in parsed.items():
                 self.root.mkdir(exist_ok=True)
-                publish(entry, lambda fh: (np.save(fh, store.values), fh.write(meta)), binary=True)
+                publish(entry, lambda fh: write(fh, store, meta), binary=True)
         except OSError as exc:
-            log.warning("cannot save parsed deep stores under %s: %s", self.root, exc)
+            log.warning("cannot save parsed stores under %s: %s", self.root, exc)
 
 
 def load_deep_store(path, cache: StoreCache | None = None) -> tuple[str, FeatureStore, list[str]]:
@@ -615,7 +679,8 @@ def load_deep_store(path, cache: StoreCache | None = None) -> tuple[str, Feature
     entry, and any other is parsed and recorded there. Every error comes from
     the parser, so the cache holds only stores the parser returned.
     """
-    return _parse_deep_store(path) if cache is None else cache.load(path)
+    store, (tag, columns) = _load("deep", path, cache)
+    return tag, store, columns
 
 
 def load_annotations(path) -> dict[str, AnnotationRecord]:

@@ -32,6 +32,19 @@ def manifest_cells(manifest):
     }
 
 
+# Every parser of a store the store cache holds.
+STORE_PARSERS = ["_parse_manifest", "_bulk_privacy_store", "_scan_privacy_store",
+                 "_bulk_deep_store", "_scan_deep_store"]
+
+
+def never_parse(monkeypatch):
+    """Makes any store parse raise, so a load must read its store from the cache."""
+    def parse(path):
+        raise AssertionError(f"{path} was parsed")
+    for name in STORE_PARSERS:
+        monkeypatch.setattr(f"privlens.data_io.{name}", parse)
+
+
 @pytest.fixture
 def tiny_dataset():
     """Four labeled images with privacy features, two annotated."""

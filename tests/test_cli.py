@@ -29,13 +29,14 @@ from privlens.config import (
     MAX_WORKERS,
     load_config,
 )
+from privlens.data_io import STORE_KINDS, file_sha256
 from privlens.errors import ConfigError
 from privlens.extractors import SafeSearchClient, _cache_path
 from privlens.features import GROUP_ORDER, FeatureGroup, FeatureSpec, PrivacyLabel
 from privlens.metrics import MetricsReport
 
 import frozen_splits
-from conftest import write_synth_corpus
+from conftest import never_parse, write_synth_corpus
 
 
 def write_config(path, body):
@@ -96,12 +97,13 @@ epochs = 50
 """)
 
 
-def never_parse(monkeypatch):
-    """Makes any deep-store parse raise, so a command must read its stores from the cache."""
-    def parse(path):
-        raise AssertionError(f"{path} was parsed")
-    monkeypatch.setattr("privlens.data_io._bulk_deep_store", parse)
-    monkeypatch.setattr("privlens.data_io._scan_deep_store", parse)
+def cache_entry(kind: str, path) -> str:
+    """The name of the store-cache entry of the `kind` store at `path`."""
+    return f"{kind}-v{STORE_KINDS[kind].version}-{file_sha256(path)}.npy"
+
+
+def cache_entries(out) -> list[str]:
+    return sorted(p.name for p in (out / "store_cache").iterdir())
 
 
 def output_files(out) -> dict[str, bytes]:
@@ -582,8 +584,8 @@ seed = 3
                                    "--out-dir", str(out), "train"],
                                   env=env, capture_output=True, timeout=120)
             assert proc.returncode == EXIT_OK, proc.stderr
-            outputs.append((proc.stdout.replace(str(out).encode(), b"OUT"),
-                            {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+            # every file, the store-cache entries too, by its path under --out-dir
+            outputs.append((proc.stdout.replace(str(out).encode(), b"OUT"), tree(out)))
         assert outputs[0] == outputs[1]
 
 
@@ -978,10 +980,46 @@ class TestStoreCache:
         capsys.readouterr()
         assert main(args) == EXIT_OK
         first = capsys.readouterr(), output_files(out)
-        assert len(list((out / "store_cache").iterdir())) == 1  # one entry, one file
+        assert cache_entries(out) == sorted([  # one file for each store
+            cache_entry("manifest", tmp_path / "manifest.csv"),
+            cache_entry("privacy", tmp_path / "privacy_features.csv"),
+            cache_entry("deep", tmp_path / "deep.csv")])
         never_parse(monkeypatch)
         assert main(args) == EXIT_OK
         assert (capsys.readouterr(), output_files(out)) == first
+
+    def test_second_train_and_analyze_parse_no_store(self, tmp_path, monkeypatch, capsys,
+                                                     caplog):
+        # no splits, so train draws them; a privacy row and votes for ids the
+        # manifest lacks, so each command warns about the join
+        write_synth_corpus(tmp_path, n=120, seed=3, splits=False)
+        with open(tmp_path / "privacy_features.csv", "a", encoding="utf-8") as fh:
+            fh.write("stray,VERY_UNLIKELY,,POSSIBLE,,,0.5,1,0.25\n")
+        (tmp_path / "annotations.csv").write_text(
+            "image_id,assessor_id,vote\nimg_00000,u1,PRIVATE\nimg_00000,u2,PUBLIC\n"
+            "ghost,u1,PUBLIC\n")
+        cfg = write_config(tmp_path / "c.ini", "[data]\nmanifest = manifest.csv\n"
+                           "privacy_features = privacy_features.csv\n"
+                           "annotations = annotations.csv\n[train]\nepochs = 20\n")
+        out = tmp_path / "out"
+        runs = []
+        for parse in (True, False):
+            if not parse:
+                never_parse(monkeypatch)
+            for command in ("train", "analyze"):
+                capsys.readouterr()
+                caplog.clear()
+                with caplog.at_level(logging.WARNING):
+                    assert main(["--config", cfg, "--out-dir", str(out), command]) == EXIT_OK
+                runs.append((capsys.readouterr(), [r.getMessage() for r in caplog.records]))
+            runs.append(output_files(out))
+        assert runs[:3] == runs[3:]
+        assert "privacy_features id 'stray' not in manifest; ignored in matrices" in runs[0][1]
+        assert "annotations id 'ghost' not in manifest; ignored in matrices" in runs[1][1]
+        assert "manifest_with_splits.csv" in runs[2]
+        assert cache_entries(out) == sorted([
+            cache_entry("manifest", tmp_path / "manifest.csv"),
+            cache_entry("privacy", tmp_path / "privacy_features.csv")])
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
     def test_file_at_the_store_cache_is_one_warning(self, deep_config, capsys, caplog,
@@ -1008,7 +1046,7 @@ class TestStoreCache:
         assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
         assert warned[0] == []
         (warning,) = warned[1]
-        assert warning.startswith(f"cannot save parsed deep stores under {out / 'store_cache'}: ")
+        assert warning.startswith(f"cannot save parsed stores under {out / 'store_cache'}: ")
 
 
 class TestAnalyze:
@@ -1409,7 +1447,9 @@ detections = detections.csv
         assert codes == [EXIT_PARTIAL, EXIT_PARTIAL]
         assert failed[0] == failed[1] == [
             "FAILED img_5: RateLimited: HTTP 429 from SafeSearch endpoint"]
-        assert len(files) == 2 + 11  # the CSV, the report and one entry per answered image
+        # the CSV, the report, one entry per answered image and the manifest's store-cache entry
+        assert len(files) == 2 + 11 + 1
+        assert f"store_cache/{cache_entry('manifest', tmp_path / 'manifest.csv')}" in files
 
     def test_ids_with_path_separators_stay_in_the_cache(self, tmp_path, mock_server,
                                                         monkeypatch):
@@ -1422,7 +1462,8 @@ detections = detections.csv
         assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
         written = {p for p in tmp_path.rglob("*") if p.is_file()} - before
         assert written == {out / "privacy_features.csv", out / "extraction_report.json",
-                           _cache_path(cache, "a/b"), _cache_path(cache, "../x")}
+                           _cache_path(cache, "a/b"), _cache_path(cache, "../x"),
+                           out / "store_cache" / cache_entry("manifest", tmp_path / "manifest.csv")}
         rows = (out / "privacy_features.csv").read_text().strip().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["a/b", "../x"]
         calls = mock_server.calls
@@ -1526,7 +1567,8 @@ detections = detections.csv
         capsys.readouterr()
         assert main(args) == EXIT_OK
         first = capsys.readouterr(), output_files(out)
-        assert len(list((out / "store_cache").iterdir())) == 1  # one entry, one file
+        assert cache_entries(out) == sorted([cache_entry("manifest", tmp_path / "manifest.csv"),
+                                             cache_entry("deep", tmp_path / "scenes.csv")])
         never_parse(monkeypatch)
         assert main(args) == EXIT_OK
         assert (capsys.readouterr(), output_files(out)) == first

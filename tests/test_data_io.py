@@ -1,3 +1,5 @@
+import codecs
+import io
 import json
 import logging
 import os
@@ -19,7 +21,7 @@ from privlens.data_io import (
     FeatureStore,
     FiveClassVote,
     MAX_PEOPLE_COUNT,
-    STORE_CACHE_VERSION,
+    STORE_KINDS,
     Split,
     StoreCache,
     assign_splits,
@@ -39,7 +41,7 @@ from privlens.data_io import (
     write_privacy_store,
 )
 from privlens.config import DataPaths, ExperimentConfig, load_dataset
-from privlens.extractors import load_detections, load_io_map
+from privlens.extractors import load_categories, load_detections, load_io_map
 from privlens.errors import (
     DuplicateId,
     MissingFeatures,
@@ -59,7 +61,7 @@ from privlens.features import (
 
 import frozen_row_loop
 import frozen_splits
-from conftest import make_pfv, manifest_cells
+from conftest import make_pfv, manifest_cells, never_parse
 
 G = FeatureGroup
 
@@ -205,6 +207,55 @@ def test_row_spanning_lines_is_placed_at_its_last_line(tmp_path):
     with pytest.raises(ParseError) as info:
         load_manifest(path)
     assert str(info.value) == f"expected 3 fields, got 2 [{path}:4]"
+
+
+def _comparable(loaded):
+    """A loader's result in a form `==` compares, arrays as bytes."""
+    if isinstance(loaded, FeatureStore):
+        return (loaded.ids, loaded.values.dtype, loaded.values.shape, loaded.values.tobytes(),
+                None if loaded.missing is None else loaded.missing.tobytes())
+    if isinstance(loaded, tuple):
+        return tuple(map(_comparable, loaded))
+    return loaded
+
+
+# A valid file for each loader; its bulk parser and whether that takes the
+# file; and the line a byte that is not UTF-8 is put on.
+_MARKED_FILES = {
+    "manifest": (load_manifest, "image_id,label,split\na,public,train\nb,,\n", None, 3),
+    "privacy store, bulk": (load_privacy_store, PRIVACY_HEADER + "a,POSSIBLE,,,,,0.5,1,0.25\n"
+                            "b,,,,,,0.1,0,0.2\n", (_bulk_privacy_store, True), 3),
+    "privacy store, row scan": (load_privacy_store, PRIVACY_HEADER + '"a",POSSIBLE,,,,,0.5,1,0.25\n'
+                                "b,,,,,,0.1,0,0.2\n", (_bulk_privacy_store, False), 3),
+    "deep store": (load_deep_store, DEEP_HEADER + "a,0.5,1.5\nb,-2,3e-3\n",
+                   (_bulk_deep_store, True), 4),
+    "annotations": (load_annotations, "image_id,assessor_id,vote\na,u1,PRIVATE\nb,u1,PUBLIC\n",
+                    None, 3),
+    "detections": (load_detections, "image_id,class_name,confidence\na,person,0.9\nb,dog,0.5\n",
+                   None, 3),
+    "image refs": (load_image_refs, "image_id,uri\na,http://x/1\nb,http://x/2\n", None, 3),
+    "categories": (load_categories, "beach\nkitchen\n", None, 2),
+    "io map": (load_io_map, "beach,outdoor\nkitchen,indoor\n", None, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_MARKED_FILES))
+def test_byte_order_mark_is_skipped(tmp_path, name):
+    # spreadsheet tools start a UTF-8 CSV with a byte-order mark
+    load, text, bulk, bad_line = _MARKED_FILES[name]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert _comparable(load(marked)) == _comparable(load(plain))
+    if bulk is not None:
+        parse, takes = bulk
+        assert (parse(marked) is not None) == takes
+    lines = text.encode().splitlines(keepends=True)
+    lines[bad_line - 1] = b"\xff" + lines[bad_line - 1]
+    marked.write_bytes(codecs.BOM_UTF8 + b"".join(lines))
+    with pytest.raises(ParseError) as info:
+        load(marked)
+    assert str(info.value) == f"not UTF-8: invalid start byte [{marked}:{bad_line}]"
 
 
 @pytest.mark.parametrize("load, text, error, message, line", [
@@ -650,15 +701,7 @@ class TestManifestMatchesFrozenReference:
         assert manifest_cells(ds.manifest) == _tokens(expected)
 
 
-# --- the parsed deep-store cache ------------------------------------------------
-
-def _no_parse(monkeypatch):
-    """Makes any deep-store parse fail the test."""
-    def never(path):
-        raise AssertionError(f"{path} was parsed")
-    monkeypatch.setattr("privlens.data_io._bulk_deep_store", never)
-    monkeypatch.setattr("privlens.data_io._scan_deep_store", never)
-
+# --- the parsed-store cache -----------------------------------------------------
 
 def _same_deep_store(a, b) -> bool:
     return a[0] == b[0] and a[2] == b[2] and _same_store(a[1], b[1])
@@ -752,6 +795,115 @@ class TestReadTableMatchesFrozenLoop:
         assert _table_or_error(read_table, *args) == _table_or_error(_frozen_table, *args)
 
 
+# Manifest and privacy-store bodies for the cache: the cells of
+# `_store_lines`, plus quoted and padded cells, numeric levels and -0.0.
+_ZEROS = st.sampled_from(["-0.0", " -0.0 ", "-0", "0.0"])
+_MANIFEST_CELLS = st.tuples(
+    _padded(st.sampled_from(["", "private", "public", "PRIVATE", "Public"])),
+    st.one_of(_padded(st.sampled_from(["", "train", "val", "test", "TEST"])),
+              st.sampled_from(['"train"', '" val "', '""'])),
+).map(list)
+_CACHED_SENS_CELLS = st.one_of(_SENS_CELLS, _ZEROS,
+                               st.sampled_from(['"POSSIBLE"', '" 0.5 "', '""']))
+_CACHED_PROB_CELLS = st.one_of(_PROB_CELLS, _ZEROS)
+
+
+def _cached_privacy_rows(counts):
+    return st.tuples(*[_CACHED_SENS_CELLS] * 5, _CACHED_PROB_CELLS, counts,
+                     _CACHED_PROB_CELLS).map(list)
+
+
+@st.composite
+def _valid_lines(draw, row_cells):
+    """A store body whose every row the parser takes."""
+    ids = draw(st.lists(_IDS, max_size=6, unique=True))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(",".join([draw(_ID_CELL_FORMS)(i), *draw(row_cells)]) + newline for i in ids)
+
+
+# (loader, header, body): bodies of `_store_lines`, most of them rejected, and valid ones
+_CACHED_FILES = {
+    "manifest": (load_manifest, "image_id,label,split\n",
+                 st.one_of(_store_lines(_MANIFEST_CELLS), _valid_lines(_MANIFEST_CELLS))),
+    "privacy": (load_privacy_store, PRIVACY_HEADER, st.one_of(
+        _store_lines(_cached_privacy_rows(_COUNT_CELLS)),
+        _valid_lines(_cached_privacy_rows(st.one_of(_padded(st.integers(0, 6).map(str)),
+                                                    st.just(str(MAX_PEOPLE_COUNT))))))),
+}
+
+
+def _load_kind(kind, path, cache=None):
+    """The store of `kind` at `path`, as its public loader returns it."""
+    return {"manifest": load_manifest, "privacy": load_privacy_store,
+            "deep": load_deep_store}[kind](path, cache)
+
+
+def _same_loaded(a, b) -> bool:
+    return _same_deep_store(a, b) if isinstance(a, tuple) else _same_store(a, b)
+
+
+def _npy(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+# A valid file of each kind with two images, one id holding a NUL.
+_KIND_FILES = {
+    "manifest": "image_id,label,split\na,private,train\nb\x00,,test\n",
+    "privacy": PRIVACY_HEADER + "a,VERY_UNLIKELY,,POSSIBLE,LIKELY,UNLIKELY,0.5,1,0.25\n"
+                                "b\x00,,,,,,-0.0,0,0.2\n",
+    "deep": DEEP_HEADER + "a,0.5,1.5\nb\x00,-2,3e-3\n",
+}
+
+
+def _parts(entry, kind) -> tuple[bytes, bytes | None, list]:
+    """An entry's values and `missing` as they are saved, and its JSON list."""
+    raw = entry.read_bytes()
+    with open(entry, "rb") as fh:
+        np.load(fh, allow_pickle=False)
+        split = fh.tell()
+        if STORE_KINDS[kind].missing is not None:
+            np.load(fh, allow_pickle=False)
+        end = fh.tell()
+    return raw[:split], raw[split:end] or None, json.loads(raw[end:])
+
+
+def _meta(listed, ids=None, meta=None) -> bytes:
+    """An entry's JSON list `listed`, with other ids or metadata."""
+    return json.dumps([*(listed[:-1] if meta is None else meta),
+                       listed[-1] if ids is None else ids]).encode()
+
+
+# Each damage: a file that is not the entry the cache saved. The second group
+# damages `missing`, so it applies to the kinds that have one.
+_DAMAGES = {
+    "truncated file": lambda v, m, p: (v + (m or b"") + _meta(p))[:-5],
+    "truncated header": lambda v, m, p: v[:40],
+    "empty file": lambda v, m, p: b"",
+    "ids of wrong length": lambda v, m, p: v + (m or b"") + _meta(p, ids=["a"]),
+    "repeated ids": lambda v, m, p: v + (m or b"") + _meta(p, ids=["a", "a"]),
+    "metadata of another kind": lambda v, m, p: v + (m or b"") + _meta(p, meta=["rn", ["v0"]]),
+    "non-JSON metadata": lambda v, m, p: v + (m or b"") + b"{not json",
+    "metadata not a list": lambda v, m, p: v + (m or b"") + b"null",
+    "no metadata": lambda v, m, p: v + (m or b""),
+    "values cut short": lambda v, m, p: v[:-8] + (m or b"") + _meta(p),
+}
+_MISSING_DAMAGES = {
+    "missing cut short": lambda v, m, p: v + m[:-3] + _meta(p),
+    "file ends in missing": lambda v, m, p: v + m[:-3],
+    "missing of floats": lambda v, m, p: v + _npy(np.load(io.BytesIO(m)).astype(float))
+    + _meta(p),
+    "missing of wrong shape": lambda v, m, p: v + _npy(np.load(io.BytesIO(m))[:, :1]) + _meta(p),
+    "missing of one row": lambda v, m, p: v + _npy(np.load(io.BytesIO(m))[:1]) + _meta(p),
+}
+_DAMAGE_CASES = [pytest.param(kind, damage, id=f"{kind}: {name}")
+                 for kind in STORE_KINDS
+                 for name, damage in [*_DAMAGES.items(),
+                                      *(_MISSING_DAMAGES.items()
+                                        if STORE_KINDS[kind].missing is not None else ())]]
+
+
 class TestStoreCache:
     @_PROPERTY
     @given(_deep_files())
@@ -764,63 +916,81 @@ class TestStoreCache:
         assert _same_deep_store(load_deep_store(path, cache), parsed)
         cache.save()
         with pytest.MonkeyPatch.context() as mp:
-            _no_parse(mp)
+            never_parse(mp)
             cached = load_deep_store(path, StoreCache(root))
         assert _same_deep_store(cached, parsed)
         assert cached[1].values.flags.writeable and cached[1].values.dtype == np.float64
 
-    def _entry(self, tmp_path, text=DEEP_HEADER + "a,0.5,1.5\nb\x00,-2,3e-3\n"):
-        path = write(tmp_path, "d.csv", text)
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(list(_CACHED_FILES)).flatmap(
+        lambda kind: st.tuples(st.just(kind), _CACHED_FILES[kind][2])))
+    def test_hit_is_the_parse_and_a_rejected_file_the_same_error(self, tmp_path, kind_body):
+        # valid files take the bulk path or, quoted, the row scan; others are rejected
+        kind, body = kind_body
+        load, header, _ = _CACHED_FILES[kind]
+        example = Path(tempfile.mkdtemp(dir=tmp_path))
+        path, root = example / "s.csv", example / "cache"
+        path.write_text(header + body, encoding="utf-8", newline="")
+        parsed = _outcome(load, path)
+        cache = StoreCache(root)
+        loaded = _outcome(lambda p: load(p, cache), path)
+        cache.save()
+        if isinstance(parsed, tuple):  # the class and message, which ends in [path:line]
+            assert loaded == parsed
+            assert not root.exists()
+            return
+        assert _same_store(loaded, parsed)
+        with pytest.MonkeyPatch.context() as mp:
+            never_parse(mp)
+            cached = load(path, StoreCache(root))
+        assert _same_store(cached, parsed)
+        assert cached.values.flags.writeable and cached.missing.dtype == bool
+
+    def _entry(self, tmp_path, kind="deep"):
+        path = write(tmp_path, "s.csv", _KIND_FILES[kind])
         cache = StoreCache(tmp_path / "cache")
-        loaded = load_deep_store(path, cache)
+        loaded = _load_kind(kind, path, cache)
         cache.save()
         return path, loaded
 
-    @pytest.mark.parametrize("damage", [
-        lambda entry, values, meta: entry.write_bytes((values + meta)[:-5]),
-        lambda entry, values, meta: entry.write_bytes(values[:40]),
-        lambda entry, values, meta: entry.write_bytes(b""),
-        lambda entry, values, meta: entry.write_bytes(
-            values + json.dumps([*json.loads(meta)[:2], ["a"]]).encode()),
-        lambda entry, values, meta: entry.write_bytes(
-            values + json.dumps([json.loads(meta)[0], ["v0"], json.loads(meta)[2]]).encode()),
-        lambda entry, values, meta: entry.write_bytes(values + b"{not json"),
-        lambda entry, values, meta: entry.write_bytes(values + b"null"),
-        lambda entry, values, meta: entry.write_bytes(values),
-        lambda entry, values, meta: (entry.unlink(), entry.mkdir()),
-        lambda entry, values, meta: entry.write_bytes(values[:-8] + meta),
-    ], ids=["truncated file", "truncated header", "empty file", "ids of wrong length",
-            "columns of wrong length", "non-JSON metadata", "metadata not a list",
-            "no metadata", "directory at the entry", "values cut short"])
+    @pytest.mark.parametrize("kind, damage", _DAMAGE_CASES + [
+        pytest.param(kind, lambda v, m, p: None, id=f"{kind}: directory at the entry")
+        for kind in STORE_KINDS])
     def test_bad_entry_is_one_warning_a_parse_and_a_rewrite(self, tmp_path, caplog,
-                                                             monkeypatch, damage):
-        path, first = self._entry(tmp_path)
+                                                             monkeypatch, kind, damage):
+        path, first = self._entry(tmp_path, kind)
         (entry,) = (tmp_path / "cache").iterdir()
-        with open(entry, "rb") as fh:  # the values, then the JSON metadata
-            np.load(fh, allow_pickle=False)
-            meta = fh.read()
-        raw = entry.read_bytes()
-        damage(entry, raw[:len(raw) - len(meta)], meta)
+        damaged = damage(*_parts(entry, kind))
+        if damaged is None:
+            entry.unlink()
+            entry.mkdir()
+        else:
+            entry.write_bytes(damaged)
         cache = StoreCache(tmp_path / "cache")
         with caplog.at_level(logging.WARNING, logger="privlens.data_io"):
-            assert _same_deep_store(load_deep_store(path, cache), first)
+            assert _same_loaded(_load_kind(kind, path, cache), first)
             cache.save()
         (record,) = caplog.records
         assert record.getMessage().startswith(f"ignoring unreadable store cache entry {entry}: ")
         caplog.clear()
-        _no_parse(monkeypatch)
+        never_parse(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="privlens.data_io"):
-            assert _same_deep_store(load_deep_store(path, StoreCache(tmp_path / "cache")), first)
+            assert _same_loaded(_load_kind(kind, path, StoreCache(tmp_path / "cache")), first)
         assert caplog.records == []
         assert [p.name for p in (tmp_path / "cache").iterdir()] == [entry.name]
 
-    def test_entry_is_one_file_of_values_then_metadata(self, tmp_path):
-        path, (tag, store, columns) = self._entry(tmp_path)
+    @pytest.mark.parametrize("kind", list(STORE_KINDS))
+    def test_entry_is_one_file_of_values_then_metadata(self, tmp_path, kind):
+        path, loaded = self._entry(tmp_path, kind)
         (entry,) = (tmp_path / "cache").iterdir()
-        assert entry.name == f"deep-v{STORE_CACHE_VERSION}-{file_sha256(path)}.npy"
+        assert entry.name == f"{kind}-v{STORE_KINDS[kind].version}-{file_sha256(path)}.npy"
+        store, meta = (loaded[1], [loaded[0], loaded[2]]) if kind == "deep" else (loaded, [])
         with open(entry, "rb") as fh:
-            assert np.load(fh, allow_pickle=False).tolist() == store.values.tolist()
-            assert json.loads(fh.read()) == [tag, columns, store.ids]
+            assert np.load(fh, allow_pickle=False).tobytes() == store.values.tobytes()
+            if store.missing is not None:
+                assert np.load(fh, allow_pickle=False).tolist() == store.missing.tolist()
+            assert json.loads(fh.read()) == [*meta, store.ids]
 
     def test_entry_of_another_version_is_not_read(self, tmp_path, caplog):
         # an entry of the two-file layout, with values the file does not hold
@@ -836,6 +1006,29 @@ class TestStoreCache:
             cache.save()
         assert caplog.records == []
         assert len(list((tmp_path / "cache").iterdir())) == 3
+
+    @pytest.mark.parametrize("kind", list(STORE_KINDS))
+    def test_entry_of_another_kind_or_version_is_never_read(self, tmp_path, caplog, kind):
+        # each other name for the same bytes holds that entry with its values changed
+        path, first = self._entry(tmp_path, kind)
+        (entry,) = (tmp_path / "cache").iterdir()
+        values, missing, listed = _parts(entry, kind)
+        changed = _npy(np.load(io.BytesIO(values)) + 1.0) + (missing or b"") + _meta(listed)
+        key, version = file_sha256(path), STORE_KINDS[kind].version
+        planted = {f"{kind}-v{version + 1}-{key}.npy", f"{kind}-v{version - 1}-{key}.npy",
+                   *(f"{other}-v{spec.version}-{key}.npy"
+                     for other, spec in STORE_KINDS.items() if other != kind)}
+        entry.unlink()
+        for name in planted:
+            (tmp_path / "cache" / name).write_bytes(changed)
+        cache = StoreCache(tmp_path / "cache")
+        with caplog.at_level(logging.WARNING, logger="privlens.data_io"):
+            assert _same_loaded(_load_kind(kind, path, cache), first)
+            cache.save()
+        assert caplog.records == []
+        assert {p.name for p in (tmp_path / "cache").iterdir()} == planted | {entry.name}
+        assert entry.read_bytes() != changed
+
     def test_edit_keeping_size_and_mtime_is_a_miss(self, tmp_path):
         path, first = self._entry(tmp_path)
         stat = path.stat()
@@ -849,12 +1042,15 @@ class TestStoreCache:
         assert len(list((tmp_path / "cache").glob("*.npy"))) == 2
 
     def test_entries_are_written_only_by_save(self, tmp_path):
-        path = write(tmp_path, "d.csv", DEEP_HEADER + "a,0.5,1.5\n")
+        paths = {kind: write(tmp_path, f"{kind}.csv", text) for kind, text in _KIND_FILES.items()}
         cache = StoreCache(tmp_path / "cache")
-        load_deep_store(path, cache)
+        for kind, path in paths.items():
+            _load_kind(kind, path, cache)
         assert not (tmp_path / "cache").exists()
         cache.save()
-        assert len(list((tmp_path / "cache").iterdir())) == 1
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
+            f"{kind}-v{STORE_KINDS[kind].version}-{file_sha256(path)}.npy"
+            for kind, path in paths.items())
 
     @pytest.mark.parametrize("text", [DEEP_HEADER + ",0.5,1.5\n", DEEP_HEADER + "a,nan,1\n",
                                       "image_id,v0\na,1\n"], ids=["empty id", "nan", "header"])
@@ -867,9 +1063,10 @@ class TestStoreCache:
         cache.save()
         assert not (tmp_path / "cache").exists()
 
-    def test_unreadable_file_is_the_parsers_error(self, tmp_path):
+    @pytest.mark.parametrize("kind", list(STORE_KINDS))
+    def test_unreadable_file_is_the_parsers_error(self, tmp_path, kind):
         with pytest.raises(ParseError, match=re.escape(f"[{tmp_path}]")):
-            load_deep_store(tmp_path, StoreCache(tmp_path / "cache"))
+            _load_kind(kind, tmp_path, StoreCache(tmp_path / "cache"))
 
     def test_failed_save_is_one_warning(self, tmp_path, caplog):
         (tmp_path / "cache").write_text("a file where the cache directory goes")
@@ -880,7 +1077,7 @@ class TestStoreCache:
             cache.save()
         (record,) = caplog.records
         assert record.getMessage().startswith(
-            f"cannot save parsed deep stores under {tmp_path / 'cache'}: ")
+            f"cannot save parsed stores under {tmp_path / 'cache'}: ")
 
 
 class TestPublish:
