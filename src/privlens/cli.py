@@ -161,7 +161,7 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
         scenes=scenes,
         outdoor_columns=outdoor_columns,
     )
-    _commit(cfg, cache)  # before the queries: each answer is cached as it arrives
+    _commit(cfg, cache)  # before the queries: each segment of answers is cached as it fills
     out_path = cfg.out_dir / "privacy_features.csv"
     report = extractors.run_extraction(
         image_ids, sources, cfg.out_dir / "safesearch_cache", out_path, workers=cfg.workers

@@ -200,7 +200,7 @@ def load_config(path, seed: int | None = None, out_dir=None, workers: int | None
         raise ConfigError(f"config file {path} does not exist")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read(path, encoding="utf-8-sig")  # skips a byte-order mark
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -5,10 +5,11 @@ Three sources feed the eight features:
   - a detections CSV (image_id,class_name,confidence) for people features,
   - a Places365-style scene store + indoor/outdoor map for the outdoor prob.
 
-Batch extraction caches SafeSearch responses as one JSON file per image,
-named by a hash of the image id, and collects per-image failures into a
-report instead of aborting. The calling thread reads the cache; threads
-start only to query the images it misses, so a warm re-run starts none.
+Batch extraction caches SafeSearch responses in segments, JSON files of up
+to `_SEGMENT_ANSWERS` answers keyed by image id, and collects per-image
+failures into a report instead of aborting. The calling thread reads the
+cache and writes each segment; threads start only to query the images it
+misses, so a warm re-run starts none.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ log = logging.getLogger(__name__)
 
 ENV_URL = "PRIVLENS_SAFESEARCH_URL"
 ENV_KEY = "PRIVLENS_SAFESEARCH_KEY"
+
+#: answers in one segment of the SafeSearch cache; the last segment of a run may hold fewer
+_SEGMENT_ANSWERS = 100
 
 #: response field -> our sensitivity class name
 _RESPONSE_FIELDS = {
@@ -330,14 +334,16 @@ class ExtractionReport:
 
 
 def _cache_path(cache_dir: Path, image_id: str) -> Path:
-    """The entry of one image: the id's hash, so any id names a file in `cache_dir`."""
+    """The old per-image entry of one image: the id's hash, so any id names a
+    file in `cache_dir`. Such entries are still read, never written."""
     import hashlib  # imported here: it loads OpenSSL, and only extract reads the cache
 
     return cache_dir / f"{hashlib.sha256(image_id.encode('utf-8')).hexdigest()}.json"
 
 
 def _read_cache(path: Path) -> SafeSearchResult | None:
-    """The cached response; None when absent or unreadable, so it is queried again."""
+    """The answer of an old per-image entry; None when absent or unreadable,
+    so it is queried again."""
     try:
         return SafeSearchResult.from_dict(json.loads(path.read_text("utf-8")))
     except FileNotFoundError:
@@ -347,12 +353,63 @@ def _read_cache(path: Path) -> SafeSearchResult | None:
         return None
 
 
-def _fetch(image_id: str, sources: ExtractionSources, cache_dir: Path) -> SafeSearchResult:
-    """Query SafeSearch about one image and store the answer in the cache."""
-    result = sources.safe_search.annotate(sources.image_refs.get(image_id, image_id))
-    payload = json.dumps(result.to_dict(), sort_keys=True)
-    publish(_cache_path(cache_dir, image_id), lambda fh: fh.write(payload))
-    return result
+def _read_answers(cache_dir: Path, image_ids: list[str]) -> list:
+    """Per image of `image_ids`: its cached SafeSearchResult, None, or the
+    exception that failed reading its old entry.
+
+    `cache_dir` is listed once. Each segment (`answers-*.json`) is read whole,
+    in name order, and only the wanted ids are decoded; an image's first
+    valid answer wins. An image no segment answers is read from its old
+    per-image entry when the listing holds one. An unreadable segment, and
+    an entry that lacks a key or has a bad token, is one warning each, and
+    its images are queried again.
+    """
+    names = sorted(os.listdir(cache_dir))
+    wanted = set(image_ids)
+    answers: dict[str, object] = {}
+    for name in names:
+        if not (name.startswith("answers-") and name.endswith(".json")):
+            continue
+        path = cache_dir / name
+        try:
+            segment = json.loads(path.read_bytes())
+            if not isinstance(segment, dict):
+                raise ValueError(f"expected a JSON object, got {type(segment).__name__}")
+        except (OSError, ValueError) as exc:
+            log.warning("ignoring unreadable cache segment %s: %s", path, exc)
+            continue
+        for image_id, entry in segment.items():
+            if image_id in wanted and image_id not in answers:
+                try:
+                    answers[image_id] = SafeSearchResult.from_dict(entry)
+                except (KeyError, TypeError) as exc:
+                    log.warning("ignoring unreadable cache entry %r in %s: %s",
+                                image_id, path, exc)
+    if any(not name.startswith("answers-") for name in names):  # else skip hashing every id
+        listed = set(names)
+        for image_id in [i for i in image_ids if i not in answers]:
+            path = _cache_path(cache_dir, image_id)
+            if path.name in listed:
+                try:
+                    answers[image_id] = _read_cache(path)
+                except Exception as exc:
+                    answers[image_id] = exc
+    return [answers.get(image_id) for image_id in image_ids]
+
+
+def _write_segment(cache_dir: Path, answers: dict[str, dict]) -> None:
+    """Publish `answers` (image id -> `SafeSearchResult.to_dict()`) as one
+    segment, named by the sha256 of its bytes so that no two contents share
+    a name. An OSError is one warning, and the next run queries those images
+    again."""
+    import hashlib  # imported here: it loads OpenSSL, and only extract writes the cache
+
+    payload = json.dumps(answers, sort_keys=True)
+    path = cache_dir / f"answers-{hashlib.sha256(payload.encode('ascii')).hexdigest()}.json"
+    try:
+        publish(path, lambda fh: fh.write(payload))
+    except OSError as exc:
+        log.warning("cannot write cache segment %s: %s", path, exc)
 
 
 def run_extraction(
@@ -365,15 +422,19 @@ def run_extraction(
     """Produce privacy_features.csv for the manifest's `image_ids`; idempotent under re-run.
 
     The people and outdoor columns, and which scene rows are valid, are
-    computed once for the batch. The calling thread reads each image's cache
-    entry; only the misses (no entry or an unreadable one, with a client
-    configured) go to at most `workers` threads, which query SafeSearch and
-    write the entry, so a warm re-run starts none. Any exception from an
-    image's cache read, query, scene check or people-count bound fails only
-    that image: it lands in the report as "<Type>: <message>", a failed query
-    over a bad scene row over a count past the bound. Successful rows are
-    still written, in manifest order, so re-runs with identical upstream
-    responses produce byte-identical files.
+    computed once for the batch. The calling thread reads the cache
+    (`_read_answers`); only the misses (no answer or an unreadable one, with
+    a client configured) go to at most `workers` threads, which only query
+    SafeSearch, so a warm re-run starts none. The calling thread takes the
+    answers in manifest order and writes them in segments of
+    `_SEGMENT_ANSWERS`, so the cache files do not depend on `workers`. An
+    interrupt drops the queries not yet started, waits for the running ones
+    and writes every answer received before it propagates. Any exception
+    from an image's old cache entry, query, scene check or people-count
+    bound fails only that image: it lands in the report as
+    "<Type>: <message>", a failed query over a bad scene row over a count
+    past the bound. Successful rows are still written, in manifest order, so
+    re-runs with identical upstream responses produce byte-identical files.
     """
     cache = Path(cache_dir)
     cache.mkdir(exist_ok=True)
@@ -393,24 +454,38 @@ def run_extraction(
         bad_scene[has_row] = invalid[rows[has_row]]
 
     # per image: its SafeSearchResult, None, or the exception that failed it
-    found: list = [None] * len(image_ids)
-    misses: list[int] = []
-    for k, image_id in enumerate(image_ids):
-        try:
-            found[k] = _read_cache(_cache_path(cache, image_id))
-        except Exception as exc:
-            found[k] = exc
-            continue
-        if found[k] is None and sources.safe_search is not None:
-            misses.append(k)
+    found = _read_answers(cache, image_ids)
+    misses = [k for k, answer in enumerate(found)
+              if answer is None and sources.safe_search is not None]
     if misses:
+        pending: dict[str, dict] = {}  # answers not yet in a segment
+        taken = 0  # misses whose answer the loop below has taken
         with ThreadPoolExecutor(max_workers=min(max(1, workers), len(misses))) as pool:
-            fetches = [pool.submit(_fetch, image_ids[k], sources, cache) for k in misses]
-            for k, fetch in zip(misses, fetches):
-                try:
-                    found[k] = fetch.result()
-                except Exception as exc:
-                    found[k] = exc
+            fetches = [pool.submit(sources.safe_search.annotate,
+                                   sources.image_refs.get(image_ids[k], image_ids[k]))
+                       for k in misses]
+            try:
+                for k, fetch in zip(misses, fetches):
+                    try:
+                        found[k] = fetch.result()
+                    except Exception as exc:
+                        found[k] = exc
+                    else:
+                        pending[image_ids[k]] = found[k].to_dict()
+                        if len(pending) == _SEGMENT_ANSWERS:
+                            _write_segment(cache, pending)
+                            pending = {}
+                    taken += 1
+            except BaseException:
+                # without this, leaving the pool would first run every queued query
+                pool.shutdown(cancel_futures=True)
+                for k, fetch in zip(misses[taken:], fetches[taken:]):
+                    if not fetch.cancelled() and fetch.exception() is None:
+                        pending[image_ids[k]] = fetch.result().to_dict()
+                raise
+            finally:
+                if pending:
+                    _write_segment(cache, pending)
         del fetches  # the finished futures hold megabytes that building the store can reuse
 
     cells: dict[str, tuple] = {}

@@ -31,8 +31,8 @@ from privlens.config import (
 )
 from privlens.data_io import STORE_KINDS, file_sha256
 from privlens.errors import ConfigError
-from privlens.extractors import SafeSearchClient, _cache_path
-from privlens.features import GROUP_ORDER, FeatureGroup, FeatureSpec, PrivacyLabel
+from privlens.extractors import SafeSearchClient, _cache_path, _read_answers
+from privlens.features import GROUP_ORDER, FeatureGroup, FeatureSpec, Likelihood, PrivacyLabel
 from privlens.metrics import MetricsReport
 
 import frozen_splits
@@ -104,6 +104,11 @@ def cache_entry(kind: str, path) -> str:
 
 def cache_entries(out) -> list[str]:
     return sorted(p.name for p in (out / "store_cache").iterdir())
+
+
+def with_entry(segment: bytes, image_id: str, entry) -> bytes:
+    """The bytes of a SafeSearch cache segment with `image_id`'s entry replaced."""
+    return json.dumps({**json.loads(segment), image_id: entry}).encode()
 
 
 def output_files(out) -> dict[str, bytes]:
@@ -211,6 +216,13 @@ groups = sens
         _, cfg = corpus_config
         with pytest.raises(ConfigError, match="workers"):
             load_config(cfg, workers=workers)
+
+    def test_config_starting_with_a_byte_order_mark_loads(self, corpus_config):
+        _, cfg = corpus_config
+        body = Path(cfg).read_bytes()
+        want = load_config(cfg)
+        Path(cfg).write_bytes(b"\xef\xbb\xbf" + body)
+        assert load_config(cfg) == want
 
     def test_non_utf8_config_is_config_error(self, corpus_config, capsys):
         tmp_path, cfg = corpus_config
@@ -1295,30 +1307,36 @@ detections = detections.csv
         report = json.loads((out / "extraction_report.json").read_text())
         assert list(report["failures"]) == ["img_1"]
 
-    @pytest.mark.parametrize("damage", [
-        lambda entry: entry[:10],
-        lambda entry: b"{}",
-        lambda entry: b'{"adult": "LIKELY"}',
-    ], ids=["truncated", "empty-object", "one-key"])
+    @pytest.mark.parametrize("damage, asked, warning", [
+        (lambda segment: segment[:10], 3, "ignoring unreadable cache segment {segment}: "),
+        (lambda segment: with_entry(segment, "img_1", {}), 1,
+         "ignoring unreadable cache entry 'img_1' in {segment}: "),
+        (lambda segment: with_entry(segment, "img_1", {"adult": "LIKELY"}), 1,
+         "ignoring unreadable cache entry 'img_1' in {segment}: "),
+        (lambda segment: with_entry(segment, "img_1", dict(
+            json.loads(segment)["img_1"], racy="LIK")), 1,
+         "ignoring unreadable cache entry 'img_1' in {segment}: "),
+    ], ids=["truncated-segment", "empty-object", "one-key", "bad-token"])
     def test_truncated_cache_entry_is_requeried(self, tmp_path, mock_server, monkeypatch,
-                                                caplog, damage):
+                                                caplog, damage, asked, warning):
         monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
                            f"http://127.0.0.1:{mock_server.server_port}/")
         cfg = self._config(tmp_path)
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
         first = (out / "privacy_features.csv").read_bytes()
-        entry = _cache_path(out / "safesearch_cache", "img_1")
-        entry.write_bytes(damage(entry.read_bytes()))
+        cache = out / "safesearch_cache"
+        (segment,) = cache.iterdir()
+        segment.write_bytes(damage(segment.read_bytes()))
         calls = mock_server.calls
         caplog.clear()
         assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
-        assert mock_server.calls == calls + 1  # only the truncated entry is asked again
+        assert mock_server.calls == calls + asked  # only the damaged answers are asked again
         assert (out / "privacy_features.csv").read_bytes() == first
-        assert json.loads(entry.read_text())["racy"] == "POSSIBLE"
+        assert _read_answers(cache, ["img_1"])[0].racy is Likelihood.POSSIBLE
         warnings = [r.getMessage() for r in caplog.records
-                    if r.getMessage().startswith("ignoring unreadable cache entry")]
-        assert len(warnings) == 1 and str(entry) in warnings[0]
+                    if r.getMessage().startswith("ignoring unreadable cache")]
+        assert len(warnings) == 1 and warnings[0].startswith(warning.format(segment=segment))
 
     def test_scene_row_failing_the_sum_check_fails_alone(self, tmp_path, mock_server,
                                                           monkeypatch):
@@ -1350,20 +1368,24 @@ detections = detections.csv
 
     def test_unexpected_error_fails_only_its_image(self, tmp_path, mock_server, monkeypatch,
                                                    capsys):
-        # a directory at the temporary name publish writes img_1's cache entry to
-        # raises IsADirectoryError, which is no ExtractionError; main runs in this process
+        # ZeroDivisionError is no ExtractionError; main runs in this process
         monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
                            f"http://127.0.0.1:{mock_server.server_port}/")
+        real = SafeSearchClient._requests_transport
+
+        def divides_by_zero_for_img_1(self, url, headers, body):
+            if body["image"]["source"]["uri"] == "img_1.jpg":
+                raise ZeroDivisionError("division by zero")
+            return real(self, url, headers, body)
+
+        monkeypatch.setattr(SafeSearchClient, "_requests_transport", divides_by_zero_for_img_1)
         cfg = self._config(tmp_path, n=2)
         out = tmp_path / "out"
-        entry = _cache_path(out / "safesearch_cache", "img_1")
-        entry.with_name(f"{entry.name}.{os.getpid()}.tmp").mkdir(parents=True)
         assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_PARTIAL
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "FAILED img_1: IsADirectoryError: " in err
+        assert "Traceback" not in err and "FAILED img_1: ZeroDivisionError: " in err
         report = json.loads((out / "extraction_report.json").read_text())
-        assert list(report["failures"]) == ["img_1"]
-        assert report["failures"]["img_1"].startswith("IsADirectoryError: ")
+        assert report["failures"] == {"img_1": "ZeroDivisionError: division by zero"}
         assert report["n_complete"] == 1
         rows = (out / "privacy_features.csv").read_text().strip().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["img_0"]
@@ -1382,27 +1404,47 @@ detections = detections.csv
         assert mock_server.calls == calls
         assert {name: (out / name).read_bytes() for name in first} == first
 
-    def test_directory_at_a_cache_entry_fails_only_its_image(self, tmp_path, mock_server,
-                                                              monkeypatch, capsys):
-        # the entry is read in the calling thread: no pool is needed to report it
+    def test_directory_at_a_segment_is_one_warning_and_requeried(self, tmp_path, mock_server,
+                                                                 monkeypatch, capsys, caplog):
         monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
                            f"http://127.0.0.1:{mock_server.server_port}/")
         cfg = self._config(tmp_path)
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
-        entry = _cache_path(out / "safesearch_cache", "img_1")
-        entry.unlink()
-        entry.mkdir()
+        first = (out / "privacy_features.csv").read_bytes()
+        (segment,) = (out / "safesearch_cache").iterdir()
+        segment.unlink()
+        segment.mkdir()
         calls = mock_server.calls
-        monkeypatch.setattr("privlens.extractors.ThreadPoolExecutor", no_pool)
         capsys.readouterr()
-        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_PARTIAL
+        caplog.clear()
+        assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
+        assert mock_server.calls == calls + 3
+        assert (out / "privacy_features.csv").read_bytes() == first
+        assert "Traceback" not in capsys.readouterr().err
+        (warning,) = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warning.startswith(f"ignoring unreadable cache segment {segment}: ")
+
+    def test_old_per_image_entries_are_read_without_a_request(self, tmp_path, mock_server,
+                                                              monkeypatch):
+        # a cache written one entry per image, named by the sha256 of the id
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        ids = ["img_0", "a/b", "../x", "q'uote", "café"]
+        cfg = self._config(tmp_path, ids=ids)
+        assert main(["--config", cfg, "--out-dir", str(tmp_path / "new"), "extract"]) == EXIT_OK
+        answers = _read_answers(tmp_path / "new" / "safesearch_cache", ids)
+        old = tmp_path / "old" / "safesearch_cache"
+        old.mkdir(parents=True)
+        for image_id, answer in zip(ids, answers):
+            _cache_path(old, image_id).write_text(json.dumps(answer.to_dict(), sort_keys=True))
+        before = sorted(old.iterdir())
+        calls = mock_server.calls
+        assert main(["--config", cfg, "--out-dir", str(tmp_path / "old"), "extract"]) == EXIT_OK
         assert mock_server.calls == calls
-        err = capsys.readouterr().err
-        assert "Traceback" not in err and "FAILED img_1: IsADirectoryError: " in err
-        report = json.loads((out / "extraction_report.json").read_text())
-        assert list(report["failures"]) == ["img_1"] and report["n_complete"] == 2
-        assert report["failures"]["img_1"].startswith("IsADirectoryError: ")
+        assert sorted(old.iterdir()) == before  # nothing new is written
+        assert ((tmp_path / "old" / "privacy_features.csv").read_bytes()
+                == (tmp_path / "new" / "privacy_features.csv").read_bytes())
 
     def test_worker_count_does_not_change_results(self, tmp_path, mock_server, monkeypatch,
                                                   capsys):
@@ -1447,8 +1489,8 @@ detections = detections.csv
         assert codes == [EXIT_PARTIAL, EXIT_PARTIAL]
         assert failed[0] == failed[1] == [
             "FAILED img_5: RateLimited: HTTP 429 from SafeSearch endpoint"]
-        # the CSV, the report, one entry per answered image and the manifest's store-cache entry
-        assert len(files) == 2 + 11 + 1
+        # the CSV, the report, one segment of the 11 answers and the manifest's store-cache entry
+        assert len(files) == 2 + 1 + 1
         assert f"store_cache/{cache_entry('manifest', tmp_path / 'manifest.csv')}" in files
 
     def test_ids_with_path_separators_stay_in_the_cache(self, tmp_path, mock_server,
@@ -1461,9 +1503,10 @@ detections = detections.csv
         cache = out / "safesearch_cache"
         assert main(["--config", cfg, "--out-dir", str(out), "extract"]) == EXIT_OK
         written = {p for p in tmp_path.rglob("*") if p.is_file()} - before
-        assert written == {out / "privacy_features.csv", out / "extraction_report.json",
-                           _cache_path(cache, "a/b"), _cache_path(cache, "../x"),
+        (segment,) = cache.iterdir()
+        assert written == {out / "privacy_features.csv", out / "extraction_report.json", segment,
                            out / "store_cache" / cache_entry("manifest", tmp_path / "manifest.csv")}
+        assert sorted(json.loads(segment.read_text())) == ["../x", "a/b"]
         rows = (out / "privacy_features.csv").read_text().strip().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["a/b", "../x"]
         calls = mock_server.calls

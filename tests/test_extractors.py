@@ -1,14 +1,18 @@
+import hashlib
 import json
+import logging
+import os
 import socket
 import tempfile
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import frozen_extraction
 from conftest import serving_mock
@@ -25,7 +29,10 @@ from privlens.extractors import (
     ExtractionSources,
     SafeSearchClient,
     SafeSearchResult,
+    _SEGMENT_ANSWERS,
     _cache_path,
+    _read_answers,
+    _read_cache,
     load_detections,
     load_io_map,
     load_scenes,
@@ -235,6 +242,11 @@ def make_ids(n):
     return [f"img_{i}" for i in range(n)]
 
 
+def segments(cache):
+    """The segment files of `cache`, in name order."""
+    return sorted(cache.glob("answers-*.json"))
+
+
 class TestRunExtraction:
     def sources(self, transport=None):
         detections = {"img_0": [("person", 0.9)], "img_1": []}
@@ -275,8 +287,11 @@ class TestRunExtraction:
         cache, out = tmp_path / "cache", tmp_path / "out.csv"
         run_extraction(ids, self.sources(CountingTransport()), cache, out, workers=4)
         first = out.read_bytes()
-        _cache_path(cache, "img_1").unlink()
-        _cache_path(cache, "img_4").write_text("{")
+        (segment,) = segments(cache)
+        answers = json.loads(segment.read_text())
+        del answers["img_1"]
+        answers["img_4"] = {"adult": "LIK"}
+        segment.write_text(json.dumps(answers))
         pools, asked = [], []
 
         class RecordingPool(ThreadPoolExecutor):
@@ -294,6 +309,76 @@ class TestRunExtraction:
         assert sorted(uri for uri, _ in asked) == ["img_1", "img_4"]
         assert pools == [2] and len({thread for _, thread in asked}) <= 2
         assert threading.get_ident() not in {thread for _, thread in asked}
+
+    def test_answers_go_to_segments_of_the_set_size_in_manifest_order(self, tmp_path):
+        # one image in seven fails; the others fill segments in manifest order
+        n = 2 * _SEGMENT_ANSWERS + 30
+        failing = {f"img_{i}" for i in range(0, n, 7)}
+
+        def transport(url, headers, body):
+            return (500, None) if body["image"]["source"]["uri"] in failing else (200, OK_RESPONSE)
+
+        cache = tmp_path / "cache"
+        report = run_extraction(make_ids(n), self.sources(transport), cache, tmp_path / "out.csv",
+                                workers=3)
+        assert sorted(report.failures) == sorted(failing)
+        answered = [i for i in make_ids(n) if i not in failing]
+        written = [json.loads(p.read_bytes()) for p in segments(cache)]
+        assert sorted(map(sorted, written)) == sorted(
+            sorted(answered[j:j + _SEGMENT_ANSWERS])
+            for j in range(0, len(answered), _SEGMENT_ANSWERS))
+        assert os.listdir(cache) == [p.name for p in segments(cache)]
+
+    def test_segment_that_cannot_be_written_is_one_warning(self, tmp_path, caplog):
+        # a directory at the temporary name publish writes the segment to
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        result = make_client(CountingTransport()).annotate("img_0")
+        payload = json.dumps({i: result.to_dict() for i in make_ids(2)}, sort_keys=True)
+        segment = cache / f"answers-{hashlib.sha256(payload.encode()).hexdigest()}.json"
+        segment.with_name(f"{segment.name}.{os.getpid()}.tmp").mkdir()
+        transport = CountingTransport()
+        report = run_extraction(make_ids(2), self.sources(transport), cache, tmp_path / "out.csv",
+                                workers=2)
+        assert report.n_complete == 2 and not report.failures
+        (warning,) = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warning.startswith(f"cannot write cache segment {segment}: ")
+        run_extraction(make_ids(2), self.sources(transport), cache, tmp_path / "out.csv",
+                       workers=2)
+        assert transport.calls == 4  # nothing was cached, so both are asked again
+
+    def test_interrupt_keeps_every_answer_and_runs_no_queued_query(self, tmp_path):
+        class InterruptedOnThirdCall(CountingTransport):
+            def __init__(self):
+                super().__init__()
+                self.lock, self.answered = threading.Lock(), []
+
+            def __call__(self, url, headers, body):
+                with self.lock:
+                    self.calls += 1
+                    call = self.calls
+                if call == 3:
+                    raise KeyboardInterrupt
+                # an answer takes long enough for the interrupt to be seen before the
+                # running queries end
+                time.sleep(0.05)
+                with self.lock:
+                    self.answered.append(body["image"]["source"]["uri"])
+                return 200, OK_RESPONSE
+
+        workers, ids, cache = 2, make_ids(50), tmp_path / "cache"
+        transport = InterruptedOnThirdCall()
+        with pytest.raises(KeyboardInterrupt):
+            run_extraction(ids, self.sources(transport), cache, tmp_path / "out.csv",
+                           workers=workers)
+        assert transport.calls <= 3 + workers
+        cached = _read_answers(cache, ids)
+        assert sorted(i for i, answer in zip(ids, cached) if answer is not None) == sorted(
+            transport.answered)
+        rerun = CountingTransport()
+        report = run_extraction(ids, self.sources(rerun), cache, tmp_path / "out.csv",
+                                workers=workers)
+        assert not report.failures and rerun.calls == len(ids) - len(transport.answered)
 
     def test_permanent_failure_isolated(self, tmp_path):
         class FailSecond(CountingTransport):
@@ -433,8 +518,102 @@ def cache_dir_with(path, entries):
     return path
 
 
-def files_of(path):
-    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+# pieces of image ids: path separators, commas, quotes and non-ASCII text
+ID_PIECES = st.sampled_from(["img", "/", "..", ",", '"', "'", "\\", " ", "é", "图", "1"])
+LEVEL_NAMES = st.sampled_from([lvl.name for lvl in Likelihood] + [None])
+GOOD_ENTRIES = st.fixed_dictionaries({c: LEVEL_NAMES for c in SENSITIVITY_CLASSES})
+# entries that lack a key, have a bad token or are no object
+DAMAGED_ENTRIES = st.sampled_from([
+    {}, {"adult": "LIKELY"}, dict.fromkeys(SENSITIVITY_CLASSES, "LIK"),
+    dict.fromkeys(SENSITIVITY_CLASSES, 3), "VERY_LIKELY", None, [1, 2]])
+# segments that cannot be read: truncated, not a JSON object, not UTF-8, a directory
+UNREADABLE_SEGMENTS = st.sampled_from([b'{"img": {"adult": "LIK', b"[1, 2]", b'"x"', b"\xff{}",
+                                       "directory"])
+
+
+def is_good(entry) -> bool:
+    return (isinstance(entry, dict) and set(SENSITIVITY_CLASSES) <= entry.keys()
+            and all(entry[c] is None or entry[c] in Likelihood.__members__
+                    for c in SENSITIVITY_CLASSES))
+
+
+def result_of(entry) -> SafeSearchResult:
+    return SafeSearchResult(**{c: None if entry[c] is None else Likelihood[entry[c]]
+                               for c in SENSITIVITY_CLASSES})
+
+
+@st.composite
+def cache_layouts(draw):
+    """(wanted ids, segments by file name: an id -> entry dict or unreadable
+    bytes, old per-image entries by id: an entry or unreadable bytes)."""
+    ids = draw(st.lists(st.lists(ID_PIECES, min_size=1, max_size=4).map("".join),
+                        min_size=1, max_size=8, unique=True))
+    entry = st.one_of(GOOD_ENTRIES, GOOD_ENTRIES, DAMAGED_ENTRIES)
+    n = draw(st.integers(0, 4))
+    segments = {}
+    for j in draw(st.permutations(range(n))):  # name order is not drawing order
+        if draw(st.integers(0, 3)) == 0:
+            segments[f"answers-{j}.json"] = draw(UNREADABLE_SEGMENTS)
+        else:
+            segments[f"answers-{j}.json"] = {
+                i: draw(entry) for i in draw(st.permutations(ids)) if draw(st.booleans())}
+    old = {i: draw(st.one_of(GOOD_ENTRIES, st.just(b'{"adult": '))) for i in ids
+           if draw(st.booleans())}
+    wanted = [i for i in draw(st.permutations(ids + ["not cached"])) if draw(st.booleans())]
+    return wanted, segments, old
+
+
+class TestSegmentCache:
+    """`_read_answers` against a model of the cache rules: in segment name
+    order the first good entry wins, then the old per-image entry; every
+    unreadable segment and every damaged entry read is one warning."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cache_layouts())
+    def test_read_answers_follows_the_model(self, caplog, layout):
+        wanted, segments, old = layout
+        expected, warnings, unreadable = {}, 0, []
+        for name, segment in sorted(segments.items()):
+            if not isinstance(segment, dict):
+                warnings += 1
+                unreadable.append(name)
+                continue
+            for i, entry in segment.items():
+                if i in wanted and i not in expected:
+                    if is_good(entry):
+                        expected[i] = result_of(entry)
+                    else:
+                        warnings += 1
+        for i in wanted:
+            if i not in expected and i in old:
+                if isinstance(old[i], dict):
+                    expected[i] = result_of(old[i])
+                else:
+                    warnings += 1
+
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = Path(tmp)
+            for name, segment in segments.items():
+                if segment == "directory":
+                    (cache / name).mkdir()
+                else:
+                    (cache / name).write_bytes(segment if isinstance(segment, bytes)
+                                               else json.dumps(segment).encode())
+            for i, entry in old.items():
+                _cache_path(cache, i).write_bytes(
+                    entry if isinstance(entry, bytes) else json.dumps(entry).encode())
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="privlens.extractors"):
+                got = _read_answers(cache, wanted)
+        assert got == [expected.get(i) for i in wanted]
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == warnings
+        for name in unreadable:
+            assert sum(f"ignoring unreadable cache segment {Path(tmp) / name}: " in m
+                       for m in messages) == 1
 
 
 class TestAgainstFrozenReference:
@@ -453,7 +632,11 @@ class TestAgainstFrozenReference:
                                                     workers)
             got = run_extraction(ids, sources, got_cache, tmp / "got.csv", workers)
             assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
-            assert files_of(got_cache) == files_of(want_cache)
+            # each image gets the same answer from each cache; no old entry is written
+            assert _read_answers(got_cache, ids) == [
+                _read_cache(_cache_path(want_cache, i)) for i in ids]
+            assert {p.name for p in got_cache.iterdir()} - {p.name for p in segments(got_cache)} \
+                == {_cache_path(got_cache, i).name for i in entries}
         assert got.to_dict() == want.to_dict()
 
     @settings(max_examples=60, deadline=None)
