@@ -333,41 +333,18 @@ class ExtractionReport:
         }
 
 
-def _cache_path(cache_dir: Path, image_id: str) -> Path:
-    """The old per-image entry of one image: the id's hash, so any id names a
-    file in `cache_dir`. Such entries are still read, never written."""
-    import hashlib  # imported here: it loads OpenSSL, and only extract reads the cache
-
-    return cache_dir / f"{hashlib.sha256(image_id.encode('utf-8')).hexdigest()}.json"
-
-
-def _read_cache(path: Path) -> SafeSearchResult | None:
-    """The answer of an old per-image entry; None when absent or unreadable,
-    so it is queried again."""
-    try:
-        return SafeSearchResult.from_dict(json.loads(path.read_text("utf-8")))
-    except FileNotFoundError:
-        return None
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        log.warning("ignoring unreadable cache entry %s: %s", path, exc)
-        return None
-
-
 def _read_answers(cache_dir: Path, image_ids: list[str]) -> list:
-    """Per image of `image_ids`: its cached SafeSearchResult, None, or the
-    exception that failed reading its old entry.
+    """Per image of `image_ids`: its cached SafeSearchResult, or None.
 
-    `cache_dir` is listed once. Each segment (`answers-*.json`) is read whole,
-    in name order, and only the wanted ids are decoded; an image's first
-    valid answer wins. An image no segment answers is read from its old
-    per-image entry when the listing holds one. An unreadable segment, and
-    an entry that lacks a key or has a bad token, is one warning each, and
-    its images are queried again.
+    Each segment (`answers-*.json`) in `cache_dir` is read whole, in name
+    order, and only the wanted ids are decoded; an image's first valid answer
+    wins. Any other file is ignored. An unreadable segment, and an entry that
+    lacks a key or has a bad token, is one warning each, and its images are
+    queried again.
     """
-    names = sorted(os.listdir(cache_dir))
     wanted = set(image_ids)
-    answers: dict[str, object] = {}
-    for name in names:
+    answers: dict[str, SafeSearchResult] = {}
+    for name in sorted(os.listdir(cache_dir)):
         if not (name.startswith("answers-") and name.endswith(".json")):
             continue
         path = cache_dir / name
@@ -385,15 +362,6 @@ def _read_answers(cache_dir: Path, image_ids: list[str]) -> list:
                 except (KeyError, TypeError) as exc:
                     log.warning("ignoring unreadable cache entry %r in %s: %s",
                                 image_id, path, exc)
-    if any(not name.startswith("answers-") for name in names):  # else skip hashing every id
-        listed = set(names)
-        for image_id in [i for i in image_ids if i not in answers]:
-            path = _cache_path(cache_dir, image_id)
-            if path.name in listed:
-                try:
-                    answers[image_id] = _read_cache(path)
-                except Exception as exc:
-                    answers[image_id] = exc
     return [answers.get(image_id) for image_id in image_ids]
 
 
@@ -430,11 +398,11 @@ def run_extraction(
     `_SEGMENT_ANSWERS`, so the cache files do not depend on `workers`. An
     interrupt drops the queries not yet started, waits for the running ones
     and writes every answer received before it propagates. Any exception
-    from an image's old cache entry, query, scene check or people-count
-    bound fails only that image: it lands in the report as
-    "<Type>: <message>", a failed query over a bad scene row over a count
-    past the bound. Successful rows are still written, in manifest order, so
-    re-runs with identical upstream responses produce byte-identical files.
+    from an image's query, scene check or people-count bound fails only
+    that image: it lands in the report as "<Type>: <message>", a failed
+    query over a bad scene row over a count past the bound. Successful rows
+    are still written, in manifest order, so re-runs with identical upstream
+    responses produce byte-identical files.
     """
     cache = Path(cache_dir)
     cache.mkdir(exist_ok=True)

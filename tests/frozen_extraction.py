@@ -3,15 +3,17 @@ detection and scene row classes, the sources it reads, the per-image people
 and outdoor features, and `run_extraction` with its per-image worker and
 hand-written CSV. They are kept to check the batch extraction in
 `privlens.extractors` against. The code is the earlier code verbatim, the
-per-image SafeSearch lookup `_sensitivity_for` included; the cache file
-naming and reading and the report are imported from the package, which
-still has them. Do not change these to follow the package.
+per-image SafeSearch lookup `_sensitivity_for` and the cache file naming
+and reading (`_cache_path`, `_read_cache`) included; the report and the
+client are imported from the package, which still has them. Do not change
+these to follow the package.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,10 +26,10 @@ from privlens.extractors import (
     ExtractionReport,
     SafeSearchClient,
     SafeSearchResult,
-    _cache_path,
-    _read_cache,
 )
 from privlens.features import SENSITIVITY_CLASSES
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,26 @@ def outdoor_probability(scene: SceneDistribution, io_map: dict[str, str]) -> flo
         if side == "outdoor":
             total += float(p)
     return total
+
+
+def _cache_path(cache_dir: Path, image_id: str) -> Path:
+    """The old per-image entry of one image: the id's hash, so any id names a
+    file in `cache_dir`. Such entries are still read, never written."""
+    import hashlib  # imported here: it loads OpenSSL, and only extract reads the cache
+
+    return cache_dir / f"{hashlib.sha256(image_id.encode('utf-8')).hexdigest()}.json"
+
+
+def _read_cache(path: Path) -> SafeSearchResult | None:
+    """The answer of an old per-image entry; None when absent or unreadable,
+    so it is queried again."""
+    try:
+        return SafeSearchResult.from_dict(json.loads(path.read_text("utf-8")))
+    except FileNotFoundError:
+        return None
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        log.warning("ignoring unreadable cache entry %s: %s", path, exc)
+        return None
 
 
 def _sensitivity_for(

@@ -505,6 +505,75 @@ def test_one_layer_network_gradient_is_the_frozen_logreg_gradient(n, d, seed, l2
     assert _same_bits(adapter_gw, want_gw) and _same_bits(adapter_gb, want_gb)
 
 
+# --- the row-blocked pass ----------------------------------------------------
+
+# 1 to 3·ROW_BLOCK + 1 rows, drawn as whole blocks and a rest so that each
+# count of blocks is as likely as the next
+ROW_COUNTS = st.one_of(
+    st.builds(lambda blocks, rest: blocks * classifiers.ROW_BLOCK + rest,
+              st.integers(0, 2), st.integers(1, classifiers.ROW_BLOCK)),
+    st.just(3 * classifiers.ROW_BLOCK + 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=ROW_COUNTS, d=st.integers(1, 8),
+       hidden=st.lists(st.integers(1, 16), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1), l2=st.sampled_from([0.0, 0.01, 0.3]))
+def test_blocked_pass_matches_the_one_block_reference(n, d, hidden, seed, l2):
+    # the per-row losses are summed whole, so the loss keeps its bits; each
+    # gradient is a sum of block sums, so only its last bits may move
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 5, d)
+    y = rng.integers(0, 2, n).astype(float)
+    weights = rng.uniform(0.5, 2.0, n)
+    layers = init_mlp_layers(d, hidden, seed % 1000)
+    loss, gw, gb = mlp_loss_and_grad(layers, X, y, weights, l2)
+    want_loss, want_gw, want_gb = two_pass_training.mlp_loss_and_grad(layers, X, y, weights, l2)
+    assert _same_bits(loss, want_loss)
+    for got, want in zip(gw + gb, want_gw + want_gb):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 7, classifiers.ROW_BLOCK])
+def test_one_block_pass_keeps_the_reference_bytes(n):
+    # unit 0 of the last hidden layer is dead on every row, and the gradient
+    # reaching it is negative (y = 0, so every output delta is positive, times
+    # a weight of -1): each row passes -0.0 back through it
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 4))
+    y, weights = np.zeros(n), rng.uniform(0.5, 2.0, n)
+    layers = init_mlp_layers(4, [5, 5, 3], 2)
+    layers.biases[2][0] = -1e3
+    layers.weights[3][0, 0] = -1.0
+    assert not classifiers.mlp_forward(layers, X)[1][3][:, 0].any()
+    for l2 in (0.0, 0.3):
+        loss, gw, gb = mlp_loss_and_grad(layers, X, y, weights, l2)
+        want_loss, want_gw, want_gb = two_pass_training.mlp_loss_and_grad(
+            layers, X, y, weights, l2)
+        assert _same_bits(loss, want_loss)
+        for got, want in zip(gw + gb, want_gw + want_gb):
+            assert got.shape == want.shape and _same_bits(got, want)
+
+
+@pytest.mark.parametrize("batch_size", [None, classifiers.ROW_BLOCK + 100])
+def test_logreg_over_several_blocks_keeps_the_one_layer_bytes(tmp_path, batch_size):
+    # logistic regression takes every row of a batch in one pass, as the
+    # reference's separate loss and gradient did
+    rng = np.random.default_rng(5)
+    n = 3 * classifiers.ROW_BLOCK + 1
+    X = rng.normal(size=(n, 8)) * rng.uniform(0.1, 5, 8)
+    y = (X @ rng.normal(size=8) + rng.normal(size=n) > 0).astype(float)
+    cfg = TrainConfig(learning_rate=0.5, epochs=8, batch_size=batch_size, seed=2)
+    got, got_trace = train_logreg(X, y, cfg)
+    w, b, want_trace = two_pass_training.train_logreg(X, y, cfg)
+    want = Model(MlpLayers([w[:, None]], [np.array([b])]), got.standardizer, got.feature_spec)
+    save_model(got, tmp_path / "got.json")
+    save_model(want, tmp_path / "want.json")
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert got_trace == want_trace
+
+
 @given(hnp.arrays(np.float64, st.integers(0, 200),
                   elements=st.floats(allow_nan=False, allow_subnormal=True)))
 def test_sigmoid_is_bit_identical_to_piecewise_form(z):

@@ -31,10 +31,11 @@ from privlens.config import (
 )
 from privlens.data_io import STORE_KINDS, file_sha256
 from privlens.errors import ConfigError
-from privlens.extractors import SafeSearchClient, _cache_path, _read_answers
+from privlens.extractors import SafeSearchClient, _read_answers
 from privlens.features import GROUP_ORDER, FeatureGroup, FeatureSpec, Likelihood, PrivacyLabel
 from privlens.metrics import MetricsReport
 
+import frozen_extraction
 import frozen_splits
 from conftest import never_parse, write_synth_corpus
 
@@ -1425,9 +1426,11 @@ detections = detections.csv
         (warning,) = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert warning.startswith(f"ignoring unreadable cache segment {segment}: ")
 
-    def test_old_per_image_entries_are_read_without_a_request(self, tmp_path, mock_server,
-                                                              monkeypatch):
-        # a cache written one entry per image, named by the sha256 of the id
+    def test_old_per_image_entries_are_queried_once_more(self, tmp_path, mock_server,
+                                                         monkeypatch):
+        # a cache of the earlier layout, one entry per image named by the sha256
+        # of the id, and a directory at one of them: each image is queried once
+        # more, and its answer goes to a segment
         monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
                            f"http://127.0.0.1:{mock_server.server_port}/")
         ids = ["img_0", "a/b", "../x", "q'uote", "café"]
@@ -1436,15 +1439,22 @@ detections = detections.csv
         answers = _read_answers(tmp_path / "new" / "safesearch_cache", ids)
         old = tmp_path / "old" / "safesearch_cache"
         old.mkdir(parents=True)
-        for image_id, answer in zip(ids, answers):
-            _cache_path(old, image_id).write_text(json.dumps(answer.to_dict(), sort_keys=True))
-        before = sorted(old.iterdir())
-        calls = mock_server.calls
-        assert main(["--config", cfg, "--out-dir", str(tmp_path / "old"), "extract"]) == EXIT_OK
-        assert mock_server.calls == calls
-        assert sorted(old.iterdir()) == before  # nothing new is written
-        assert ((tmp_path / "old" / "privacy_features.csv").read_bytes()
-                == (tmp_path / "new" / "privacy_features.csv").read_bytes())
+        frozen_extraction._cache_path(old, ids[0]).mkdir()
+        for image_id, answer in zip(ids[1:], answers[1:]):
+            frozen_extraction._cache_path(old, image_id).write_text(
+                json.dumps(answer.to_dict(), sort_keys=True))
+        before = set(old.iterdir())
+        # the first run queries every image; the second reads only the segment
+        for queries in (len(ids), 0):
+            calls = mock_server.calls
+            assert main(["--config", cfg, "--out-dir", str(tmp_path / "old"),
+                         "extract"]) == EXIT_OK
+            assert mock_server.calls == calls + queries
+            assert ((tmp_path / "old" / "privacy_features.csv").read_bytes()
+                    == (tmp_path / "new" / "privacy_features.csv").read_bytes())
+        (segment,) = set(old.iterdir()) - before  # the old entries are left as they are
+        assert segment.name.startswith("answers-") and before <= set(old.iterdir())
+        assert _read_answers(old, ids) == answers
 
     def test_worker_count_does_not_change_results(self, tmp_path, mock_server, monkeypatch,
                                                   capsys):

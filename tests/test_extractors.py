@@ -30,9 +30,7 @@ from privlens.extractors import (
     SafeSearchClient,
     SafeSearchResult,
     _SEGMENT_ANSWERS,
-    _cache_path,
     _read_answers,
-    _read_cache,
     load_detections,
     load_io_map,
     load_scenes,
@@ -510,11 +508,28 @@ def extraction_batches(draw):
     return ids, sources, frozen, draw(st.integers(1, 3)), entries
 
 
-def cache_dir_with(path, entries):
-    """`path` as a cache holding `entries` (image id -> file bytes)."""
+def old_cache_with(path, entries):
+    """`path` as a cache of the frozen reference holding `entries` (image id
+    -> the bytes of its per-image entry)."""
     path.mkdir()
     for image_id, raw in entries.items():
-        _cache_path(path, image_id).write_bytes(raw)
+        frozen_extraction._cache_path(path, image_id).write_bytes(raw)
+    return path
+
+
+def segment_cache_with(path, entries):
+    """`path` as a segment cache answering each image of `entries` as its
+    per-image entry does: the readable entries in one segment, and the bytes
+    of each unreadable one as a segment of their own."""
+    path.mkdir()
+    readable = {}
+    for k, (image_id, raw) in enumerate(entries.items()):
+        try:
+            readable[image_id] = json.loads(raw)
+        except ValueError:
+            (path / f"answers-unreadable-{k}.json").write_bytes(raw)
+    if readable:
+        (path / "answers-readable.json").write_text(json.dumps(readable))
     return path
 
 
@@ -547,7 +562,8 @@ def result_of(entry) -> SafeSearchResult:
 @st.composite
 def cache_layouts(draw):
     """(wanted ids, segments by file name: an id -> entry dict or unreadable
-    bytes, old per-image entries by id: an entry or unreadable bytes)."""
+    bytes, entries of the earlier per-image layout by id: an entry or
+    unreadable bytes)."""
     ids = draw(st.lists(st.lists(ID_PIECES, min_size=1, max_size=4).map("".join),
                         min_size=1, max_size=8, unique=True))
     entry = st.one_of(GOOD_ENTRIES, GOOD_ENTRIES, DAMAGED_ENTRIES)
@@ -567,8 +583,9 @@ def cache_layouts(draw):
 
 class TestSegmentCache:
     """`_read_answers` against a model of the cache rules: in segment name
-    order the first good entry wins, then the old per-image entry; every
-    unreadable segment and every damaged entry read is one warning."""
+    order the first good entry wins; every unreadable segment and every
+    damaged entry read is one warning. A per-image entry of the earlier
+    layout is ignored, readable or not."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -587,12 +604,6 @@ class TestSegmentCache:
                         expected[i] = result_of(entry)
                     else:
                         warnings += 1
-        for i in wanted:
-            if i not in expected and i in old:
-                if isinstance(old[i], dict):
-                    expected[i] = result_of(old[i])
-                else:
-                    warnings += 1
 
         with tempfile.TemporaryDirectory() as tmp:
             cache = Path(tmp)
@@ -603,7 +614,7 @@ class TestSegmentCache:
                     (cache / name).write_bytes(segment if isinstance(segment, bytes)
                                                else json.dumps(segment).encode())
             for i, entry in old.items():
-                _cache_path(cache, i).write_bytes(
+                frozen_extraction._cache_path(cache, i).write_bytes(
                     entry if isinstance(entry, bytes) else json.dumps(entry).encode())
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="privlens.extractors"):
@@ -626,17 +637,16 @@ class TestAgainstFrozenReference:
         ids, sources, frozen, workers, entries = batch
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            want_cache = cache_dir_with(tmp / "want_cache", entries)
-            got_cache = cache_dir_with(tmp / "got_cache", entries)
+            want_cache = old_cache_with(tmp / "want_cache", entries)
+            got_cache = segment_cache_with(tmp / "got_cache", entries)
             want = frozen_extraction.run_extraction(ids, frozen, want_cache, tmp / "want.csv",
                                                     workers)
             got = run_extraction(ids, sources, got_cache, tmp / "got.csv", workers)
             assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
-            # each image gets the same answer from each cache; no old entry is written
-            assert _read_answers(got_cache, ids) == [
-                _read_cache(_cache_path(want_cache, i)) for i in ids]
-            assert {p.name for p in got_cache.iterdir()} - {p.name for p in segments(got_cache)} \
-                == {_cache_path(got_cache, i).name for i in entries}
+            # each image gets the same answer from each cache; only segments are written
+            assert _read_answers(got_cache, ids) == [frozen_extraction._read_cache(
+                frozen_extraction._cache_path(want_cache, i)) for i in ids]
+            assert sorted(got_cache.iterdir()) == segments(got_cache)
         assert got.to_dict() == want.to_dict()
 
     @settings(max_examples=60, deadline=None)

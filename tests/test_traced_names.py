@@ -1,13 +1,17 @@
 """Every name that `perfbench/traced_cli.py` wraps must exist on the package,
 and each loader's counter must read that loader's real result: a rename or
 a changed return type breaks `perfbench/run.py --trace 1` while every other
-test still passes. The wrappers themselves are not installed here.
+test still passes. Only the last test installs wrappers, the classifiers'
+ones, to check what their counters count; each is undone after it.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from privlens import classifiers
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import traced_cli  # noqa: E402
@@ -43,3 +47,35 @@ def test_traced_counter_reads_the_loader_result(tmp_path, path, attr, count):
     file.write_text(SMALL_FILES[attr], encoding="utf-8")
     counts = count(getattr(traced_cli._resolve(path), attr)(file))
     assert counts and all(type(n) is int and n >= 0 for n in counts.values())
+
+
+CLASSIFIER_PATCHES = [p for p in traced_cli.PATCHES if p[0] == "privlens.classifiers"]
+
+
+@pytest.mark.parametrize("batch_size, stop, loss_grad_calls", [
+    (None, False, 6),  # one pass per epoch, and one after the last step
+    (2 * classifiers.ROW_BLOCK, False, 16),  # and one per mini-batch, 2 an epoch
+    (None, True, 5),  # 2 epochs: one validation pass each, then a stop
+], ids=["full-batch", "mini-batch", "early-stop"])
+def test_loss_grad_calls_count_passes_over_whole_batches(monkeypatch, batch_size, stop,
+                                                         loss_grad_calls):
+    """`classifiers.loss_grad_calls` counts passes over a whole batch, however
+    many row blocks each pass takes, as the traced bench wraps the function."""
+    tracer = traced_cli.Tracer()
+    for path, attr, name, count in CLASSIFIER_PATCHES:
+        owner = traced_cli._resolve(path)
+        monkeypatch.setattr(owner, attr, tracer.wrap(name, getattr(owner, attr), count))
+    rng = np.random.default_rng(0)
+    n = 3 * classifiers.ROW_BLOCK + 1
+    X = rng.normal(size=(n, 8))
+    y = (X[:, 0] > 0).astype(float)
+    val = {}
+    if stop:  # labels the training drives the network away from
+        val = {"X_val": X[:500], "y_val": 1.0 - y[:500]}
+    cfg = classifiers.TrainConfig(learning_rate=0.3, epochs=5, batch_size=batch_size,
+                                  early_stop_patience=0 if stop else None)
+    _, trace = classifiers.train_mlp(X, y, cfg, [16, 16, 8], **val)
+    assert len(trace) == (3 if stop else cfg.epochs + 1)
+    assert tracer.counts["classifiers.loss_grad_calls"] == loss_grad_calls
+    if batch_size is None and not stop:  # each pass over the train rows: 4 blocks
+        assert tracer.counts["classifiers.sigmoid_calls"] == 4 * loss_grad_calls
