@@ -23,7 +23,7 @@ from .classifiers import (
 )
 from .config import ExperimentConfig, load_config, load_dataset
 from .data_io import (LABEL, Dataset, Split, StoreCache, build_design_matrix, load_deep_store,
-                      load_image_refs, publish, write_manifest)
+                      load_image_refs, publish, write_manifest, write_privacy_store)
 from .errors import (
     ConfigError,
     EmptyDataset,
@@ -104,7 +104,8 @@ def _commit(cfg: ExperimentConfig, cache: StoreCache, ds: Dataset | None = None,
     passed: nothing under --out-dir is created or changed before it. Creates
     --out-dir, saves the parsed stores, and writes the split manifest
     when `ds` drew its splits, then each of `outputs` (file name -> function
-    writing that path), each file whole."""
+    writing that path), each file whole. Every command's outputs leave
+    here; `extract` also commits once before its first query."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     cache.save()
     if ds is not None and ds.splits_assigned:
@@ -162,12 +163,14 @@ def cmd_extract(cfg: ExperimentConfig) -> int:
         outdoor_columns=outdoor_columns,
     )
     _commit(cfg, cache)  # before the queries: each segment of answers is cached as it fills
-    out_path = cfg.out_dir / "privacy_features.csv"
-    report = extractors.run_extraction(
-        image_ids, sources, cfg.out_dir / "safesearch_cache", out_path, workers=cfg.workers
-    )
-    analysis.write_json(cfg.out_dir / "extraction_report.json", report.to_dict())
-    print(f"wrote {report.n_complete}/{report.n_images} rows to {out_path}")
+    store, report = extractors.run_extraction(
+        image_ids, sources, cfg.out_dir / "safesearch_cache", workers=cfg.workers)
+    _commit(cfg, cache, outputs={  # nothing was parsed since: this writes only the two files
+        "privacy_features.csv": lambda path: write_privacy_store(path, store),
+        "extraction_report.json": lambda path: analysis.write_json(path, report.to_dict()),
+    })
+    print(f"wrote {report.n_complete}/{report.n_images} rows to "
+          f"{cfg.out_dir / 'privacy_features.csv'}")
     if report.failures:
         for image_id, err in sorted(report.failures.items()):
             print(f"FAILED {image_id}: {err}", file=sys.stderr)

@@ -86,11 +86,6 @@ class InvalidScene(ExtractionError):
     """A scene row that is not a probability distribution."""
 
 
-class UnmappedCategory(PrivlensError):
-    def __init__(self, category):
-        super().__init__(f"scene category {category!r} missing from indoor/outdoor map")
-
-
 # --- classifier errors -----------------------------------------------------
 
 class DegenerateLabels(PrivlensError):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import DataPaths
 from .data_io import (MAX_PEOPLE_COUNT, FeatureStore, privacy_store, publish, read_lines,
-                      read_table, write_privacy_store)
+                      read_table)
 from .errors import (
     AuthError,
     ConfigError,
@@ -384,10 +384,10 @@ def run_extraction(
     image_ids: list[str],
     sources: ExtractionSources,
     cache_dir,
-    out_path,
     workers: int,
-) -> ExtractionReport:
-    """Produce privacy_features.csv for the manifest's `image_ids`; idempotent under re-run.
+) -> tuple[FeatureStore, ExtractionReport]:
+    """The privacy store of the manifest's `image_ids`, and its report;
+    idempotent under re-run. Nothing but the cache segments is written.
 
     The people and outdoor columns, and which scene rows are valid, are
     computed once for the batch. The calling thread reads the cache
@@ -401,8 +401,8 @@ def run_extraction(
     from an image's query, scene check or people-count bound fails only
     that image: it lands in the report as "<Type>: <message>", a failed
     query over a bad scene row over a count past the bound. Successful rows
-    are still written, in manifest order, so re-runs with identical upstream
-    responses produce byte-identical files.
+    are still in the store, in manifest order, so re-runs with identical
+    upstream responses produce identical stores.
     """
     cache = Path(cache_dir)
     cache.mkdir(exist_ok=True)
@@ -472,8 +472,7 @@ def run_extraction(
         cells[image_id] = (*levels, prob[k], count[k], outdoor[k])
 
     store = privacy_store(cells)
-    write_privacy_store(out_path, store)
     report.n_complete = len(store)
     report.imputed = {i: [c for c, m in zip(SENSITIVITY_CLASSES, miss) if m]
                       for i, miss in zip(store.ids, store.missing.tolist()) if any(miss)}
-    return report
+    return store, report

@@ -3,10 +3,10 @@ detection and scene row classes, the sources it reads, the per-image people
 and outdoor features, and `run_extraction` with its per-image worker and
 hand-written CSV. They are kept to check the batch extraction in
 `privlens.extractors` against. The code is the earlier code verbatim, the
-per-image SafeSearch lookup `_sensitivity_for` and the cache file naming
-and reading (`_cache_path`, `_read_cache`) included; the report and the
-client are imported from the package, which still has them. Do not change
-these to follow the package.
+per-image SafeSearch lookup `_sensitivity_for`, the cache file naming
+and reading (`_cache_path`, `_read_cache`) and the `UnmappedCategory` error
+included; the report and the client are imported from the package, which
+still has them. Do not change these to follow the package.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from privlens.data_io import FeatureStore
-from privlens.errors import ExtractionError, InvalidScene, UnmappedCategory
+from privlens.errors import ExtractionError, InvalidScene, PrivlensError
 from privlens.extractors import (
     ExtractionReport,
     SafeSearchClient,
@@ -30,6 +30,11 @@ from privlens.extractors import (
 from privlens.features import SENSITIVITY_CLASSES
 
 log = logging.getLogger(__name__)
+
+
+class UnmappedCategory(PrivlensError):
+    def __init__(self, category):
+        super().__init__(f"scene category {category!r} missing from indoor/outdoor map")
 
 
 @dataclass(frozen=True)

@@ -1405,6 +1405,47 @@ detections = detections.csv
         assert mock_server.calls == calls
         assert {name: (out / name).read_bytes() for name in first} == first
 
+    @pytest.mark.parametrize("k", [1, 6, 17])
+    def test_interrupt_leaves_the_earlier_outputs_and_keeps_every_answer(
+            self, tmp_path, mock_server, monkeypatch, k):
+        # an extract of 3 images, then one of 20 over its --out-dir whose k-th
+        # request is interrupted: neither output changes, and a rerun asks only
+        # the images that went unanswered
+        monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",
+                           f"http://127.0.0.1:{mock_server.server_port}/")
+        out = tmp_path / "out"
+        args = ["--out-dir", str(out), "--workers", "2", "extract"]
+        assert main(["--config", self._config(tmp_path, n=3), *args]) == EXIT_OK
+        earlier = {name: (out / name).read_bytes()
+                   for name in ("privacy_features.csv", "extraction_report.json")}
+        real = SafeSearchClient._requests_transport
+        calls, answered, lock = [], [], threading.Lock()
+
+        def interrupted_on_kth_call(self, url, headers, body):
+            with lock:
+                calls.append(body)
+                if len(calls) == k:
+                    raise KeyboardInterrupt
+            status, payload = real(self, url, headers, body)
+            with lock:
+                answered.append(body["image"]["source"]["uri"])
+            return status, payload
+
+        monkeypatch.setattr(SafeSearchClient, "_requests_transport", interrupted_on_kth_call)
+        cfg = self._config(tmp_path, n=20)
+        with pytest.raises(KeyboardInterrupt):
+            main(["--config", cfg, *args])
+        assert {name: (out / name).read_bytes() for name in earlier} == earlier
+        assert len(calls) <= k + 2 and len(answered) < 17
+
+        monkeypatch.setattr(SafeSearchClient, "_requests_transport", real)
+        asked = mock_server.calls
+        assert main(["--config", cfg, *args]) == EXIT_OK
+        assert mock_server.calls - asked == 17 - len(answered)
+        assert main(["--config", cfg, "--out-dir", str(tmp_path / "clean"), "extract"]) == EXIT_OK
+        assert {name: (out / name).read_bytes() for name in earlier} == {
+            name: (tmp_path / "clean" / name).read_bytes() for name in earlier}
+
     def test_directory_at_a_segment_is_one_warning_and_requeried(self, tmp_path, mock_server,
                                                                  monkeypatch, capsys, caplog):
         monkeypatch.setenv("PRIVLENS_SAFESEARCH_URL",

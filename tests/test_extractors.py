@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import frozen_extraction
 from conftest import serving_mock
 from privlens.config import MAX_ATTEMPTS, MAX_BACKOFF_BASE, DataPaths
-from privlens.data_io import MAX_PEOPLE_COUNT, FeatureStore, load_deep_store, load_privacy_store
+from privlens.data_io import (MAX_PEOPLE_COUNT, FeatureStore, load_deep_store, load_privacy_store,
+                             write_privacy_store)
 from privlens.errors import (
     AuthError,
     ConfigError,
@@ -245,6 +246,12 @@ def segments(cache):
     return sorted(cache.glob("answers-*.json"))
 
 
+def csv_bytes(store, path) -> bytes:
+    """The bytes of `store` written at `path` as `extract` writes privacy_features.csv."""
+    write_privacy_store(path, store)
+    return path.read_bytes()
+
+
 class TestRunExtraction:
     def sources(self, transport=None):
         detections = {"img_0": [("person", 0.9)], "img_1": []}
@@ -260,31 +267,32 @@ class TestRunExtraction:
 
     def test_happy_path_two_rows(self, tmp_path):
         transport = CountingTransport()
-        report = run_extraction(make_ids(2), self.sources(transport),
-                                tmp_path / "cache", tmp_path / "out.csv", workers=2)
+        store, report = run_extraction(make_ids(2), self.sources(transport),
+                                       tmp_path / "cache", workers=2)
         assert report.n_complete == 2 and not report.failures
-        lines = (tmp_path / "out.csv").read_text().strip().splitlines()
+        assert os.listdir(tmp_path) == ["cache"]  # the segments are all it writes
+        lines = csv_bytes(store, tmp_path / "out.csv").decode().strip().splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("img_0,VERY_UNLIKELY,POSSIBLE")
         assert lines[1].endswith("0.900000,1,0.800000")
 
     def test_warm_cache_issues_zero_calls(self, tmp_path):
         transport = CountingTransport()
-        run_extraction(make_ids(2), self.sources(transport),
-                       tmp_path / "cache", tmp_path / "out.csv", workers=4)
+        store, _ = run_extraction(make_ids(2), self.sources(transport), tmp_path / "cache",
+                                  workers=4)
         first_calls = transport.calls
         assert first_calls == 2
-        out1 = (tmp_path / "out.csv").read_bytes()
-        run_extraction(make_ids(2), self.sources(transport),
-                       tmp_path / "cache", tmp_path / "out.csv", workers=4)
+        out1 = csv_bytes(store, tmp_path / "out1.csv")
+        store, _ = run_extraction(make_ids(2), self.sources(transport), tmp_path / "cache",
+                                  workers=4)
         assert transport.calls == first_calls  # zero new HTTP calls
-        assert (tmp_path / "out.csv").read_bytes() == out1  # byte-identical
+        assert csv_bytes(store, tmp_path / "out2.csv") == out1  # byte-identical
 
     def test_only_the_misses_go_to_at_most_that_many_threads(self, tmp_path, monkeypatch):
         ids = make_ids(6)
         cache, out = tmp_path / "cache", tmp_path / "out.csv"
-        run_extraction(ids, self.sources(CountingTransport()), cache, out, workers=4)
-        first = out.read_bytes()
+        first = csv_bytes(run_extraction(ids, self.sources(CountingTransport()), cache,
+                                         workers=4)[0], out)
         (segment,) = segments(cache)
         answers = json.loads(segment.read_text())
         del answers["img_1"]
@@ -302,8 +310,8 @@ class TestRunExtraction:
             return 200, OK_RESPONSE
 
         monkeypatch.setattr("privlens.extractors.ThreadPoolExecutor", RecordingPool)
-        report = run_extraction(ids, self.sources(transport), cache, out, workers=4)
-        assert not report.failures and out.read_bytes() == first
+        store, report = run_extraction(ids, self.sources(transport), cache, workers=4)
+        assert not report.failures and csv_bytes(store, out) == first
         assert sorted(uri for uri, _ in asked) == ["img_1", "img_4"]
         assert pools == [2] and len({thread for _, thread in asked}) <= 2
         assert threading.get_ident() not in {thread for _, thread in asked}
@@ -317,8 +325,7 @@ class TestRunExtraction:
             return (500, None) if body["image"]["source"]["uri"] in failing else (200, OK_RESPONSE)
 
         cache = tmp_path / "cache"
-        report = run_extraction(make_ids(n), self.sources(transport), cache, tmp_path / "out.csv",
-                                workers=3)
+        _, report = run_extraction(make_ids(n), self.sources(transport), cache, workers=3)
         assert sorted(report.failures) == sorted(failing)
         answered = [i for i in make_ids(n) if i not in failing]
         written = [json.loads(p.read_bytes()) for p in segments(cache)]
@@ -336,13 +343,11 @@ class TestRunExtraction:
         segment = cache / f"answers-{hashlib.sha256(payload.encode()).hexdigest()}.json"
         segment.with_name(f"{segment.name}.{os.getpid()}.tmp").mkdir()
         transport = CountingTransport()
-        report = run_extraction(make_ids(2), self.sources(transport), cache, tmp_path / "out.csv",
-                                workers=2)
+        _, report = run_extraction(make_ids(2), self.sources(transport), cache, workers=2)
         assert report.n_complete == 2 and not report.failures
         (warning,) = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert warning.startswith(f"cannot write cache segment {segment}: ")
-        run_extraction(make_ids(2), self.sources(transport), cache, tmp_path / "out.csv",
-                       workers=2)
+        run_extraction(make_ids(2), self.sources(transport), cache, workers=2)
         assert transport.calls == 4  # nothing was cached, so both are asked again
 
     def test_interrupt_keeps_every_answer_and_runs_no_queued_query(self, tmp_path):
@@ -367,15 +372,13 @@ class TestRunExtraction:
         workers, ids, cache = 2, make_ids(50), tmp_path / "cache"
         transport = InterruptedOnThirdCall()
         with pytest.raises(KeyboardInterrupt):
-            run_extraction(ids, self.sources(transport), cache, tmp_path / "out.csv",
-                           workers=workers)
+            run_extraction(ids, self.sources(transport), cache, workers=workers)
         assert transport.calls <= 3 + workers
         cached = _read_answers(cache, ids)
         assert sorted(i for i, answer in zip(ids, cached) if answer is not None) == sorted(
             transport.answered)
         rerun = CountingTransport()
-        report = run_extraction(ids, self.sources(rerun), cache, tmp_path / "out.csv",
-                                workers=workers)
+        _, report = run_extraction(ids, self.sources(rerun), cache, workers=workers)
         assert not report.failures and rerun.calls == len(ids) - len(transport.answered)
 
     def test_permanent_failure_isolated(self, tmp_path):
@@ -387,37 +390,35 @@ class TestRunExtraction:
                     return 429, {}
                 return 200, OK_RESPONSE
 
-        report = run_extraction(make_ids(3), self.sources(FailSecond()),
-                                tmp_path / "cache", tmp_path / "out.csv", workers=4)
+        store, report = run_extraction(make_ids(3), self.sources(FailSecond()),
+                                       tmp_path / "cache", workers=4)
         assert report.n_complete == 2
         assert list(report.failures) == ["img_1"]
         assert "RateLimited" in report.failures["img_1"]
-        lines = (tmp_path / "out.csv").read_text().strip().splitlines()
+        lines = csv_bytes(store, tmp_path / "out.csv").decode().strip().splitlines()
         assert len(lines) == 3  # header + 2 surviving rows
 
     def test_people_count_past_the_bound_fails_only_its_image(self, tmp_path):
         sources = self.sources(CountingTransport())
         sources.detections["img_1"] = [("person", 0.9)] * (MAX_PEOPLE_COUNT + 1)
-        report = run_extraction(make_ids(2), sources, tmp_path / "cache", tmp_path / "out.csv",
-                                workers=4)
+        _, report = run_extraction(make_ids(2), sources, tmp_path / "cache", workers=4)
         assert report.failures == {
             "img_1": f"ExtractionError: people_count above {MAX_PEOPLE_COUNT}: "
                      f"{MAX_PEOPLE_COUNT + 1}"}
         assert report.n_complete == 1
         sources.detections["img_1"].pop()  # at the bound the row is written, and loads
-        report = run_extraction(make_ids(2), sources, tmp_path / "cache", tmp_path / "out.csv",
-                                workers=4)
+        store, report = run_extraction(make_ids(2), sources, tmp_path / "cache", workers=4)
         assert not report.failures
+        csv_bytes(store, tmp_path / "out.csv")
         assert load_privacy_store(tmp_path / "out.csv").values[1, 6] == MAX_PEOPLE_COUNT
 
     def test_missing_sensitivity_flagged(self, tmp_path):
         sources = self.sources(transport=None)  # no safe-search source
-        report = run_extraction(make_ids(2), sources,
-                                tmp_path / "cache", tmp_path / "out.csv", workers=4)
+        store, report = run_extraction(make_ids(2), sources, tmp_path / "cache", workers=4)
         assert report.n_complete == 2
         assert set(report.imputed["img_0"]) == {
             "adult", "racy", "medical", "spoofed", "violent"}
-        line = (tmp_path / "out.csv").read_text().splitlines()[1]
+        line = csv_bytes(store, tmp_path / "out.csv").decode().splitlines()[1]
         assert line.startswith("img_0,,,,,")
 
 
@@ -641,8 +642,8 @@ class TestAgainstFrozenReference:
             got_cache = segment_cache_with(tmp / "got_cache", entries)
             want = frozen_extraction.run_extraction(ids, frozen, want_cache, tmp / "want.csv",
                                                     workers)
-            got = run_extraction(ids, sources, got_cache, tmp / "got.csv", workers)
-            assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+            store, got = run_extraction(ids, sources, got_cache, workers)
+            assert csv_bytes(store, tmp / "got.csv") == (tmp / "want.csv").read_bytes()
             # each image gets the same answer from each cache; only segments are written
             assert _read_answers(got_cache, ids) == [frozen_extraction._read_cache(
                 frozen_extraction._cache_path(want_cache, i)) for i in ids]

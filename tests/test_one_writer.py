@@ -3,6 +3,7 @@ which writes a temporary file and renames it over the old one: a plain
 write killed midway leaves a truncated file in place of the last good one."""
 
 import ast
+from fnmatch import fnmatch
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "privlens"
@@ -77,4 +78,90 @@ def test_the_scan_sees_each_kind_of_write(tmp_path):
         "cli.py:6: open for writing (in other)",
         "cli.py:7: replace (in other)", "cli.py:7: replace (in other)",
         "cli.py:7: open for writing (in other)",
+    ]
+
+
+# The writers, and where a call to one may stand: a module and a pattern of
+# the dotted scope around the call. Every other output leaves through
+# `cli._commit`, directly or in a lambda it is handed as an output.
+WRITERS = {"publish", "write_json", "write_csv", "write_manifest", "write_privacy_store",
+           "save_model"}
+WRITER_PLACES = (("data_io.py", "write_*"), ("data_io.py", "StoreCache.save"),
+                 ("classifiers.py", "save_model"), ("extractors.py", "_write_segment"),
+                 ("cli.py", "_commit"), ("cli.py", "*<lambda>"))
+
+
+def writer_calls_out_of_place(package: Path) -> list[str]:
+    """`module:line: writer (in scope)` for each call to one of `WRITERS`
+    outside `WRITER_PLACES`."""
+    found = []
+
+    def visit(node, module: str, scope: tuple[str, ...]):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = (*scope, child.name)
+            elif isinstance(child, ast.Lambda):
+                inner = (*scope, "<lambda>")
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                enclosing = [".".join(scope[:k]) for k in range(1, len(scope) + 1)]
+                if name in WRITERS and not any(
+                        module == m and any(fnmatch(s, pattern) for s in enclosing)
+                        for m, pattern in WRITER_PLACES):
+                    found.append(f"{module}:{child.lineno}: {name} "
+                                 f"(in {'.'.join(scope) or 'the module'})")
+            visit(child, module, inner)
+
+    for path in sorted(package.rglob("*.py")):
+        visit(ast.parse(path.read_text("utf-8"), str(path)), path.name, ())
+    return found
+
+
+def test_outputs_are_written_only_at_the_commit_point():
+    assert writer_calls_out_of_place(PACKAGE) == []
+
+
+def test_the_rule_sees_each_writer_out_of_place(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from . import analysis\n"
+        "def _commit(cfg, outputs):\n"
+        "    write_manifest(cfg.out_dir / 'm.csv', cfg.manifest)\n"
+        "    for name, write in outputs.items(): write(cfg.out_dir / name)\n"
+        "def cmd_train(cfg, model):\n"
+        "    _commit(cfg, {'model.json': lambda path: save_model(model, path)})\n"
+        "    analysis.write_json(cfg.out_dir / 'log.json', {})\n"
+        "    def later(path):\n"
+        "        write_csv(path, [], [])\n"
+        "publish('x', print)\n")
+    (tmp_path / "data_io.py").write_text(
+        "def write_csv(path, header, rows):\n"
+        "    publish(path, lambda fh: fh.write(''))\n"
+        "class StoreCache:\n"
+        "    def save(self):\n"
+        "        publish(self.root, lambda fh: None, binary=True)\n"
+        "    def load(self, path):\n"
+        "        publish(path, lambda fh: None)\n"
+        "def load_manifest(path):\n"
+        "    write_manifest(path, None)\n")
+    (tmp_path / "classifiers.py").write_text(
+        "def save_model(model, path):\n"
+        "    write_json(path, {})\n"
+        "def train(model, path):\n"
+        "    save_model(model, path)\n")
+    (tmp_path / "extractors.py").write_text(
+        "def _write_segment(cache_dir, answers):\n"
+        "    publish(cache_dir / 'a.json', lambda fh: fh.write(''))\n"
+        "def run_extraction(ids, out_path):\n"
+        "    store = None\n"
+        "    (lambda path: write_privacy_store(path, store))(out_path)\n")
+    assert writer_calls_out_of_place(tmp_path) == [
+        "classifiers.py:4: save_model (in train)",
+        "cli.py:7: write_json (in cmd_train)",
+        "cli.py:9: write_csv (in cmd_train.later)",
+        "cli.py:10: publish (in the module)",
+        "data_io.py:7: publish (in StoreCache.load)",
+        "data_io.py:9: write_manifest (in load_manifest)",
+        "extractors.py:5: write_privacy_store (in run_extraction.<lambda>)",
     ]
