@@ -28,9 +28,6 @@ from .features import FeatureGroup, FeatureSpec
 _GROUP_TOKENS = {g.value: g for g in FeatureGroup}
 _DEFAULT_GROUPS = "sens, people, out"
 
-# Upper bound on `--workers`, the most threads `extract` starts.
-MAX_WORKERS = 64
-
 
 def parse_groups(token: str) -> frozenset[FeatureGroup]:
     groups = set()

@@ -19,7 +19,9 @@ is written whole by `publish`. Feature stores are parsed
 in bulk; every table the bulk parser does not take is read row by row by
 `read_table`, which checks the image id, reports each fault at its
 path:line and returns the id-keyed table of what the loader's cell parser
-made of each row. A UTF-8 byte-order mark at the start of a file is skipped.
+made of each row. The votes are parsed in bulk too, into the same records
+the row scan builds. A UTF-8 byte-order mark at the start of a file is
+skipped.
 
 A `StoreCache` keeps each parsed manifest, privacy store and deep store in
 one file, keyed by the store's kind and the sha256 of the file's bytes, so
@@ -30,12 +32,14 @@ from __future__ import annotations
 
 import csv
 import enum
+import gc
 import itertools
 import json
 import logging
 import os
 import random
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -155,18 +159,26 @@ def manifest_store(rows: dict[str, tuple[str, str]]) -> FeatureStore:
 
 # Columns of the vote store: each image's private, public and undecidable votes.
 N_PRIVATE, N_PUBLIC, N_UNDECIDABLE = 0, 1, 2
+_VOTE_COLUMNS = {
+    FiveClassVote.CLEARLY_PRIVATE: N_PRIVATE, FiveClassVote.PRIVATE: N_PRIVATE,
+    FiveClassVote.UNDECIDABLE: N_UNDECIDABLE,
+    FiveClassVote.PUBLIC: N_PUBLIC, FiveClassVote.CLEARLY_PUBLIC: N_PUBLIC,
+}
 
 
 def vote_store(annotations: dict[str, AnnotationRecord]) -> FeatureStore:
     """The votes as counts, one row per annotated image in file order, in the
     columns N_PRIVATE, N_PUBLIC and N_UNDECIDABLE. The "clearly" variants count
     toward their side; undecidable votes count toward the assessor total but
-    toward neither side."""
-    V = FiveClassVote
-    counts = [(vs.count(V.CLEARLY_PRIVATE) + vs.count(V.PRIVATE),
-               vs.count(V.CLEARLY_PUBLIC) + vs.count(V.PUBLIC), vs.count(V.UNDECIDABLE))
-              for vs in (record.votes for record in annotations.values())]
-    return FeatureStore(list(annotations), np.array(counts, dtype=np.float64).reshape(-1, 3))
+    toward neither side. Each vote's column is looked up once, and one
+    `np.bincount` over ``row * 3 + column`` counts them all."""
+    votes = [record.votes for record in annotations.values()]
+    n_votes = np.fromiter(map(len, votes), dtype=np.intp, count=len(votes))
+    columns = np.fromiter(map(_VOTE_COLUMNS.__getitem__, itertools.chain.from_iterable(votes)),
+                          dtype=np.intp, count=int(n_votes.sum()))
+    cells = np.repeat(np.arange(len(votes)) * 3, n_votes) + columns
+    counts = np.bincount(cells, minlength=3 * len(votes)).astype(np.float64)
+    return FeatureStore(list(annotations), counts.reshape(-1, 3))
 
 
 @dataclass
@@ -683,14 +695,83 @@ def load_deep_store(path, cache: StoreCache | None = None) -> tuple[str, Feature
     return tag, store, columns
 
 
+_ANNOTATIONS_HEADER = ["image_id", "assessor_id", "vote"]
+# Each vote token the bulk path takes, in upper or lower case and with any
+# line end; it leaves any other spelling to the row scan.
+_VOTE_SPELLINGS = {spelling + end: vote for vote in FiveClassVote
+                   for spelling in (vote.value, vote.value.lower())
+                   for end in ("", "\n", "\r\n", "\r")}
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, and leave it as it was found.
+
+    A parse that builds hundreds of thousands of tuples and records would
+    otherwise start a collection every 700 of them; none of them is garbage.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_annotations(path) -> dict[str, AnnotationRecord]:
+    """image_id -> its votes in file order, parsed in bulk where the file
+    allows it, otherwise row by row, with the cyclic collector paused."""
+    with _collector_paused():
+        records = _bulk_annotations(path)
+        return records if records is not None else _scan_annotations(path)
+
+
+def _bulk_annotations(path) -> dict[str, AnnotationRecord] | None:
+    """The row scan's records, or None when the row scan must read the file.
+
+    Only lines of exactly three fields with no quote character, no longer
+    than csv.reader's field limit, whose vote is spelled as in
+    `_VOTE_SPELLINGS` are taken, and each image's rows must be contiguous.
+    A record is closed whenever the id changes, so only the records are kept.
+    """
+    records: dict[str, AnnotationRecord] = {}
+    spelled = _VOTE_SPELLINGS.get
+    run, image_id, votes = None, None, []  # the open record: its id cell, its id, its votes
+    with _open_csv(path) as fh:
+        try:
+            if fh.readline().rstrip("\r\n") != ",".join(_ANNOTATIONS_HEADER):
+                return None  # any other spelling of the header, or none, is the row scan's
+            for line in fh:
+                cell, _, rest = line.partition(",")
+                vote = spelled(rest.partition(",")[2])  # None unless 3 fields, the last a vote
+                if vote is None or '"' in line or len(line) > _FIELD_LIMIT:
+                    if line in _BLANK_LINES:
+                        continue
+                    return None
+                if cell != run:
+                    if votes:
+                        records[image_id] = AnnotationRecord(image_id, tuple(votes))
+                    run, image_id, votes = cell, cell.strip(), []
+                    if not image_id or image_id in records:
+                        return None
+                votes.append(vote)
+        except UnicodeDecodeError:
+            return None
+    if votes:
+        records[image_id] = AnnotationRecord(image_id, tuple(votes))
+    return records
+
+
+def _scan_annotations(path) -> dict[str, AnnotationRecord]:
+    """Row-at-a-time parse; the reference for the bulk path and its error reporter."""
     def parse(line, image_id, row):
         vote_tok = row[2].strip()
         try:
             return FiveClassVote[vote_tok.upper()]
         except KeyError:
             raise UnknownVote(vote_tok, path=path, line=line)
-    votes = read_table(path, ["image_id", "assessor_id", "vote"], parse, keyed=False)
+    votes = read_table(path, _ANNOTATIONS_HEADER, parse, keyed=False)
     return {image_id: AnnotationRecord(image_id, tuple(vs)) for image_id, vs in votes.items()}
 
 

@@ -161,6 +161,21 @@ class TestAgainstFrozenVotes:
              sum(v is V.UNDECIDABLE for v in vs)]
             for vs in votes.values()]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(alphabet="ab_9", min_size=1, max_size=4),
+                           st.lists(st.sampled_from(list(V)), min_size=1, max_size=6),
+                           max_size=50))
+    @example({})
+    def test_vote_store_is_the_frozen_fold_byte_for_byte(self, votes):
+        records = {i: ann(vs, i) for i, vs in votes.items()}
+        summaries = [frozen_votes.summarize_votes(r) for r in records.values()]
+        expected = np.array([[s.n_private, s.n_public, s.n_undecidable] for s in summaries],
+                            dtype=np.float64).reshape(-1, 3)
+        store = vote_store(records)
+        assert store.ids == list(records)
+        assert (store.values.dtype, store.values.shape) == (np.float64, (len(records), 3))
+        assert store.values.tobytes() == expected.tobytes()
+
     def test_threshold_example_is_on_the_boundary(self):
         assert frozen_votes.controversial_image_ids(SimpleNamespace(
             manifest=manifest_store({i: ("", "") for i in _AT_THRESHOLD}),

@@ -1,4 +1,5 @@
 import codecs
+import gc
 import io
 import json
 import logging
@@ -11,9 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from privlens import data_io
 from privlens.data_io import (
+    _bulk_annotations,
     _bulk_deep_store,
     _bulk_privacy_store,
+    _scan_annotations,
     _scan_deep_store,
     _scan_privacy_store,
     AnnotationRecord,
@@ -151,6 +155,7 @@ def test_bad_byte_is_placed_at_its_line(tmp_path, load, lines, newline):
 PRIVACY_HEADER = ("image_id,adult,racy,medical,spoofed,violent,"
                   "people_prob,people_count,outdoor_prob\n")
 DEEP_HEADER = "#source_tag=rn,dim=2\nimage_id,v0,v1\n"
+ANNOTATIONS_HEADER = "image_id,assessor_id,vote\n"
 
 
 @pytest.mark.parametrize("cell", ["", "  ", '""'], ids=["empty", "blank", "quoted"])
@@ -229,8 +234,10 @@ _MARKED_FILES = {
                                 "b,,,,,,0.1,0,0.2\n", (_bulk_privacy_store, False), 3),
     "deep store": (load_deep_store, DEEP_HEADER + "a,0.5,1.5\nb,-2,3e-3\n",
                    (_bulk_deep_store, True), 4),
-    "annotations": (load_annotations, "image_id,assessor_id,vote\na,u1,PRIVATE\nb,u1,PUBLIC\n",
-                    None, 3),
+    "annotations, bulk": (load_annotations, ANNOTATIONS_HEADER + "a,u1,PRIVATE\nb,u1,public\n",
+                          (_bulk_annotations, True), 3),
+    "annotations, row scan": (load_annotations, ANNOTATIONS_HEADER + '"a",u1,PRIVATE\n'
+                              "b,u1,public\n", (_bulk_annotations, False), 3),
     "detections": (load_detections, "image_id,class_name,confidence\na,person,0.9\nb,dog,0.5\n",
                    None, 3),
     "image refs": (load_image_refs, "image_id,uri\na,http://x/1\nb,http://x/2\n", None, 3),
@@ -381,6 +388,39 @@ class TestAnnotations:
         path = write(tmp_path, "a.csv", "image_id,assessor_id,vote\nimg_9,a1,MAYBE\n")
         with pytest.raises(UnknownVote):
             load_annotations(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("rows, parsers, error", [
+    ("a,u1,PRIVATE\na,u2,public\n", ["_bulk_annotations"], None),
+    ('"a",u1,PRIVATE\n', ["_bulk_annotations", "_scan_annotations"], None),
+    ("a,u1,MAYBE\n", ["_bulk_annotations", "_scan_annotations"], UnknownVote),
+], ids=["bulk path", "row scan", "unknown vote"])
+def test_load_annotations_pauses_the_collector_and_leaves_it_as_found(
+        tmp_path, monkeypatch, enabled, rows, parsers, error):
+    path = write(tmp_path, "a.csv", ANNOTATIONS_HEADER + rows)
+    collecting = {}  # parser -> whether the collector ran while it did
+
+    def spy(name, parse):
+        def spied(path):
+            collecting[name] = gc.isenabled()
+            return parse(path)
+        return spied
+
+    for name in ("_bulk_annotations", "_scan_annotations"):
+        monkeypatch.setattr(data_io, name, spy(name, getattr(data_io, name)))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            assert load_annotations(path)["a"].votes[0] is FiveClassVote.PRIVATE
+        else:
+            with pytest.raises(error):
+                load_annotations(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert collecting == dict.fromkeys(parsers, False)
 
 
 class TestDesignMatrix:
@@ -553,6 +593,56 @@ _PRIVACY_ROWS = st.tuples(
 ).map(list)
 
 
+# Vote tokens: spellings the bulk path takes, and spellings that only the
+# row scan reads (mixed case, padding) or that it rejects.
+_EXACT_VOTES = st.sampled_from([s for v in FiveClassVote for s in (v.value, v.value.lower())])
+_OTHER_VOTES = st.one_of(
+    st.sampled_from(["Private", "clearly_Public", "uNDECIDABLE"]),
+    _padded(st.sampled_from([v.value for v in FiveClassVote])),
+    st.sampled_from(["MAYBE", "", "  ", "PRIVATE_", '"PUBLIC"', '"public,x"']),
+)
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _annotation_files(draw):
+    """(text, plain): a header and vote rows, each image's rows contiguous
+    unless a row goes back to an earlier image; sometimes a blank line, a
+    quoted or padded id, an empty or blank one, a field too few or too
+    many, or a vote spelled other than exactly. Each line ends in LF, CRLF
+    or a lone CR. `plain` when the file has none of these but blank lines."""
+    ids = draw(st.lists(_IDS, min_size=4, max_size=6, unique=True))
+    lines, plain, run = [ANNOTATIONS_HEADER.rstrip("\n")], True, 0
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 20))
+        if kind == 0:
+            blank = draw(_BLANK)
+            lines.append(blank)
+            plain = plain and not blank
+            continue
+        if kind > 14:
+            run = min(run + 1, len(ids) - 1)  # the next image's rows start
+        cells = [ids[run], f"u{len(lines)}", draw(_EXACT_VOTES)]
+        if kind == 1:
+            cells[0] = draw(st.sampled_from(ids[:run + 1]))  # back to an earlier image, maybe
+        elif kind == 2:
+            cells[0] = draw(_ID_CELL_FORMS)(cells[0])
+        elif kind == 3:
+            cells[0] = draw(st.sampled_from(["", " ", '""']))
+        elif kind == 4:
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["x"]
+        elif kind == 5:
+            cells[2] = draw(_OTHER_VOTES)
+        elif kind == 6:
+            cells[1] = _quoted(cells[1])
+        plain = plain and not 1 <= kind <= 6
+        lines.append(",".join(cells))
+    ends = [draw(_LINE_ENDS) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    return "".join(line + end for line, end in zip(lines, ends)), plain
+
+
 def _outcome(load, path):
     try:
         return load(path)
@@ -623,6 +713,51 @@ class TestBulkMatchesRowScan:
             assert tag == scanned[0] == "rn"
             assert _same_store(store, scanned[1])
             assert columns == scanned[2] == [f"v{k}" for k in range(dim)]
+
+    @_PROPERTY
+    @given(_annotation_files())
+    def test_annotations(self, tmp_path, text_plain):
+        text, plain = text_plain
+        path = tmp_path / "a.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        scanned = _outcome(_scan_annotations, path)
+        bulk = _bulk_annotations(path)
+        if isinstance(scanned, tuple):  # the row scan rejects the file
+            assert bulk is None
+            assert _outcome(load_annotations, path) == scanned
+            return
+        if plain:  # exact tokens and contiguous ids never need the row scan
+            assert bulk is not None
+        for loaded in [r for r in (bulk, load_annotations(path)) if r is not None]:
+            assert list(loaded.items()) == list(scanned.items())
+
+    @pytest.mark.parametrize("rows", [
+        'a,u1,PRIVATE\n"b",u1,PUBLIC\n',
+        'a,"u,1",PRIVATE\n',
+        "a,u1,PRIVATE,x\n",
+        "a,u1\n",
+        "a,u1,PRIVATE\nb," + "u" * 131_073 + ",PUBLIC\n",
+        "a,u1,PRIVATE\n,u1,PUBLIC\n",
+        "a,u1,PRIVATE\n  ,u1,PUBLIC\n",
+        "a,u1,PRIVATE\nb,u1,PUBLIC\na,u2,PUBLIC\n",
+        "a,u1, PRIVATE\n",
+        "a,u1,Private\n",
+        "a,u1,MAYBE\n",
+        "a,u1,PRIVATE\n \n",
+    ], ids=["quote", "quoted comma", "four fields", "two fields", "past the field limit",
+            "empty id", "blank id", "rows apart", "padded vote", "mixed case", "unknown vote",
+            "whitespace line"])
+    def test_each_rule_leaves_the_annotations_to_the_row_scan(self, tmp_path, rows):
+        path = write(tmp_path, "a.csv", ANNOTATIONS_HEADER + rows)
+        assert _bulk_annotations(path) is None
+        assert _outcome(load_annotations, path) == _outcome(_scan_annotations, path)
+
+    def test_an_undecodable_byte_leaves_the_annotations_to_the_row_scan(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(ANNOTATIONS_HEADER.encode() + b"a,u1,PRIVATE\nb,u\xff,PUBLIC\n")
+        assert _bulk_annotations(path) is None
+        assert _outcome(load_annotations, path) == _outcome(_scan_annotations, path) == (
+            ParseError, f"not UTF-8: invalid start byte [{path}:3]")
 
 
 # Manifests: ids csv.writer may quote, with or without labels, some splits preset.

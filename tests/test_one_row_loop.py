@@ -4,7 +4,11 @@ the one owner of the image-id rule: only it and the header-row helper call
 `DuplicateId`. A second loop, or a loader with its own id check, drifts from
 it: the line numbers and the order of a row's checks would differ. It returns
 the id-keyed table, so no loader iterates its result to build a table of its
-own, and every call passes the loader's cell parser."""
+own, and every call passes the loader's cell parser.
+
+The cyclic garbage collector is paused in one place, `data_io._collector_paused`,
+which leaves it as it found it; a bare `gc.disable` elsewhere could leave it
+off for the rest of a run."""
 
 import ast
 from pathlib import Path
@@ -17,6 +21,7 @@ ALLOWED = {
     "DuplicateId": {("data_io.py", "read_table")},
     "loop over read_table": set(),
     "read_table without parse": set(),
+    "gc.disable or gc.enable": {("data_io.py", "_collector_paused")},
 }
 
 
@@ -35,7 +40,7 @@ def _found(node) -> str | None:
     `csv.DictReader`, a string holding "empty image_id", a call that
     constructs `DuplicateId`, a `for` or comprehension over a call of
     `read_table`, or a call of `read_table` with no parse function (third
-    argument or `parse=`)."""
+    argument or `parse=`), or a call of `gc.disable` or `gc.enable`."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return "empty image_id" if "empty image_id" in node.value else None
     if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
@@ -43,6 +48,8 @@ def _found(node) -> str | None:
     name, owner = _called(node)
     if owner == "csv" and name in ("reader", "DictReader"):
         return "csv.reader"
+    if owner == "gc" and name in ("disable", "enable"):
+        return "gc.disable or gc.enable"
     if name == "read_table" and len(node.args) < 3 and all(k.arg != "parse"
                                                              for k in node.keywords):
         return "read_table without parse"
@@ -113,4 +120,25 @@ def test_the_scan_sees_each_kind_of_breach(tmp_path):
         "extractors.py:6: DuplicateId (in load_detections)",
         "extractors.py:9: loop over read_table (in load_detections)",
         "extractors.py:9: read_table without parse (in load_detections)",
+    ]
+
+
+def test_the_scan_sees_the_collector_switched_outside_its_pause(tmp_path):
+    (tmp_path / "data_io.py").write_text(
+        "import gc\n"
+        "def _collector_paused():\n"
+        "    enabled = gc.isenabled()\n"
+        "    gc.disable()\n"
+        "    if enabled:\n"
+        "        gc.enable()\n"
+        "def load_annotations(path):\n"
+        "    gc.disable()\n"
+        "    return gc.isenabled(), gc.collect()\n")
+    (tmp_path / "cli.py").write_text(
+        "import gc\n"
+        "def main():\n"
+        "    gc.enable()\n")
+    assert breaches(tmp_path) == [
+        "cli.py:3: gc.disable or gc.enable (in main)",
+        "data_io.py:8: gc.disable or gc.enable (in load_annotations)",
     ]
