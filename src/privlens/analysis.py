@@ -38,28 +38,32 @@ def is_controversial(counts: np.ndarray) -> np.ndarray:
                 & (private / n <= CONTROVERSY_MAX_SHARE) & (public / n <= CONTROVERSY_MAX_SHARE))
 
 
+def _controversial_rows(ds: Dataset) -> np.ndarray:
+    """Manifest positions of controversial images, ascending."""
+    rows = ds.annotations.rows(ds.manifest.ids)
+    voted = np.flatnonzero(rows >= 0)
+    return voted[is_controversial(ds.annotations.values[rows[voted]])]
+
+
 def controversial_image_ids(ds: Dataset) -> list[str]:
     """Manifest-ordered ids of controversial images."""
-    ids, votes = ds.manifest.ids, ds.annotations
-    rows = votes.rows(ids)
-    voted = np.flatnonzero(rows >= 0)
-    return [ids[i] for i in voted[is_controversial(votes.values[rows[voted]])].tolist()]
+    return [ds.manifest.ids[i] for i in _controversial_rows(ds).tolist()]
 
 
-def controversial_people_breakdown(ds: Dataset, ids: list[str]) -> dict[str, float]:
-    """Fractions of the controversial images `ids` with one / two-plus / no people."""
-    if not ids:
+def controversial_people_breakdown(ds: Dataset) -> dict[str, float]:
+    """Fractions of the controversial images with one / two-plus / no people."""
+    picked = _controversial_rows(ds)
+    if not picked.size:
         raise EmptyControversialSet("no controversial images in dataset")
-    rows = ds.privacy_features.rows(ids)
+    rows = ds.privacy_features.rows(ds.manifest.ids)[picked]
     if (rows < 0).any():
-        image_id = ids[int(np.argmax(rows < 0))]
+        image_id = ds.manifest.ids[picked[int(np.argmax(rows < 0))]]
         raise EmptyDataset(f"controversial image {image_id!r} lacks people_count")
     counts = ds.privacy_features.values[rows, PEOPLE_COUNT]
-    total = len(ids)
     return {
-        "one_person": int(np.count_nonzero(counts == 1)) / total,
-        "two_plus": int(np.count_nonzero(counts > 1)) / total,
-        "none": int(np.count_nonzero(counts == 0)) / total,
+        "one_person": int(np.count_nonzero(counts == 1)) / picked.size,
+        "two_plus": int(np.count_nonzero(counts > 1)) / picked.size,
+        "none": int(np.count_nonzero(counts == 0)) / picked.size,
     }
 
 

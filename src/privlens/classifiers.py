@@ -124,7 +124,9 @@ def mlp_forward(layers: MlpLayers, X: np.ndarray):
     """Returns (logits, the input of each layer) for backprop."""
     inputs = [X]
     for W, b in zip(layers.weights[:-1], layers.biases[:-1]):
-        inputs.append(np.maximum(inputs[-1] @ W + b, 0.0))
+        h = inputs[-1] @ W
+        h += b
+        inputs.append(np.maximum(h, 0.0, out=h))
     logits = (inputs[-1] @ layers.weights[-1] + layers.biases[-1]).ravel()
     return logits, inputs
 
@@ -149,7 +151,8 @@ def mlp_loss_and_grad(layers: MlpLayers, X, y, weights, l2_penalty):
             block_b.append(delta.sum(axis=0))
             if i:
                 # a ReLU output is positive exactly where its pre-activation is
-                delta = (delta @ layers.weights[i].T) * (inputs[i] > 0.0)
+                delta = delta @ layers.weights[i].T
+                np.multiply(delta, inputs[i] > 0.0, out=delta)
         if start:
             for total, block in zip(grads_w + grads_b, block_w + block_b):
                 total += block
@@ -307,11 +310,14 @@ def train_mlp(X, y, cfg: TrainConfig, hidden_dims: list[int],
 
 
 def predict_proba(model: Model, X) -> np.ndarray:
-    """Sigmoid of the model logit per row; values in (0,1). A matrix of the
-    wrong width is the standardizer's DimensionMismatch."""
+    """Sigmoid of the model logit per row; values in (0,1). Rows run in blocks
+    of `ROW_BLOCK`, a lone last row (BLAS sums one row another way) joining
+    the block before. A wrong width is the standardizer's DimensionMismatch."""
     Xs = apply_standardizer(model.standardizer, X)
+    bounds = [*range(0, max(len(Xs) - 1, 1), ROW_BLOCK), len(Xs)]
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = mlp_forward(model.layers, Xs)[0]
+        logits = np.concatenate([mlp_forward(model.layers, Xs[start:end])[0]
+                                 for start, end in zip(bounds, bounds[1:])])
     require_finite(np.isfinite(logits), "model logit of row {} is not finite")
     return sigmoid(logits)
 

@@ -277,7 +277,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
         outputs |= _report("controversial", {"image_ids": ids}, ["image_id"], [[i] for i in ids])
         if have_features:
             try:
-                breakdown = analysis.controversial_people_breakdown(ds, ids)
+                breakdown = analysis.controversial_people_breakdown(ds)
                 outputs |= _report("people_breakdown", breakdown, ["group", "fraction"],
                                    sorted(breakdown.items()))
             except analysis.EmptyControversialSet:

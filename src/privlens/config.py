@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .classifiers import TrainConfig
@@ -275,16 +275,19 @@ def load_dataset(
     if assigned:
         manifest = assign_splits(manifest, cfg.split_seed, cfg.split_fractions)
 
+    def aligned(store):  # a store listing the manifest's ids takes its list: each id held once
+        return replace(store, ids=manifest.ids) if store.ids == manifest.ids else store
+
     stores = {}
     if privacy and cfg.data.privacy_features is not None:
-        stores["privacy_features"] = load_privacy_store(cfg.data.privacy_features, cache)
+        stores["privacy_features"] = aligned(load_privacy_store(cfg.data.privacy_features, cache))
     deep_stores = {}
     for p in cfg.data.deep_features if deep else ():
         tag, store, _ = load_deep_store(p, cache)
         if tag in deep_stores:
             raise ConfigError(f"duplicate deep-feature source_tag {tag!r}")
-        deep_stores[tag] = store
+        deep_stores[tag] = aligned(store)
     if annotations and cfg.data.annotations is not None:
         # the loader returns per-image records because perfbench/traced_cli.py counts their votes
-        stores["annotations"] = vote_store(load_annotations(cfg.data.annotations))
+        stores["annotations"] = aligned(vote_store(load_annotations(cfg.data.annotations)))
     return Dataset(manifest, deep_features=deep_stores, splits_assigned=assigned, **stores)

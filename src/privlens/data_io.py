@@ -13,15 +13,15 @@ File formats (all UTF-8 CSV with a mandatory header):
   annotations.csv       image_id,assessor_id,vote
 
 The manifest, each feature store and the per-image vote counts become one
-id-keyed float64 matrix (`FeatureStore`); `write_manifest` and
-`write_privacy_store` write the first two back. Every file privlens writes
-is written whole by `publish`. Feature stores are parsed
-in bulk; every table the bulk parser does not take is read row by row by
-`read_table`, which checks the image id, reports each fault at its
-path:line and returns the id-keyed table of what the loader's cell parser
-made of each row. The votes are parsed in bulk too, into the same records
-the row scan builds. A UTF-8 byte-order mark at the start of a file is
-skipped.
+id-keyed float64 matrix (`FeatureStore`), joined to the manifest by position
+where a store lists the manifest's ids in its order; the id → row map is
+built only when a lookup by id needs it. `write_manifest` and
+`write_privacy_store` write the first two back, and `publish` writes every
+file whole. Feature stores and votes are parsed in bulk; every table the
+bulk parser does not take is read row by row by `read_table`, which checks
+the image id, reports each fault at its path:line and returns the id-keyed
+table of what the loader's cell parser made of each row. A UTF-8 byte-order
+mark at the start of a file is skipped.
 
 A `StoreCache` keeps each parsed manifest, privacy store and deep store in
 one file, keyed by the store's kind and the sha256 of the file's bytes, so
@@ -105,16 +105,18 @@ class FeatureStore:
     ids: list[str]
     values: np.ndarray
     missing: np.ndarray | None = None
-    index: dict[str, int] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", {image_id: i for i, image_id in enumerate(self.ids)})
+    @cached_property
+    def index(self) -> dict[str, int]:  # image_id -> row, built on first use
+        return {image_id: i for i, image_id in enumerate(self.ids)}
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def rows(self, image_ids: list[str]) -> np.ndarray:
-        """The row of each id, -1 where the store has none."""
+        """The row of each id, -1 where none; the store's own id list maps by position."""
+        if not image_ids or image_ids == self.ids:
+            return np.arange(len(image_ids), dtype=np.intp)
         get = self.index.get
         return np.fromiter((get(i, -1) for i in image_ids), dtype=np.intp, count=len(image_ids))
 
@@ -164,18 +166,20 @@ _VOTE_COLUMNS = {
     FiveClassVote.UNDECIDABLE: N_UNDECIDABLE,
     FiveClassVote.PUBLIC: N_PUBLIC, FiveClassVote.CLEARLY_PUBLIC: N_PUBLIC,
 }
+# Each member's id, ascending, and its column: hashing a member runs Enum.__hash__ in Python.
+_VOTE_IDS, _ID_COLUMNS = map(np.array, zip(*sorted((id(v), c) for v, c in _VOTE_COLUMNS.items())))
 
 
 def vote_store(annotations: dict[str, AnnotationRecord]) -> FeatureStore:
     """The votes as counts, one row per annotated image in file order, in the
     columns N_PRIVATE, N_PUBLIC and N_UNDECIDABLE. The "clearly" variants count
     toward their side; undecidable votes count toward the assessor total but
-    toward neither side. Each vote's column is looked up once, and one
-    `np.bincount` over ``row * 3 + column`` counts them all."""
+    toward neither side. Each vote's column is looked up in numpy by the
+    vote's id, and one `np.bincount` over ``row * 3 + column`` counts them all."""
     votes = [record.votes for record in annotations.values()]
     n_votes = np.fromiter(map(len, votes), dtype=np.intp, count=len(votes))
-    columns = np.fromiter(map(_VOTE_COLUMNS.__getitem__, itertools.chain.from_iterable(votes)),
-                          dtype=np.intp, count=int(n_votes.sum()))
+    ids = np.fromiter(map(id, itertools.chain.from_iterable(votes)), np.intp, int(n_votes.sum()))
+    columns = _ID_COLUMNS[np.searchsorted(_VOTE_IDS, ids)]
     cells = np.repeat(np.arange(len(votes)) * 3, n_votes) + columns
     counts = np.bincount(cells, minlength=3 * len(votes)).astype(np.float64)
     return FeatureStore(list(annotations), counts.reshape(-1, 3))
@@ -192,15 +196,13 @@ class Dataset:
     splits_assigned: bool = False  # the manifest's splits were drawn, not read
 
     def __post_init__(self):
-        known = self.manifest.index
         stores = {"privacy_features": self.privacy_features, "annotations": self.annotations,
                   **{f"deep store {tag!r}": s for tag, s in self.deep_features.items()}}
         for name, store in stores.items():
-            if store.index.keys() <= known.keys():  # a check in C; the walk below keeps file order
-                continue
-            for image_id in store.ids:
-                if image_id not in known:
-                    log.warning("%s id %r not in manifest; ignored in matrices", name, image_id)
+            if store.ids and store.ids != self.manifest.ids:  # a compare in C, no id map
+                for row in np.flatnonzero(self.manifest.rows(store.ids) < 0).tolist():
+                    log.warning("%s id %r not in manifest; ignored in matrices",
+                                name, store.ids[row])
 
     @cached_property
     def labeled_privacy_features(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -657,10 +659,9 @@ class StoreCache:
                         and (missing is None or (missing.dtype == bool
                                                  and missing.shape == (len(ids), spec.missing)))):
                     raise ValueError("values and metadata disagree")
-                store = FeatureStore(ids, values, missing)
-                if len(store.index) != len(ids):
+                if len(set(ids)) != len(ids):
                     raise ValueError("repeated ids")
-                return store, meta
+                return FeatureStore(ids, values, missing), meta
             except (OSError, EOFError, ValueError, TypeError, AttributeError) as exc:
                 log.warning("ignoring unreadable store cache entry %s: %s", entry, exc)
         loaded = self._parsed[entry] = spec.parse(path)
@@ -827,7 +828,7 @@ def build_design_matrix(ds: Dataset, split: Split,
         (ds.deep_features.get("places365"), "PLACES", {FeatureGroup.PLACES: slice(None)}),
         (ds.deep_features.get(spec.source_tag), "DEEP", {FeatureGroup.DEEP: slice(None)}),
     ) if spec.groups & source[2].keys()]
-    rows = [store.rows(ids) if store is not None else np.full(len(ids), -1)
+    rows = [store.rows(manifest.ids)[picked] if store is not None else np.full(len(ids), -1)
             for store, _, _ in sources]
 
     unlabeled = manifest.missing[picked, LABEL]

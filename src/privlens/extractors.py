@@ -396,7 +396,8 @@ def run_extraction(
     SafeSearch, so a warm re-run starts none. The calling thread takes the
     answers in manifest order and writes them in segments of
     `_SEGMENT_ANSWERS`, so the cache files do not depend on `workers`. An
-    interrupt drops the queries not yet started, waits for the running ones
+    interrupt (a BaseException not an Exception, here or in a query) at once
+    drops the queries not yet started, waits for the running ones
     and writes every answer received before it propagates. Any exception
     from an image's query, scene check or people-count bound fails only
     that image: it lands in the report as "<Type>: <message>", a failed
@@ -432,6 +433,11 @@ def run_extraction(
             fetches = [pool.submit(sources.safe_search.annotate,
                                    sources.image_refs.get(image_ids[k], image_ids[k]))
                        for k in misses]
+            def drop_queued(done):  # at once, in the thread that ended `done`
+                if not (done.cancelled() or isinstance(done.exception(), (Exception, type(None)))):
+                    pool.shutdown(wait=False, cancel_futures=True)
+            for fetch in fetches:
+                fetch.add_done_callback(drop_queued)
             try:
                 for k, fetch in zip(misses, fetches):
                     try:

@@ -196,7 +196,7 @@ def controversial_ds(counts):
 
 
 def people_breakdown(ds):
-    return controversial_people_breakdown(ds, controversial_image_ids(ds))
+    return controversial_people_breakdown(ds)
 
 
 class TestPeopleBreakdown:

@@ -290,6 +290,24 @@ class TestPredict:
         with pytest.raises(DimensionMismatch):
             predict_proba(model, np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("kind", ["logreg", "mlp"])
+    @pytest.mark.parametrize("n", [0, 1, classifiers.ROW_BLOCK, classifiers.ROW_BLOCK + 1,
+                                   3 * classifiers.ROW_BLOCK + 5])
+    def test_blocked_prediction_keeps_the_one_pass_bytes(self, kind, n):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 6)) * rng.uniform(0.1, 5, 6)
+        standardizer = StandardizationParams(rng.normal(size=6), rng.uniform(0.5, 2.0, 6))
+        Xs = apply_standardizer(standardizer, X)
+        if kind == "mlp":
+            layers = random_mlp_layers(6, [16, 16, 8], rng)
+            logits = two_pass_training.mlp_forward(layers, Xs)[0]
+        else:
+            layers = MlpLayers([rng.normal(size=(6, 1))], [rng.normal(size=1)])
+            logits = (Xs @ layers.weights[0] + layers.biases[0]).ravel()
+        model = Model(layers, standardizer, FeatureSpec(frozenset()))
+        got = predict_proba(model, X)
+        assert got.shape == (n,) and _same_bits(got, sigmoid(logits))
+
 
 class TestSerialization:
     def test_logreg_roundtrip(self, tmp_path):

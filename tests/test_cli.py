@@ -29,7 +29,7 @@ from privlens.config import (
     MAX_WORKERS,
     load_config,
 )
-from privlens.data_io import STORE_KINDS, file_sha256
+from privlens.data_io import STORE_KINDS, FeatureStore, file_sha256
 from privlens.errors import ConfigError
 from privlens.extractors import SafeSearchClient, _read_answers
 from privlens.features import GROUP_ORDER, FeatureGroup, FeatureSpec, Likelihood, PrivacyLabel
@@ -1116,6 +1116,49 @@ annotations = annotations.csv
                            "annotations = annotations.csv\n")
         rc = main(["--config", cfg, "--out-dir", str(tmp_path / "out"), "analyze"])
         assert rc == 1
+
+
+class TestAlignedStores:
+    def test_every_command_builds_no_id_map_and_shares_the_manifest_ids(self, deep_config,
+                                                                        monkeypatch):
+        # every store lists the manifest's ids in the manifest's order
+        tmp_path, _ = deep_config
+        ids = [line.split(",")[0] for line in
+               (tmp_path / "manifest.csv").read_text().splitlines()[1:]]
+        (tmp_path / "annotations.csv").write_text("image_id,assessor_id,vote\n" + "".join(
+            f"{i},u1,PRIVATE\n{i},u2,{'PUBLIC' if k % 3 else 'PRIVATE'}\n"
+            for k, i in enumerate(ids)))
+        sections = {
+            "data": {"manifest": "manifest.csv", "privacy_features": "privacy_features.csv",
+                     "deep_features": "deep.csv", "annotations": "annotations.csv"},
+            "features": {"groups": "sens, deep", "source_tag": "rn101"},
+            "train": {"epochs": "5"},
+            "ablation": {"rows": "interp, both"},
+            "ablation.interp": {"groups": "sens, people, out"},
+            "ablation.both": {"groups": "sens, people, out, deep", "source_tag": "rn101"},
+        }
+        _scenes(tmp_path, sections)
+        cfg = _write_sections(tmp_path / "aligned.ini", sections)
+        built, datasets = [], []
+        index = FeatureStore.index.func
+        monkeypatch.setattr(FeatureStore, "index",
+                            property(lambda store: built.append(store) or index(store)))
+        load = cli.load_dataset
+        monkeypatch.setattr(cli, "load_dataset",
+                            lambda *args, **kwargs: datasets.append(load(*args, **kwargs))
+                            or datasets[-1])
+        out = tmp_path / "out"
+        commands = [["train"], ["evaluate", str(out / "model.json")], ["ablate"], ["analyze"],
+                    ["extract"]]
+        for command in commands * 2:  # parsed, then read from the store cache
+            assert main(["--config", cfg, "--out-dir", str(out), *command]) == EXIT_OK, command
+        assert built == []
+        stores = [[ds.privacy_features, ds.annotations, *ds.deep_features.values()]
+                  for ds in datasets]
+        assert [sum(s.ids is ds.manifest.ids for s in these)
+                for ds, these in zip(datasets, stores)] == [2, 2, 2, 2, 0] * 2
+        assert all(s.ids is ds.manifest.ids or not s.ids
+                   for ds, these in zip(datasets, stores) for s in these)
 
 
 def _replace_line(path, lineno, raw: bytes):
