@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .classifiers import TrainConfig
@@ -14,6 +14,7 @@ from .data_io import (
     SPLIT,
     Dataset,
     StoreCache,
+    aligned,
     assign_splits,
     bad_input,
     load_annotations,
@@ -265,7 +266,10 @@ def load_dataset(
     """Join the manifest and the configured stores that `privacy`, `deep` and
     `annotations` select (the rest stay empty) into a Dataset. The manifest,
     the privacy store and the deep stores go through `cache` when one is
-    given; the annotations are always parsed.
+    given; the annotations are always parsed. Each store that lists the
+    manifest's ids in its order holds the manifest's id list from its load
+    on, in the cache's record too (see `data_io.aligned`), so each id is held
+    once.
 
     When the manifest lacks splits and require_splits is set, a seeded random
     split is assigned and `splits_assigned` set; nothing is written.
@@ -275,19 +279,18 @@ def load_dataset(
     if assigned:
         manifest = assign_splits(manifest, cfg.split_seed, cfg.split_fractions)
 
-    def aligned(store):  # a store listing the manifest's ids takes its list: each id held once
-        return replace(store, ids=manifest.ids) if store.ids == manifest.ids else store
-
     stores = {}
     if privacy and cfg.data.privacy_features is not None:
-        stores["privacy_features"] = aligned(load_privacy_store(cfg.data.privacy_features, cache))
+        stores["privacy_features"] = load_privacy_store(cfg.data.privacy_features, cache,
+                                                        manifest.ids)
     deep_stores = {}
     for p in cfg.data.deep_features if deep else ():
-        tag, store, _ = load_deep_store(p, cache)
+        tag, store, _ = load_deep_store(p, cache, manifest.ids)
         if tag in deep_stores:
             raise ConfigError(f"duplicate deep-feature source_tag {tag!r}")
-        deep_stores[tag] = aligned(store)
+        deep_stores[tag] = store
     if annotations and cfg.data.annotations is not None:
         # the loader returns per-image records because perfbench/traced_cli.py counts their votes
-        stores["annotations"] = aligned(vote_store(load_annotations(cfg.data.annotations)))
+        stores["annotations"] = aligned(vote_store(load_annotations(cfg.data.annotations)),
+                                        manifest.ids)
     return Dataset(manifest, deep_features=deep_stores, splits_assigned=assigned, **stores)

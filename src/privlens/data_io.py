@@ -14,14 +14,16 @@ File formats (all UTF-8 CSV with a mandatory header):
 
 The manifest, each feature store and the per-image vote counts become one
 id-keyed float64 matrix (`FeatureStore`), joined to the manifest by position
-where a store lists the manifest's ids in its order; the id → row map is
-built only when a lookup by id needs it. `write_manifest` and
-`write_privacy_store` write the first two back, and `publish` writes every
-file whole. Feature stores and votes are parsed in bulk; every table the
-bulk parser does not take is read row by row by `read_table`, which checks
-the image id, reports each fault at its path:line and returns the id-keyed
-table of what the loader's cell parser made of each row. A UTF-8 byte-order
-mark at the start of a file is skipped.
+where a store lists the manifest's ids in its order. Such a store holds the
+manifest's id list from its load on (`aligned`), so each id is held once;
+the id → row map is built only when a lookup by id needs it. `write_manifest`
+and `write_privacy_store` write the first two back, and `publish` writes
+every file whole. The manifest, the feature stores and the votes are parsed
+in bulk, and equal runs of votes share one tuple; every table the bulk
+parser does not take is read row by row by `read_table`, which checks the
+image id, reports each fault at its path:line and returns the id-keyed table
+of what the loader's cell parser made of each row. A UTF-8 byte-order mark
+at the start of a file is skipped.
 
 A `StoreCache` keeps each parsed manifest, privacy store and deep store in
 one file, keyed by the store's kind and the sha256 of the file's bytes, so
@@ -40,7 +42,7 @@ import os
 import random
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -82,7 +84,7 @@ class FiveClassVote(enum.Enum):
     CLEARLY_PUBLIC = "CLEARLY_PUBLIC"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotationRecord:
     image_id: str
     votes: tuple[FiveClassVote, ...]
@@ -121,6 +123,12 @@ class FeatureStore:
         return np.fromiter((get(i, -1) for i in image_ids), dtype=np.intp, count=len(image_ids))
 
 
+def aligned(store: FeatureStore, ids: list[str] | None) -> FeatureStore:
+    """`store`, holding the list `ids` in place of its own when it lists
+    those ids in their order (one list compare in C), so each id is held once."""
+    return replace(store, ids=ids) if ids is not None and store.ids == ids else store
+
+
 # Columns of the privacy store, named as in PRIVACY_FEATURE_NAMES.
 SENSITIVITY = slice(0, len(SENSITIVITY_CLASSES))
 PEOPLE_PROB, PEOPLE_COUNT, OUTDOOR_PROB = map(PRIVACY_FEATURE_NAMES.index,
@@ -142,9 +150,22 @@ def privacy_store(rows: dict[str, tuple]) -> FeatureStore:
 LABEL, SPLIT = 0, 1
 _LABELS = (PrivacyLabel.PUBLIC.value, PrivacyLabel.PRIVATE.value)
 _SPLITS = tuple(s.value for s in Split)
-# token -> code; an empty cell is NaN until it is marked missing
-_LABEL_CODES = {"": np.nan, **{token: float(i) for i, token in enumerate(_LABELS)}}
-_SPLIT_CODES = {"": np.nan, **{token: float(i) for i, token in enumerate(_SPLITS)}}
+
+
+class _TokenCodes(dict):
+    """token -> code; an empty cell is NaN until it is marked missing. Any
+    other cell is looked up as the row scan reads it, stripped and in lower
+    case; one naming no token is a ValueError, leaving the file to the row scan."""
+
+    def __missing__(self, cell: str) -> float:
+        code = self.get(cell.strip().lower())
+        if code is None:
+            raise ValueError(f"unknown token {cell!r}")
+        return code
+
+
+_LABEL_CODES = _TokenCodes({"": np.nan, **{token: float(i) for i, token in enumerate(_LABELS)}})
+_SPLIT_CODES = _TokenCodes({"": np.nan, **{token: float(i) for i, token in enumerate(_SPLITS)}})
 
 
 def manifest_store(rows: dict[str, tuple[str, str]]) -> FeatureStore:
@@ -153,10 +174,17 @@ def manifest_store(rows: dict[str, tuple[str, str]]) -> FeatureStore:
     private, 0.0 public) and the split's position in `Split`, with
     ``missing`` True where a cell was empty (its value then reads 0.0)."""
     cells = list(rows.values())
-    values = np.array([[_LABEL_CODES[c[0]] for c in cells],
-                       [_SPLIT_CODES[c[1]] for c in cells]], dtype=np.float64).T
-    missing = np.isnan(values)
-    return FeatureStore(list(rows), np.where(missing, 0.0, values), missing)
+    return _manifest(list(rows), np.array([[_LABEL_CODES[c[0]] for c in cells],
+                                           [_SPLIT_CODES[c[1]] for c in cells]],
+                                          dtype=np.float64).T)
+
+
+def _manifest(ids: list[str], codes: np.ndarray) -> FeatureStore:
+    """The manifest of `ids` from their (n, 2) codes, NaN where a cell was
+    empty, held column by column: the order its cache entries record."""
+    codes = np.asfortranarray(codes)
+    missing = np.isnan(codes)
+    return FeatureStore(ids, np.where(missing, 0.0, codes), missing)
 
 
 # Columns of the vote store: each image's private, public and undecidable votes.
@@ -166,23 +194,33 @@ _VOTE_COLUMNS = {
     FiveClassVote.UNDECIDABLE: N_UNDECIDABLE,
     FiveClassVote.PUBLIC: N_PUBLIC, FiveClassVote.CLEARLY_PUBLIC: N_PUBLIC,
 }
-# Each member's id, ascending, and its column: hashing a member runs Enum.__hash__ in Python.
-_VOTE_IDS, _ID_COLUMNS = map(np.array, zip(*sorted((id(v), c) for v, c in _VOTE_COLUMNS.items())))
+# Each member's column by the member's id: hashing a member runs Enum.__hash__ in Python.
+_ID_COLUMNS = {id(vote): column for vote, column in _VOTE_COLUMNS.items()}
 
 
 def vote_store(annotations: dict[str, AnnotationRecord]) -> FeatureStore:
     """The votes as counts, one row per annotated image in file order, in the
     columns N_PRIVATE, N_PUBLIC and N_UNDECIDABLE. The "clearly" variants count
     toward their side; undecidable votes count toward the assessor total but
-    toward neither side. Each vote's column is looked up in numpy by the
-    vote's id, and one `np.bincount` over ``row * 3 + column`` counts them all."""
+    toward neither side.
+
+    Each distinct tuple of votes is counted once (the bulk parse shares one
+    tuple among equal runs). Each vote's column is looked up by the vote's
+    id, with no Python call per vote, into one byte per vote, and one
+    `np.bincount` over ``row * 3 + column`` counts them all; each per-vote
+    array is dropped as soon as it is used.
+    """
     votes = [record.votes for record in annotations.values()]
-    n_votes = np.fromiter(map(len, votes), dtype=np.intp, count=len(votes))
-    ids = np.fromiter(map(id, itertools.chain.from_iterable(votes)), np.intp, int(n_votes.sum()))
-    columns = _ID_COLUMNS[np.searchsorted(_VOTE_IDS, ids)]
-    cells = np.repeat(np.arange(len(votes)) * 3, n_votes) + columns
-    counts = np.bincount(cells, minlength=3 * len(votes)).astype(np.float64)
-    return FeatureStore(list(annotations), counts.reshape(-1, 3))
+    _, first, inverse = np.unique(np.fromiter(map(id, votes), dtype=np.intp, count=len(votes)),
+                                  return_index=True, return_inverse=True)
+    votes = [votes[i] for i in first.tolist()]  # each tuple once; all are alive, so ids differ
+    cells = np.repeat(np.arange(0, 3 * len(votes), 3),
+                      np.fromiter(map(len, votes), dtype=np.intp, count=len(votes)))
+    columns = map(_ID_COLUMNS.__getitem__, map(id, itertools.chain.from_iterable(votes)))
+    cells += np.fromiter(columns, dtype=np.uint8, count=len(cells))
+    counts = np.bincount(cells, minlength=3 * len(votes))
+    del cells
+    return FeatureStore(list(annotations), counts.astype(np.float64).reshape(-1, 3)[inverse])
 
 
 @dataclass
@@ -307,6 +345,25 @@ def load_manifest(path, cache: StoreCache | None = None) -> FeatureStore:
 
 
 def _parse_manifest(path) -> FeatureStore:
+    store = _bulk_manifest(path)
+    return store if store is not None else _scan_manifest(path)
+
+
+_MANIFEST_HEADER = ["image_id", "label", "split"]
+# keyed by file column, which counts the image_id first
+_MANIFEST_CONVERTERS = {1 + LABEL: _LABEL_CODES.__getitem__, 1 + SPLIT: _SPLIT_CODES.__getitem__}
+
+
+def _bulk_manifest(path) -> FeatureStore | None:
+    with _open_csv(path) as fh:
+        if _header_row(fh, path, 1)[0] != _MANIFEST_HEADER:
+            return None  # the row scan reports it
+        parsed = _parse_bulk(fh, len(_MANIFEST_HEADER) - 1, _MANIFEST_CONVERTERS)
+    return None if parsed is None else _manifest(*parsed)
+
+
+def _scan_manifest(path) -> FeatureStore:
+    """Row-at-a-time parse; the reference for the bulk path and its error reporter."""
     def parse(line, image_id, row):
         label, split = row[1].strip(), row[2].strip()
         cells = label.lower(), split.lower()
@@ -315,7 +372,7 @@ def _parse_manifest(path) -> FeatureStore:
         if cells[1] not in _SPLIT_CODES:
             raise ParseError(f"unknown split {split!r}", path=path, line=line)
         return cells
-    return manifest_store(read_table(path, ["image_id", "label", "split"], parse))
+    return manifest_store(read_table(path, _MANIFEST_HEADER, parse))
 
 
 def load_image_refs(path) -> dict[str, str]:
@@ -451,10 +508,11 @@ def _scan_privacy_store(path) -> FeatureStore:
     return privacy_store(read_table(path, _PRIVACY_HEADER, parse))
 
 
-def load_privacy_store(path, cache: StoreCache | None = None) -> FeatureStore:
-    """The privacy store (see `FeatureStore`), through `cache` as
-    `load_deep_store` reads a deep store."""
-    return _load("privacy", path, cache)[0]
+def load_privacy_store(path, cache: StoreCache | None = None,
+                       ids: list[str] | None = None) -> FeatureStore:
+    """The privacy store (see `FeatureStore`), through `cache` and aligned to
+    `ids` as `load_deep_store` reads a deep store."""
+    return _load("privacy", path, cache, ids)[0]
 
 
 def _parse_privacy_store(path) -> FeatureStore:
@@ -568,8 +626,12 @@ STORE_KINDS = {
 }
 
 
-def _load(kind: str, path, cache: StoreCache | None) -> tuple[FeatureStore, list]:
-    return STORE_KINDS[kind].parse(path) if cache is None else cache.load(kind, path)
+def _load(kind: str, path, cache: StoreCache | None,
+          ids: list[str] | None = None) -> tuple[FeatureStore, list]:
+    if cache is not None:
+        return cache.load(kind, path, ids)
+    store, meta = STORE_KINDS[kind].parse(path)
+    return aligned(store, ids), meta
 
 
 def file_sha256(path) -> str:
@@ -637,10 +699,11 @@ class StoreCache:
         self.root = Path(root)
         self._parsed: dict[Path, tuple[FeatureStore, list]] = {}  # by entry
 
-    def load(self, kind: str, path) -> tuple[FeatureStore, list]:
+    def load(self, kind: str, path, ids: list[str] | None = None) -> tuple[FeatureStore, list]:
         """The store of `kind` at `path` and its metadata, from its entry when
         one exists and can be read (else with a warning), otherwise parsed
-        and recorded."""
+        and recorded. The store is `aligned` to `ids` before it is recorded,
+        so the entry waiting for `save` holds no second id list."""
         spec = STORE_KINDS[kind]
         try:
             key = file_sha256(path)
@@ -652,19 +715,21 @@ class StoreCache:
                 with open(entry, "rb") as fh:
                     values = np.load(fh, allow_pickle=False)
                     missing = None if spec.missing is None else np.load(fh, allow_pickle=False)
-                    *meta, ids = json.loads(fh.read())
-                if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+                    *meta, listed = json.loads(fh.read())
+                n = len(listed) if isinstance(listed, list) else -1
+                if not (n >= 0 and all(isinstance(i, str) for i in listed)
                         and values.dtype == np.float64
-                        and values.shape == (len(ids), spec.columns(meta))
+                        and values.shape == (n, spec.columns(meta))
                         and (missing is None or (missing.dtype == bool
-                                                 and missing.shape == (len(ids), spec.missing)))):
+                                                 and missing.shape == (n, spec.missing)))):
                     raise ValueError("values and metadata disagree")
-                if len(set(ids)) != len(ids):
+                if len(set(listed)) != n:
                     raise ValueError("repeated ids")
-                return FeatureStore(ids, values, missing), meta
+                return aligned(FeatureStore(listed, values, missing), ids), meta
             except (OSError, EOFError, ValueError, TypeError, AttributeError) as exc:
                 log.warning("ignoring unreadable store cache entry %s: %s", entry, exc)
-        loaded = self._parsed[entry] = spec.parse(path)
+        store, meta = spec.parse(path)
+        loaded = self._parsed[entry] = aligned(store, ids), meta
         return loaded
 
     def save(self) -> None:
@@ -685,23 +750,36 @@ class StoreCache:
             log.warning("cannot save parsed stores under %s: %s", self.root, exc)
 
 
-def load_deep_store(path, cache: StoreCache | None = None) -> tuple[str, FeatureStore, list[str]]:
+def load_deep_store(path, cache: StoreCache | None = None,
+                    ids: list[str] | None = None) -> tuple[str, FeatureStore, list[str]]:
     """Returns (source_tag, store, the column names of its header).
 
     With a `cache`, a file whose bytes were parsed before is read from its
     entry, and any other is parsed and recorded there. Every error comes from
-    the parser, so the cache holds only stores the parser returned.
+    the parser, so the cache holds only stores the parser returned. A store
+    that lists `ids` in their order holds that list (see `aligned`).
     """
-    store, (tag, columns) = _load("deep", path, cache)
+    store, (tag, columns) = _load("deep", path, cache, ids)
     return tag, store, columns
 
 
 _ANNOTATIONS_HEADER = ["image_id", "assessor_id", "vote"]
+_VOTES = tuple(FiveClassVote)
 # Each vote token the bulk path takes, in upper or lower case and with any
-# line end; it leaves any other spelling to the row scan.
-_VOTE_SPELLINGS = {spelling + end: vote for vote in FiveClassVote
+# line end, and its vote's code, the vote's position in _VOTES; the bulk
+# path leaves any other spelling to the row scan.
+_VOTE_SPELLINGS = {spelling + end: code for code, vote in enumerate(_VOTES)
                    for spelling in (vote.value, vote.value.lower())
                    for end in ("", "\n", "\r\n", "\r")}
+
+
+class _VoteRuns(dict):
+    """The codes of a run of votes -> the votes, one tuple for all equal runs.
+    Codes hash in C; members would hash through Enum.__hash__, in Python."""
+
+    def __missing__(self, codes: tuple[int, ...]) -> tuple[FiveClassVote, ...]:
+        votes = self[codes] = tuple(map(_VOTES.__getitem__, codes))
+        return votes
 
 
 @contextmanager
@@ -734,11 +812,13 @@ def _bulk_annotations(path) -> dict[str, AnnotationRecord] | None:
     Only lines of exactly three fields with no quote character, no longer
     than csv.reader's field limit, whose vote is spelled as in
     `_VOTE_SPELLINGS` are taken, and each image's rows must be contiguous.
-    A record is closed whenever the id changes, so only the records are kept.
+    A record is closed whenever the id changes, so only the records are kept,
+    and records with equal votes share one tuple of them.
     """
     records: dict[str, AnnotationRecord] = {}
+    runs = _VoteRuns()
     spelled = _VOTE_SPELLINGS.get
-    run, image_id, votes = None, None, []  # the open record: its id cell, its id, its votes
+    run, image_id, votes = None, None, []  # the open record: its id cell, its id, its vote codes
     with _open_csv(path) as fh:
         try:
             if fh.readline().rstrip("\r\n") != ",".join(_ANNOTATIONS_HEADER):
@@ -752,7 +832,7 @@ def _bulk_annotations(path) -> dict[str, AnnotationRecord] | None:
                     return None
                 if cell != run:
                     if votes:
-                        records[image_id] = AnnotationRecord(image_id, tuple(votes))
+                        records[image_id] = AnnotationRecord(image_id, runs[tuple(votes)])
                     run, image_id, votes = cell, cell.strip(), []
                     if not image_id or image_id in records:
                         return None
@@ -760,7 +840,7 @@ def _bulk_annotations(path) -> dict[str, AnnotationRecord] | None:
         except UnicodeDecodeError:
             return None
     if votes:
-        records[image_id] = AnnotationRecord(image_id, tuple(votes))
+        records[image_id] = AnnotationRecord(image_id, runs[tuple(votes)])
     return records
 
 

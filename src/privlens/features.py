@@ -177,6 +177,7 @@ def apply_standardizer(params: StandardizationParams, X: np.ndarray) -> np.ndarr
             f"standardizer expects {params.dim}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        Xs = (X - params.mean) / params.stddev
+        Xs = X - params.mean
+        Xs /= params.stddev  # in place: the same division, with no third matrix
     require_finite(np.isfinite(Xs).all(axis=0), "standardized feature column {} is not finite")
     return Xs

@@ -6,6 +6,7 @@ import logging
 import os
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,11 @@ from privlens import data_io
 from privlens.data_io import (
     _bulk_annotations,
     _bulk_deep_store,
+    _bulk_manifest,
     _bulk_privacy_store,
     _scan_annotations,
     _scan_deep_store,
+    _scan_manifest,
     _scan_privacy_store,
     AnnotationRecord,
     Dataset,
@@ -156,6 +159,7 @@ PRIVACY_HEADER = ("image_id,adult,racy,medical,spoofed,violent,"
                   "people_prob,people_count,outdoor_prob\n")
 DEEP_HEADER = "#source_tag=rn,dim=2\nimage_id,v0,v1\n"
 ANNOTATIONS_HEADER = "image_id,assessor_id,vote\n"
+MANIFEST_HEADER = "image_id,label,split\n"
 
 
 @pytest.mark.parametrize("cell", ["", "  ", '""'], ids=["empty", "blank", "quoted"])
@@ -389,6 +393,32 @@ class TestAnnotations:
         with pytest.raises(UnknownVote):
             load_annotations(path)
 
+    def test_equal_vote_runs_are_one_tuple_and_records_have_no_dict(self, tmp_path):
+        path = write(tmp_path, "a.csv", ANNOTATIONS_HEADER + "a,u1,PRIVATE\na,u2,public\n"
+                     "b,u1,private\nb,u3,PUBLIC\nc,u1,PUBLIC\nc,u2,PRIVATE\n")
+        loaded = load_annotations(path)
+        assert loaded["a"].votes == (FiveClassVote.PRIVATE, FiveClassVote.PUBLIC)
+        assert loaded["a"].votes is loaded["b"].votes  # however each vote is spelled
+        assert loaded["c"].votes == (FiveClassVote.PUBLIC, FiveClassVote.PRIVATE)
+        assert not hasattr(loaded["a"], "__dict__")
+
+    def test_vote_store_holds_no_wide_array_per_vote(self):
+        """Over 100,000 votes in distinct tuples, as the row scan builds
+        them, the traced peak stays under 33 bytes a vote: one int64 array
+        per vote alive at a time, beside a byte per vote and the per-image
+        arrays."""
+        votes = list(FiveClassVote)
+        records = {f"i{k}": AnnotationRecord(f"i{k}", tuple(votes[(k + j) % 5] for j in range(4)))
+                   for k in range(25_000)}
+        tracemalloc.start()
+        try:
+            counts = vote_store(records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.values.sum() == 100_000
+        assert peak < 33 * 100_000
+
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("rows, parsers, error", [
@@ -584,12 +614,19 @@ def _store_lines(draw, row_cells):
         elif kind == 5:
             cells[0] = draw(st.sampled_from(["", " ", '""']))
         lines.append(",".join(cells))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return "".join(line + newline for line in lines)
 
 
 _PRIVACY_ROWS = st.tuples(
     *[_SENS_CELLS] * 5, _PROB_CELLS, _COUNT_CELLS, _PROB_CELLS,
+).map(list)
+# Label and split cells: tokens padded, in any case or empty, and unknown or quoted ones.
+_MANIFEST_ROWS = st.tuples(
+    st.one_of(_padded(st.sampled_from(["", "private", "public", "PRIVATE", "Public", "pRivate"])),
+              st.sampled_from(["secret", "privat", '"private"', '" public "'])),
+    st.one_of(_padded(st.sampled_from(["", "train", "val", "test", "TEST", "Val"])),
+              st.sampled_from(["dev", "training", '"train"', '""'])),
 ).map(list)
 
 
@@ -666,6 +703,25 @@ _PROPERTY = settings(max_examples=200, deadline=None,
 
 
 class TestBulkMatchesRowScan:
+    @_PROPERTY
+    @given(_store_lines(_MANIFEST_ROWS), st.sampled_from(["", "\ufeff"]))
+    def test_manifest(self, tmp_path, body, bom):
+        path = tmp_path / "m.csv"
+        path.write_text(bom + MANIFEST_HEADER + body, encoding="utf-8", newline="")
+        scanned = _outcome(_scan_manifest, path)
+        bulk = _bulk_manifest(path)
+        if isinstance(scanned, tuple):  # the row scan rejects the file
+            assert bulk is None
+            assert _outcome(load_manifest, path) == scanned
+            return
+        if '"' not in body:  # a valid unquoted file never needs the row scan
+            assert bulk is not None
+        for store in [s for s in (bulk, load_manifest(path)) if s is not None]:
+            assert _same_store(store, scanned)
+            # in the same memory order, which a cache entry records
+            assert _npy(store.values) == _npy(scanned.values)
+            assert _npy(store.missing) == _npy(scanned.missing)
+
     @_PROPERTY
     @given(_store_lines(_PRIVACY_ROWS))
     def test_privacy_store(self, tmp_path, body):
@@ -1040,6 +1096,28 @@ _DAMAGE_CASES = [pytest.param(kind, damage, id=f"{kind}: {name}")
 
 
 class TestStoreCache:
+    def test_stores_recorded_for_save_hold_the_manifests_id_list(self, tmp_path):
+        ids = ["a", "b", "c"]
+        cfg = ExperimentConfig(DataPaths(
+            write(tmp_path, "m.csv", MANIFEST_HEADER + "".join(f"{i},public,val\n" for i in ids)),
+            privacy_features=write(tmp_path, "p.csv", PRIVACY_HEADER + "".join(
+                f"{i},POSSIBLE,,LIKELY,UNLIKELY,VERY_LIKELY,0.5,1,0.25\n" for i in ids)),
+            deep_features=(write(tmp_path, "d.csv", DEEP_HEADER + "".join(
+                f"{i},0.5,1.5\n" for i in ids)), write(tmp_path, "e.csv", DEEP_HEADER.replace(
+                    "rn", "other") + "".join(f"{i},0.5,1.5\n" for i in reversed(ids)))),
+            annotations=write(tmp_path, "a.csv", ANNOTATIONS_HEADER + "a,u1,PRIVATE\n"
+                              "b,u1,PUBLIC\nc,u1,PUBLIC\n")))
+        cache = StoreCache(tmp_path / "cache")
+        ds = load_dataset(cfg, cache=cache)
+        manifest, privacy, deep, other = (store for store, _ in cache._parsed.values())
+        assert manifest.ids is ds.manifest.ids == ids
+        assert privacy is ds.privacy_features and deep is ds.deep_features["rn"]
+        assert privacy.ids is deep.ids is ds.annotations.ids is ds.manifest.ids
+        assert other.ids == ids[::-1]  # another order keeps its own list
+        cache.save()
+        cached = load_dataset(cfg, cache=StoreCache(tmp_path / "cache"))
+        assert cached.privacy_features.ids is cached.deep_features["rn"].ids is cached.manifest.ids
+
     @_PROPERTY
     @given(_deep_files())
     def test_cached_load_equals_the_parse(self, tmp_path, body):
