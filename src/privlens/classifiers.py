@@ -6,9 +6,9 @@ Loss/gradient functions are module-level so tests can check them against
 finite differences. All math is double precision, summed in fixed row order,
 so training is bit-reproducible given the same config and seed: the same
 bytes for any BLAS thread count on one numpy build. An MLP's gradient is the
-sum of the gradients of fixed blocks of `ROW_BLOCK` rows, so an MLP trained
-on more than one block differs in its last bits from versions that took all
-rows at once; the loss at given weights does not.
+sum of the gradients of fixed blocks of `features.ROW_BLOCK` rows, so an MLP
+trained on more than one block differs in its last bits from versions that
+took all rows at once; the loss at given weights does not.
 """
 
 from __future__ import annotations
@@ -29,20 +29,18 @@ from .errors import (
     ShapeError,
 )
 from .features import (
+    ROW_BLOCK,
     FeatureSpec,
     StandardizationParams,
     apply_standardizer,
     fit_standardizer,
     require_finite,
+    standardize_in_place,
 )
 
 log = logging.getLogger(__name__)
 
 MODEL_SCHEMA_VERSION = 1
-
-#: rows per block of a pass through a network with hidden layers: at width 16
-#: a block's activation is 256 KB, small enough to stay in a core's L2 cache
-ROW_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -200,6 +198,8 @@ def _check_training_inputs(X, y):
 
 def early_stopping_blocker(y_val, class_weighting: str) -> str | None:
     """Why early stopping cannot run on this validation split, or None."""
+    if np.size(y_val) == 0:
+        return "validation split is empty"
     if class_weighting == "balanced" and np.unique(y_val).size < 2:
         return "validation split has one class"
     return None
@@ -267,12 +267,13 @@ def _descend(params: list, X, y, weights, cfg: TrainConfig,
     return params, trace
 
 
-def _train(init, seed: int, X, y, cfg: TrainConfig, X_val, y_val):
+def _train(init, seed: int, X, y, cfg: TrainConfig, X_val, y_val, overwrite_X: bool):
     """Train the network `init(input_dim)`, drawing mini-batches from `seed`.
-    The validation set is used only when early stopping is on and can run."""
+    The validation set is used only when early stopping is on and can run.
+    With `overwrite_X`, X is standardized in place rather than copied."""
     X, y = _check_training_inputs(X, y)
     standardizer = fit_standardizer(X)
-    Xs = apply_standardizer(standardizer, X)
+    Xs = (standardize_in_place if overwrite_X else apply_standardizer)(standardizer, X)
     weights = sample_weights(y, cfg.class_weighting)
     val = None
     if X_val is not None and cfg.early_stop_patience is not None:
@@ -291,29 +292,32 @@ def _train(init, seed: int, X, y, cfg: TrainConfig, X_val, y_val):
     return Model(MlpLayers(params[:n], params[n:]), standardizer, FeatureSpec(frozenset())), trace
 
 
-def train_logreg(X, y, cfg: TrainConfig, X_val=None, y_val=None) -> tuple[Model, list[float]]:
+def train_logreg(X, y, cfg: TrainConfig, X_val=None, y_val=None, *,
+                 overwrite_X: bool = False) -> tuple[Model, list[float]]:
     """Gradient-descent logistic regression, the one-layer network started at
     zeros. Returns (model, per-epoch loss trace).
 
     The standardizer is fitted on X; features are standardized internally
-    both here and at prediction time.
+    both here and at prediction time. X and X_val are left as they are,
+    unless `overwrite_X` hands X over: it then ends up holding
+    `apply_standardizer(model.standardizer, X)`, with no copy made.
     """
     return _train(lambda dim: MlpLayers([np.zeros((dim, 1))], [np.zeros(1)]), cfg.seed,
-                  X, y, cfg, X_val, y_val)
+                  X, y, cfg, X_val, y_val, overwrite_X)
 
 
-def train_mlp(X, y, cfg: TrainConfig, hidden_dims: list[int],
-              X_val=None, y_val=None) -> tuple[Model, list[float]]:
-    """Backprop training of the three-hidden-layer MLP. Returns (model, loss trace)."""
+def train_mlp(X, y, cfg: TrainConfig, hidden_dims: list[int], X_val=None, y_val=None, *,
+              overwrite_X: bool = False) -> tuple[Model, list[float]]:
+    """Backprop training of the three-hidden-layer MLP. Returns (model, loss
+    trace); `overwrite_X` is as for `train_logreg`."""
     return _train(lambda dim: init_mlp_layers(dim, hidden_dims, cfg.seed), cfg.seed + 1,
-                  X, y, cfg, X_val, y_val)
+                  X, y, cfg, X_val, y_val, overwrite_X)
 
 
-def predict_proba(model: Model, X) -> np.ndarray:
-    """Sigmoid of the model logit per row; values in (0,1). Rows run in blocks
-    of `ROW_BLOCK`, a lone last row (BLAS sums one row another way) joining
-    the block before. A wrong width is the standardizer's DimensionMismatch."""
-    Xs = apply_standardizer(model.standardizer, X)
+def standardized_proba(model: Model, Xs: np.ndarray) -> np.ndarray:
+    """`predict_proba` of rows already standardized with the model's
+    standardizer. Rows run in blocks of `ROW_BLOCK`, a lone last row (BLAS
+    sums one row another way) joining the block before."""
     bounds = [*range(0, max(len(Xs) - 1, 1), ROW_BLOCK), len(Xs)]
     with np.errstate(over="ignore", invalid="ignore"):
         logits = np.concatenate([mlp_forward(model.layers, Xs[start:end])[0]
@@ -322,9 +326,20 @@ def predict_proba(model: Model, X) -> np.ndarray:
     return sigmoid(logits)
 
 
+def standardized_label(model: Model, Xs: np.ndarray) -> np.ndarray:
+    """`predict_label` of rows already standardized with the model's standardizer."""
+    return standardized_proba(model, Xs) >= 0.5
+
+
+def predict_proba(model: Model, X) -> np.ndarray:
+    """Sigmoid of the model logit per row; values in (0,1). A wrong width is
+    the standardizer's DimensionMismatch."""
+    return standardized_proba(model, apply_standardizer(model.standardizer, X))
+
+
 def predict_label(model: Model, X) -> np.ndarray:
     """True (Private) iff the probability is at least 0.5, so ties go to Private."""
-    return predict_proba(model, X) >= 0.5
+    return standardized_label(model, apply_standardizer(model.standardizer, X))
 
 
 # --- serialization -----------------------------------------------------------

@@ -18,6 +18,7 @@ from .classifiers import (
     load_model,
     predict_label,
     save_model,
+    standardized_label,
     train_logreg,
     train_mlp,
 )
@@ -70,21 +71,21 @@ def build_parser() -> argparse.ArgumentParser:
 # --- shared helpers ----------------------------------------------------------
 
 def _train_one(cfg: ExperimentConfig, ds: Dataset, spec: FeatureSpec):
-    """Train on the train split.
+    """Train on the train split, handing its design matrix over to training.
 
-    Returns (model, loss trace, the splits to score as name -> (X, y): train,
-    and val when it is non-empty, why early stopping was off or None).
+    Returns (model, loss trace, the splits to score as name -> (function
+    predicting their labels, y): train, and val when it is non-empty, why
+    early stopping was off or None).
     """
     X_train, y_train, _ = build_design_matrix(ds, Split.TRAIN, spec)
     if X_train.size == 0:
         raise ConfigError("train split is empty")
     X_val, y_val, _ = build_design_matrix(ds, Split.VAL, spec)
-    has_val = X_val.size > 0
 
     train_cfg = dataclasses.replace(cfg.train, seed=cfg.train_seed)
-    kwargs, stop_note = {}, None
-    if has_val and train_cfg.early_stop_patience is not None:
-        kwargs = {"X_val": X_val, "y_val": y_val}
+    kwargs, stop_note = {"overwrite_X": True}, None
+    if train_cfg.early_stop_patience is not None:
+        kwargs |= {"X_val": X_val, "y_val": y_val}
         reason = early_stopping_blocker(y_val, train_cfg.class_weighting)
         stop_note = f"disabled: {reason}" if reason else None
     if cfg.classifier_kind == "mlp":
@@ -92,9 +93,10 @@ def _train_one(cfg: ExperimentConfig, ds: Dataset, spec: FeatureSpec):
     else:
         model, trace = train_logreg(X_train, y_train, train_cfg, **kwargs)
     model.feature_spec = spec
-    splits = {"train": (X_train, y_train)}
-    if has_val:
-        splits["val"] = (X_val, y_val)
+    # training left X_train standardized: score it without a second standardization
+    splits = {"train": (lambda: standardized_label(model, X_train), y_train)}
+    if X_val.size:
+        splits["val"] = (lambda: predict_label(model, X_val), y_val)
     return model, trace, splits, stop_note
 
 
@@ -182,8 +184,8 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     cache = StoreCache(cfg.out_dir / "store_cache")
     ds = load_dataset(cfg, require_splits=True, annotations=False, cache=cache)
     model, trace, splits, stop_note = _train_one(cfg, ds, cfg.features)
-    reports = {name: MetricsReport.from_labels(y, predict_label(model, X))
-               for name, (X, y) in splits.items()}
+    reports = {name: MetricsReport.from_labels(y, predict())
+               for name, (predict, y) in splits.items()}
     train_log = {
         "classifier_kind": cfg.classifier_kind,
         **cfg.features.to_dict(),

@@ -920,7 +920,7 @@ def build_design_matrix(ds: Dataset, split: Split,
         raise next(MissingFeatures(ids[i], name)
                    for (_, name, _), r in zip(sources, rows) if r[i] < 0)
 
-    blocks = {group: store.values[r, cols]
+    blocks = {group: (store.values[:, cols], r)  # column views, gathered into X in place
               for (store, _, columns), r in zip(sources, rows) for group, cols in columns.items()}
     y = manifest.values[picked, LABEL]
     return assemble_features(blocks, spec.groups), y, ids

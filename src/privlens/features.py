@@ -97,11 +97,20 @@ class FeatureSpec:
         return cls(groups, tag)
 
 
+#: rows per block of a pass over a matrix: a gather into a design matrix, a
+#: standardizer fit, or a pass through a network with hidden layers. At width
+#: 16 a block's activation is 256 KB, small enough to stay in a core's L2 cache
+ROW_BLOCK = 2048
+
+
 def assemble_features(
-    blocks: dict[FeatureGroup, np.ndarray],
+    blocks: dict[FeatureGroup, tuple[np.ndarray, np.ndarray]],
     groups: set[FeatureGroup],
 ) -> np.ndarray:
-    """Stack the selected 2-D column blocks side by side in fixed block order.
+    """One new float64 matrix of the selected blocks side by side, in fixed
+    block order. Block `(values, rows)` is `values[rows]`, gathered
+    `ROW_BLOCK` rows at a time straight into its columns, so no block is
+    ever copied whole.
 
     Raises MissingGroupData when no group is selected or a selected group has
     no block, and DimensionMismatch when the blocks disagree on their rows.
@@ -115,12 +124,19 @@ def assemble_features(
         if group not in blocks:
             raise MissingGroupData(f"group {group.name} has no feature block")
         selected.append(blocks[group])
-    if len({block.shape[0] for block in selected}) > 1:
+    if len({len(rows) for _, rows in selected}) > 1:
         raise DimensionMismatch(
             "feature blocks disagree on the number of rows: "
-            + ", ".join(str(block.shape[0]) for block in selected)
+            + ", ".join(str(len(rows)) for _, rows in selected)
         )
-    return np.hstack(selected)
+    n = len(selected[0][1])
+    X = np.empty((n, sum(values.shape[1] for values, _ in selected)))
+    end = 0
+    for values, rows in selected:
+        start, end = end, end + values.shape[1]
+        for top in range(0, n, ROW_BLOCK):
+            X[top:top + ROW_BLOCK, start:end] = values[rows[top:top + ROW_BLOCK]]
+    return X
 
 
 @dataclass(frozen=True)
@@ -156,13 +172,31 @@ def require_finite(finite: np.ndarray, message: str) -> None:
 def fit_standardizer(X: np.ndarray) -> StandardizationParams:
     """Column means and population stddevs; zero-variance columns get stddev 1.
     A NaN or infinite entry, or a sum or square past float64's range, is
-    NonFiniteValue naming the first such column."""
+    NonFiniteValue naming the first such column.
+
+    The squared deviations are summed `ROW_BLOCK` rows at a time, so no
+    temporary the size of X is made. numpy sums a C-ordered matrix's columns
+    row by row, and `np.add.reduce` over the running total stacked on top of
+    a block's squares continues that very sum: the bytes are those of
+    `X.std(axis=0)`. A one-column matrix, and one not in C order, take the
+    one-pass `X.std(axis=0)`: numpy sums a contiguous column pairwise.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyMatrix("cannot fit standardizer on an empty matrix")
+    n = X.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         mean = X.mean(axis=0)
-        stddev = X.std(axis=0)  # population stddev (ddof=0)
+        if X.shape[1] == 1 or not X.flags.c_contiguous:
+            stddev = X.std(axis=0)  # population stddev (ddof=0)
+        else:
+            stack = np.zeros((min(n, ROW_BLOCK) + 1, X.shape[1]))  # the total, then a block
+            for top in range(0, n, ROW_BLOCK):
+                squares = stack[1:1 + min(ROW_BLOCK, n - top)]
+                np.subtract(X[top:top + ROW_BLOCK], mean, out=squares)
+                np.square(squares, out=squares)
+                stack[0] = np.add.reduce(stack[:1 + len(squares)], axis=0)
+            stddev = np.sqrt(stack[0] / n)
     require_finite(np.isfinite(mean) & np.isfinite(stddev),
                    "feature column {} has no finite mean and stddev")
     stddev = np.where(stddev == 0.0, 1.0, stddev)
@@ -170,14 +204,26 @@ def fit_standardizer(X: np.ndarray) -> StandardizationParams:
 
 
 def apply_standardizer(params: StandardizationParams, X: np.ndarray) -> np.ndarray:
+    """`(X - mean) / stddev` as a new matrix. A wrong width is DimensionMismatch,
+    a non-finite result NonFiniteValue naming its column."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.dim:
         raise DimensionMismatch(
             f"matrix has {X.shape[-1] if X.ndim == 2 else '?'} columns, "
             f"standardizer expects {params.dim}"
         )
+    return _standardize(params, X, np.empty_like(X))
+
+
+def standardize_in_place(params: StandardizationParams, X: np.ndarray) -> np.ndarray:
+    """`apply_standardizer` written over `X`, a float64 matrix of the
+    standardizer's width: the same operations, so the same bits and checks."""
+    return _standardize(params, X, X)
+
+
+def _standardize(params: StandardizationParams, X: np.ndarray, out: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        Xs = X - params.mean
-        Xs /= params.stddev  # in place: the same division, with no third matrix
-    require_finite(np.isfinite(Xs).all(axis=0), "standardized feature column {} is not finite")
-    return Xs
+        np.subtract(X, params.mean, out=out)
+        out /= params.stddev
+    require_finite(np.isfinite(out).all(axis=0), "standardized feature column {} is not finite")
+    return out

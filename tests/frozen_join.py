@@ -2,10 +2,12 @@
 id -> row map when it is made and looks up every id through it, the
 "not in manifest" check of `Dataset`, `Dataset.labeled_privacy_features`,
 `build_design_matrix`, `controversial_image_ids` and
-`controversial_people_breakdown`. It is kept to check the join by position
-against. The code is the earlier code verbatim, except that each function
-takes any object with the `Dataset` attributes, the check is a function,
-and it logs to its own logger. Do not change it to follow the package.
+`controversial_people_breakdown`, with the `assemble_features` that stacked
+the gathered blocks with `np.hstack`. It is kept to check the join by
+position and the gather in place against. The code is the earlier code
+verbatim, except that each function takes any object with the `Dataset`
+attributes, the check is a function, and it logs to its own logger. Do not
+change it to follow the package.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from privlens.analysis import is_controversial
-from privlens.data_io import (LABEL, PEOPLE_COUNT, SPLIT, _PRIVACY_COLUMNS, _SPLIT_CODES,
-                              Split, assemble_features)
-from privlens.errors import EmptyControversialSet, EmptyDataset, MissingFeatures, MissingLabel
-from privlens.features import FeatureGroup, FeatureSpec
+from privlens.data_io import LABEL, PEOPLE_COUNT, SPLIT, _PRIVACY_COLUMNS, _SPLIT_CODES, Split
+from privlens.errors import (DimensionMismatch, EmptyControversialSet, EmptyDataset,
+                             MissingFeatures, MissingGroupData, MissingLabel)
+from privlens.features import GROUP_ORDER, FeatureGroup, FeatureSpec
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +55,32 @@ def check_ids(ds) -> None:
         for image_id in store.ids:
             if image_id not in known:
                 log.warning("%s id %r not in manifest; ignored in matrices", name, image_id)
+
+
+def assemble_features(
+    blocks: dict[FeatureGroup, np.ndarray],
+    groups: set[FeatureGroup],
+) -> np.ndarray:
+    """Stack the selected 2-D column blocks side by side in fixed block order.
+
+    Raises MissingGroupData when no group is selected or a selected group has
+    no block, and DimensionMismatch when the blocks disagree on their rows.
+    """
+    if not groups:
+        raise MissingGroupData("at least one feature group must be selected")
+    selected = []
+    for group in GROUP_ORDER:
+        if group not in groups:
+            continue
+        if group not in blocks:
+            raise MissingGroupData(f"group {group.name} has no feature block")
+        selected.append(blocks[group])
+    if len({block.shape[0] for block in selected}) > 1:
+        raise DimensionMismatch(
+            "feature blocks disagree on the number of rows: "
+            + ", ".join(str(block.shape[0]) for block in selected)
+        )
+    return np.hstack(selected)
 
 
 def labeled_privacy_features(ds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -640,3 +640,15 @@ def test_one_class_validation_trains_without_early_stopping(kind, caplog):
     assert trace == plain_trace and len(trace) == 31
     assert "early stopping disabled: validation split has one class" in caplog.text
     assert early_stopping_blocker(np.ones(5), "none") is None
+
+
+@pytest.mark.parametrize("class_weighting", ["balanced", "none"])
+def test_empty_validation_trains_without_early_stopping(class_weighting, caplog):
+    # an empty split's (0, 0) design matrix is never standardized
+    X, y = separable_2d(n=20)
+    cfg = TrainConfig(epochs=30, early_stop_patience=1, seed=4, class_weighting=class_weighting)
+    model, trace = train_logreg(X, y, cfg, X_val=np.empty((0, 0)), y_val=np.empty(0))
+    plain, plain_trace = train_logreg(X, y, dataclasses.replace(cfg, early_stop_patience=None))
+    assert np.array_equal(model.layers.weights[0], plain.layers.weights[0])
+    assert trace == plain_trace and len(trace) == 31
+    assert "early stopping disabled: validation split is empty" in caplog.text

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from privlens import cli, errors
-from privlens.classifiers import load_model, predict_proba
+from privlens.classifiers import load_model, predict_label, predict_proba
 from privlens.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from privlens.config import (
     MAX_ATTEMPTS,
@@ -28,8 +28,9 @@ from privlens.config import (
     MAX_WIDTH,
     MAX_WORKERS,
     load_config,
+    load_dataset,
 )
-from privlens.data_io import STORE_KINDS, FeatureStore, file_sha256
+from privlens.data_io import STORE_KINDS, FeatureStore, Split, build_design_matrix, file_sha256
 from privlens.errors import ConfigError
 from privlens.extractors import SafeSearchClient, _read_answers
 from privlens.features import GROUP_ORDER, FeatureGroup, FeatureSpec, Likelihood, PrivacyLabel
@@ -559,6 +560,43 @@ early_stop_patience = 2
         assert log["early_stopping"] == "disabled: validation split has one class"
         assert len((out / "loss_trace.csv").read_text().splitlines()) == 1 + 41
         assert "early stopping disabled: validation split has one class" in caplog.text
+
+    def test_empty_validation_split_disables_early_stopping(self, tmp_path, caplog):
+        write_synth_corpus(tmp_path, n=200, seed=7)
+        manifest = tmp_path / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(
+            [lines[0]] + [l.replace(",val", ",test") for l in lines[1:]]) + "\n")
+        cfg = write_config(tmp_path / "c.ini", """
+[data]
+manifest = manifest.csv
+privacy_features = privacy_features.csv
+
+[train]
+epochs = 30
+early_stop_patience = 2
+""")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "train"]) == EXIT_OK
+        log = json.loads((out / "training_log.json").read_text())
+        assert log["early_stopping"] == "disabled: validation split is empty"
+        assert set(log["metrics"]) == {"train"}
+        assert len((out / "loss_trace.csv").read_text().splitlines()) == 1 + 31
+        assert "early stopping disabled: validation split is empty" in caplog.text
+
+    def test_train_metrics_score_the_train_split_as_a_saved_model_does(self, corpus_config):
+        """The train split is scored from the matrix training standardized in
+        place: the labels of `predict_label` on its raw rows."""
+        tmp_path, cfg = corpus_config
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "train"]) == EXIT_OK
+        model = load_model(out / "model.json")
+        ds = load_dataset(load_config(cfg, out_dir=out), require_splits=True)
+        for split in (Split.TRAIN, Split.VAL):
+            X, y, _ = build_design_matrix(ds, split, model.feature_spec)
+            expected = MetricsReport.from_labels(y, predict_label(model, X)).to_dict()
+            assert json.loads((out / "training_log.json").read_text())["metrics"][
+                split.value] == expected
 
     def test_training_log_has_no_early_stopping_note_by_default(self, corpus_config):
         tmp_path, cfg = corpus_config

@@ -12,6 +12,7 @@ from privlens.data_io import (
 )
 from privlens.errors import DimensionMismatch, EmptyMatrix, MissingGroupData, NonFiniteValue
 from privlens.features import (
+    ROW_BLOCK,
     SENSITIVITY_CLASSES,
     FeatureGroup,
     FeatureSpec,
@@ -32,6 +33,11 @@ def imputed(pfv):
     """Names of the sensitivity cells a privacy store marks missing."""
     store = privacy_store({"x": pfv})
     return tuple(c for c, m in zip(SENSITIVITY_CLASSES, store.missing[0]) if m)
+
+
+def whole(block):
+    """`block` as the `(values, rows)` pair that gathers all of its rows."""
+    return block, np.arange(len(block))
 
 
 def design_row(pfv, groups, deep=None):
@@ -89,25 +95,42 @@ class TestAssembleFeatures:
         assert vec.shape == (2056,)  # 8 + 2048
 
     def test_missing_group_source_raises(self):
-        with pytest.raises(MissingGroupData):
+        with pytest.raises(MissingGroupData, match="^group SENS has no feature block$"):
             assemble_features({}, {G.SENS})
-        with pytest.raises(MissingGroupData):
-            assemble_features({G.SENS: np.zeros((1, 5))}, {G.SENS, G.DEEP})
+        with pytest.raises(MissingGroupData, match="^group DEEP has no feature block$"):
+            assemble_features({G.SENS: whole(np.zeros((1, 5)))}, {G.SENS, G.DEEP})
 
     def test_empty_group_set_raises(self):
-        with pytest.raises(MissingGroupData):
-            assemble_features({G.SENS: np.zeros((1, 5))}, set())
+        with pytest.raises(MissingGroupData,
+                           match="^at least one feature group must be selected$"):
+            assemble_features({G.SENS: whole(np.zeros((1, 5)))}, set())
 
     def test_deep_dim_disagreement_raises(self):
-        blocks = {G.SENS: np.zeros((3, 5)), G.DEEP: np.zeros((2, 100))}
-        with pytest.raises(DimensionMismatch):
+        blocks = {G.SENS: whole(np.zeros((3, 5))), G.DEEP: whole(np.zeros((2, 100)))}
+        with pytest.raises(DimensionMismatch,
+                           match="^feature blocks disagree on the number of rows: 3, 2$"):
             assemble_features(blocks, {G.SENS, G.DEEP})
 
     def test_blocks_stack_in_fixed_order(self):
-        blocks = {G.DEEP: np.full((2, 1), 9.0), G.OUT: np.full((2, 1), 1.0),
-                  G.SENS: np.zeros((2, 5))}
+        blocks = {G.DEEP: whole(np.full((2, 1), 9.0)), G.OUT: whole(np.full((2, 1), 1.0)),
+                  G.SENS: whole(np.zeros((2, 5)))}
         X = assemble_features(blocks, {G.DEEP, G.OUT, G.SENS})
         np.testing.assert_array_equal(X[0], [0, 0, 0, 0, 0, 1.0, 9.0])
+
+    @pytest.mark.parametrize("n", [1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 7])
+    def test_gather_is_the_stacked_fancy_index(self, n):
+        """Each block's rows, gathered a row block at a time into column views
+        of one matrix, are the bytes of `np.hstack` of the gathered blocks."""
+        rng = np.random.default_rng(n)
+        store = rng.normal(size=(n + 5, 12))
+        deep = rng.normal(size=(n + 3, 4))
+        rows, deep_rows = rng.permutation(n + 5)[:n], rng.integers(0, n + 3, size=n)
+        blocks = {G.SENS: (store[:, 0:5], rows), G.OUT: (store[:, 7:8], rows),
+                  G.DEEP: (deep, deep_rows)}
+        X = assemble_features(blocks, {G.SENS, G.OUT, G.DEEP})
+        expected = np.hstack([store[rows, 0:5], store[rows, 7:8], deep[deep_rows]])
+        assert X.dtype == np.float64 and X.flags.c_contiguous
+        assert X.shape == expected.shape and X.tobytes() == expected.tobytes()
 
     def test_deterministic(self):
         pfv = make_pfv(racy=L.LIKELY, people_prob=0.3, people_count=1, outdoor_prob=0.6)
