@@ -18,16 +18,18 @@ where a store lists the manifest's ids in its order. Such a store holds the
 manifest's id list from its load on (`aligned`), so each id is held once;
 the id → row map is built only when a lookup by id needs it. `write_manifest`
 and `write_privacy_store` write the first two back, and `publish` writes
-every file whole. The manifest, the feature stores and the votes are parsed
-in bulk, and equal runs of votes share one tuple; every table the bulk
-parser does not take is read row by row by `read_table`, which checks the
-image id, reports each fault at its path:line and returns the id-keyed table
-of what the loader's cell parser made of each row. A UTF-8 byte-order mark
-at the start of a file is skipped.
+every file whole.
 
-A `StoreCache` keeps each parsed manifest, privacy store and deep store in
-one file, keyed by the store's kind and the sha256 of the file's bytes, so
-a later load of the same content skips the parse.
+The manifest, the privacy store and the deep stores are kinds of table
+declared as data (`STORE_KINDS`) and read by one loader, `_parse`: in bulk
+where the file allows it, else row by row, the reference and the one error
+reporter. A `StoreCache` keeps each parsed store in one file, keyed by its
+kind and the sha256 of the file's bytes, so a later load of the same content
+skips the parse. The votes are parsed in bulk by a loop of their own, and
+equal runs of votes share one tuple. Every row scan is `read_table`, which
+checks the image id, reports each fault at its path:line and returns the
+id-keyed table of what the loader's cell parser made of each row. A UTF-8
+byte-order mark at the start of a file is skipped.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ import json
 import logging
 import os
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -152,20 +154,32 @@ _LABELS = (PrivacyLabel.PUBLIC.value, PrivacyLabel.PRIVATE.value)
 _SPLITS = tuple(s.value for s in Split)
 
 
-class _TokenCodes(dict):
-    """token -> code; an empty cell is NaN until it is marked missing. Any
-    other cell is looked up as the row scan reads it, stripped and in lower
-    case; one naming no token is a ValueError, leaving the file to the row scan."""
+class _Codes(dict):
+    """cell -> its code for the bulk converters and the row scan alike, NaN
+    for an empty cell. Any other cell is coded by `read`, the row scan's own
+    reading, whose ValueError leaves a bulk parse to the row scan."""
+
+    def __init__(self, codes: dict[str, float], read: Callable[[str], float]):
+        super().__init__(codes)
+        self.read = read
 
     def __missing__(self, cell: str) -> float:
-        code = self.get(cell.strip().lower())
-        if code is None:
+        return self.read(cell)
+
+
+def _tokens(tokens: tuple[str, ...]) -> _Codes:
+    """The codes of `tokens`, each its position; the row scan reads a cell
+    stripped and in lower case."""
+    codes = {"": np.nan, **{token: float(i) for i, token in enumerate(tokens)}}
+
+    def read(cell: str) -> float:
+        if (code := codes.get(cell.strip().lower())) is None:
             raise ValueError(f"unknown token {cell!r}")
         return code
+    return _Codes(codes, read)
 
 
-_LABEL_CODES = _TokenCodes({"": np.nan, **{token: float(i) for i, token in enumerate(_LABELS)}})
-_SPLIT_CODES = _TokenCodes({"": np.nan, **{token: float(i) for i, token in enumerate(_SPLITS)}})
+_LABEL_CODES, _SPLIT_CODES = _tokens(_LABELS), _tokens(_SPLITS)
 
 
 def manifest_store(rows: dict[str, tuple[str, str]]) -> FeatureStore:
@@ -173,10 +187,8 @@ def manifest_store(rows: dict[str, tuple[str, str]]) -> FeatureStore:
     them in lower case, "" for an empty cell. The columns are the label (1.0
     private, 0.0 public) and the split's position in `Split`, with
     ``missing`` True where a cell was empty (its value then reads 0.0)."""
-    cells = list(rows.values())
-    return _manifest(list(rows), np.array([[_LABEL_CODES[c[0]] for c in cells],
-                                           [_SPLIT_CODES[c[1]] for c in cells]],
-                                          dtype=np.float64).T)
+    return _manifest(list(rows), np.array([[_LABEL_CODES[label], _SPLIT_CODES[split]] for
+                                           label, split in rows.values()]).reshape(-1, 2))
 
 
 def _manifest(ids: list[str], codes: np.ndarray) -> FeatureStore:
@@ -344,37 +356,6 @@ def load_manifest(path, cache: StoreCache | None = None) -> FeatureStore:
     return _load("manifest", path, cache)[0]
 
 
-def _parse_manifest(path) -> FeatureStore:
-    store = _bulk_manifest(path)
-    return store if store is not None else _scan_manifest(path)
-
-
-_MANIFEST_HEADER = ["image_id", "label", "split"]
-# keyed by file column, which counts the image_id first
-_MANIFEST_CONVERTERS = {1 + LABEL: _LABEL_CODES.__getitem__, 1 + SPLIT: _SPLIT_CODES.__getitem__}
-
-
-def _bulk_manifest(path) -> FeatureStore | None:
-    with _open_csv(path) as fh:
-        if _header_row(fh, path, 1)[0] != _MANIFEST_HEADER:
-            return None  # the row scan reports it
-        parsed = _parse_bulk(fh, len(_MANIFEST_HEADER) - 1, _MANIFEST_CONVERTERS)
-    return None if parsed is None else _manifest(*parsed)
-
-
-def _scan_manifest(path) -> FeatureStore:
-    """Row-at-a-time parse; the reference for the bulk path and its error reporter."""
-    def parse(line, image_id, row):
-        label, split = row[1].strip(), row[2].strip()
-        cells = label.lower(), split.lower()
-        if cells[0] not in _LABEL_CODES:
-            raise UnknownLabel(label, path=path, line=line)
-        if cells[1] not in _SPLIT_CODES:
-            raise ParseError(f"unknown split {split!r}", path=path, line=line)
-        return cells
-    return manifest_store(read_table(path, _MANIFEST_HEADER, parse))
-
-
 def load_image_refs(path) -> dict[str, str]:
     """image_id → URI, from an `image_id,uri` file; each id listed once, each URI non-empty."""
     def parse(line, image_id, row):
@@ -390,16 +371,18 @@ _BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
 _FIELD_LIMIT = csv.field_size_limit()
 
 
-def _parse_bulk(fh, n_values: int, converters=None):
+def _parse_bulk(fh, n_values: int, converters=None, ids: list[str] | None = None):
     """(ids, values) of the data lines left in `fh`, or None when the row scan must read them.
 
     Only lines of an id and `n_values` cells with no quote character, and no
     longer than csv.reader's field limit, are taken, so the id is the text
     before the first comma, as csv.reader splits it. loadtxt's float syntax
     is a subset of float()'s, with the same values. A cell loadtxt or a
-    converter rejects, or a repeated id, leaves the file to the row scan.
+    converter rejects, or a repeated or empty id, leaves the file to the row
+    scan. Ids equal to `ids`, a list of unique ids such as the manifest's,
+    are returned as that very list, with no check of their own.
     """
-    ids: list[str] = []
+    listed: list[str] = []
 
     def data_lines():
         for line in fh:
@@ -407,7 +390,7 @@ def _parse_bulk(fh, n_values: int, converters=None):
                 continue
             if line.count(",") != n_values or '"' in line or len(line) > _FIELD_LIMIT:
                 raise ValueError("line needs the row scan")
-            ids.append(line.partition(",")[0].strip())
+            listed.append(line.partition(",")[0].strip())
             yield line
 
     lines = data_lines()
@@ -419,8 +402,10 @@ def _parse_bulk(fh, n_values: int, converters=None):
         )  # (loadtxt warns on empty input)
     except (ValueError, OverflowError):  # OverflowError: a converter's int past float64
         return None
-    unique = set(ids)
-    return (ids, values) if len(unique) == len(ids) and "" not in unique else None
+    if ids is not None and listed == ids:  # one compare in C, and no set of the ids
+        return ids, values
+    unique = set(listed)
+    return (listed, values) if len(unique) == len(listed) and "" not in unique else None
 
 
 _PRIVACY_HEADER = ["image_id", *PRIVACY_FEATURE_NAMES]
@@ -429,40 +414,26 @@ _PRIVACY_HEADER = ["image_id", *PRIVACY_FEATURE_NAMES]
 MAX_PEOPLE_COUNT = 10_000
 
 
-def _parse_sensitivity_cell(cell: str, path, lineno) -> Likelihood | None:
+def _level_code(cell: str) -> float:
+    """A sensitivity cell as the row scan reads it: NaN where empty, else its
+    level's ``level / 4``, a decimal in [0, 1] snapping to the nearest level."""
     cell = cell.strip()
     if not cell:
-        return None
+        return np.nan
     try:
-        return Likelihood[cell.upper()]
+        return encode_likelihood(Likelihood[cell.upper()])
     except KeyError:
         pass
     try:
         value = float(cell)
     except ValueError:
-        raise ParseError(f"bad sensitivity cell {cell!r}", path=path, line=lineno)
+        raise ValueError(f"bad sensitivity cell {cell!r}") from None
     if not 0.0 <= value <= 1.0:
-        raise ParseError(f"sensitivity value {value} out of [0,1]", path=path, line=lineno)
-    # numeric cells snap to the nearest of the five levels
-    return Likelihood(int(round(value * 4)))
+        raise ValueError(f"sensitivity value {value} out of [0,1]")
+    return encode_likelihood(Likelihood(int(round(value * 4))))
 
 
-class _LevelCodes(dict):
-    """Bulk converter table: cell -> encoded level, NaN for an empty cell.
-
-    Exact level tokens are plain lookups; any other cell goes through the
-    row scan's parser, whose ParseError leaves the file to the row scan.
-    """
-
-    def __missing__(self, cell: str) -> float:
-        level = _parse_sensitivity_cell(cell, None, None)
-        return np.nan if level is None else encode_likelihood(level)
-
-
-_LEVEL_CODES = _LevelCodes({lvl.name: encode_likelihood(lvl) for lvl in Likelihood})
-# keyed by file column, which counts the image_id first
-_PRIVACY_CONVERTERS = {**{1 + col: _LEVEL_CODES.__getitem__
-                          for col in range(len(SENSITIVITY_CLASSES))}, 1 + PEOPLE_COUNT: int}
+_LEVEL_CODES = _Codes({lvl.name: encode_likelihood(lvl) for lvl in Likelihood}, _level_code)
 
 
 def decode_levels(values: np.ndarray) -> np.ndarray:
@@ -470,54 +441,11 @@ def decode_levels(values: np.ndarray) -> np.ndarray:
     return np.rint(values[:, SENSITIVITY] * 4).astype(np.intp)
 
 
-def _bulk_privacy_store(path) -> FeatureStore | None:
-    with _open_csv(path) as fh:
-        if _header_row(fh, path, 1)[0] != _PRIVACY_HEADER:
-            return None  # the row scan reports it
-        parsed = _parse_bulk(fh, len(PRIVACY_FEATURE_NAMES), _PRIVACY_CONVERTERS)
-    if parsed is None:
-        return None
-    ids, values = parsed
-    missing = np.isnan(values[:, SENSITIVITY])
-    values[:, SENSITIVITY][missing] = 0.0
-    probs, counts = values[:, [PEOPLE_PROB, OUTDOOR_PROB]], values[:, PEOPLE_COUNT]
-    if not (((probs >= 0.0) & (probs <= 1.0)).all()
-            and ((counts >= 0) & (counts <= MAX_PEOPLE_COUNT)).all()):
-        return None
-    return FeatureStore(ids, values, missing)
-
-
-def _scan_privacy_store(path) -> FeatureStore:
-    """Row-at-a-time parse; the reference for the bulk path and its error reporter."""
-    def parse(line, image_id, row):
-        levels = [_parse_sensitivity_cell(c, path, line) for c in row[1:6]]
-        try:
-            people_prob, people_count, outdoor_prob = float(row[6]), int(row[7]), float(row[8])
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line=line) from exc
-        if not 0.0 <= people_prob <= 1.0:
-            raise ParseError(f"people_prob out of [0,1]: {people_prob}", path=path, line=line)
-        if not 0.0 <= outdoor_prob <= 1.0:
-            raise ParseError(f"outdoor_prob out of [0,1]: {outdoor_prob}", path=path, line=line)
-        if people_count < 0:
-            raise ParseError(f"people_count negative: {people_count}", path=path, line=line)
-        if people_count > MAX_PEOPLE_COUNT:
-            raise ParseError(f"people_count above {MAX_PEOPLE_COUNT}: {people_count}",
-                             path=path, line=line)
-        return (*levels, people_prob, people_count, outdoor_prob)
-    return privacy_store(read_table(path, _PRIVACY_HEADER, parse))
-
-
 def load_privacy_store(path, cache: StoreCache | None = None,
                        ids: list[str] | None = None) -> FeatureStore:
     """The privacy store (see `FeatureStore`), through `cache` and aligned to
     `ids` as `load_deep_store` reads a deep store."""
     return _load("privacy", path, cache, ids)[0]
-
-
-def _parse_privacy_store(path) -> FeatureStore:
-    store = _bulk_privacy_store(path)
-    return store if store is not None else _scan_privacy_store(path)
 
 
 def write_privacy_store(path, store: FeatureStore) -> None:
@@ -532,8 +460,73 @@ def write_privacy_store(path, store: FeatureStore) -> None:
             store.ids, levels.tolist(), store.values[:, PEOPLE_PROB:].tolist())))
 
 
-def _deep_header(fh, path) -> tuple[str, int, list[str]]:
-    """(source_tag, dim, column names) from the two header lines of a deep store."""
+# The row parsers of the store kinds: (path, line, image_id, row) -> the row's
+# cells coded as the bulk converters code them, or a fault at path:line.
+def _manifest_row(path, line, image_id, row) -> tuple[float, float]:
+    try:
+        label = _LABEL_CODES[row[1]]
+    except ValueError:
+        raise UnknownLabel(row[1].strip(), path=path, line=line) from None
+    try:
+        return label, _SPLIT_CODES[row[2]]
+    except ValueError:
+        raise ParseError(f"unknown split {row[2].strip()!r}", path=path, line=line) from None
+
+
+def _privacy_row(path, line, image_id, row) -> tuple:
+    try:
+        levels = [_LEVEL_CODES[cell] for cell in row[1:6]]
+        people_prob, people_count, outdoor_prob = float(row[6]), int(row[7]), float(row[8])
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path, line=line) from exc
+    if not 0.0 <= people_prob <= 1.0:
+        raise ParseError(f"people_prob out of [0,1]: {people_prob}", path=path, line=line)
+    if not 0.0 <= outdoor_prob <= 1.0:
+        raise ParseError(f"outdoor_prob out of [0,1]: {outdoor_prob}", path=path, line=line)
+    if people_count < 0:
+        raise ParseError(f"people_count negative: {people_count}", path=path, line=line)
+    if people_count > MAX_PEOPLE_COUNT:
+        raise ParseError(f"people_count above {MAX_PEOPLE_COUNT}: {people_count}",
+                         path=path, line=line)
+    return (*levels, people_prob, people_count, outdoor_prob)
+
+
+def _deep_row(path, line, image_id, row) -> list[float]:
+    try:
+        values = [float(c) for c in row[1:]]
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path, line=line) from exc
+    if not np.isfinite(values).all():
+        raise ParseError(f"non-finite value for image {image_id!r}", path=path, line=line)
+    return values
+
+
+def _privacy(ids: list[str], values: np.ndarray) -> FeatureStore | None:
+    """The privacy store of coded `values`, None where a probability or
+    count is out of its range (the row scan reports it)."""
+    missing = np.isnan(values[:, SENSITIVITY])
+    values[:, SENSITIVITY][missing] = 0.0
+    probs, counts = values[:, [PEOPLE_PROB, OUTDOOR_PROB]], values[:, PEOPLE_COUNT]
+    if not (((probs >= 0.0) & (probs <= 1.0)).all()
+            and ((counts >= 0) & (counts <= MAX_PEOPLE_COUNT)).all()):
+        return None
+    return FeatureStore(ids, values, missing)
+
+
+def _fixed_header(*names: str) -> dict:
+    """The `head` and `names` of a kind whose first line is the column
+    header image_id,`names`, and whose metadata is []."""
+    header = ["image_id", *names]
+
+    def head(fh, path) -> tuple[list, int]:
+        if _header_row(fh, path, 1)[0] != header:
+            raise ParseError("expected header " + ",".join(header), path=path, line=1)
+        return [], 1
+    return {"head": head, "names": lambda meta: list(names) if meta == [] else None}
+
+
+def _deep_head(fh, path) -> tuple[list, int]:
+    """([source_tag, column names], 2), from the two header lines of a deep store."""
     try:
         first = fh.readline().strip()
     except UnicodeDecodeError as exc:
@@ -554,84 +547,87 @@ def _deep_header(fh, path) -> tuple[str, int, list[str]]:
     if len(header) - 1 != dim:
         raise ParseError(f"column header names {len(header) - 1} columns, "
                          f"first line declares dim={dim}", path=path, line=2)
-    return source_tag, dim, header[1:]
-
-
-def _bulk_deep_store(path) -> tuple[str, FeatureStore, list[str]] | None:
-    with _open_csv(path) as fh:
-        source_tag, dim, columns = _deep_header(fh, path)
-        parsed = _parse_bulk(fh, dim)
-    if parsed is None or not np.isfinite(parsed[1]).all():
-        return None
-    return source_tag, FeatureStore(*parsed), columns
-
-
-def _scan_deep_store(path) -> tuple[str, FeatureStore, list[str]]:
-    """Row-at-a-time parse; the reference for the bulk path and its error reporter."""
-    with _open_csv(path) as fh:
-        source_tag, dim, columns = _deep_header(fh, path)
-    def parse(line, image_id, row):
-        try:
-            values = [float(c) for c in row[1:]]
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line=line) from exc
-        if not np.isfinite(values).all():
-            raise ParseError(f"non-finite value for image {image_id!r}", path=path, line=line)
-        return values
-    rows = read_table(path, ["image_id", *columns], parse, header_line=2)
-    values = np.array(list(rows.values()), dtype=np.float64).reshape(len(rows), dim)
-    return source_tag, FeatureStore(list(rows), values), columns
-
-
-def _parse_deep_store(path) -> tuple[FeatureStore, list]:
-    """(store, [source_tag, column names])."""
-    tag, store, columns = _bulk_deep_store(path) or _scan_deep_store(path)
-    return store, [tag, columns]
-
-
-def _deep_columns(meta: list) -> int | None:
-    """The width of a deep store whose metadata is ``[source_tag, column names]``."""
-    if (len(meta) == 2 and isinstance(meta[0], str) and isinstance(meta[1], list)
-            and all(isinstance(c, str) for c in meta[1])):
-        return len(meta[1])
-    return None
+    return [source_tag, header[1:]], 2
 
 
 @dataclass(frozen=True)
 class _Kind:
-    """A kind of store a `StoreCache` holds: the version in its entries'
-    names; its parser, path -> (store, metadata as a JSON list); the store's
-    width given its metadata, None for metadata the parser never returns;
-    and the width of its `missing`, None where it has none.
+    """A kind of table `_parse` reads and a `StoreCache` holds, as data:
+    `version`, in its cache entries' names; `head`, (file, path) ->
+    (metadata as a JSON list, the column header's line), which reads the
+    lines up to and including the column header; `names`, the columns given
+    metadata, None for any `head` never returns; the bulk parse's loadtxt
+    `converters` by file column (the image_id is column 0); `row`, the row
+    scan's parser; `store`, (ids, coded values) -> the store both paths end
+    in, None where a value needs the row scan; the width of `missing`.
 
-    Bump the version whenever the kind's parser accepts or rejects other
+    Bump the version whenever the kind's parse accepts or rejects other
     files, or returns other results, or its entry layout changes, so no
     older entry is read.
     """
 
     version: int
-    parse: Callable[..., tuple[FeatureStore, list]]
-    columns: Callable[[list], int | None]
+    head: Callable[..., tuple[list, int]]
+    names: Callable[[list], list[str] | None]
+    converters: dict | None
+    row: Callable[..., Sequence[float]]
+    store: Callable[[list[str], np.ndarray], FeatureStore | None]
     missing: int | None
 
 
-# Each parser is looked up when it runs, so a test can replace it.
 STORE_KINDS = {
-    "manifest": _Kind(1, lambda path: (_parse_manifest(path), []),
-                      lambda meta: 2 if meta == [] else None, 2),
-    "privacy": _Kind(1, lambda path: (_parse_privacy_store(path), []),
-                     lambda meta: len(PRIVACY_FEATURE_NAMES) if meta == [] else None,
-                     len(SENSITIVITY_CLASSES)),
-    "deep": _Kind(2, lambda path: _parse_deep_store(path), _deep_columns, None),
+    "manifest": _Kind(1, **_fixed_header("label", "split"), converters={
+        1 + LABEL: _LABEL_CODES.__getitem__, 1 + SPLIT: _SPLIT_CODES.__getitem__},
+        row=_manifest_row, store=_manifest, missing=2),
+    "privacy": _Kind(1, **_fixed_header(*PRIVACY_FEATURE_NAMES), converters={
+        **{1 + col: _LEVEL_CODES.__getitem__ for col in range(len(SENSITIVITY_CLASSES))},
+        1 + PEOPLE_COUNT: int}, row=_privacy_row, store=_privacy,
+        missing=len(SENSITIVITY_CLASSES)),
+    "deep": _Kind(2, _deep_head, names=lambda meta: meta[1] if [*map(type, meta)] == [str, list]
+                  and all(type(c) is str for c in meta[1]) else None,
+                  converters=None, row=_deep_row, store=lambda ids, values: (
+                      FeatureStore(ids, values) if np.isfinite(values).all() else None),
+                  missing=None),
 }
+
+
+def _bulk(kind: str, path, ids: list[str] | None = None) -> tuple[FeatureStore, list] | None:
+    """`_scan`'s (store, metadata), or None when the row scan must read the
+    file. A store whose ids equal `ids` (see `_parse_bulk`) holds that list."""
+    spec = STORE_KINDS[kind]
+    try:
+        with _open_csv(path) as fh:
+            meta = spec.head(fh, path)[0]
+            parsed = _parse_bulk(fh, len(spec.names(meta)), spec.converters, ids)
+    except ParseError:
+        return None  # the row scan reports it
+    store = None if parsed is None else spec.store(*parsed)
+    return None if store is None else (store, meta)
+
+
+def _scan(kind: str, path) -> tuple[FeatureStore, list]:
+    """(store, metadata), parsed row by row: the reference for `_bulk` and
+    the one reporter of each fault at its path:line."""
+    spec = STORE_KINDS[kind]
+    with _open_csv(path) as fh:
+        meta, header_line = spec.head(fh, path)
+    names = spec.names(meta)
+    rows = read_table(path, ["image_id", *names], partial(spec.row, path),
+                      header_line=header_line)
+    values = np.array(list(rows.values()), dtype=np.float64).reshape(len(rows), len(names))
+    return spec.store(list(rows), values), meta
+
+
+def _parse(kind: str, path, ids: list[str] | None = None) -> tuple[FeatureStore, list]:
+    """(store, metadata) of the `kind` file at `path`, in bulk where the
+    file allows it, else row by row; the store is `aligned` to `ids`."""
+    store, meta = _bulk(kind, path, ids) or _scan(kind, path)
+    return aligned(store, ids), meta
 
 
 def _load(kind: str, path, cache: StoreCache | None,
           ids: list[str] | None = None) -> tuple[FeatureStore, list]:
-    if cache is not None:
-        return cache.load(kind, path, ids)
-    store, meta = STORE_KINDS[kind].parse(path)
-    return aligned(store, ids), meta
+    return _parse(kind, path, ids) if cache is None else cache.load(kind, path, ids)
 
 
 def file_sha256(path) -> str:
@@ -708,7 +704,7 @@ class StoreCache:
         try:
             key = file_sha256(path)
         except OSError:  # the parser reports an unreadable file
-            return spec.parse(path)
+            return _parse(kind, path, ids)
         entry = self.root / f"{kind}-v{spec.version}-{key}.npy"
         if entry.exists():
             try:
@@ -717,9 +713,9 @@ class StoreCache:
                     missing = None if spec.missing is None else np.load(fh, allow_pickle=False)
                     *meta, listed = json.loads(fh.read())
                 n = len(listed) if isinstance(listed, list) else -1
-                if not (n >= 0 and all(isinstance(i, str) for i in listed)
-                        and values.dtype == np.float64
-                        and values.shape == (n, spec.columns(meta))
+                names = spec.names(meta)
+                if not (n >= 0 and all(isinstance(i, str) for i in listed) and names is not None
+                        and values.dtype == np.float64 and values.shape == (n, len(names))
                         and (missing is None or (missing.dtype == bool
                                                  and missing.shape == (n, spec.missing)))):
                     raise ValueError("values and metadata disagree")
@@ -728,8 +724,7 @@ class StoreCache:
                 return aligned(FeatureStore(listed, values, missing), ids), meta
             except (OSError, EOFError, ValueError, TypeError, AttributeError) as exc:
                 log.warning("ignoring unreadable store cache entry %s: %s", entry, exc)
-        store, meta = spec.parse(path)
-        loaded = self._parsed[entry] = aligned(store, ids), meta
+        loaded = self._parsed[entry] = _parse(kind, path, ids)
         return loaded
 
     def save(self) -> None:

@@ -225,5 +225,8 @@ def _standardize(params: StandardizationParams, X: np.ndarray, out: np.ndarray) 
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(X, params.mean, out=out)
         out /= params.stddev
-    require_finite(np.isfinite(out).all(axis=0), "standardized feature column {} is not finite")
+    finite = np.ones(out.shape[1], dtype=bool)  # checked a row block at a time
+    for top in range(0, len(out), ROW_BLOCK):
+        finite &= np.isfinite(out[top:top + ROW_BLOCK]).all(axis=0)
+    require_finite(finite, "standardized feature column {} is not finite")
     return out

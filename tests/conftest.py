@@ -32,14 +32,13 @@ def manifest_cells(manifest):
     }
 
 
-# Every parser of a store the store cache holds.
-STORE_PARSERS = ["_parse_manifest", "_bulk_privacy_store", "_scan_privacy_store",
-                 "_bulk_deep_store", "_scan_deep_store"]
+# The one parser of every store the store cache holds.
+STORE_PARSERS = ["_parse"]
 
 
 def never_parse(monkeypatch):
     """Makes any store parse raise, so a load must read its store from the cache."""
-    def parse(path):
+    def parse(kind, path, ids=None):
         raise AssertionError(f"{path} was parsed")
     for name in STORE_PARSERS:
         monkeypatch.setattr(f"privlens.data_io.{name}", parse)

@@ -5,8 +5,10 @@ import json
 import logging
 import os
 import re
+import sys
 import tempfile
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +17,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from privlens import data_io
 from privlens.data_io import (
+    _bulk,
     _bulk_annotations,
-    _bulk_deep_store,
-    _bulk_manifest,
-    _bulk_privacy_store,
+    _parse,
+    _scan,
     _scan_annotations,
-    _scan_deep_store,
-    _scan_manifest,
-    _scan_privacy_store,
     AnnotationRecord,
     Dataset,
     FeatureStore,
@@ -31,6 +30,7 @@ from privlens.data_io import (
     STORE_KINDS,
     Split,
     StoreCache,
+    aligned,
     assign_splits,
     build_design_matrix,
     file_sha256,
@@ -233,11 +233,11 @@ def _comparable(loaded):
 _MARKED_FILES = {
     "manifest": (load_manifest, "image_id,label,split\na,public,train\nb,,\n", None, 3),
     "privacy store, bulk": (load_privacy_store, PRIVACY_HEADER + "a,POSSIBLE,,,,,0.5,1,0.25\n"
-                            "b,,,,,,0.1,0,0.2\n", (_bulk_privacy_store, True), 3),
+                            "b,,,,,,0.1,0,0.2\n", (partial(_bulk, "privacy"), True), 3),
     "privacy store, row scan": (load_privacy_store, PRIVACY_HEADER + '"a",POSSIBLE,,,,,0.5,1,0.25\n'
-                                "b,,,,,,0.1,0,0.2\n", (_bulk_privacy_store, False), 3),
+                                "b,,,,,,0.1,0,0.2\n", (partial(_bulk, "privacy"), False), 3),
     "deep store": (load_deep_store, DEEP_HEADER + "a,0.5,1.5\nb,-2,3e-3\n",
-                   (_bulk_deep_store, True), 4),
+                   (partial(_bulk, "deep"), True), 4),
     "annotations, bulk": (load_annotations, ANNOTATIONS_HEADER + "a,u1,PRIVATE\nb,u1,public\n",
                           (_bulk_annotations, True), 3),
     "annotations, row scan": (load_annotations, ANNOTATIONS_HEADER + '"a",u1,PRIVATE\n'
@@ -687,6 +687,17 @@ def _outcome(load, path):
         return type(exc), str(exc)
 
 
+def _as_loaded(kind, parse):
+    """`parse` of a `kind` file (`_bulk` or `_scan`), its (store, metadata)
+    in the shape the kind's public loader returns, None where `parse` gives none."""
+    def load(path):
+        if (parsed := parse(kind, path)) is None:
+            return None
+        store, meta = parsed
+        return (meta[0], store, meta[1]) if kind == "deep" else store
+    return load
+
+
 def _same_store(a, b) -> bool:
     return (
         a.ids == b.ids
@@ -708,8 +719,8 @@ class TestBulkMatchesRowScan:
     def test_manifest(self, tmp_path, body, bom):
         path = tmp_path / "m.csv"
         path.write_text(bom + MANIFEST_HEADER + body, encoding="utf-8", newline="")
-        scanned = _outcome(_scan_manifest, path)
-        bulk = _bulk_manifest(path)
+        scanned = _outcome(_as_loaded("manifest", _scan), path)
+        bulk = _as_loaded("manifest", _bulk)(path)
         if isinstance(scanned, tuple):  # the row scan rejects the file
             assert bulk is None
             assert _outcome(load_manifest, path) == scanned
@@ -727,8 +738,8 @@ class TestBulkMatchesRowScan:
     def test_privacy_store(self, tmp_path, body):
         path = tmp_path / "p.csv"
         path.write_text(PRIVACY_HEADER + body, encoding="utf-8", newline="")
-        scanned = _outcome(_scan_privacy_store, path)
-        bulk = _bulk_privacy_store(path)
+        scanned = _outcome(_as_loaded("privacy", _scan), path)
+        bulk = _as_loaded("privacy", _bulk)(path)
         if isinstance(scanned, tuple):  # the row scan rejects the file
             assert bulk is None
             assert _outcome(load_privacy_store, path) == scanned
@@ -757,8 +768,8 @@ class TestBulkMatchesRowScan:
         header = f"#source_tag=rn,dim={dim}\nimage_id," + ",".join(
             f"v{k}" for k in range(dim)) + "\n"
         path.write_text(header + body, encoding="utf-8", newline="")
-        scanned = _outcome(_scan_deep_store, path)
-        bulk = _bulk_deep_store(path)
+        scanned = _outcome(_as_loaded("deep", _scan), path)
+        bulk = _as_loaded("deep", _bulk)(path)
         if isinstance(scanned[1], str):  # the row scan rejects the file
             assert bulk is None
             assert _outcome(load_deep_store, path) == scanned
@@ -1037,6 +1048,95 @@ def _npy(array) -> bytes:
     buffer = io.BytesIO()
     np.save(buffer, array)
     return buffer.getvalue()
+
+
+# --- a parse given the manifest's ids -----------------------------------------
+
+# Files of each kind: the cache's bodies, most of them rejected, and valid ones.
+_DEEP_CELLS = st.one_of(_padded(st.floats(-1e6, 1e6).map(repr)),
+                        st.floats(allow_nan=True, allow_infinity=True).map(repr))
+_KIND_TEXTS = {
+    "manifest": _CACHED_FILES["manifest"][2].map(lambda body: MANIFEST_HEADER + body),
+    "privacy": _CACHED_FILES["privacy"][2].map(lambda body: PRIVACY_HEADER + body),
+    "deep": st.one_of(_deep_files(), _store_lines(
+        st.lists(_DEEP_CELLS, min_size=2, max_size=2)).map(lambda body: DEEP_HEADER + body)),
+}
+
+
+def _file_ids(kind, path, text) -> list[str]:
+    """The ids a manifest of the file's images would hold: the parse's ids,
+    or where the parse rejects the file, each non-empty id cell once."""
+    try:
+        return _parse(kind, path)[0].ids
+    except ParseError:
+        lines = re.split(r"\r\n|\r|\n", text)[1 + (kind == "deep"):]
+        return [i for i in dict.fromkeys(line.partition(",")[0].strip() for line in lines) if i]
+
+
+class TestParseGivenTheManifestIds:
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(list(_KIND_TEXTS)).flatmap(
+        lambda kind: st.tuples(st.just(kind), _KIND_TEXTS[kind])),
+        st.sampled_from(["equal", "permuted", "subset"]), st.randoms(use_true_random=False))
+    def test_is_the_parse_aligned_to_them(self, tmp_path, kind_text, how, rng):
+        kind, text = kind_text
+        path = Path(tempfile.mkdtemp(dir=tmp_path)) / "s.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        ids = _file_ids(kind, path, text)
+        if how == "permuted":
+            shuffled = rng.sample(ids, len(ids))
+            ids = shuffled if shuffled != ids else ids[::-1]  # another order, where there is one
+        elif how == "subset":
+            ids = [i for i in ids if rng.random() < 0.5]
+
+        def outcome(parse):
+            try:
+                store, meta = parse()
+            except PrivlensError as exc:
+                return type(exc), str(exc)
+            return (store.ids, store.ids is ids, _npy(store.values),
+                    None if store.missing is None else _npy(store.missing), meta)
+
+        def parse_then_align():
+            store, meta = _parse(kind, path)
+            return aligned(store, ids), meta
+
+        assert outcome(lambda: _parse(kind, path, ids)) == outcome(parse_then_align)
+
+    @pytest.mark.parametrize("kind, text, line", [
+        ("manifest", MANIFEST_HEADER + "a,public,train\nb,,\na,private,test\n", 4),
+        ("privacy", PRIVACY_HEADER + "a,,,,,,0.5,1,0.25\nb,,,,,,0.5,1,0.25\n"
+                                     "a,,,,,,0.5,1,0.25\n", 4),
+        ("deep", DEEP_HEADER + "a,1,2\nb,1,2\na,1,2\n", 5),
+    ])
+    def test_a_repeated_id_is_still_a_duplicate_id(self, tmp_path, kind, text, line):
+        path = write(tmp_path, "s.csv", text)
+        for ids in (["a", "b"], ["b", "a"], ["a"], None):
+            with pytest.raises(DuplicateId) as info:
+                _parse(kind, path, ids)
+            assert str(info.value) == f"duplicate image_id: 'a' [{path}:{line}]"
+
+    @pytest.mark.parametrize("load, header, row", [
+        (load_privacy_store, PRIVACY_HEADER, "POSSIBLE,,,,,0.5,1,0.25"),
+        (load_deep_store, DEEP_HEADER, "0.5,1.5"),
+    ], ids=["privacy", "deep"])
+    def test_a_store_listing_them_builds_no_set_of_its_ids(self, tmp_path, load, header, row):
+        ids = [f"img_{k:06d}" for k in range(20_000)]
+        path = write(tmp_path, "s.csv", header + "".join(f"{i},{row}\n" for i in ids))
+
+        def traced_peak(parse):
+            tracemalloc.start()
+            try:
+                return parse(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, alone = traced_peak(lambda: load(path))
+        loaded, given = traced_peak(lambda: load(path, ids=ids))
+        assert (loaded if isinstance(loaded, FeatureStore) else loaded[1]).ids is ids
+        # the parsed id list is dropped once it equals `ids`, and no set is built
+        assert given < alone - sys.getsizeof(set(ids)) / 2
 
 
 # A valid file of each kind with two images, one id holding a NUL.

@@ -14,9 +14,9 @@ import frozen_join
 import frozen_standardizer
 from privlens.classifiers import TrainConfig, train_logreg, train_mlp
 from privlens.data_io import Dataset, FeatureStore, Split, build_design_matrix, manifest_store
-from privlens.errors import PrivlensError
+from privlens.errors import NonFiniteValue, PrivlensError
 from privlens.features import (ROW_BLOCK, FeatureGroup as G, FeatureSpec, apply_standardizer,
-                               fit_standardizer)
+                               fit_standardizer, standardize_in_place)
 
 
 def _fit_outcome(fit, X):
@@ -161,3 +161,28 @@ def test_training_a_handed_over_matrix_copies_none_of_it(kind):
                                       overwrite_X=True)}[kind]
     _, peak = _traced_peak(train)
     assert peak < X.nbytes / 4
+
+
+def test_standardizing_in_place_holds_no_copy_of_the_matrix():
+    X, _ = _train_matrix()
+    params = fit_standardizer(X)
+    _, peak = _traced_peak(lambda: standardize_in_place(params, X))
+    assert peak < X.nbytes / 32  # a row block of finite flags, not a flag per cell
+
+
+def test_applying_the_standardizer_holds_one_copy_of_the_matrix():
+    X, _ = _train_matrix()
+    params = fit_standardizer(X)
+    _, peak = _traced_peak(lambda: apply_standardizer(params, X))
+    assert peak < 1.03 * X.nbytes  # the result and a row block of finite flags
+
+
+def test_the_lowest_non_finite_column_is_named_over_all_row_blocks():
+    X, _ = _train_matrix(n=2 * ROW_BLOCK + 10, d=6)
+    params = fit_standardizer(X)
+    X[5, 4] = np.inf  # the first row block holds a higher column
+    X[ROW_BLOCK + 7, 1] = np.nan  # the second the lower one
+    for standardize in (apply_standardizer, standardize_in_place):
+        with pytest.raises(NonFiniteValue) as info:
+            standardize(params, X.copy())
+        assert str(info.value) == "standardized feature column 2 is not finite"

@@ -8,7 +8,12 @@ own, and every call passes the loader's cell parser.
 
 The cyclic garbage collector is paused in one place, `data_io._collector_paused`,
 which leaves it as it found it; a bare `gc.disable` elsewhere could leave it
-off for the rest of a run."""
+off for the rest of a run.
+
+The stores are parsed in bulk in one place: only `data_io._parse_bulk` calls
+`np.loadtxt`, and only `data_io._bulk`, the bulk path of every declared store
+kind, calls `_parse_bulk`. A table with a bulk path of its own beside the
+declared kinds would drift from their row scan and its rules."""
 
 import ast
 from pathlib import Path
@@ -22,6 +27,8 @@ ALLOWED = {
     "loop over read_table": set(),
     "read_table without parse": set(),
     "gc.disable or gc.enable": {("data_io.py", "_collector_paused")},
+    "np.loadtxt": {("data_io.py", "_parse_bulk")},
+    "_parse_bulk": {("data_io.py", "_bulk")},
 }
 
 
@@ -40,7 +47,8 @@ def _found(node) -> str | None:
     `csv.DictReader`, a string holding "empty image_id", a call that
     constructs `DuplicateId`, a `for` or comprehension over a call of
     `read_table`, or a call of `read_table` with no parse function (third
-    argument or `parse=`), or a call of `gc.disable` or `gc.enable`."""
+    argument or `parse=`), a call of `gc.disable` or `gc.enable`, or a call
+    of `np.loadtxt` or `_parse_bulk`."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return "empty image_id" if "empty image_id" in node.value else None
     if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
@@ -50,6 +58,10 @@ def _found(node) -> str | None:
         return "csv.reader"
     if owner == "gc" and name in ("disable", "enable"):
         return "gc.disable or gc.enable"
+    if owner in ("np", "numpy") and name == "loadtxt":
+        return "np.loadtxt"
+    if name == "_parse_bulk":
+        return "_parse_bulk"
     if name == "read_table" and len(node.args) < 3 and all(k.arg != "parse"
                                                              for k in node.keywords):
         return "read_table without parse"
@@ -141,4 +153,23 @@ def test_the_scan_sees_the_collector_switched_outside_its_pause(tmp_path):
     assert breaches(tmp_path) == [
         "cli.py:3: gc.disable or gc.enable (in main)",
         "data_io.py:8: gc.disable or gc.enable (in load_annotations)",
+    ]
+
+
+def test_the_scan_sees_a_bulk_parse_beside_the_declared_kinds(tmp_path):
+    (tmp_path / "data_io.py").write_text(
+        "import numpy as np\n"
+        "def _parse_bulk(fh):\n"
+        "    return np.loadtxt(fh)\n"
+        "def _bulk(kind, path):\n"
+        "    return _parse_bulk(path)\n"
+        "def _bulk_votes(path):\n"
+        "    return _parse_bulk(path)\n")
+    (tmp_path / "extractors.py").write_text(
+        "import numpy\n"
+        "def load_scenes(path):\n"
+        "    return numpy.loadtxt(path, delimiter=',')\n")
+    assert breaches(tmp_path) == [
+        "data_io.py:7: _parse_bulk (in _bulk_votes)",
+        "extractors.py:3: np.loadtxt (in load_scenes)",
     ]
