@@ -14,14 +14,13 @@ from .data_io import (
     SPLIT,
     Dataset,
     StoreCache,
-    aligned,
     assign_splits,
     bad_input,
     load_annotations,
     load_deep_store,
     load_manifest,
     load_privacy_store,
-    vote_store,
+    load_vote_store,
 )
 from .errors import ConfigError
 from .features import FeatureGroup, FeatureSpec
@@ -264,12 +263,12 @@ def load_dataset(
     cache: StoreCache | None = None,
 ) -> Dataset:
     """Join the manifest and the configured stores that `privacy`, `deep` and
-    `annotations` select (the rest stay empty) into a Dataset. The manifest,
-    the privacy store and the deep stores go through `cache` when one is
-    given; the annotations are always parsed. Each store that lists the
-    manifest's ids in its order holds the manifest's id list from its load
-    on, in the cache's record too (see `data_io.aligned`), so each id is held
-    once.
+    `annotations` select (the rest stay empty) into a Dataset. Every store,
+    the vote counts too, goes through `cache` when one is given; the votes of
+    a file not read from its entry are parsed by `load_annotations` and
+    counted by `vote_store`. Each store that lists the manifest's ids in its
+    order holds the manifest's id list from its load on, in the cache's
+    record too (see `data_io.aligned`), so each id is held once.
 
     When the manifest lacks splits and require_splits is set, a seeded random
     split is assigned and `splits_assigned` set; nothing is written.
@@ -290,7 +289,8 @@ def load_dataset(
             raise ConfigError(f"duplicate deep-feature source_tag {tag!r}")
         deep_stores[tag] = store
     if annotations and cfg.data.annotations is not None:
-        # the loader returns per-image records because perfbench/traced_cli.py counts their votes
-        stores["annotations"] = aligned(vote_store(load_annotations(cfg.data.annotations)),
-                                        manifest.ids)
+        # the parser goes by this module's name for it, which perfbench/traced_cli.py
+        # wraps to time a miss's parse and count its votes
+        stores["annotations"] = load_vote_store(cfg.data.annotations, cache, manifest.ids,
+                                                load_annotations)
     return Dataset(manifest, deep_features=deep_stores, splits_assigned=assigned, **stores)

@@ -20,16 +20,17 @@ the id → row map is built only when a lookup by id needs it. `write_manifest`
 and `write_privacy_store` write the first two back, and `publish` writes
 every file whole.
 
-The manifest, the privacy store and the deep stores are kinds of table
-declared as data (`STORE_KINDS`) and read by one loader, `_parse`: in bulk
-where the file allows it, else row by row, the reference and the one error
-reporter. A `StoreCache` keeps each parsed store in one file, keyed by its
-kind and the sha256 of the file's bytes, so a later load of the same content
-skips the parse. The votes are parsed in bulk by a loop of their own, and
-equal runs of votes share one tuple. Every row scan is `read_table`, which
-checks the image id, reports each fault at its path:line and returns the
-id-keyed table of what the loader's cell parser made of each row. A UTF-8
-byte-order mark at the start of a file is skipped.
+The manifest, the privacy store, the deep stores and the vote counts are
+kinds of table declared as data (`STORE_KINDS`). The first three are read by
+one loader, `_parse`: in bulk where the file allows it, else row by row, the
+reference and the one error reporter. The votes are parsed by
+`load_annotations`, in bulk by a loop of their own where equal runs of votes
+share one tuple, and counted by `vote_store`. A `StoreCache` keeps each
+parsed store of every kind in one file, keyed by its kind and the sha256 of
+the file's bytes, so a later load of the same content skips the parse. Every
+row scan is `read_table`, which checks the image id, reports each fault at
+its path:line and returns the id-keyed table of what the loader's cell parser
+made of each row. A UTF-8 byte-order mark at the start of a file is skipped.
 """
 
 from __future__ import annotations
@@ -559,7 +560,9 @@ class _Kind:
     metadata, None for any `head` never returns; the bulk parse's loadtxt
     `converters` by file column (the image_id is column 0); `row`, the row
     scan's parser; `store`, (ids, coded values) -> the store both paths end
-    in, None where a value needs the row scan; the width of `missing`.
+    in, None where a value needs the row scan; the width of `missing`. A
+    kind that another loader parses, the votes, has no `head`, `row` or
+    `store`: the cache reads it with only `version`, `names` and `missing`.
 
     Bump the version whenever the kind's parse accepts or rejects other
     files, or returns other results, or its entry layout changes, so no
@@ -567,11 +570,11 @@ class _Kind:
     """
 
     version: int
-    head: Callable[..., tuple[list, int]]
+    head: Callable[..., tuple[list, int]] | None
     names: Callable[[list], list[str] | None]
     converters: dict | None
-    row: Callable[..., Sequence[float]]
-    store: Callable[[list[str], np.ndarray], FeatureStore | None]
+    row: Callable[..., Sequence[float]] | None
+    store: Callable[[list[str], np.ndarray], FeatureStore | None] | None
     missing: int | None
 
 
@@ -588,6 +591,8 @@ STORE_KINDS = {
                   converters=None, row=_deep_row, store=lambda ids, values: (
                       FeatureStore(ids, values) if np.isfinite(values).all() else None),
                   missing=None),
+    "votes": _Kind(1, head=None, names=lambda meta: ["n_private", "n_public", "n_undecidable"]
+                   if meta == [] else None, converters=None, row=None, store=None, missing=None),
 }
 
 
@@ -625,9 +630,10 @@ def _parse(kind: str, path, ids: list[str] | None = None) -> tuple[FeatureStore,
     return aligned(store, ids), meta
 
 
-def _load(kind: str, path, cache: StoreCache | None,
-          ids: list[str] | None = None) -> tuple[FeatureStore, list]:
-    return _parse(kind, path, ids) if cache is None else cache.load(kind, path, ids)
+def _load(kind: str, path, cache: StoreCache | None, ids: list[str] | None = None,
+          parse=None) -> tuple[FeatureStore, list]:
+    parse = parse or partial(_parse, kind)
+    return parse(path, ids) if cache is None else cache.load(kind, path, ids, parse)
 
 
 def file_sha256(path) -> str:
@@ -695,16 +701,18 @@ class StoreCache:
         self.root = Path(root)
         self._parsed: dict[Path, tuple[FeatureStore, list]] = {}  # by entry
 
-    def load(self, kind: str, path, ids: list[str] | None = None) -> tuple[FeatureStore, list]:
+    def load(self, kind: str, path, ids: list[str] | None,
+             parse: Callable[..., tuple[FeatureStore, list]]) -> tuple[FeatureStore, list]:
         """The store of `kind` at `path` and its metadata, from its entry when
-        one exists and can be read (else with a warning), otherwise parsed
-        and recorded. The store is `aligned` to `ids` before it is recorded,
-        so the entry waiting for `save` holds no second id list."""
+        one exists and can be read (else with a warning), otherwise
+        ``parse(path, ids)`` and recorded. The store is `aligned` to `ids`
+        before it is recorded, so the entry waiting for `save` holds no
+        second id list."""
         spec = STORE_KINDS[kind]
         try:
             key = file_sha256(path)
         except OSError:  # the parser reports an unreadable file
-            return _parse(kind, path, ids)
+            return parse(path, ids)
         entry = self.root / f"{kind}-v{spec.version}-{key}.npy"
         if entry.exists():
             try:
@@ -724,7 +732,7 @@ class StoreCache:
                 return aligned(FeatureStore(listed, values, missing), ids), meta
             except (OSError, EOFError, ValueError, TypeError, AttributeError) as exc:
                 log.warning("ignoring unreadable store cache entry %s: %s", entry, exc)
-        loaded = self._parsed[entry] = _parse(kind, path, ids)
+        loaded = self._parsed[entry] = parse(path, ids)
         return loaded
 
     def save(self) -> None:
@@ -735,7 +743,12 @@ class StoreCache:
             np.save(fh, store.values)
             if store.missing is not None:
                 np.save(fh, store.missing)
-            fh.write(json.dumps([*meta, store.ids]).encode("ascii"))
+            # json.dumps([*meta, store.ids]), never held whole: the ids go 8,192 at a time
+            fh.write(json.dumps([*meta, []])[:-2].encode("ascii"))
+            for start in range(0, len(store.ids), 8192):
+                chunk = json.dumps(store.ids[start:start + 8192])[1:-1]
+                fh.write((", " * bool(start) + chunk).encode("ascii"))
+            fh.write(b"]]")
 
         try:
             for entry, (store, meta) in parsed.items():
@@ -849,6 +862,16 @@ def _scan_annotations(path) -> dict[str, AnnotationRecord]:
             raise UnknownVote(vote_tok, path=path, line=line)
     votes = read_table(path, _ANNOTATIONS_HEADER, parse, keyed=False)
     return {image_id: AnnotationRecord(image_id, tuple(vs)) for image_id, vs in votes.items()}
+
+
+def load_vote_store(path, cache: StoreCache | None = None, ids: list[str] | None = None,
+                    parse=load_annotations) -> FeatureStore:
+    """The vote counts of the annotations file at `path` (see `vote_store`),
+    through `cache` and aligned to `ids` as `load_deep_store` reads a deep
+    store. A file not read from its entry is parsed by `parse`, which returns
+    what `load_annotations` does; every error comes from it."""
+    return _load("votes", path, cache, ids,
+                 lambda path, ids: (aligned(vote_store(parse(path)), ids), []))[0]
 
 
 def assign_splits(

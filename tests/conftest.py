@@ -32,16 +32,17 @@ def manifest_cells(manifest):
     }
 
 
-# The one parser of every store the store cache holds.
-STORE_PARSERS = ["_parse"]
+# The parsers of every store the store cache holds: the one parser of the
+# tables, and the vote parser under the name `load_dataset` calls it by.
+STORE_PARSERS = ["privlens.data_io._parse", "privlens.config.load_annotations"]
 
 
 def never_parse(monkeypatch):
     """Makes any store parse raise, so a load must read its store from the cache."""
-    def parse(kind, path, ids=None):
-        raise AssertionError(f"{path} was parsed")
+    def parse(*args, **kwargs):
+        raise AssertionError(f"a store was parsed: {args}")
     for name in STORE_PARSERS:
-        monkeypatch.setattr(f"privlens.data_io.{name}", parse)
+        monkeypatch.setattr(name, parse)
 
 
 @pytest.fixture

@@ -1070,7 +1070,46 @@ class TestStoreCache:
         assert "manifest_with_splits.csv" in runs[2]
         assert cache_entries(out) == sorted([
             cache_entry("manifest", tmp_path / "manifest.csv"),
-            cache_entry("privacy", tmp_path / "privacy_features.csv")])
+            cache_entry("privacy", tmp_path / "privacy_features.csv"),
+            cache_entry("votes", tmp_path / "annotations.csv")])
+
+    def _votes_config(self, tmp_path):
+        write_synth_corpus(tmp_path, n=40, seed=3)
+        (tmp_path / "annotations.csv").write_text(
+            "image_id,assessor_id,vote\nimg_00000,u1,PRIVATE\nimg_00000,u2,PUBLIC\n"
+            "img_00001,u1,PUBLIC\n")
+        return write_config(tmp_path / "c.ini", "[data]\nmanifest = manifest.csv\n"
+                            "privacy_features = privacy_features.csv\n"
+                            "annotations = annotations.csv\n")
+
+    def test_damaged_vote_entry_is_one_warning_and_a_parse(self, tmp_path, capsys, caplog):
+        args = ["--config", self._votes_config(tmp_path), "--out-dir", str(tmp_path / "out"),
+                "analyze"]
+        assert main(args) == EXIT_OK
+        first = capsys.readouterr().out, output_files(tmp_path / "out")
+        entry = tmp_path / "out" / "store_cache" / cache_entry("votes",
+                                                               tmp_path / "annotations.csv")
+        saved = entry.read_bytes()
+        entry.write_bytes(saved[:-5])
+        with caplog.at_level(logging.WARNING):
+            assert main(args) == EXIT_OK
+        (warning,) = [r.getMessage() for r in caplog.records]
+        assert warning.startswith(f"ignoring unreadable store cache entry {entry}: ")
+        assert (capsys.readouterr().out, output_files(tmp_path / "out")) == first
+        assert entry.read_bytes() == saved
+
+    def test_unknown_vote_after_a_warm_run_is_the_parsers_error(self, tmp_path, capsys):
+        args = ["--config", self._votes_config(tmp_path), "--out-dir", str(tmp_path / "out"),
+                "analyze"]
+        assert main(args) == EXIT_OK
+        entries = cache_entries(tmp_path / "out")
+        votes = tmp_path / "annotations.csv"
+        votes.write_text(votes.read_text() + "img_00001,u2,MAYBE\n")
+        capsys.readouterr()
+        assert main(args) != EXIT_OK
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: UnknownVote: unknown vote token: 'MAYBE' [{votes}:5]")
+        assert cache_entries(tmp_path / "out") == entries
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
     def test_file_at_the_store_cache_is_one_warning(self, deep_config, capsys, caplog,

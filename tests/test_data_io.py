@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from privlens import data_io
 from privlens.data_io import (
@@ -39,6 +39,7 @@ from privlens.data_io import (
     load_image_refs,
     load_manifest,
     load_privacy_store,
+    load_vote_store,
     manifest_store,
     privacy_store,
     publish,
@@ -1037,7 +1038,7 @@ _CACHED_FILES = {
 def _load_kind(kind, path, cache=None):
     """The store of `kind` at `path`, as its public loader returns it."""
     return {"manifest": load_manifest, "privacy": load_privacy_store,
-            "deep": load_deep_store}[kind](path, cache)
+            "deep": load_deep_store, "votes": load_vote_store}[kind](path, cache)
 
 
 def _same_loaded(a, b) -> bool:
@@ -1145,6 +1146,7 @@ _KIND_FILES = {
     "privacy": PRIVACY_HEADER + "a,VERY_UNLIKELY,,POSSIBLE,LIKELY,UNLIKELY,0.5,1,0.25\n"
                                 "b\x00,,,,,,-0.0,0,0.2\n",
     "deep": DEEP_HEADER + "a,0.5,1.5\nb\x00,-2,3e-3\n",
+    "votes": ANNOTATIONS_HEADER + "a,u1,PRIVATE\na,u2,CLEARLY_PUBLIC\nb\x00,u1,UNDECIDABLE\n",
 }
 
 
@@ -1209,14 +1211,16 @@ class TestStoreCache:
                               "b,u1,PUBLIC\nc,u1,PUBLIC\n")))
         cache = StoreCache(tmp_path / "cache")
         ds = load_dataset(cfg, cache=cache)
-        manifest, privacy, deep, other = (store for store, _ in cache._parsed.values())
+        manifest, privacy, deep, other, votes = (store for store, _ in cache._parsed.values())
         assert manifest.ids is ds.manifest.ids == ids
         assert privacy is ds.privacy_features and deep is ds.deep_features["rn"]
-        assert privacy.ids is deep.ids is ds.annotations.ids is ds.manifest.ids
+        assert votes is ds.annotations
+        assert privacy.ids is deep.ids is votes.ids is ds.manifest.ids
         assert other.ids == ids[::-1]  # another order keeps its own list
         cache.save()
         cached = load_dataset(cfg, cache=StoreCache(tmp_path / "cache"))
-        assert cached.privacy_features.ids is cached.deep_features["rn"].ids is cached.manifest.ids
+        assert (cached.privacy_features.ids is cached.deep_features["rn"].ids
+                is cached.annotations.ids is cached.manifest.ids)
 
     @_PROPERTY
     @given(_deep_files())
@@ -1391,6 +1395,106 @@ class TestStoreCache:
         (record,) = caplog.records
         assert record.getMessage().startswith(
             f"cannot save parsed stores under {tmp_path / 'cache'}: ")
+
+    @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193])
+    @pytest.mark.parametrize("kind", ["manifest", "deep"], ids=["no metadata", "metadata"])
+    def test_entry_ids_are_the_bytes_of_one_dump(self, tmp_path, kind, n):
+        # the ids are written a chunk at a time; JSON escapes each "é" and "\\"
+        ids = [f"imé\\{k}" for k in range(n)]
+        header, meta = ((MANIFEST_HEADER, []) if kind == "manifest"
+                        else (DEEP_HEADER, ["rn", ["v0", "v1"]]))
+        row = ",public,train\n" if kind == "manifest" else ",0.5,1.5\n"
+        path = write(tmp_path, "s.csv", header + "".join(i + row for i in ids))
+        cache = StoreCache(tmp_path / "cache")
+        _load_kind(kind, path, cache)
+        cache.save()
+        (entry,) = (tmp_path / "cache").iterdir()
+        with open(entry, "rb") as fh:
+            for _ in range(1 + (STORE_KINDS[kind].missing is not None)):
+                np.load(fh, allow_pickle=False)
+            assert fh.read() == json.dumps([*meta, ids]).encode("ascii")
+
+    def test_a_save_never_holds_the_whole_id_list_as_text(self, tmp_path):
+        ids = [f"img_{k:06d}_é" for k in range(200_000)]
+        path = write(tmp_path, "m.csv",
+                     MANIFEST_HEADER + "".join(f"{i},public,train\n" for i in ids))
+        cache = StoreCache(tmp_path / "cache")
+        load_manifest(path, cache)
+        tracemalloc.start()
+        try:
+            cache.save()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one json.dumps of the whole list, then its bytes, would take twice its length
+        assert peak < len(json.dumps([ids])) / 2
+
+    def test_readme_names_every_kinds_entry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        assert [kind for kind, spec in STORE_KINDS.items()
+                if f"`{kind}-v{spec.version}-<sha256>.npy`" not in readme] == []
+
+
+def _never(path):
+    raise AssertionError(f"{path} was parsed")
+
+
+class TestVoteStoreCache:
+    """The vote counts through the store cache, parsed by `load_annotations` on a miss."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_annotation_files(), st.sampled_from(["same", "file has ghosts", "more", None]),
+           st.lists(st.booleans(), min_size=6, max_size=6))
+    @example((ANNOTATIONS_HEADER, True), "same", [True] * 6)  # a file with no votes
+    @example((ANNOTATIONS_HEADER.rstrip("\n"), True), "more", [True] * 6)
+    def test_store_has_the_bytes_of_the_counted_parse(self, tmp_path, text_plain, manifest,
+                                                      keep):
+        example_dir = Path(tempfile.mkdtemp(dir=tmp_path))  # tmp_path is shared by the examples
+        path, root = example_dir / "a.csv", example_dir / "cache"
+        path.write_text(text_plain[0], encoding="utf-8", newline="")
+        parsed = _outcome(load_annotations, path)
+        cache = StoreCache(root)
+        if isinstance(parsed, tuple):  # a rejected file: the loader's error, and no entry
+            assert _outcome(lambda p: load_vote_store(p, cache, None), path) == parsed
+            cache.save()
+            assert not root.exists()
+            return
+        # the manifest's ids: the file's, some of them, or more than the file's
+        ids = {"same": list(parsed), "file has ghosts": [i for i, k in zip(parsed, keep) if k],
+               "more": [*parsed, "\x00no votes"], None: None}[manifest]
+        expected = aligned(vote_store(parsed), ids)
+        loaded = load_vote_store(path, cache, ids)
+        cache.save()
+        cached = load_vote_store(path, StoreCache(root), ids, parse=_never)
+        for store in (loaded, cached):
+            assert _same_store(store, expected)
+            assert (store.ids is ids) == (expected.ids is ids)
+            assert store.values.flags.writeable
+
+    def test_unknown_vote_writes_no_entry_and_keeps_its_line(self, tmp_path):
+        path = write(tmp_path, "a.csv", ANNOTATIONS_HEADER + "a,u1,PRIVATE\na,u2,maybe\n")
+        cache = StoreCache(tmp_path / "cache")
+        with pytest.raises(UnknownVote) as info:
+            load_vote_store(path, cache, ["a"])
+        assert str(info.value) == str(_outcome(load_annotations, path)[1])
+        assert str(info.value).endswith(f"[{path}:3]")
+        cache.save()
+        assert not (tmp_path / "cache").exists()
+
+    def test_a_miss_parses_with_the_callers_parser(self, tmp_path):
+        path = write(tmp_path, "a.csv", ANNOTATIONS_HEADER + "a,u1,PRIVATE\n")
+        parsed = []
+
+        def parse(p):
+            parsed.append(p)
+            return load_annotations(p)
+
+        for _ in range(2):
+            cache = StoreCache(tmp_path / "cache")
+            assert load_vote_store(path, cache, parse=parse).values.tolist() == [[1.0, 0.0, 0.0]]
+            cache.save()
+        assert parsed == [path]
 
 
 class TestPublish:
